@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 use aes_core::{block_to_u128, u128_to_block};
 use hdl::NodeId;
 use ifc_lattice::{Label, SecurityTag};
-use sim::{BatchedSim, LaneBackend, OptConfig, RuntimeViolation, TrackMode};
+use sim::{BatchedSim, RuntimeViolation, TrackMode};
 
 use crate::driver::{Pending, Rejection, Request, Response};
 use crate::params::MASTER_KEY_SLOT;
@@ -89,12 +89,10 @@ pub enum LaneAction {
 }
 
 /// Drives W accelerator sessions at the transaction level over one
-/// lane-batched simulator (any [`LaneBackend`] — the interpreting
-/// [`BatchedSim`] by default, or the native-codegen
-/// [`NativeSim`](sim::NativeSim)). See the [module docs](self).
+/// [`BatchedSim`]. See the [module docs](self).
 #[derive(Debug)]
-pub struct BatchedDriver<S: LaneBackend = BatchedSim> {
-    sim: S,
+pub struct BatchedDriver {
+    sim: BatchedSim,
     ports: Ports,
     pending: Vec<VecDeque<Pending>>,
     /// Per-lane completed encryptions, in order.
@@ -104,7 +102,7 @@ pub struct BatchedDriver<S: LaneBackend = BatchedSim> {
     receiver_ready: bool,
 }
 
-impl<S: LaneBackend> BatchedDriver<S> {
+impl BatchedDriver {
     /// Compiles a netlist (no optimizer passes) and instantiates `lanes`
     /// driver sessions.
     ///
@@ -113,8 +111,8 @@ impl<S: LaneBackend> BatchedDriver<S> {
     /// Panics if `lanes` is not a supported lane width
     /// ([`sim::SUPPORTED_LANES`]).
     #[must_use]
-    pub fn from_netlist(net: hdl::Netlist, mode: TrackMode, lanes: usize) -> BatchedDriver<S> {
-        BatchedDriver::from_batched(S::with_tracking_opt(net, mode, lanes, &OptConfig::none()))
+    pub fn from_netlist(net: hdl::Netlist, mode: TrackMode, lanes: usize) -> BatchedDriver {
+        BatchedDriver::from_batched(BatchedSim::with_tracking(net, mode, lanes))
     }
 
     /// Wraps an already-constructed batched simulator (the fleet path:
@@ -124,7 +122,7 @@ impl<S: LaneBackend> BatchedDriver<S> {
     ///
     /// Panics if the design has no output interface (not an accelerator).
     #[must_use]
-    pub fn from_batched(mut sim: S) -> BatchedDriver<S> {
+    pub fn from_batched(mut sim: BatchedSim) -> BatchedDriver {
         // The factory-provisioned master key carries (⊤,⊤) in every lane.
         if let Some(mem) = sim.mem_index("scratchpad.cells") {
             for lane in 0..sim.lanes() {
@@ -181,13 +179,13 @@ impl<S: LaneBackend> BatchedDriver<S> {
     }
 
     /// The wrapped batched simulator.
-    pub fn sim_mut(&mut self) -> &mut S {
+    pub fn sim_mut(&mut self) -> &mut BatchedSim {
         &mut self.sim
     }
 
     /// Shared view of the wrapped simulator.
     #[must_use]
-    pub fn sim(&self) -> &S {
+    pub fn sim(&self) -> &BatchedSim {
         &self.sim
     }
 

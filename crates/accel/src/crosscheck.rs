@@ -14,7 +14,7 @@
 use hdl::Netlist;
 use ifc_check::dataflow::{bound_plane, crosscheck_findings, Finding, LintConfig, ObservedPlane};
 use ifc_lattice::Label;
-use sim::{BatchedSim, CompiledSim, LaneBackend, SimBackend, Simulator, TrackMode};
+use sim::{CompiledSim, SimBackend, Simulator, TrackMode};
 
 use crate::batch::BatchedDriver;
 use crate::driver::{AccelDriver, Request};
@@ -93,7 +93,7 @@ pub fn observe_sessions<B: SimBackend>(
     plane
 }
 
-fn fold_batched<S: LaneBackend>(driver: &mut BatchedDriver<S>, plane: &mut ObservedPlane) {
+fn fold_batched(driver: &mut BatchedDriver, plane: &mut ObservedPlane) {
     for lane in 0..driver.lanes() {
         let sim = driver.sim_mut();
         sim.fold_label_plane(lane, &mut plane.nodes);
@@ -102,12 +102,10 @@ fn fold_batched<S: LaneBackend>(driver: &mut BatchedDriver<S>, plane: &mut Obser
 }
 
 /// The lane-parallel counterpart of [`observe_sessions`]: all sessions
-/// run as lanes of one [`LaneBackend`] — the batched interpreter
-/// ([`sim::BatchedSim`]) or the native-codegen executor
-/// ([`sim::NativeSim`]) — so the cross-check also covers the bit-sliced
-/// tag-plane implementations.
+/// run as lanes of one [`sim::BatchedSim`], so the cross-check also
+/// covers the lane-striped tag-plane implementation.
 #[must_use]
-pub fn observe_lanes<S: LaneBackend>(
+pub fn observe_lanes(
     net: &Netlist,
     mode: TrackMode,
     lanes: usize,
@@ -115,7 +113,7 @@ pub fn observe_lanes<S: LaneBackend>(
     base_seed: u64,
 ) -> ObservedPlane {
     let mut plane = ObservedPlane::new(net);
-    let mut driver = BatchedDriver::<S>::from_netlist(net.clone(), mode, lanes);
+    let mut driver = BatchedDriver::from_netlist(net.clone(), mode, lanes);
     let users: Vec<Label> = (0..lanes).map(|l| user_label(l % 4)).collect();
     let seeds: Vec<u64> = (0..lanes)
         .map(|l| base_seed ^ (0xba7c * (l as u64 + 1)))
@@ -155,19 +153,6 @@ pub fn observe_lanes<S: LaneBackend>(
     plane
 }
 
-/// [`observe_lanes`] on the lane-batched interpreter (the historical
-/// entry point; kept for callers that don't pick a backend).
-#[must_use]
-pub fn observe_batched(
-    net: &Netlist,
-    mode: TrackMode,
-    lanes: usize,
-    blocks: usize,
-    base_seed: u64,
-) -> ObservedPlane {
-    observe_lanes::<BatchedSim>(net, mode, lanes, blocks, base_seed)
-}
-
 /// The outcome of a full cross-check campaign.
 #[derive(Debug)]
 pub struct CrosscheckOutcome {
@@ -197,7 +182,7 @@ pub fn crosscheck_campaign(net: &Netlist, seed: u64, cfg: &LintConfig) -> Crossc
         observed.merge(&observe_sessions::<CompiledSim>(net, mode, 2, 3, m ^ 0xc0));
         sessions += 3;
         if mode != TrackMode::Off {
-            observed.merge(&observe_batched(net, mode, 4, 2, m ^ 0xba));
+            observed.merge(&observe_lanes(net, mode, 4, 2, m ^ 0xba));
             sessions += 4;
         }
     }

@@ -18,10 +18,7 @@
 use aes_core::Aes;
 use hdl::Netlist;
 use ifc_lattice::Label;
-use sim::{
-    BatchedSim, LaneBackend, NativeSim, OptConfig, RuntimeViolation, SimBackend, TrackMode,
-    SUPPORTED_LANES,
-};
+use sim::{BatchedSim, OptConfig, RuntimeViolation, SimBackend, TrackMode, SUPPORTED_LANES};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
@@ -283,8 +280,8 @@ pub fn run_fleet_on_netlist<B: SimBackend + Clone + Send + Sync>(
 ///
 /// Panics if `users` and `seeds` do not hold one entry per lane, or the
 /// pipeline refuses input for 10 000 consecutive cycles.
-pub fn run_lane_sessions<S: LaneBackend>(
-    driver: &mut BatchedDriver<S>,
+pub fn run_lane_sessions(
+    driver: &mut BatchedDriver,
     blocks: usize,
     users: &[Label],
     seeds: &[u64],
@@ -357,33 +354,6 @@ pub fn run_fleet_batched(net: &Netlist, config: FleetConfig) -> FleetStats {
     run_fleet_batched_opt(net, config, &OptConfig::none())
 }
 
-/// [`run_fleet_batched`] with the tape optimizer: the shared program is
-/// compiled once and run through the configured passes before any batch
-/// executes, so every session benefits from the shrunken tape.
-#[must_use]
-pub fn run_fleet_batched_opt(net: &Netlist, config: FleetConfig, opt: &OptConfig) -> FleetStats {
-    run_fleet_lanes_opt::<BatchedSim>(net, config, opt)
-}
-
-/// Runs the lane-batched fleet on the native-codegen backend
-/// ([`NativeSim`]) with the tuned optimizer configuration
-/// ([`sim::tuned_opt_config`]) — every pass enabled, and with the
-/// `profile` feature the scheduling window is sized from the cycle
-/// profiler's measured run fragmentation instead of the static default.
-/// The first launch on a given (netlist, mode, width) set pays one
-/// `rustc` invocation per distinct lane width; later launches hit the
-/// on-disk compile cache (see [`sim::cache_stats`]).
-#[must_use]
-pub fn run_fleet_native(net: &Netlist, config: FleetConfig) -> FleetStats {
-    run_fleet_native_opt(net, config, &sim::tuned_opt_config(net, config.mode))
-}
-
-/// [`run_fleet_native`] with an explicit optimizer configuration.
-#[must_use]
-pub fn run_fleet_native_opt(net: &Netlist, config: FleetConfig, opt: &OptConfig) -> FleetStats {
-    run_fleet_lanes_opt::<NativeSim>(net, config, opt)
-}
-
 /// Greedy partition of `sessions` into `(first session, width)` lane
 /// batches with the width clamped for worker coverage.
 ///
@@ -391,14 +361,12 @@ pub fn run_fleet_native_opt(net: &Netlist, config: FleetConfig, opt: &OptConfig)
 /// 2-core host leaves the second worker idle *and* runs the measurably
 /// slower W=8 batch shape (BENCH_sim.json recorded 3009 blocks/s at W=8
 /// against 4085 at W=4 before this clamp). Capping the width at
-/// `ceil(sessions / workers)` — rounded up to a supported width, and
-/// never below the backend's own efficiency floor `min_width`
-/// ([`LaneBackend::min_efficient_width`]) — splits the same sessions
-/// into enough batches to keep every worker busy: 8 sessions on 2 cores
-/// become two concurrent 4-wide batches.
+/// `ceil(sessions / workers)`, rounded up to a supported width, splits
+/// the same sessions into enough batches to keep every worker busy: 8
+/// sessions on 2 cores become two concurrent 4-wide batches.
 #[must_use]
-pub fn plan_batches(sessions: usize, workers: usize, min_width: usize) -> Vec<(usize, usize)> {
-    let target = sessions.div_ceil(workers.max(1)).max(min_width);
+pub fn plan_batches(sessions: usize, workers: usize) -> Vec<(usize, usize)> {
+    let target = sessions.div_ceil(workers.max(1));
     let cap = SUPPORTED_LANES
         .iter()
         .copied()
@@ -419,26 +387,18 @@ pub fn plan_batches(sessions: usize, workers: usize, min_width: usize) -> Vec<(u
     batches
 }
 
-/// The generic lane-batched fleet engine behind
-/// [`run_fleet_batched_opt`] and [`run_fleet_native_opt`]: sessions are
-/// greedily grouped into lane batches sized for the worker pool (see
-/// [`plan_batches`]), one prototype backend compiles the shared tape
-/// once, and the bounded pool claims batches and re-stripes the
-/// prototype to each batch's width.
+/// [`run_fleet_batched`] with the tape optimizer: the shared program is
+/// compiled once and run through the configured passes before any batch
+/// executes, so every session benefits from the shrunken tape. Sessions
+/// are greedily grouped into lane batches sized for the worker pool (see
+/// [`plan_batches`]), and the bounded pool claims batches and re-stripes
+/// the prototype to each batch's width.
 #[must_use]
-pub fn run_fleet_lanes_opt<S: LaneBackend + Send + Sync>(
-    net: &Netlist,
-    config: FleetConfig,
-    opt: &OptConfig,
-) -> FleetStats {
-    let batches = plan_batches(
-        config.sessions,
-        worker_count(config.sessions),
-        S::min_efficient_width(),
-    );
+pub fn run_fleet_batched_opt(net: &Netlist, config: FleetConfig, opt: &OptConfig) -> FleetStats {
+    let batches = plan_batches(config.sessions, worker_count(config.sessions));
 
     // Compile once; every batch re-stripes the same program.
-    let prototype = S::with_tracking_opt(net.clone(), config.mode, 1, opt);
+    let prototype = BatchedSim::with_tracking_opt(net.clone(), config.mode, 1, opt);
     let next = AtomicUsize::new(0);
     let results = Mutex::new(vec![SessionStats::default(); config.sessions]);
     thread::scope(|s| {
@@ -523,23 +483,18 @@ mod tests {
     fn plan_batches_clamps_width_to_worker_coverage() {
         // The W=8 cliff: 8 sessions on 2 workers must split into two
         // 4-wide batches, not one 8-wide batch that idles a core.
-        assert_eq!(plan_batches(8, 2, 1), vec![(0, 4), (4, 4)]);
+        assert_eq!(plan_batches(8, 2), vec![(0, 4), (4, 4)]);
         // 4 sessions on 2 workers: two 2-wide batches keep both busy.
-        assert_eq!(plan_batches(4, 2, 1), vec![(0, 2), (2, 2)]);
+        assert_eq!(plan_batches(4, 2), vec![(0, 2), (2, 2)]);
         // A single worker gets plain widest-fit.
-        assert_eq!(plan_batches(8, 1, 1), vec![(0, 8)]);
+        assert_eq!(plan_batches(8, 1), vec![(0, 8)]);
         // Leftovers still narrow down to fit.
-        assert_eq!(plan_batches(5, 2, 1), vec![(0, 4), (4, 1)]);
-        // The backend's efficiency floor wins over worker coverage: the
-        // native executor would rather idle a core than run 2-wide.
-        assert_eq!(plan_batches(4, 2, 4), vec![(0, 4)]);
-        assert_eq!(plan_batches(8, 2, 4), vec![(0, 4), (4, 4)]);
+        assert_eq!(plan_batches(5, 2), vec![(0, 4), (4, 1)]);
         // Targets past the widest supported width saturate at 16.
-        assert_eq!(plan_batches(64, 2, 1).len(), 4);
-        // Fewer sessions than the floor: a batch never exceeds the
-        // remaining sessions.
-        assert_eq!(plan_batches(1, 2, 4), vec![(0, 1)]);
-        assert_eq!(plan_batches(0, 2, 1), vec![]);
+        assert_eq!(plan_batches(64, 2).len(), 4);
+        // A batch never exceeds the remaining sessions.
+        assert_eq!(plan_batches(1, 2), vec![(0, 1)]);
+        assert_eq!(plan_batches(0, 2), vec![]);
     }
 
     #[test]

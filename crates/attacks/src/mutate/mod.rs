@@ -31,7 +31,7 @@ mod sites;
 
 pub use catalog::enumerate;
 pub use classes::mechanism_site;
-pub use pipeline::{run_campaign, run_mutant, CampaignConfig, FleetBackend};
+pub use pipeline::{run_campaign, run_mutant, CampaignConfig};
 pub use report::{KillStage, MutantOutcome, MutationReport};
 
 use hdl::Design;

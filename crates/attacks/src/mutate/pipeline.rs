@@ -1,32 +1,17 @@
 //! The four-stage kill pipeline and the campaign runner.
+//!
+//! Stage 3 (ordinary multi-user traffic) runs every mutant through the
+//! lane-batched fleet ([`run_fleet_batched`]), which starts instantly on
+//! each distinct mutant netlist and checks every ciphertext against the
+//! software AES oracle.
 
-use accel::fleet::{run_fleet_batched, run_fleet_native, FleetConfig};
+use accel::fleet::{run_fleet_batched, FleetConfig};
 use hdl::{Design, Rewriter};
 use ifc_check::{run_static_passes, LintConfig, Severity};
 use sim::TrackMode;
 
 use super::report::{KillStage, MutantOutcome, MutationReport};
 use super::{catalog, Mutation};
-
-/// Which lane-parallel executor serves the runtime (stage-3) fleet
-/// traffic.
-///
-/// The batched interpreter is the default: it starts instantly, which
-/// matters when the campaign pushes dozens of *distinct* mutant netlists
-/// through the fleet. The native-codegen backend routes the same traffic
-/// through `rustc`-compiled executors instead — every kill must hold
-/// there too, but each mutant netlist is a fresh compile-cache key, so a
-/// full-catalogue native run pays one `rustc` invocation per (mutant,
-/// lane width) and is an explicit opt-in (`mutation_guard --backend
-/// native`), not the CI default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FleetBackend {
-    /// The lane-batched interpreter ([`sim::BatchedSim`]).
-    #[default]
-    Batched,
-    /// The native-codegen executor ([`sim::NativeSim`]).
-    Native,
-}
 
 /// Campaign parameters.
 #[derive(Debug, Clone, Copy)]
@@ -50,8 +35,6 @@ pub struct CampaignConfig {
     /// prover cost is mutant-shaped, and attribution-sensitive
     /// consumers enable it explicitly.
     pub prove: bool,
-    /// Lane-parallel executor for the runtime stage.
-    pub backend: FleetBackend,
 }
 
 impl Default for CampaignConfig {
@@ -63,7 +46,6 @@ impl Default for CampaignConfig {
             blocks_per_session: 4,
             control: false,
             prove: false,
-            backend: FleetBackend::Batched,
         }
     }
 }
@@ -192,10 +174,7 @@ pub fn run_mutant(base: &Design, mutation: &dyn Mutation, cfg: &CampaignConfig) 
         },
         seed: cfg.seed,
     };
-    let stats = match cfg.backend {
-        FleetBackend::Batched => run_fleet_batched(&net, fleet_cfg),
-        FleetBackend::Native => run_fleet_native(&net, fleet_cfg),
-    };
+    let stats = run_fleet_batched(&net, fleet_cfg);
     if cfg.control {
         // No tracking, no checker: only functional testing is left.
         if !stats.functionally_clean(cfg.blocks_per_session) {

@@ -150,7 +150,6 @@ fn run_farm_once(net: &hdl::Netlist, jobs: &[(usize, JobSpec, Duration)]) -> Far
             mode: TrackMode::Precise,
             workers: 0,
             queue_capacity: 64,
-            use_native: false,
             repack_quantum: 64,
             opt: Some(OptConfig::all()),
             telemetry: None,

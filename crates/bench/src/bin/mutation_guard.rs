@@ -13,60 +13,27 @@
 //! anything the enforcement actually provides.
 //!
 //! Usage: `cargo run --release -p bench --bin mutation_guard
-//! [--backend batched|native] [REPORT.json]`
+//! [REPORT.json]`
 //!
-//! `--backend native` routes the stage-3 fleet traffic through the
-//! native-codegen executor (`sim::NativeSim`) instead of the batched
-//! interpreter. Every mutant netlist is a distinct compile-cache key, so
-//! the native run pays one `rustc` invocation per (mutant, lane width)
-//! that reaches stage 3 — expect it to take much longer than the default
-//! on a cold cache. Use it to certify that the kill matrix holds on the
-//! codegen backend, not as the CI default. On hosts without a usable
-//! `rustc` the flag degrades gracefully: a warning on stderr and the
-//! batched interpreter, rather than a hard failure.
+//! Stage-3 fleet traffic runs on the lane-batched engine
+//! (`sim::BatchedSim`). The report carries `"schema_version": 2`:
+//! version 1 also recorded which fleet backend was requested and used,
+//! which stopped meaning anything once the batched engine became the
+//! only one.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use accel::protected;
-use attacks::mutate::{run_campaign, CampaignConfig, FleetBackend, KillStage};
+use attacks::mutate::{run_campaign, CampaignConfig, KillStage};
+
+/// Version of the `MUTATION_REPORT.json` layout this guard writes.
+const SCHEMA_VERSION: u32 = 2;
 
 fn main() -> ExitCode {
-    let mut path = "MUTATION_REPORT.json".to_string();
-    let mut backend = FleetBackend::Batched;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--backend" {
-            backend = match args.next().as_deref() {
-                Some("batched") => FleetBackend::Batched,
-                Some("native") => FleetBackend::Native,
-                other => {
-                    let got = other.unwrap_or("nothing");
-                    eprintln!("mutation_guard: --backend expects 'batched' or 'native', got {got}");
-                    return ExitCode::FAILURE;
-                }
-            };
-        } else {
-            path = arg;
-        }
-    }
-    let requested = backend;
-    if backend == FleetBackend::Native && !sim::native_toolchain_available() {
-        eprintln!(
-            "mutation_guard: warning: --backend native requested but no rustc toolchain is \
-             available to the native-codegen executor; falling back to the batched interpreter \
-             (the kill matrix is backend-independent, only the execution engine differs)"
-        );
-        backend = FleetBackend::Batched;
-    }
-    // The fallback must be machine-readable too: CI consumers of the
-    // report should never have to scrape stderr to learn which engine
-    // actually ran the stage-3 traffic.
-    let native_fallback = requested != backend;
-    let backend_key = |b: FleetBackend| match b {
-        FleetBackend::Batched => "batched",
-        FleetBackend::Native => "native",
-    };
+    let path = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "MUTATION_REPORT.json".to_string());
     let base = protected();
     // One deterministic seed, overridable via CI_SEED and recorded in
     // the report JSON (the campaign's to_json carries it), so a CI
@@ -74,7 +41,6 @@ fn main() -> ExitCode {
     let seed = bench::ci_seed(CampaignConfig::default().seed);
     let cfg = CampaignConfig {
         seed,
-        backend,
         ..CampaignConfig::default()
     };
     println!("mutation_guard: seed {seed}");
@@ -87,7 +53,7 @@ fn main() -> ExitCode {
     let total_secs = start.elapsed().as_secs_f64();
 
     println!(
-        "mutation campaign ({backend:?} fleet): {} mutants / {} classes in {campaign_secs:.1}s (control arm: +{:.1}s)",
+        "mutation campaign: {} mutants / {} classes in {campaign_secs:.1}s (control arm: +{:.1}s)",
         report.outcomes.len(),
         report.classes().len(),
         total_secs - campaign_secs
@@ -165,9 +131,7 @@ fn main() -> ExitCode {
     }
 
     let json = format!(
-        "{{\n\"backend_requested\": \"{}\",\n\"backend_used\": \"{}\",\n\"native_fallback\": {native_fallback},\n\"campaign\": {},\n\"control\": {},\n\"campaign_seconds\": {campaign_secs:.2},\n\"total_seconds\": {total_secs:.2}\n}}\n",
-        backend_key(requested),
-        backend_key(backend),
+        "{{\n\"schema_version\": {SCHEMA_VERSION},\n\"campaign\": {},\n\"control\": {},\n\"campaign_seconds\": {campaign_secs:.2},\n\"total_seconds\": {total_secs:.2}\n}}\n",
         report.to_json(),
         control.to_json()
     );

@@ -55,7 +55,6 @@ fn config(telemetry: Option<TelemetryConfig>) -> FarmConfig {
         mode: TrackMode::Precise,
         workers: 0,
         queue_capacity: 64,
-        use_native: false,
         repack_quantum: 64,
         opt: Some(OptConfig::all()),
         telemetry,

@@ -7,24 +7,19 @@
 //! backend; then the interpreter-vs-compiled-vs-batched multi-session
 //! sweep in conservative tracking, where the batched backend schedules
 //! sessions onto lanes of one shared (optimizer-shrunk) tape; then the
-//! same single-session and fleet workloads on the native-codegen
-//! backend ([`sim::NativeSim`]), stamped with the `rustc`/host
-//! fingerprint the generated executors were built under. Wall-clock
-//! medians over several repetitions.
-//!
-//! The first native run pays one `rustc` invocation per (tracking mode,
-//! lane width); the on-disk compile cache makes reruns free.
+//! steady-state rate of one lane-batched engine per lane width.
+//! Wall-clock medians over several repetitions.
 //!
 //! Usage: `cargo run --release -p bench --bin sim_backends [out.json]`
 
 use std::time::{Duration, Instant};
 
 use accel::driver::{AccelDriver, Request};
-use accel::fleet::{run_fleet_batched_opt, run_fleet_native, run_fleet_on_netlist, FleetConfig};
+use accel::fleet::{run_fleet_batched_opt, run_fleet_on_netlist, FleetConfig};
 use accel::{protected, user_label};
 use bench::table::render;
 use hdl::Netlist;
-use sim::{CompiledSim, NativeSim, OptConfig, SimBackend, Simulator, TrackMode};
+use sim::{CompiledSim, OptConfig, SimBackend, Simulator, TrackMode};
 
 const BLOCKS: u64 = 32;
 const REPS: usize = 7;
@@ -172,47 +167,6 @@ fn main() {
         engine_rows.push((width, one, per_core));
     }
 
-    // --- native-codegen backend -----------------------------------------
-    // Single-session per tracking mode through the same driver pipeline,
-    // then the fleet at the sweep's session counts. Timing medians only
-    // cover execution: the warm-up run inside `time_median` absorbs any
-    // `rustc` compile (cold cache) before the first measured repetition.
-    let mut native_single = Vec::new();
-    for (mode, _, compiled, _) in &single {
-        let native = time_median(|| {
-            pipeline_stream::<NativeSim>(&net, *mode);
-        });
-        native_single.push((*mode, *compiled, native));
-    }
-    let mut native_rows = Vec::new();
-    for (i, sessions) in [1usize, 2, 4, 8].into_iter().enumerate() {
-        let config = FleetConfig {
-            sessions,
-            blocks_per_session: BLOCKS as usize,
-            mode: sweep_mode,
-            seed: 42,
-        };
-        let total_blocks = (sessions as u64 * BLOCKS) as f64;
-        let native = time_median(|| {
-            let stats = run_fleet_native(&net, config);
-            assert!(stats.all_verified(), "fleet produced a bad ciphertext");
-        });
-        let native_bps = total_blocks / native.as_secs_f64();
-        let batched_bps = sweep_rows[i].4;
-        native_rows.push((sessions, native, native_bps, native_bps / batched_bps));
-    }
-    let native_fleet8_bps = native_rows.last().expect("four fleet rows").2;
-    let cache = sim::cache_stats();
-    let rustc_version = std::process::Command::new("rustc")
-        .arg("-V")
-        .output()
-        .ok()
-        .map_or_else(
-            || "unavailable".to_string(),
-            |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
-        );
-    let host_cpus = host_cpus();
-
     // --- report ---------------------------------------------------------
     println!("Simulation backends — protected pipeline, {BLOCKS} blocks/run, median of {REPS}\n");
     let rows: Vec<Vec<String>> = single
@@ -282,48 +236,6 @@ fn main() {
         })
         .collect();
     println!("{}", render(&["width", "1 engine", "1 engine/core"], &rows));
-    println!("Native codegen — {rustc_version}, {host_cpus} cpus\n");
-    let rows: Vec<Vec<String>> = native_single
-        .iter()
-        .map(|(mode, compiled, native)| {
-            vec![
-                mode_name(*mode).to_string(),
-                format!("{:.2}", compiled.as_secs_f64() * 1e3),
-                format!("{:.2}", native.as_secs_f64() * 1e3),
-                format!("{:.2}x", compiled.as_secs_f64() / native.as_secs_f64()),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(
-            &["tracking", "compiled (ms)", "native (ms)", "native speedup"],
-            &rows
-        )
-    );
-    let rows: Vec<Vec<String>> = native_rows
-        .iter()
-        .map(|(n, d, bps, ratio)| {
-            vec![
-                n.to_string(),
-                format!("{:.2}", d.as_secs_f64() * 1e3),
-                format!("{bps:.0}"),
-                format!("{ratio:.2}x"),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(
-            &["sessions", "wall (ms)", "blocks/s", "native/batched"],
-            &rows
-        )
-    );
-    println!(
-        "native compile cache: {} compile(s), {} disk hit(s), {} memory hit(s)\n",
-        cache.compiles, cache.disk_hits, cache.memory_hits
-    );
-
     // --- BENCH_sim.json (hand-rolled: the workspace carries no JSON dep)
     let mut json = String::from("{\n  \"workload\": {\n");
     json.push_str(&format!(
@@ -400,58 +312,7 @@ fn main() {
             if i + 1 < engine_rows.len() { "," } else { "" },
         ));
     }
-    json.push_str("    ]\n  },\n");
-    // Schema note: `native` reports the native-codegen backend on the
-    // identical workloads — `single_session` mirrors the driver pipeline
-    // per tracking mode against the compiled backend, `rows` the
-    // conservative fleet sweep against the lane-batched interpreter.
-    // `native_fleet8_blocks_per_sec` is the native_guard regression
-    // baseline. The `rustc`/host stamp records what the measured
-    // executors were generated and compiled under; `cache` the compile
-    // counters at the end of the run.
-    json.push_str("  \"native\": {\n");
-    json.push_str(&format!("    \"rustc\": \"{rustc_version}\",\n"));
-    json.push_str(&format!(
-        "    \"host\": {{\"arch\": \"{}\", \"os\": \"{}\", \"cpus\": {host_cpus}}},\n",
-        std::env::consts::ARCH,
-        std::env::consts::OS
-    ));
-    json.push_str("    \"single_session\": [\n");
-    for (i, (mode, compiled, native)) in native_single.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"tracking\": \"{}\", \"compiled_ms\": {:.3}, \"native_ms\": {:.3}, \"native_vs_compiled\": {:.2}}}{}\n",
-            mode_name(*mode),
-            compiled.as_secs_f64() * 1e3,
-            native.as_secs_f64() * 1e3,
-            compiled.as_secs_f64() / native.as_secs_f64(),
-            if i + 1 < native_single.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("    ],\n");
-    json.push_str(&format!(
-        "    \"tracking\": \"{}\",\n",
-        mode_name(sweep_mode)
-    ));
-    json.push_str(&format!(
-        "    \"native_fleet8_blocks_per_sec\": {native_fleet8_bps:.0},\n"
-    ));
-    json.push_str("    \"rows\": [\n");
-    for (i, (sessions, wall, bps, ratio)) in native_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"sessions\": {}, \"native_wall_ms\": {:.3}, \"native_blocks_per_sec\": {:.0}, \"native_vs_batched\": {:.2}}}{}\n",
-            sessions,
-            wall.as_secs_f64() * 1e3,
-            bps,
-            ratio,
-            if i + 1 < native_rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("    ],\n");
-    json.push_str(&format!(
-        "    \"cache\": {{\"compiles\": {}, \"disk_hits\": {}, \"memory_hits\": {}}}\n",
-        cache.compiles, cache.disk_hits, cache.memory_hits
-    ));
-    json.push_str("  }\n}\n");
+    json.push_str("    ]\n  }\n}\n");
     std::fs::write(&out_path, json).expect("write benchmark results");
     println!("wrote {out_path}");
 }

@@ -73,7 +73,7 @@ pub fn run_static(
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
         .min(jobs.len().max(1));
-    let batches = plan_batches(jobs.len(), workers, 1);
+    let batches = plan_batches(jobs.len(), workers);
     let proto = BatchedSim::with_tracking_opt(net.clone(), mode, 1, opt);
     let next = AtomicUsize::new(0);
     let outcomes = Mutex::new(Vec::with_capacity(jobs.len()));

@@ -12,8 +12,7 @@
 //! pipeline drains, [`LaneEngine::dismantle`] checkpoints every live
 //! session ([`sim::LaneSnapshot`]), and [`LaneEngine::adopt`] resumes a
 //! checkpointed session on a lane of a *new* engine built over the same
-//! compiled tape — possibly at a different width, possibly on the other
-//! simulator backend.
+//! compiled tape, possibly at a different width.
 
 use std::sync::{Arc, Mutex};
 
@@ -21,7 +20,7 @@ use accel::batch::{BatchedDriver, LaneAction};
 use accel::driver::{Request, Response};
 use accel::fleet::{block_from, KEY_DERIVE_INDEX};
 use aes_core::Aes;
-use sim::{LaneBackend, LaneSnapshot, RuntimeViolation};
+use sim::{BatchedSim, LaneSnapshot, RuntimeViolation};
 use telemetry::{arg, AuditEvent, AuditKind, AuditSink, FlightRecorder, Tracer};
 
 use crate::tenant::{Job, JobOutcome, TenantEntry};
@@ -150,8 +149,8 @@ impl EngineTel {
 /// One worker's batch: a driver plus per-lane job state and utilisation
 /// counters.
 #[derive(Debug)]
-pub(crate) struct LaneEngine<S: LaneBackend> {
-    driver: BatchedDriver<S>,
+pub(crate) struct LaneEngine {
+    driver: BatchedDriver,
     lanes: Vec<Option<ActiveJob>>,
     /// Scratch, one per lane (avoids per-cycle allocation).
     actions: Vec<LaneAction>,
@@ -171,12 +170,12 @@ pub(crate) struct LaneEngine<S: LaneBackend> {
     vio_seen: Vec<usize>,
 }
 
-impl<S: LaneBackend> LaneEngine<S> {
-    pub(crate) fn new(sim: S) -> LaneEngine<S> {
+impl LaneEngine {
+    pub(crate) fn new(sim: BatchedSim) -> LaneEngine {
         LaneEngine::with_telemetry(sim, None)
     }
 
-    pub(crate) fn with_telemetry(sim: S, tel: Option<EngineTel>) -> LaneEngine<S> {
+    pub(crate) fn with_telemetry(sim: BatchedSim, tel: Option<EngineTel>) -> LaneEngine {
         let driver = BatchedDriver::from_batched(sim);
         let lanes = driver.lanes();
         LaneEngine {

@@ -49,9 +49,6 @@ mod service;
 mod tenant;
 pub mod tuner;
 
-mod backend;
-
-pub use backend::AnyLane;
 pub use metrics::{FarmMetrics, TenantMetrics};
 pub use service::{Farm, FarmConfig, FarmReport};
 pub use tenant::{AdmissionError, JobOutcome, JobSpec, TenantId, TenantSpec};

@@ -6,12 +6,8 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use hdl::Netlist;
-use sim::{
-    native_toolchain_available, tuned_opt_config, BatchedSim, LaneBackend, NativeSim, OptConfig,
-    TrackMode, SUPPORTED_LANES,
-};
+use sim::{tuned_opt_config, BatchedSim, OptConfig, TrackMode, SUPPORTED_LANES};
 
-use crate::backend::AnyLane;
 use crate::engine::{EngineTel, LaneEngine};
 use crate::metrics::{rate, FarmMetrics, TenantMetrics};
 use crate::queue::WorkQueues;
@@ -46,10 +42,6 @@ pub struct FarmConfig {
     pub workers: usize,
     /// Admission queue capacity across all shards (backpressure bound).
     pub queue_capacity: usize,
-    /// Use the native-codegen executor for batches at or above its
-    /// efficient width, when a toolchain is present. Off by default:
-    /// first use pays a `rustc` invocation per (tape, width).
-    pub use_native: bool,
     /// Cycles per scheduling quantum — the re-pack decision cadence.
     pub repack_quantum: u64,
     /// Optimizer configuration for the shared tape; `None` uses
@@ -67,7 +59,6 @@ impl Default for FarmConfig {
             mode: TrackMode::Precise,
             workers: 0,
             queue_capacity: 64,
-            use_native: false,
             repack_quantum: 64,
             opt: None,
             telemetry: None,
@@ -77,10 +68,8 @@ impl Default for FarmConfig {
 
 /// Everything workers and the front door share.
 struct Shared {
-    /// Interpreter prototype: compiled once, re-striped per batch.
-    proto_b: BatchedSim,
-    /// Native prototype, when enabled and the toolchain is present.
-    proto_n: Option<NativeSim>,
+    /// Engine prototype: compiled once, re-striped per batch.
+    proto: BatchedSim,
     queues: WorkQueues,
     tuner: Mutex<WidthTuner>,
     tenants: Arc<Mutex<Vec<Arc<TenantEntry>>>>,
@@ -156,29 +145,14 @@ impl Farm {
         } else {
             config.workers
         };
-        let proto_b = BatchedSim::with_tracking_opt(net.clone(), config.mode, 1, &opt);
-        // The native prototype is pre-warmed at the executor's minimum
-        // efficient width; both prototypes share the tape (identical
-        // OptConfig), so lane snapshots move across backends.
-        let proto_n = if config.use_native && native_toolchain_available() {
-            NativeSim::try_with_tracking_opt(
-                net.clone(),
-                config.mode,
-                <NativeSim as LaneBackend>::min_efficient_width(),
-                &opt,
-            )
-            .ok()
-        } else {
-            None
-        };
+        let proto = BatchedSim::with_tracking_opt(net.clone(), config.mode, 1, &opt);
         let tel = config.telemetry.clone().map(Telemetry::new);
         let flight_signals = match &config.telemetry {
             Some(tc) if tc.flight => resolve_flight_signals(net, &tc.flight_signals),
             _ => Vec::new(),
         };
         let shared = Arc::new(Shared {
-            proto_b,
-            proto_n,
+            proto,
             queues: WorkQueues::new(workers, config.queue_capacity),
             tuner: Mutex::new(WidthTuner::new()),
             tenants: Arc::new(Mutex::new(Vec::new())),
@@ -496,15 +470,9 @@ fn width_index(width: usize) -> usize {
         .expect("supported width")
 }
 
-/// Builds a batch engine at `width`, picking the native executor when
-/// it's enabled, warmed, and the batch is wide enough to amortise it.
-fn make_engine(shared: &Shared, width: usize, worker: usize) -> LaneEngine<AnyLane> {
-    let sim = match &shared.proto_n {
-        Some(proto) if width >= <NativeSim as LaneBackend>::min_efficient_width() => {
-            AnyLane::Native(proto.with_lanes(width))
-        }
-        _ => AnyLane::Batched(shared.proto_b.with_lanes(width)),
-    };
+/// Builds a batch engine at `width` over the shared prototype's tape.
+fn make_engine(shared: &Shared, width: usize, worker: usize) -> LaneEngine {
+    let sim = shared.proto.with_lanes(width);
     let tel = shared.tel.as_ref().map(|tel| EngineTel {
         tracer: tel.tracer.clone(),
         audit: tel.audit.clone(),
@@ -529,7 +497,7 @@ fn worker_tid(worker: usize) -> u64 {
 }
 
 /// Pulls queued jobs onto every idle lane.
-fn refill(engine: &mut LaneEngine<AnyLane>, shared: &Shared, worker: usize) {
+fn refill(engine: &mut LaneEngine, shared: &Shared, worker: usize) {
     while let Some(lane) = engine.idle_lane() {
         let Some((job, stolen)) = shared.queues.pop(worker) else {
             return;

@@ -19,7 +19,6 @@ fn test_config() -> FarmConfig {
         mode: TrackMode::Precise,
         workers: 2,
         queue_capacity: 32,
-        use_native: false,
         repack_quantum: 32,
         opt: Some(OptConfig::all()),
         telemetry: None,

@@ -32,7 +32,6 @@ fn repack_preserves_sessions_and_verifies() {
         workers: 1,
         repack_quantum: 16,
         queue_capacity: 32,
-        use_native: false,
         mode: TrackMode::Precise,
         opt: Some(OptConfig::all()),
         telemetry: None,
@@ -105,7 +104,6 @@ fn width_selection_respects_measured_estimates() {
         workers: 2,
         repack_quantum: 16,
         queue_capacity: 32,
-        use_native: false,
         mode: TrackMode::Precise,
         opt: Some(OptConfig::all()),
         telemetry: None,
@@ -134,45 +132,4 @@ fn width_selection_respects_measured_estimates() {
     );
     assert_eq!(report.outcomes.len(), 10);
     assert!(report.outcomes.iter().all(|o| o.verified == o.responses));
-}
-
-/// The native executor path: wide batches run on codegen engines,
-/// narrow ones on the interpreter, and sessions verify either way
-/// (snapshots are interchangeable across backends — same tape).
-/// Ignored by default: first use pays a `rustc` invocation per width.
-#[test]
-#[ignore = "compiles native executors with rustc on first use; run with --ignored"]
-fn native_backend_serves_and_verifies() {
-    if !sim::native_toolchain_available() {
-        eprintln!("skipping: no rustc in PATH");
-        return;
-    }
-    let config = FarmConfig {
-        workers: 2,
-        repack_quantum: 32,
-        queue_capacity: 32,
-        use_native: true,
-        mode: TrackMode::Precise,
-        opt: Some(OptConfig::all()),
-        telemetry: None,
-    };
-    let farm = Farm::start(&accel_net(), config);
-    let t = farm.register_tenant(TenantSpec {
-        name: "native".into(),
-        label: user_label(0),
-    });
-    for seed in 0..8u64 {
-        farm.submit_blocking(t, spec(10, seed), Duration::from_secs(120))
-            .expect("admitted");
-    }
-    let report = farm.drain();
-    assert_eq!(report.outcomes.len(), 8);
-    assert!(
-        report
-            .outcomes
-            .iter()
-            .all(|o| o.verified == o.responses && o.violations == 0),
-        "native-backed streams verify: {:?}",
-        report.outcomes
-    );
 }

@@ -20,7 +20,6 @@ fn config(telemetry: Option<TelemetryConfig>) -> FarmConfig {
         mode: TrackMode::Precise,
         workers: 2,
         queue_capacity: 32,
-        use_native: false,
         repack_quantum: 32,
         opt: Some(OptConfig::all()),
         telemetry,

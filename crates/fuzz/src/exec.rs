@@ -10,7 +10,7 @@
 //!   tenant 0 under [`TrackMode::Conservative`] — the reference oracle.
 //!
 //! Both surfaces fold their per-cycle runtime label planes
-//! ([`SimBackend::fold_label_plane`] / [`LaneBackend::fold_label_plane`])
+//! ([`SimBackend::fold_label_plane`] / [`BatchedSim::fold_label_plane`])
 //! into one [`ObservedPlane`], which fuzz invariant 1 later cross-checks
 //! against the static bound plane. Runtime violations are *recorded*,
 //! never treated as failures here: a `DowngradeRejected` on a faulted
@@ -27,7 +27,7 @@ use std::collections::BTreeSet;
 use hdl::{Netlist, Value};
 use ifc_check::ObservedPlane;
 use ifc_lattice::{Label, SecurityTag};
-use sim::{BatchedSim, LaneBackend, OptConfig, RuntimeViolation, SimBackend, Simulator, TrackMode};
+use sim::{BatchedSim, OptConfig, RuntimeViolation, SimBackend, Simulator, TrackMode};
 
 use crate::program::{AttackOp, TenantProgram};
 use crate::spec::{DebugPort, DesignSpec};
@@ -188,7 +188,7 @@ pub fn run_generated(net: &Netlist, spec: &DesignSpec, programs: &[TenantProgram
 
     // ---- Surface 1: one lane per tenant, precise tracking ------------
     let lanes = tenants.next_power_of_two();
-    let mut batch = <BatchedSim as LaneBackend>::with_tracking_opt(
+    let mut batch = BatchedSim::with_tracking_opt(
         net.clone(),
         TrackMode::Precise,
         lanes,

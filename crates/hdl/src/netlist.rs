@@ -156,7 +156,7 @@ impl Netlist {
     /// Per-node bit widths, indexed by node id.
     ///
     /// This is the width function every backend agrees on — the
-    /// interpreter, the native codegen, and the bit-blasting prover all
+    /// interpreter, the tape compiler, and the bit-blasting prover all
     /// derive their storage from it. Operand widths are always available
     /// in topological order because synthesised nodes only reference
     /// earlier nodes.

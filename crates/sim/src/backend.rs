@@ -11,9 +11,8 @@
 use hdl::{Netlist, NodeId, Value};
 use ifc_lattice::Label;
 
-use crate::batched::LaneSnapshot;
 use crate::violation::RuntimeViolation;
-use crate::{BatchedSim, CompiledSim, OptConfig, Simulator, TrackMode};
+use crate::{CompiledSim, Simulator, TrackMode};
 
 /// One backend's hooks into the shared settled-state/violation-cap run
 /// loop.
@@ -24,7 +23,7 @@ use crate::{BatchedSim, CompiledSim, OptConfig, Simulator, TrackMode};
 /// recording propagation, and the steady-state portion of a multi-cycle
 /// run never re-checks the settled flag. [`tick_engine`] and
 /// [`run_engine`] encode that shape once; `Simulator`, `CompiledSim`,
-/// `BatchedSim`, and `NativeSim` supply only the backend-specific pieces.
+/// and `BatchedSim` supply only the backend-specific pieces.
 pub(crate) trait RunEngine {
     /// Whether a prior `eval` already settled the current inputs.
     fn is_clean(&self) -> bool;
@@ -327,258 +326,5 @@ impl SimBackend for CompiledSim {
 
     fn peek_node_label(&mut self, id: NodeId) -> Label {
         CompiledSim::peek_node_label(self, id)
-    }
-}
-
-/// The lane-parallel simulation interface shared by [`BatchedSim`] and
-/// [`NativeSim`](crate::NativeSim).
-///
-/// Mirrors [`SimBackend`] but addresses a specific lane on every state
-/// accessor, so the batched transaction driver and the fleet runner can be
-/// generic over which lane-parallel engine executes the tape. Semantics
-/// are specified by [`BatchedSim`]: every lane must match what a
-/// single-session [`Simulator`] fed the same stimulus would observe.
-pub trait LaneBackend {
-    /// Builds a backend for a lowered netlist with the given tracking
-    /// mode, lane width, and optimizer configuration.
-    fn with_tracking_opt(net: Netlist, mode: TrackMode, lanes: usize, opt: &OptConfig) -> Self
-    where
-        Self: Sized;
-
-    /// A fresh instance sharing this backend's compiled artifacts but
-    /// sized for a different lane width.
-    fn with_lanes(&self, lanes: usize) -> Self
-    where
-        Self: Sized;
-
-    /// The narrowest lane width at which this backend's per-batch
-    /// overhead amortizes: schedulers splitting work across cores should
-    /// not shrink batches below it. The interpreter degrades gracefully
-    /// all the way down (`1`); the native executor's per-pass setup and
-    /// i-fetch cost only pay off at W ≥ 4 (see BENCH_sim.json's
-    /// `native.rows`).
-    fn min_efficient_width() -> usize
-    where
-        Self: Sized,
-    {
-        1
-    }
-
-    /// The number of independent sessions executing in lock-step.
-    fn lanes(&self) -> usize;
-
-    /// The wrapped netlist.
-    fn netlist(&self) -> &Netlist;
-
-    /// The tracking mode this backend runs.
-    fn mode(&self) -> TrackMode;
-
-    /// The current cycle count (shared by every lane).
-    fn cycle(&self) -> u64;
-
-    /// Drives an input port by name on one lane.
-    fn set(&mut self, lane: usize, name: &str, value: Value);
-
-    /// Sets the runtime label accompanying one lane's input data.
-    fn set_label(&mut self, lane: usize, name: &str, label: Label);
-
-    /// Drives an input node by id on one lane.
-    fn set_node(&mut self, lane: usize, id: NodeId, value: Value);
-
-    /// Sets an input node's runtime label by id on one lane.
-    fn set_node_label(&mut self, lane: usize, id: NodeId, label: Label);
-
-    /// Reads one lane's settled value by port or node name.
-    fn peek(&mut self, lane: usize, name: &str) -> Value;
-
-    /// Reads one lane's settled runtime label by name.
-    fn peek_label(&mut self, lane: usize, name: &str) -> Label;
-
-    /// Reads one lane's settled value by node id.
-    fn peek_node(&mut self, lane: usize, id: NodeId) -> Value;
-
-    /// Reads one lane's settled runtime label by node id.
-    fn peek_node_label(&mut self, lane: usize, id: NodeId) -> Label;
-
-    /// Settles combinational logic of every lane for the current inputs.
-    fn eval(&mut self);
-
-    /// Advances every lane one clock cycle.
-    fn tick(&mut self);
-
-    /// Runs `n` clock cycles with the current inputs.
-    fn run(&mut self, n: u64);
-
-    /// One lane's recorded violations.
-    fn violations(&self, lane: usize) -> &[RuntimeViolation];
-
-    /// Whether one lane's violation stream hit the cap.
-    fn violations_truncated(&self, lane: usize) -> bool;
-
-    /// Bounds every lane's recorded violation stream.
-    fn set_violation_cap(&mut self, cap: usize);
-
-    /// Finds a memory's index by its declared name.
-    fn mem_index(&self, name: &str) -> Option<usize>;
-
-    /// Reads one lane's memory cell directly.
-    fn mem_cell(&self, lane: usize, mem: usize, addr: usize) -> Value;
-
-    /// Reads one lane's memory cell label directly.
-    fn mem_cell_label(&self, lane: usize, mem: usize, addr: usize) -> Label;
-
-    /// Sets one lane's memory cell label directly (provisioned secrets).
-    fn set_mem_cell_label(&mut self, lane: usize, mem: usize, addr: usize, label: Label);
-
-    /// Joins one lane's settled label of every node into `acc`, indexed
-    /// by [`NodeId::index`].
-    fn fold_label_plane(&mut self, lane: usize, acc: &mut [Label]);
-
-    /// Joins one lane's memory cell labels into `acc`, summarised per
-    /// array.
-    fn fold_mem_labels(&mut self, lane: usize, acc: &mut [Label]);
-
-    /// Reads one lane's settled value and packed [`SecurityTag`] bits
-    /// for a set of nodes in one call — the flight-recorder sampling
-    /// hook. `values` and `labels` must each hold one slot per node.
-    /// The default loops the per-node peeks; backends with cheaper bulk
-    /// access may override.
-    ///
-    /// [`SecurityTag`]: ifc_lattice::SecurityTag
-    fn sample_nodes(
-        &mut self,
-        lane: usize,
-        nodes: &[NodeId],
-        values: &mut [Value],
-        labels: &mut [u8],
-    ) {
-        assert_eq!(values.len(), nodes.len(), "one value slot per node");
-        assert_eq!(labels.len(), nodes.len(), "one label slot per node");
-        for (i, &id) in nodes.iter().enumerate() {
-            values[i] = self.peek_node(lane, id);
-            labels[i] = ifc_lattice::SecurityTag::from(self.peek_node_label(lane, id)).bits();
-        }
-    }
-
-    /// Checkpoints one lane's complete architectural state (see
-    /// [`BatchedSim::lane_snapshot`]).
-    fn lane_snapshot(&mut self, lane: usize) -> LaneSnapshot;
-
-    /// Restores a checkpointed lane into this batch (see
-    /// [`BatchedSim::restore_lane`]).
-    fn restore_lane(&mut self, lane: usize, snap: &LaneSnapshot);
-}
-
-impl LaneBackend for BatchedSim {
-    fn with_tracking_opt(net: Netlist, mode: TrackMode, lanes: usize, opt: &OptConfig) -> Self {
-        BatchedSim::with_tracking_opt(net, mode, lanes, opt)
-    }
-
-    fn with_lanes(&self, lanes: usize) -> Self {
-        BatchedSim::with_lanes(self, lanes)
-    }
-
-    fn lanes(&self) -> usize {
-        BatchedSim::lanes(self)
-    }
-
-    fn netlist(&self) -> &Netlist {
-        BatchedSim::netlist(self)
-    }
-
-    fn mode(&self) -> TrackMode {
-        BatchedSim::mode(self)
-    }
-
-    fn cycle(&self) -> u64 {
-        BatchedSim::cycle(self)
-    }
-
-    fn set(&mut self, lane: usize, name: &str, value: Value) {
-        BatchedSim::set(self, lane, name, value);
-    }
-
-    fn set_label(&mut self, lane: usize, name: &str, label: Label) {
-        BatchedSim::set_label(self, lane, name, label);
-    }
-
-    fn set_node(&mut self, lane: usize, id: NodeId, value: Value) {
-        BatchedSim::set_node(self, lane, id, value);
-    }
-
-    fn set_node_label(&mut self, lane: usize, id: NodeId, label: Label) {
-        BatchedSim::set_node_label(self, lane, id, label);
-    }
-
-    fn peek(&mut self, lane: usize, name: &str) -> Value {
-        BatchedSim::peek(self, lane, name)
-    }
-
-    fn peek_label(&mut self, lane: usize, name: &str) -> Label {
-        BatchedSim::peek_label(self, lane, name)
-    }
-
-    fn peek_node(&mut self, lane: usize, id: NodeId) -> Value {
-        BatchedSim::peek_node(self, lane, id)
-    }
-
-    fn peek_node_label(&mut self, lane: usize, id: NodeId) -> Label {
-        BatchedSim::peek_node_label(self, lane, id)
-    }
-
-    fn eval(&mut self) {
-        BatchedSim::eval(self);
-    }
-
-    fn tick(&mut self) {
-        BatchedSim::tick(self);
-    }
-
-    fn run(&mut self, n: u64) {
-        BatchedSim::run(self, n);
-    }
-
-    fn violations(&self, lane: usize) -> &[RuntimeViolation] {
-        BatchedSim::violations(self, lane)
-    }
-
-    fn violations_truncated(&self, lane: usize) -> bool {
-        BatchedSim::violations_truncated(self, lane)
-    }
-
-    fn set_violation_cap(&mut self, cap: usize) {
-        BatchedSim::set_violation_cap(self, cap);
-    }
-
-    fn mem_index(&self, name: &str) -> Option<usize> {
-        BatchedSim::mem_index(self, name)
-    }
-
-    fn mem_cell(&self, lane: usize, mem: usize, addr: usize) -> Value {
-        BatchedSim::mem_cell(self, lane, mem, addr)
-    }
-
-    fn mem_cell_label(&self, lane: usize, mem: usize, addr: usize) -> Label {
-        BatchedSim::mem_cell_label(self, lane, mem, addr)
-    }
-
-    fn set_mem_cell_label(&mut self, lane: usize, mem: usize, addr: usize, label: Label) {
-        BatchedSim::set_mem_cell_label(self, lane, mem, addr, label);
-    }
-
-    fn fold_label_plane(&mut self, lane: usize, acc: &mut [Label]) {
-        BatchedSim::fold_label_plane(self, lane, acc);
-    }
-
-    fn fold_mem_labels(&mut self, lane: usize, acc: &mut [Label]) {
-        BatchedSim::fold_mem_labels(self, lane, acc);
-    }
-
-    fn lane_snapshot(&mut self, lane: usize) -> LaneSnapshot {
-        BatchedSim::lane_snapshot(self, lane)
-    }
-
-    fn restore_lane(&mut self, lane: usize, snap: &LaneSnapshot) {
-        BatchedSim::restore_lane(self, lane, snap);
     }
 }

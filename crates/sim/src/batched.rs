@@ -82,7 +82,7 @@ fn join64(lo: u64, hi: u64) -> Value {
 /// arrays (the arrays only ever hold values produced by `raw()`, so the
 /// range assertions in the constructors cannot fire).
 #[inline]
-pub(crate) fn label_of(conf: u8, integ: u8) -> Label {
+fn label_of(conf: u8, integ: u8) -> Label {
     Label::new(Conf::new(conf), Integ::new(integ))
 }
 
@@ -91,44 +91,40 @@ pub(crate) fn label_of(conf: u8, integ: u8) -> Label {
 /// [module docs](self).
 #[derive(Debug, Clone)]
 pub struct BatchedSim {
-    // Fields are `pub(crate)` so the native-codegen backend
-    // (`crate::native`) can reuse this state layout verbatim: the
-    // generated code executes over the same striped arrays, and the host
-    // wrapper manipulates them without re-triggering the interpreter.
-    pub(crate) program: Arc<Program>,
-    pub(crate) lanes: usize,
+    program: Arc<Program>,
+    lanes: usize,
     /// Low 64 value bits, slot-major lane-striped: slot `s`, lane `l` at
     /// `s * W + l`.
-    pub(crate) values_lo: Vec<u64>,
+    values_lo: Vec<u64>,
     /// High 64 value bits, parallel to `values_lo` (all zero for slots
     /// narrower than 65 bits).
-    pub(crate) values_hi: Vec<u64>,
+    values_hi: Vec<u64>,
     /// Raw confidentiality levels, parallel to `values_lo`.
-    pub(crate) lab_conf: Vec<u8>,
+    lab_conf: Vec<u8>,
     /// Raw integrity levels, parallel to `values_lo`.
-    pub(crate) lab_integ: Vec<u8>,
+    lab_integ: Vec<u8>,
     /// Per-memory cell arrays, address-major lane-striped, split like
     /// the value slots.
-    pub(crate) mem_lo: Vec<Vec<u64>>,
-    pub(crate) mem_hi: Vec<Vec<u64>>,
-    pub(crate) mem_lab_conf: Vec<Vec<u8>>,
-    pub(crate) mem_lab_integ: Vec<Vec<u8>>,
+    mem_lo: Vec<Vec<u64>>,
+    mem_hi: Vec<Vec<u64>>,
+    mem_lab_conf: Vec<Vec<u8>>,
+    mem_lab_integ: Vec<Vec<u8>>,
     /// Two-phase clock-edge scratch, register-major lane-striped.
-    pub(crate) reg_scratch_lo: Vec<u64>,
-    pub(crate) reg_scratch_hi: Vec<u64>,
-    pub(crate) reg_scratch_conf: Vec<u8>,
-    pub(crate) reg_scratch_integ: Vec<u8>,
+    reg_scratch_lo: Vec<u64>,
+    reg_scratch_hi: Vec<u64>,
+    reg_scratch_conf: Vec<u8>,
+    reg_scratch_integ: Vec<u8>,
     /// Per-lane remaining violation room (hoisted cap check scratch).
-    pub(crate) room: Vec<usize>,
-    pub(crate) clean: bool,
-    pub(crate) cycle: u64,
+    room: Vec<usize>,
+    clean: bool,
+    cycle: u64,
     /// Per-lane recorded violation streams.
-    pub(crate) violations: Vec<Vec<RuntimeViolation>>,
-    pub(crate) violation_cap: usize,
-    pub(crate) violations_truncated: Vec<bool>,
+    violations: Vec<Vec<RuntimeViolation>>,
+    violation_cap: usize,
+    violations_truncated: Vec<bool>,
     /// Per-opcode run timing (zero-sized no-op without the `profile`
     /// feature).
-    pub(crate) profile: crate::profile::ProfileData,
+    profile: crate::profile::ProfileData,
 }
 
 /// One lane's complete architectural state, checkpointed by
@@ -260,7 +256,7 @@ impl BatchedSim {
     /// # Panics
     ///
     /// Panics if `lanes` is not one of [`SUPPORTED_LANES`].
-    pub(crate) fn from_program(program: Arc<Program>, lanes: usize) -> BatchedSim {
+    fn from_program(program: Arc<Program>, lanes: usize) -> BatchedSim {
         assert!(
             SUPPORTED_LANES.contains(&lanes),
             "unsupported lane width {lanes} (supported: {SUPPORTED_LANES:?})"
@@ -708,30 +704,8 @@ impl BatchedSim {
         }
     }
 
-    /// The clock edge with the lane width and tracking mode dispatched at
-    /// runtime — the native backend advances registers and write ports
-    /// host-side between generated tape executions.
-    pub(crate) fn clock_edge_dispatch(&mut self) {
-        match self.lanes {
-            1 => self.clock_edge_mode::<1>(),
-            2 => self.clock_edge_mode::<2>(),
-            4 => self.clock_edge_mode::<4>(),
-            8 => self.clock_edge_mode::<8>(),
-            16 => self.clock_edge_mode::<16>(),
-            _ => unreachable!("lane width validated at construction"),
-        }
-    }
-
-    fn clock_edge_mode<const W: usize>(&mut self) {
-        if self.mode() == TrackMode::Off {
-            self.clock_edge::<W, false>();
-        } else {
-            self.clock_edge::<W, true>();
-        }
-    }
-
     /// Recomputes every lane's remaining violation room from the cap.
-    pub(crate) fn refresh_room(&mut self) {
+    fn refresh_room(&mut self) {
         for l in 0..self.lanes {
             self.room[l] = self.violation_cap.saturating_sub(self.violations[l].len());
         }
@@ -854,7 +828,7 @@ impl BatchedSim {
     /// The settled-state violation scan: recomputes each downgrade gate's
     /// accept/reject per lane from settled operands, then runs the output
     /// release checks, without re-executing the tape.
-    pub(crate) fn record_settled_violations(&mut self) {
+    fn record_settled_violations(&mut self) {
         if self.mode() == TrackMode::Off {
             return;
         }

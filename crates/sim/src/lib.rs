@@ -41,17 +41,13 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the native-codegen backend's loader module
-// needs a scoped `allow` for its dlopen boundary; everything else in the
-// crate remains unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod backend;
 mod batched;
 mod compiled;
 pub mod disasm;
-mod native;
 pub mod opt;
 mod profile;
 mod program;
@@ -59,12 +55,9 @@ mod simulator;
 pub mod vcd;
 mod violation;
 
-pub use backend::{LaneBackend, SimBackend};
+pub use backend::SimBackend;
 pub use batched::{BatchedSim, LaneSnapshot, SUPPORTED_LANES};
 pub use compiled::CompiledSim;
-pub use native::{
-    cache_stats, native_toolchain_available, NativeCacheStats, NativeError, NativeSim,
-};
 pub use opt::{tuned as tuned_opt_config, OptConfig, OptStats, PassStats, DEFAULT_SCHEDULE_WINDOW};
 #[cfg(feature = "profile")]
 pub use profile::{OpProfile, ProfileReport};

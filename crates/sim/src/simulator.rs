@@ -578,8 +578,8 @@ impl Simulator {
 }
 
 /// Computes per-node widths for a netlist. Delegates to
-/// [`Netlist::node_widths`] so every backend (interpreter, codegen,
-/// prover) shares one width function.
+/// [`Netlist::node_widths`] so every backend (interpreter, tape
+/// compiler, prover) shares one width function.
 pub(crate) fn compute_widths(net: &Netlist) -> Vec<u16> {
     net.node_widths()
 }

@@ -3,8 +3,7 @@
 //! on a runtime violation.
 //!
 //! A [`FlightRecorder`] rides inside a lane engine and samples every
-//! engine cycle through the [`sim::LaneBackend::sample_nodes`] hook, so
-//! it works identically over the interpreted and native executors. When
+//! engine cycle straight from the [`BatchedSim`]'s settled state. When
 //! a violation fires on a lane, [`trigger`](FlightRecorder::trigger)
 //! arms a short post-roll; once it elapses the lane's ring is rendered
 //! as a VCD document (absolute engine-cycle timestamps, parallel
@@ -16,7 +15,8 @@
 use std::sync::{Arc, Mutex};
 
 use hdl::NodeId;
-use sim::{LaneBackend, VcdSignal, VcdTrace};
+use ifc_lattice::SecurityTag;
+use sim::{BatchedSim, VcdSignal, VcdTrace};
 
 /// One signal the recorder samples.
 #[derive(Debug, Clone)]
@@ -144,9 +144,6 @@ pub struct FlightRecorder {
     filled: Vec<usize>,
     /// Per-lane next write slot.
     head: Vec<usize>,
-    /// Scratch row reused every sample.
-    row_values: Vec<u128>,
-    row_labels: Vec<u8>,
     pending: Vec<Pending>,
     sink: FlightSink,
 }
@@ -176,8 +173,6 @@ impl FlightRecorder {
             cycles: vec![0; lanes * depth],
             filled: vec![0; lanes],
             head: vec![0; lanes],
-            row_values: vec![0; n],
-            row_labels: vec![0; n],
             pending: Vec::new(),
             sink,
         }
@@ -192,23 +187,19 @@ impl FlightRecorder {
     /// Takes one sample of every lane (call once per engine cycle, after
     /// the backend settles). Lane-count changes (repack) flush any armed
     /// post-rolls and reset the rings.
-    pub fn sample<S: LaneBackend>(&mut self, sim: &mut S) {
+    pub fn sample(&mut self, sim: &mut BatchedSim) {
         if sim.lanes() != self.lanes {
             self.resize(sim.lanes());
         }
         let cycle = sim.cycle();
         let n = self.nodes.len();
         for lane in 0..self.lanes {
-            sim.sample_nodes(
-                lane,
-                &self.nodes,
-                &mut self.row_values,
-                &mut self.row_labels,
-            );
             let slot = self.head[lane];
             let base = (lane * self.depth + slot) * n;
-            self.values[base..base + n].copy_from_slice(&self.row_values);
-            self.labels[base..base + n].copy_from_slice(&self.row_labels);
+            for (i, &id) in self.nodes.iter().enumerate() {
+                self.values[base + i] = sim.peek_node(lane, id);
+                self.labels[base + i] = SecurityTag::from(sim.peek_node_label(lane, id)).bits();
+            }
             self.cycles[lane * self.depth + slot] = cycle;
             self.head[lane] = (slot + 1) % self.depth;
             self.filled[lane] = (self.filled[lane] + 1).min(self.depth);
@@ -305,7 +296,7 @@ mod tests {
     use super::*;
     use hdl::ModuleBuilder;
     use ifc_lattice::Label;
-    use sim::{BatchedSim, OptConfig, TrackMode};
+    use sim::{OptConfig, TrackMode};
 
     fn counter_sim(lanes: usize) -> BatchedSim {
         let mut m = ModuleBuilder::new("c");
@@ -313,7 +304,7 @@ mod tests {
         let r = m.reg("r", 8, 0);
         m.connect(r, d);
         m.output("r", r);
-        LaneBackend::with_tracking_opt(
+        BatchedSim::with_tracking_opt(
             m.finish().lower().unwrap(),
             TrackMode::Precise,
             lanes,

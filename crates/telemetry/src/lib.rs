@@ -25,7 +25,7 @@
 //! of each handle is a `None` behind a cheap null check, so a farm run
 //! with telemetry off pays nothing on the hot path.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;

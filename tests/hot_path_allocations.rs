@@ -14,8 +14,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use secure_aes_ifc::accel::protected;
 use secure_aes_ifc::sim::{
-    BatchedSim, CompiledSim, LaneBackend, NativeSim, OptConfig, SimBackend, Simulator, TrackMode,
-    SUPPORTED_LANES,
+    BatchedSim, CompiledSim, SimBackend, Simulator, TrackMode, SUPPORTED_LANES,
 };
 
 struct CountingAlloc;
@@ -76,10 +75,9 @@ fn measure<B: SimBackend>(sim: &mut B) -> usize {
     after - before
 }
 
-/// The same steady-state loop on a lane-parallel backend, driving every
-/// lane — shared between the batched interpreter and the native-codegen
-/// executor.
-fn measure_lanes<S: LaneBackend>(sim: &mut S) -> usize {
+/// The same steady-state loop on the lane-batched backend, driving every
+/// lane.
+fn measure_lanes(sim: &mut BatchedSim) -> usize {
     let lanes = sim.lanes();
     for i in 0..16u64 {
         for lane in 0..lanes {
@@ -155,28 +153,4 @@ fn batched_tick_and_eval_do_not_allocate() {
             );
         }
     }
-}
-
-#[test]
-fn native_tick_and_eval_do_not_allocate() {
-    let _guard = serial();
-    // The generated executor's pass re-primes its raw memory-plane
-    // pointer tables (`clear` + `extend` into preallocated capacity) and
-    // records events into a fixed buffer, so its steady-state loop must
-    // be as allocation-free as the interpreter it replaces. One
-    // configuration keeps this to a single `rustc` invocation on a cold
-    // compile cache; the fleet configuration (conservative tracking,
-    // every optimizer pass) shares its cache key with the benchmarks.
-    let net = protected().lower().expect("accelerator lowers");
-    let mut native = <NativeSim as LaneBackend>::with_tracking_opt(
-        net,
-        TrackMode::Conservative,
-        1,
-        &OptConfig::all(),
-    );
-    assert_eq!(
-        measure_lanes(&mut native),
-        0,
-        "NativeSim allocated in the hot path"
-    );
 }
