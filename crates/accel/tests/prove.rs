@@ -12,7 +12,7 @@ fn protected_design_proves_noninterferent_at_k8() {
     assert!(
         report.all_proved(),
         "protected must prove clean: {}",
-        report.to_json()
+        report.to_json().render()
     );
     // The bulk of the surface never touches a secret cone at all.
     let structural = report

@@ -1,11 +1,12 @@
 //! Property tests for the mutation campaign's report encoding and its
 //! enumeration determinism.
 //!
-//! The JSON emitter/parser pair in `mutate::report` is hand-rolled (no
-//! serde in the offline dependency set), so round-tripping is checked
-//! against generated reports whose strings deliberately contain quotes,
-//! backslashes, control characters, and multi-byte code points — the
-//! inputs a hand-written escaper gets wrong first.
+//! The report renders and parses through the hand-rolled workspace codec
+//! (`telemetry::Json`; no serde in the offline dependency set), so
+//! round-tripping is checked against generated reports whose strings
+//! deliberately contain quotes, backslashes, control characters, and
+//! multi-byte code points — the inputs a hand-written escaper gets wrong
+//! first — and damaged reports must be refused, never panic.
 
 use std::sync::OnceLock;
 
@@ -16,6 +17,7 @@ use hdl::Design;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sim::TrackMode;
+use telemetry::Json;
 
 fn arb_char() -> impl Strategy<Value = char> {
     prop_oneof![
@@ -105,7 +107,7 @@ fn protected() -> &'static Design {
 proptest! {
     #[test]
     fn report_json_round_trips(report in arb_report()) {
-        let json = report.to_json();
+        let json = report.to_json().render();
         let back = MutationReport::from_json(&json)
             .map_err(|e| TestCaseError::fail(format!("parse failed: {e}\n{json}")))?;
         prop_assert_eq!(report, back);
@@ -115,9 +117,28 @@ proptest! {
     fn report_json_counts_are_consistent(report in arb_report()) {
         // The emitted summary fields must agree with the outcome rows —
         // a consumer may trust either.
-        let json = report.to_json();
-        prop_assert!(json.contains(&format!("\"mutants\": {},", report.outcomes.len())));
-        prop_assert!(json.contains(&format!("\"survivors\": {},", report.survivors().len())));
+        let json = Json::parse(&report.to_json().render()).expect("rendered report parses");
+        prop_assert_eq!(json.field("mutants", Json::as_u64), Ok(report.outcomes.len() as u64));
+        prop_assert_eq!(json.field("survivors", Json::as_u64), Ok(report.survivors().len() as u64));
+    }
+
+    #[test]
+    fn damaged_report_json_errs_without_panicking(
+        report in arb_report(),
+        at in any::<u64>(),
+        byte in any::<u8>(),
+    ) {
+        let text = report.to_json().render();
+        let at = (at % text.len() as u64) as usize;
+        // Every strict prefix of the compact object lacks its closing
+        // brace, so a truncated report must be refused.
+        let cut = String::from_utf8_lossy(&text.as_bytes()[..at]);
+        prop_assert!(MutationReport::from_json(&cut).is_err(), "accepted {:?}", cut);
+        // A one-byte edit may still spell a valid report (inside a string,
+        // say); the property is that decoding returns rather than panics.
+        let mut edited = text.into_bytes();
+        edited[at] = byte;
+        let _ = MutationReport::from_json(&String::from_utf8_lossy(&edited));
     }
 
     #[test]

@@ -34,6 +34,7 @@ use farm::baseline::run_static;
 use farm::{Farm, FarmConfig, FarmReport, JobSpec, TenantSpec};
 use ifc_lattice::Label;
 use sim::{OptConfig, TrackMode};
+use telemetry::Json;
 
 /// Farm throughput must beat the static baseline by at least this much.
 const SPEEDUP_FLOOR: f64 = 1.3;
@@ -261,20 +262,25 @@ fn main() -> ExitCode {
         }
     }
 
-    let json = format!(
-        "{{\n  \"seed\": {seed},\n  \
-         \"workload\": {{\"jobs\": {}, \"blocks\": {}, \"tenants\": {}, \
-         \"arrival_mean_ms\": {ARRIVAL_MEAN_MS}, \"reps\": {REPS}}},\n  \
-         \"farm_blocks_per_sec\": {farm_bps:.1},\n  \
-         \"static_blocks_per_sec\": {static_bps:.1},\n  \
-         \"speedup\": {speedup:.3},\n  \"floor\": {SPEEDUP_FLOOR},\n  \
-         \"metrics\": {}\n}}\n",
-        jobs.len(),
-        total_blocks,
-        tenant_loads().len(),
-        m.to_json(),
-    );
-    if let Err(e) = std::fs::write(&out_path, &json) {
+    let json = Json::obj(vec![
+        ("seed", Json::U64(seed)),
+        (
+            "workload",
+            Json::obj(vec![
+                ("jobs", Json::U64(jobs.len() as u64)),
+                ("blocks", Json::U64(total_blocks as u64)),
+                ("tenants", Json::U64(tenant_loads().len() as u64)),
+                ("arrival_mean_ms", Json::F64(ARRIVAL_MEAN_MS)),
+                ("reps", Json::U64(REPS as u64)),
+            ]),
+        ),
+        ("farm_blocks_per_sec", Json::F64(farm_bps)),
+        ("static_blocks_per_sec", Json::F64(static_bps)),
+        ("speedup", Json::F64(speedup)),
+        ("floor", Json::F64(SPEEDUP_FLOOR)),
+        ("metrics", m.to_json()),
+    ]);
+    if let Err(e) = std::fs::write(&out_path, json.render() + "\n") {
         eprintln!("farm_guard: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;
     }

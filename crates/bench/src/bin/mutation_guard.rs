@@ -26,9 +26,10 @@ use std::time::Instant;
 
 use accel::protected;
 use attacks::mutate::{run_campaign, CampaignConfig, KillStage};
+use telemetry::Json;
 
 /// Version of the `MUTATION_REPORT.json` layout this guard writes.
-const SCHEMA_VERSION: u32 = 2;
+const SCHEMA_VERSION: u64 = 2;
 
 fn main() -> ExitCode {
     let path = std::env::args()
@@ -130,12 +131,14 @@ fn main() -> ExitCode {
         }
     }
 
-    let json = format!(
-        "{{\n\"schema_version\": {SCHEMA_VERSION},\n\"campaign\": {},\n\"control\": {},\n\"campaign_seconds\": {campaign_secs:.2},\n\"total_seconds\": {total_secs:.2}\n}}\n",
-        report.to_json(),
-        control.to_json()
-    );
-    if let Err(e) = std::fs::write(&path, &json) {
+    let json = Json::obj(vec![
+        ("schema_version", Json::U64(SCHEMA_VERSION)),
+        ("campaign", report.to_json()),
+        ("control", control.to_json()),
+        ("campaign_seconds", Json::F64(campaign_secs)),
+        ("total_seconds", Json::F64(total_secs)),
+    ]);
+    if let Err(e) = std::fs::write(&path, json.render() + "\n") {
         eprintln!("mutation_guard: cannot write {path}: {e}");
         return ExitCode::FAILURE;
     }

@@ -33,7 +33,7 @@ use accel::{protected, user_label, MASTER_KEY_SLOT};
 use attacks::mutate::{enumerate, run_mutant, CampaignConfig, KillStage};
 use farm::{Farm, FarmConfig, FarmReport, JobSpec, TenantSpec};
 use sim::{OptConfig, TrackMode};
-use telemetry::{AuditKind, TelemetryBundle, TelemetryConfig, Trace};
+use telemetry::{AuditKind, Json, TelemetryBundle, TelemetryConfig, Trace};
 
 /// Paired on/off repetitions for the overhead check.
 const REPS: usize = 3;
@@ -325,20 +325,27 @@ fn main() -> ExitCode {
         ),
         (
             "OBS_GUARD.json",
-            format!(
-                "{{\n  \"jobs\": {total_jobs},\n  \"trace_events\": {},\n  \
-                 \"trace_dropped\": {},\n  \"audit_records\": {},\n  \
-                 \"mutant\": \"{}\",\n  \"mutant_audit_records\": {},\n  \
-                 \"flight_dumps\": {},\n  \"on_blocks_per_sec\": {on_bps:.1},\n  \
-                 \"off_blocks_per_sec\": {off_bps:.1},\n  \"off_on_ratio\": {off_on:.3},\n  \
-                 \"floor\": {OFF_ON_FLOOR}\n}}\n",
-                bundle.trace.events.len(),
-                bundle.trace.dropped,
-                bundle.audit.records.len(),
-                victim.id(),
-                mutant_bundle.audit.records.len(),
-                mutant_bundle.flight.len(),
-            ),
+            Json::obj(vec![
+                ("jobs", Json::U64(total_jobs as u64)),
+                ("trace_events", Json::U64(bundle.trace.events.len() as u64)),
+                ("trace_dropped", Json::U64(bundle.trace.dropped)),
+                (
+                    "audit_records",
+                    Json::U64(bundle.audit.records.len() as u64),
+                ),
+                ("mutant", Json::Str(victim.id())),
+                (
+                    "mutant_audit_records",
+                    Json::U64(mutant_bundle.audit.records.len() as u64),
+                ),
+                ("flight_dumps", Json::U64(mutant_bundle.flight.len() as u64)),
+                ("on_blocks_per_sec", Json::F64(on_bps)),
+                ("off_blocks_per_sec", Json::F64(off_bps)),
+                ("off_on_ratio", Json::F64(off_on)),
+                ("floor", Json::F64(OFF_ON_FLOOR)),
+            ])
+            .render()
+                + "\n",
         ),
     ];
     for (name, text) in writes {

@@ -37,14 +37,6 @@ use telemetry::Json;
 /// corpus convict the identical fault.
 const PLANTED_SEED: u64 = 0x5eed;
 
-/// Renders a prover report for the JSON artifact, falling back to a
-/// string if the hand-rolled report codec and the telemetry parser ever
-/// disagree (that would itself be a bug worth seeing in the artifact).
-fn report_json(report: &ProveReport) -> Json {
-    let text = report.to_json();
-    Json::parse(&text).unwrap_or(Json::Str(text))
-}
-
 fn verdict_histogram(report: &ProveReport) -> String {
     let mut proved = 0usize;
     let mut structural = 0usize;
@@ -222,9 +214,9 @@ fn main() -> ExitCode {
                 ("fuzz_known_bad_confirmed", Json::Bool(spoof_confirmed)),
             ]),
         ),
-        ("protected", report_json(&protected_report)),
-        ("control", report_json(&control_report)),
-        ("fuzz_known_bad", report_json(&fuzz_report)),
+        ("protected", protected_report.to_json()),
+        ("control", control_report.to_json()),
+        ("fuzz_known_bad", fuzz_report.to_json()),
         ("total_seconds", Json::F64(total_secs)),
     ]);
     let mut text = artifact.render();

@@ -20,6 +20,7 @@ use accel::{protected, user_label};
 use bench::table::render;
 use hdl::Netlist;
 use sim::{CompiledSim, OptConfig, SimBackend, Simulator, TrackMode};
+use telemetry::Json;
 
 const BLOCKS: u64 = 32;
 const REPS: usize = 7;
@@ -62,6 +63,11 @@ fn time_median(mut f: impl FnMut()) -> Duration {
 
 fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get)
+}
+
+/// A throughput rounded to whole blocks per second.
+fn per_sec(rate: f64) -> Json {
+    Json::U64(rate.round() as u64)
 }
 
 fn mode_name(mode: TrackMode) -> &'static str {
@@ -236,83 +242,97 @@ fn main() {
         })
         .collect();
     println!("{}", render(&["width", "1 engine", "1 engine/core"], &rows));
-    // --- BENCH_sim.json (hand-rolled: the workspace carries no JSON dep)
-    let mut json = String::from("{\n  \"workload\": {\n");
-    json.push_str(&format!(
-        "    \"design\": \"protected\",\n    \"blocks_per_run\": {BLOCKS},\n    \"median_of\": {REPS}\n  }},\n"
-    ));
-    json.push_str("  \"single_session\": [\n");
-    for (i, (mode, interp, compiled, speedup)) in single.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"tracking\": \"{}\", \"interpreter_ms\": {:.3}, \"compiled_ms\": {:.3}, \"speedup\": {:.2}}}{}\n",
-            mode_name(*mode),
-            interp.as_secs_f64() * 1e3,
-            compiled.as_secs_f64() * 1e3,
-            speedup,
-            if i + 1 < single.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n  \"parallel_sessions_compiled\": [\n");
-    for (i, (sessions, elapsed, rate)) in fleet_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"sessions\": {}, \"wall_ms\": {:.3}, \"blocks_per_sec\": {:.0}, \"scaling\": {:.2}}}{}\n",
-            sessions,
-            elapsed.as_secs_f64() * 1e3,
-            rate,
-            rate / base_rate,
-            if i + 1 < fleet_rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
+    // --- BENCH_sim.json ------------------------------------------------
+    let ms = |d: &Duration| Json::F64(d.as_secs_f64() * 1e3);
+    let single_json = single.iter().map(|(mode, interp, compiled, speedup)| {
+        Json::obj(vec![
+            ("tracking", Json::Str(mode_name(*mode).into())),
+            ("interpreter_ms", ms(interp)),
+            ("compiled_ms", ms(compiled)),
+            ("speedup", Json::F64(*speedup)),
+        ])
+    });
+    let fleet_json = fleet_rows.iter().map(|(sessions, elapsed, rate)| {
+        Json::obj(vec![
+            ("sessions", Json::U64(*sessions as u64)),
+            ("wall_ms", ms(elapsed)),
+            ("blocks_per_sec", per_sec(*rate)),
+            ("scaling", Json::F64(rate / base_rate)),
+        ])
+    });
     // Schema note: `batched_sessions` reports the conservative-tracking
     // sweep. `compiled_single_session_blocks_per_sec` is the regression
     // guard's baseline (see bench --bin batched_guard); each row gives
     // all three backends' aggregate blocks/s at that session count, and
     // `batched_vs_compiled` the lane-batching advantage at equal
     // sessions.
-    json.push_str("  \"batched_sessions\": {\n");
-    json.push_str(&format!(
-        "    \"tracking\": \"{}\",\n",
-        mode_name(sweep_mode)
-    ));
-    json.push_str("    \"optimizer_passes\": [\"fold\", \"cse\", \"dce\", \"schedule\"],\n");
-    json.push_str(&format!(
-        "    \"compiled_single_session_blocks_per_sec\": {compiled_single_bps:.0},\n"
-    ));
-    json.push_str("    \"rows\": [\n");
-    for (i, (sessions, interp_bps, compiled_bps, batched_wall, batched_bps)) in
-        sweep_rows.iter().enumerate()
-    {
-        json.push_str(&format!(
-            "      {{\"sessions\": {}, \"interpreter_blocks_per_sec\": {:.0}, \"compiled_blocks_per_sec\": {:.0}, \"batched_wall_ms\": {:.3}, \"batched_blocks_per_sec\": {:.0}, \"batched_vs_compiled\": {:.2}}}{}\n",
-            sessions,
-            interp_bps,
-            compiled_bps,
-            batched_wall.as_secs_f64() * 1e3,
-            batched_bps,
-            batched_bps / compiled_bps,
-            if i + 1 < sweep_rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("    ]\n  },\n");
+    let sweep_json = sweep_rows.iter().map(
+        |(sessions, interp_bps, compiled_bps, batched_wall, batched_bps)| {
+            Json::obj(vec![
+                ("sessions", Json::U64(*sessions as u64)),
+                ("interpreter_blocks_per_sec", per_sec(*interp_bps)),
+                ("compiled_blocks_per_sec", per_sec(*compiled_bps)),
+                ("batched_wall_ms", ms(batched_wall)),
+                ("batched_blocks_per_sec", per_sec(*batched_bps)),
+                ("batched_vs_compiled", Json::F64(batched_bps / compiled_bps)),
+            ])
+        },
+    );
     // Schema note: `engine_width` reports steady-state per-engine rates
     // (key-load and drain overheads amortised over long streams), the
     // farm `WidthTuner`'s seed table. `per_core_blocks_per_sec` is the
     // aggregate of one engine per host core running concurrently — the
     // contended figure a farm worker actually sees.
-    json.push_str("  \"engine_width\": {\n");
-    json.push_str(&format!(
-        "    \"tracking\": \"{}\",\n    \"blocks_per_lane\": {engine_blocks},\n    \"engines_per_core\": 1,\n",
-        mode_name(engine_mode)
-    ));
-    json.push_str("    \"rows\": [\n");
-    for (i, (width, one, per_core)) in engine_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"width\": {width}, \"one_engine_blocks_per_sec\": {one:.0}, \"per_core_blocks_per_sec\": {per_core:.0}}}{}\n",
-            if i + 1 < engine_rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("    ]\n  }\n}\n");
-    std::fs::write(&out_path, json).expect("write benchmark results");
+    let engine_json = engine_rows.iter().map(|(width, one, per_core)| {
+        Json::obj(vec![
+            ("width", Json::U64(*width as u64)),
+            ("one_engine_blocks_per_sec", per_sec(*one)),
+            ("per_core_blocks_per_sec", per_sec(*per_core)),
+        ])
+    });
+    let json = Json::obj(vec![
+        (
+            "workload",
+            Json::obj(vec![
+                ("design", Json::Str("protected".into())),
+                ("blocks_per_run", Json::U64(BLOCKS)),
+                ("median_of", Json::U64(REPS as u64)),
+            ]),
+        ),
+        ("single_session", Json::Arr(single_json.collect())),
+        (
+            "parallel_sessions_compiled",
+            Json::Arr(fleet_json.collect()),
+        ),
+        (
+            "batched_sessions",
+            Json::obj(vec![
+                ("tracking", Json::Str(mode_name(sweep_mode).into())),
+                (
+                    "optimizer_passes",
+                    Json::Arr(
+                        ["fold", "cse", "dce", "schedule"]
+                            .map(|p| Json::Str(p.into()))
+                            .into(),
+                    ),
+                ),
+                (
+                    "compiled_single_session_blocks_per_sec",
+                    per_sec(compiled_single_bps),
+                ),
+                ("rows", Json::Arr(sweep_json.collect())),
+            ]),
+        ),
+        (
+            "engine_width",
+            Json::obj(vec![
+                ("tracking", Json::Str(mode_name(engine_mode).into())),
+                ("blocks_per_lane", Json::U64(engine_blocks as u64)),
+                ("engines_per_core", Json::U64(1)),
+                ("rows", Json::Arr(engine_json.collect())),
+            ]),
+        ),
+    ]);
+    std::fs::write(&out_path, json.render() + "\n").expect("write benchmark results");
     println!("wrote {out_path}");
 }

@@ -161,7 +161,7 @@ fn run_inner(args: &[String], stdout: &mut String) -> Result<bool, CliError> {
         );
         report.findings.extend(findings);
         if let Some(path) = &cli.prove_out {
-            std::fs::write(path, prove_report.to_json())
+            std::fs::write(path, prove_report.to_json().render())
                 .map_err(|e| CliError::Internal(format!("cannot write {path}: {e}")))?;
             let _ = writeln!(stdout, "prover report written to {path}");
         }
@@ -178,12 +178,12 @@ fn run_inner(args: &[String], stdout: &mut String) -> Result<bool, CliError> {
     );
 
     if let Some(path) = &cli.out {
-        std::fs::write(path, report.to_json())
+        std::fs::write(path, report.to_json().render())
             .map_err(|e| CliError::Internal(format!("cannot write {path}: {e}")))?;
         let _ = writeln!(stdout, "report written to {path}");
     }
     if let Some(path) = &cli.sarif {
-        std::fs::write(path, report.to_sarif())
+        std::fs::write(path, report.to_sarif().render())
             .map_err(|e| CliError::Internal(format!("cannot write {path}: {e}")))?;
         let _ = writeln!(stdout, "SARIF written to {path}");
     }

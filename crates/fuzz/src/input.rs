@@ -278,33 +278,35 @@ impl FuzzInput {
     /// Describes the first malformed field. A successfully parsed input
     /// is always normalized onto the generator grid.
     pub fn from_json(doc: &Json) -> Result<FuzzInput, String> {
-        let seed = field_u64(doc, "seed")?;
+        let seed = doc.field("seed", Json::as_u64)?;
         let spec_doc = doc.get("spec").ok_or("missing \"spec\"")?;
         let mut spec = DesignSpec {
-            width: field_u64(spec_doc, "width")? as u16,
-            depth: field_u64(spec_doc, "depth")? as u8,
-            key_cells: field_u64(spec_doc, "key_cells")? as u8,
-            guard_writes: field_bool(spec_doc, "guard_writes")?,
-            declassify_out: field_bool(spec_doc, "declassify_out")?,
-            stall_gate: field_bool(spec_doc, "stall_gate")?,
-            debug_port: DebugPort::from_key(field_str(spec_doc, "debug_port")?)
+            width: spec_doc.field("width", Json::as_u64)? as u16,
+            depth: spec_doc.field("depth", Json::as_u64)? as u8,
+            key_cells: spec_doc.field("key_cells", Json::as_u64)? as u8,
+            guard_writes: spec_doc.field("guard_writes", Json::as_bool)?,
+            declassify_out: spec_doc.field("declassify_out", Json::as_bool)?,
+            stall_gate: spec_doc.field("stall_gate", Json::as_bool)?,
+            debug_port: DebugPort::from_key(spec_doc.field("debug_port", Json::as_str)?)
                 .ok_or("bad \"debug_port\"")?,
-            cfg_reg: field_bool(spec_doc, "cfg_reg")?,
-            mix_ops: field_arr(spec_doc, "mix_ops")?
+            cfg_reg: spec_doc.field("cfg_reg", Json::as_bool)?,
+            mix_ops: spec_doc
+                .field("mix_ops", Json::as_arr)?
                 .iter()
                 .map(|v| v.as_u64().map(|n| n as u8).ok_or("bad mix op"))
                 .collect::<Result<Vec<u8>, &str>>()?,
-            tenants: field_u64(spec_doc, "tenants")? as u8,
+            tenants: spec_doc.field("tenants", Json::as_u64)? as u8,
         };
         spec.normalize();
 
-        let surgery = field_arr(doc, "surgery")?
+        let surgery = doc
+            .field("surgery", Json::as_arr)?
             .iter()
             .map(surgery_from_json)
             .collect::<Result<Vec<SurgeryOp>, String>>()?;
 
         let mut programs = Vec::new();
-        for p in field_arr(doc, "programs")? {
+        for p in doc.field("programs", Json::as_arr)? {
             let ops = p
                 .as_arr()
                 .ok_or("program is not an array")?
@@ -329,86 +331,62 @@ impl FuzzInput {
     }
 }
 
-fn field_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer {key:?}"))
-}
-
-fn field_bool(doc: &Json, key: &str) -> Result<bool, String> {
-    doc.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("missing or non-bool {key:?}"))
-}
-
-fn field_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, String> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing or non-string {key:?}"))
-}
-
-fn field_arr<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    doc.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing or non-array {key:?}"))
-}
-
 fn op_from_json(doc: &Json) -> Result<AttackOp, String> {
-    match field_str(doc, "op")? {
+    match doc.field("op", Json::as_str)? {
         "submit" => Ok(AttackOp::Submit {
-            slot: field_u64(doc, "slot")? as u8,
-            data: field_u64(doc, "data")?,
+            slot: doc.field("slot", Json::as_u64)? as u8,
+            data: doc.field("data", Json::as_u64)?,
         }),
         "write-key" => Ok(AttackOp::WriteKey {
-            addr: field_u64(doc, "addr")? as u8,
-            data: field_u64(doc, "data")?,
-            supervisor: field_bool(doc, "supervisor")?,
+            addr: doc.field("addr", Json::as_u64)? as u8,
+            data: doc.field("data", Json::as_u64)?,
+            supervisor: doc.field("supervisor", Json::as_bool)?,
         }),
         "alloc" => Ok(AttackOp::Alloc {
-            cell: field_u64(doc, "cell")? as u8,
+            cell: doc.field("cell", Json::as_u64)? as u8,
         }),
         "write-cfg" => Ok(AttackOp::WriteCfg {
-            value: field_u64(doc, "value")? as u8,
+            value: doc.field("value", Json::as_u64)? as u8,
         }),
         "read-debug" => Ok(AttackOp::ReadDebug {
-            sel: field_u64(doc, "sel")? as u8,
+            sel: doc.field("sel", Json::as_u64)? as u8,
         }),
         "idle" => Ok(AttackOp::Idle {
-            cycles: (field_u64(doc, "cycles")?.clamp(1, 4)) as u8,
+            cycles: (doc.field("cycles", Json::as_u64)?.clamp(1, 4)) as u8,
         }),
         other => Err(format!("unknown attack op {other:?}")),
     }
 }
 
 fn surgery_from_json(doc: &Json) -> Result<SurgeryOp, String> {
-    match field_str(doc, "class")? {
+    match doc.field("class", Json::as_str)? {
         "stuck-tag-join" => Ok(SurgeryOp::StuckTagJoin {
-            site: field_u64(doc, "site")? as u8,
-            keep_b: field_bool(doc, "keep_b")?,
+            site: doc.field("site", Json::as_u64)? as u8,
+            keep_b: doc.field("keep_b", Json::as_bool)?,
         }),
         "const-guard" => Ok(SurgeryOp::ConstGuard {
-            site: field_u64(doc, "site")? as u8,
-            allow: field_bool(doc, "allow")?,
+            site: doc.field("site", Json::as_u64)? as u8,
+            allow: doc.field("allow", Json::as_bool)?,
         }),
         "widen-declassify" => Ok(SurgeryOp::WidenDeclassify {
-            site: field_u64(doc, "site")? as u8,
+            site: doc.field("site", Json::as_u64)? as u8,
         }),
         "drop-mux" => Ok(SurgeryOp::DropMux {
-            site: field_u64(doc, "site")? as u8,
-            keep_t: field_bool(doc, "keep_t")?,
+            site: doc.field("site", Json::as_u64)? as u8,
+            keep_t: doc.field("keep_t", Json::as_bool)?,
         }),
         "reroute-output" => Ok(SurgeryOp::RerouteOutput {
-            out: field_u64(doc, "out")? as u8,
-            back: field_u64(doc, "back")? as u8,
+            out: doc.field("out", Json::as_u64)? as u8,
+            back: doc.field("back", Json::as_u64)? as u8,
         }),
         "relabel-output" => Ok(SurgeryOp::RelabelOutput {
-            out: field_u64(doc, "out")? as u8,
+            out: doc.field("out", Json::as_u64)? as u8,
         }),
         "dead-const" => Ok(SurgeryOp::DeadConst {
-            wide: field_bool(doc, "wide")?,
+            wide: doc.field("wide", Json::as_bool)?,
         }),
         "spoof-input-label" => Ok(SurgeryOp::SpoofInputLabel {
-            input: field_u64(doc, "input")? as u8,
+            input: doc.field("input", Json::as_u64)? as u8,
         }),
         other => Err(format!("unknown surgery class {other:?}")),
     }

@@ -18,7 +18,7 @@
 //! A coverage map over lint findings, static violation sites, runtime
 //! violation sites, observed tag-plane states, and kill stages guides
 //! mutation ([`campaign`]); failures shrink to minimal witnesses
-//! ([`shrink`]); minimized witnesses live in the checked-in corpus and
+//! ([`shrink()`]); minimized witnesses live in the checked-in corpus and
 //! replay as a deterministic regression gate ([`corpus`], exercised by
 //! the `fuzz_guard` benchmark binary and CI job).
 

@@ -7,11 +7,20 @@
 //! the lint fixpoint both assume). The render leg checks the Verilog
 //! backend: surgered netlists still print, and identically so.
 //!
+//! The corpus codec rides along: corpus files are attacker-controlled
+//! text, so a damaged [`FuzzInput`] document must be refused with an
+//! error, never a panic.
+//!
 //! [`NodeId`]: hdl::NodeId
 
-use fuzz::{apply_surgery, build_design, gen_spec, FuzzRng, SurgeryOp};
+use fuzz::{apply_surgery, build_design, gen_input, gen_spec, FuzzInput, FuzzRng, SurgeryOp};
 use hdl::Netlist;
 use proptest::prelude::*;
+use telemetry::Json;
+
+fn decode_input(text: &str) -> Result<FuzzInput, String> {
+    FuzzInput::from_json(&Json::parse(text)?)
+}
 
 /// Decodes one proptest tuple into a surgery op, covering all eight
 /// classes including the seeded known-bad annotation spoof (the
@@ -105,5 +114,24 @@ proptest! {
             .expect("identical surgery lowers identically");
         prop_assert_eq!(&again.topo, &order);
         prop_assert_eq!(hdl::verilog::to_verilog(&again), hdl::verilog::to_verilog(&net));
+    }
+
+    #[test]
+    fn damaged_corpus_json_errs_without_panicking(
+        seed in any::<u64>(),
+        at in any::<u64>(),
+        byte in any::<u8>(),
+    ) {
+        let text = gen_input(seed).to_json().render();
+        prop_assert!(decode_input(&text).is_ok());
+        let at = (at % text.len() as u64) as usize;
+        // A strict prefix of the compact object lacks its closing brace.
+        let cut = String::from_utf8_lossy(&text.as_bytes()[..at]);
+        prop_assert!(decode_input(&cut).is_err(), "accepted {:?}", cut);
+        // A one-byte edit may still spell a valid input; decoding must
+        // return either way.
+        let mut edited = text.into_bytes();
+        edited[at] = byte;
+        let _ = decode_input(&String::from_utf8_lossy(&edited));
     }
 }

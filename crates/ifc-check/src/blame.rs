@@ -72,7 +72,7 @@ pub(crate) fn render_path(design: &Design, path: &[NodeId]) -> String {
 const RUNTIME_BLAME_WAYPOINTS: usize = 3;
 
 /// Names a *lowered* netlist node for a runtime diagnostic — the
-/// counterpart of [`blame_path`] for violations raised by a simulator,
+/// counterpart of `blame_path` for violations raised by a simulator,
 /// where only the [`Netlist`] (not the source [`Design`]) survives.
 ///
 /// A named node is reported by its own name. An anonymous node is

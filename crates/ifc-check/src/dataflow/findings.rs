@@ -1,9 +1,12 @@
 //! Machine-readable lint findings: severities, the per-run report, and
-//! its two serialisations — a hand-rolled JSON codec (round-trippable,
-//! in the same strict style as the mutation campaign's report) and SARIF
-//! 2.1.0 output so code hosts can annotate findings in pull requests.
+//! its two serialisations through the workspace JSON codec
+//! ([`telemetry::Json`]) — the round-trippable `LINT_REPORT.json` schema
+//! and SARIF 2.1.0 output so code hosts can annotate findings in pull
+//! requests.
 
 use std::fmt;
+
+use telemetry::Json;
 
 /// How serious a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -113,36 +116,28 @@ impl LintReport {
 
     /// Serialises to the stable JSON schema (`LINT_REPORT.json`).
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let passes: Vec<String> = self
-            .passes
-            .iter()
-            .map(|p| format!("\"{}\"", esc(p)))
-            .collect();
-        let findings: Vec<String> = self
-            .findings
-            .iter()
-            .map(|f| {
-                format!(
-                    "{{\"pass\": \"{}\", \"severity\": \"{}\", \"node\": {}, \"message\": \"{}\"}}",
-                    esc(&f.pass),
-                    f.severity.key(),
-                    match &f.node {
-                        Some(n) => format!("\"{}\"", esc(n)),
-                        None => "null".to_string(),
-                    },
-                    esc(&f.message)
-                )
-            })
-            .collect();
-        format!(
-            "{{\n\"design\": \"{}\",\n\"passes\": [{}],\n\"errors\": {},\n\"warnings\": {},\n\"findings\": [\n{}\n]\n}}",
-            esc(&self.design),
-            passes.join(", "),
-            self.count_at(Severity::Error),
-            self.count_at(Severity::Warning),
-            findings.join(",\n")
-        )
+    pub fn to_json(&self) -> Json {
+        let findings = self.findings.iter().map(|f| {
+            Json::obj(vec![
+                ("pass", Json::Str(f.pass.clone())),
+                ("severity", Json::Str(f.severity.key().into())),
+                ("node", f.node.clone().map_or(Json::Null, Json::Str)),
+                ("message", Json::Str(f.message.clone())),
+            ])
+        });
+        Json::obj(vec![
+            ("design", Json::Str(self.design.clone())),
+            (
+                "passes",
+                Json::Arr(self.passes.iter().cloned().map(Json::Str).collect()),
+            ),
+            ("errors", Json::U64(self.count_at(Severity::Error) as u64)),
+            (
+                "warnings",
+                Json::U64(self.count_at(Severity::Warning) as u64),
+            ),
+            ("findings", Json::Arr(findings.collect())),
+        ])
     }
 
     /// Parses a report back from its JSON form.
@@ -154,41 +149,32 @@ impl LintReport {
     /// recomputed, not trusted).
     pub fn from_json(text: &str) -> Result<LintReport, String> {
         let root = Json::parse(text)?;
-        let obj = root.as_obj().ok_or("report must be a JSON object")?;
-        let design = get_str(obj, "design")?;
-        let passes = match field(obj, "passes")? {
-            Json::Arr(items) => items
-                .iter()
-                .map(|p| match p {
-                    Json::Str(s) => Ok(s.clone()),
-                    _ => Err("'passes' entries must be strings".to_string()),
+        let passes = root
+            .field("passes", Json::as_arr)?
+            .iter()
+            .map(|p| p.as_str().map(str::to_owned))
+            .collect::<Option<Vec<_>>>()
+            .ok_or("'passes' entries must be strings")?;
+        let findings = root
+            .field("findings", Json::as_arr)?
+            .iter()
+            .map(|f| {
+                let sev = f.field("severity", Json::as_str)?;
+                Ok(Finding {
+                    pass: f.field("pass", Json::as_str)?.to_owned(),
+                    severity: Severity::from_key(sev)
+                        .ok_or_else(|| format!("unknown severity '{sev}'"))?,
+                    node: match f.get("node") {
+                        Some(Json::Null) => None,
+                        Some(Json::Str(s)) => Some(s.clone()),
+                        _ => return Err("'node' must be a string or null".into()),
+                    },
+                    message: f.field("message", Json::as_str)?.to_owned(),
                 })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("'passes' must be an array".into()),
-        };
-        let findings = match field(obj, "findings")? {
-            Json::Arr(items) => items
-                .iter()
-                .map(|item| {
-                    let o = item.as_obj().ok_or("finding must be an object")?;
-                    let sev = get_str(o, "severity")?;
-                    Ok(Finding {
-                        pass: get_str(o, "pass")?,
-                        severity: Severity::from_key(&sev)
-                            .ok_or_else(|| format!("unknown severity '{sev}'"))?,
-                        node: match field(o, "node")? {
-                            Json::Null => None,
-                            Json::Str(s) => Some(s.clone()),
-                            _ => return Err("'node' must be a string or null".into()),
-                        },
-                        message: get_str(o, "message")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            _ => return Err("'findings' must be an array".into()),
-        };
+            })
+            .collect::<Result<Vec<_>, String>>()?;
         let report = LintReport {
-            design,
+            design: root.field("design", Json::as_str)?.to_owned(),
             passes,
             findings,
         };
@@ -196,9 +182,9 @@ impl LintReport {
         // present they must agree — a mismatch means the report was edited
         // by hand or truncated in transit.
         for (key, severity) in [("errors", Severity::Error), ("warnings", Severity::Warning)] {
-            if let Ok(Json::Num(claimed)) = field(obj, key) {
+            if let Some(claimed) = root.get(key).and_then(Json::as_u64) {
                 let actual = report.count_at(severity) as u64;
-                if *claimed != actual {
+                if claimed != actual {
                     return Err(format!(
                         "'{key}' counter claims {claimed} but the findings contain {actual}"
                     ));
@@ -211,38 +197,60 @@ impl LintReport {
     /// Serialises to SARIF 2.1.0 — one run, one rule per pass, one
     /// result per finding, with the node name as a logical location.
     #[must_use]
-    pub fn to_sarif(&self) -> String {
-        let rules: Vec<String> = self
+    pub fn to_sarif(&self) -> Json {
+        let rules = self
             .passes
             .iter()
-            .map(|p| format!("{{\"id\": \"{}\"}}", esc(p)))
-            .collect();
-        let results: Vec<String> = self
-            .findings
-            .iter()
-            .map(|f| {
-                let location = f.node.as_deref().map_or(String::new(), |n| {
-                    format!(
-                        ", \"locations\": [{{\"logicalLocations\": [{{\"name\": \"{}\", \"fullyQualifiedName\": \"{}.{}\"}}]}}]",
-                        esc(n),
-                        esc(&self.design),
-                        esc(n)
-                    )
-                });
-                format!(
-                    "{{\"ruleId\": \"{}\", \"level\": \"{}\", \"message\": {{\"text\": \"{}\"}}{}}}",
-                    esc(&f.pass),
-                    f.severity.sarif_level(),
-                    esc(&f.message),
-                    location
-                )
-            })
-            .collect();
-        format!(
-            "{{\n\"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n\"version\": \"2.1.0\",\n\"runs\": [{{\n\"tool\": {{\"driver\": {{\"name\": \"netlist_lint\", \"informationUri\": \"https://example.invalid/netlist_lint\", \"rules\": [{}]}}}},\n\"results\": [\n{}\n]\n}}]\n}}",
-            rules.join(", "),
-            results.join(",\n")
-        )
+            .map(|p| Json::obj(vec![("id", Json::Str(p.clone()))]));
+        let results = self.findings.iter().map(|f| {
+            let mut result = vec![
+                ("ruleId", Json::Str(f.pass.clone())),
+                ("level", Json::Str(f.severity.sarif_level().into())),
+                (
+                    "message",
+                    Json::obj(vec![("text", Json::Str(f.message.clone()))]),
+                ),
+            ];
+            if let Some(n) = &f.node {
+                let location = Json::obj(vec![
+                    ("name", Json::Str(n.clone())),
+                    (
+                        "fullyQualifiedName",
+                        Json::Str(format!("{}.{n}", self.design)),
+                    ),
+                ]);
+                result.push((
+                    "locations",
+                    Json::Arr(vec![Json::obj(vec![(
+                        "logicalLocations",
+                        Json::Arr(vec![location]),
+                    )])]),
+                ));
+            }
+            Json::obj(result)
+        });
+        let driver = Json::obj(vec![
+            ("name", Json::Str("netlist_lint".into())),
+            (
+                "informationUri",
+                Json::Str("https://example.invalid/netlist_lint".into()),
+            ),
+            ("rules", Json::Arr(rules.collect())),
+        ]);
+        Json::obj(vec![
+            (
+                "$schema",
+                Json::Str("https://json.schemastore.org/sarif-2.1.0.json".into()),
+            ),
+            ("version", Json::Str("2.1.0".into())),
+            (
+                "runs",
+                Json::Arr(vec![Json::obj(vec![
+                    ("tool", Json::obj(vec![("driver", driver)])),
+                    ("results", Json::Arr(results.collect())),
+                ])]),
+            ),
+        ])
     }
 }
 
@@ -262,211 +270,6 @@ impl fmt::Display for LintReport {
         }
         Ok(())
     }
-}
-
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn field<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field '{key}'"))
-}
-
-fn get_str(obj: &[(String, Json)], key: &str) -> Result<String, String> {
-    match field(obj, key)? {
-        Json::Str(s) => Ok(s.clone()),
-        _ => Err(format!("'{key}' must be a string")),
-    }
-}
-
-/// A minimal JSON value and recursive-descent parser — enough for the
-/// report schema (and strict on what it accepts). The SARIF emitter is
-/// validated against this same parser in the tests, so both codecs stay
-/// within the subset it understands.
-pub(crate) enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`. The report schema carries no booleans, but the
-    /// parser accepts full JSON so foreign tools' output stays readable.
-    Bool(#[allow(dead_code)] bool),
-    /// Non-negative integers only — the schema carries nothing else.
-    Num(u64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in insertion order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    pub(crate) fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(o) => Some(o),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {pos}", c as char))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut obj = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(obj));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
-                obj.push((key, val));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(obj));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut arr = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(arr));
-            }
-            loop {
-                arr.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(arr));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len() && b[*pos].is_ascii_digit() {
-                *pos += 1;
-            }
-            std::str::from_utf8(&b[start..*pos])
-                .ok()
-                .and_then(|s| s.parse::<u64>().ok())
-                .map(Json::Num)
-                .ok_or_else(|| format!("bad number at byte {start}"))
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}"));
-    }
-    *pos += 1;
-    let mut out = Vec::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => {
-                return String::from_utf8(out).map_err(|_| "invalid UTF-8 in string".into());
-            }
-            b'\\' => {
-                let esc = *b.get(*pos).ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push(b'"'),
-                    b'\\' => out.push(b'\\'),
-                    b'/' => out.push(b'/'),
-                    b'n' => out.push(b'\n'),
-                    b'r' => out.push(b'\r'),
-                    b't' => out.push(b'\t'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("bad \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        *pos += 4;
-                        let ch = char::from_u32(code).ok_or("bad \\u code point")?;
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
-                    }
-                    _ => return Err(format!("unknown escape '\\{}'", esc as char)),
-                }
-            }
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".into())
 }
 
 #[cfg(test)]
@@ -497,31 +300,21 @@ mod tests {
     #[test]
     fn json_round_trips() {
         let report = sample();
-        let back = LintReport::from_json(&report.to_json()).expect("parses");
+        let back = LintReport::from_json(&report.to_json().render()).expect("parses");
         assert_eq!(report, back);
     }
 
     #[test]
     fn sarif_is_parseable_and_carries_every_finding() {
         let report = sample();
-        let sarif = report.to_sarif();
-        let root = Json::parse(&sarif).expect("SARIF is valid JSON");
-        let obj = root.as_obj().expect("object");
-        let Json::Str(version) = field(obj, "version").unwrap() else {
-            panic!("version must be a string");
-        };
-        assert_eq!(version, "2.1.0");
-        let Json::Arr(runs) = field(obj, "runs").unwrap() else {
-            panic!("runs must be an array");
-        };
-        let run = runs[0].as_obj().expect("run object");
-        let Json::Arr(results) = field(run, "results").unwrap() else {
-            panic!("results must be an array");
-        };
+        let root = Json::parse(&report.to_sarif().render()).expect("SARIF is valid JSON");
+        assert_eq!(root.field("version", Json::as_str), Ok("2.1.0"));
+        let runs = root.field("runs", Json::as_arr).unwrap();
+        let results = runs[0].field("results", Json::as_arr).unwrap();
         assert_eq!(results.len(), report.findings.len());
-        let levels: Vec<String> = results
+        let levels: Vec<&str> = results
             .iter()
-            .map(|r| get_str(r.as_obj().unwrap(), "level").unwrap())
+            .map(|r| r.field("level", Json::as_str).unwrap())
             .collect();
         assert_eq!(levels, vec!["error", "note"]);
     }

@@ -29,6 +29,7 @@ pub mod witness;
 use std::collections::HashMap;
 
 use hdl::{Netlist, Value};
+use telemetry::Json;
 
 use aig::{is_neg, node_of, Aig, Lit};
 use encode::{Encoder, Observable, COPY_A, COPY_B};
@@ -36,8 +37,6 @@ use sat::{slit, SolveResult, Solver, SolverStats};
 
 pub use encode::{observables, taint_fixpoint, InputClass, ObsKind, ProveEnv};
 pub use witness::ReplayOutcome;
-
-use crate::dataflow::findings::esc;
 
 /// Knobs for one prover run.
 #[derive(Debug, Clone)]
@@ -179,77 +178,76 @@ impl ProveReport {
     }
 
     /// Serialises the report (verdicts, counterexample programs, solver
-    /// stats) as a JSON object string.
+    /// stats) as a JSON object.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"design\":\"{}\",\"k\":{},\"all_proved\":{},\"results\":[",
-            esc(&self.design),
-            self.k,
-            self.all_proved()
-        ));
-        for (i, r) in self.results.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"kind\":\"{}\",\"verdict\":\"{}\"",
-                esc(&r.name),
-                r.kind.key(),
-                r.verdict.key()
-            ));
+    pub fn to_json(&self) -> Json {
+        let results = self.results.iter().map(|r| {
+            let mut fields = vec![
+                ("name", Json::Str(r.name.clone())),
+                ("kind", Json::Str(r.kind.key().into())),
+                ("verdict", Json::Str(r.verdict.key().into())),
+            ];
             match &r.verdict {
                 Verdict::Proved { k, inductive } => {
-                    out.push_str(&format!(",\"k\":{k},\"inductive\":{inductive}"));
+                    fields.push(("k", Json::U64(u64::from(*k))));
+                    fields.push(("inductive", Json::Bool(*inductive)));
                 }
-                Verdict::Unknown { reason } => {
-                    out.push_str(&format!(",\"reason\":\"{}\"", esc(reason)));
-                }
+                Verdict::Unknown { reason } => fields.push(("reason", Json::Str(reason.clone()))),
                 Verdict::Counterexample(cex) => {
-                    out.push_str(&format!(
-                        ",\"cycle\":{},\"confirmed\":{},\"observed\":[\"{}\",\"{}\"]",
-                        cex.cycle, cex.confirmed, cex.observed[0], cex.observed[1]
+                    fields.push(("cycle", Json::U64(u64::from(cex.cycle))));
+                    fields.push(("confirmed", Json::Bool(cex.confirmed)));
+                    fields.push((
+                        "observed",
+                        Json::Arr(
+                            cex.observed
+                                .iter()
+                                .map(|v| Json::Str(v.to_string()))
+                                .collect(),
+                        ),
                     ));
-                    out.push_str(",\"programs\":[");
-                    for (pi, program) in cex.programs.iter().enumerate() {
-                        if pi > 0 {
-                            out.push(',');
-                        }
-                        out.push('[');
-                        for (ci, drives) in program.cycles.iter().enumerate() {
-                            if ci > 0 {
-                                out.push(',');
-                            }
-                            out.push('[');
-                            for (di, (port, value)) in drives.iter().enumerate() {
-                                if di > 0 {
-                                    out.push(',');
-                                }
-                                out.push_str(&format!("[\"{}\",\"{}\"]", esc(port), value));
-                            }
-                            out.push(']');
-                        }
-                        out.push(']');
-                    }
-                    out.push(']');
+                    fields.push((
+                        "programs",
+                        Json::Arr(cex.programs.iter().map(program_json).collect()),
+                    ));
                 }
                 Verdict::ProvedStructural => {}
             }
-            out.push('}');
-        }
-        out.push_str(&format!(
-            "],\"stats\":{{\"vars\":{},\"clauses\":{},\"learnt\":{},\"conflicts\":{},\"decisions\":{},\"propagations\":{},\"restarts\":{}}}}}",
-            self.stats.vars,
-            self.stats.clauses,
-            self.stats.learnt,
-            self.stats.conflicts,
-            self.stats.decisions,
-            self.stats.propagations,
-            self.stats.restarts
-        ));
-        out
+            Json::obj(fields)
+        });
+        let s = &self.stats;
+        Json::obj(vec![
+            ("design", Json::Str(self.design.clone())),
+            ("k", Json::U64(u64::from(self.k))),
+            ("all_proved", Json::Bool(self.all_proved())),
+            ("results", Json::Arr(results.collect())),
+            (
+                "stats",
+                Json::obj(vec![
+                    ("vars", Json::U64(s.vars)),
+                    ("clauses", Json::U64(s.clauses)),
+                    ("learnt", Json::U64(s.learnt)),
+                    ("conflicts", Json::U64(s.conflicts)),
+                    ("decisions", Json::U64(s.decisions)),
+                    ("propagations", Json::U64(s.propagations)),
+                    ("restarts", Json::U64(s.restarts)),
+                ]),
+            ),
+        ])
     }
+}
+
+/// A port program as JSON: per cycle, an array of `[port, value]` drives.
+fn program_json(program: &PortProgram) -> Json {
+    let drive = |(port, value): &(String, Value)| {
+        Json::Arr(vec![Json::Str(port.clone()), Json::Str(value.to_string())])
+    };
+    Json::Arr(
+        program
+            .cycles
+            .iter()
+            .map(|drives| Json::Arr(drives.iter().map(drive).collect()))
+            .collect(),
+    )
 }
 
 /// Tseitin-encodes the cone of `miter` into `solver`, returning the

@@ -3,7 +3,7 @@
 //! with phase saving, and geometric restarts.
 //!
 //! Hand-rolled in the same no-external-deps spirit as the repo's JSON
-//! codecs: the prover needs a complete decision procedure, not a
+//! codec: the prover needs a complete decision procedure, not a
 //! competitive one — the self-composition cones it discharges are small,
 //! and a conflict budget turns every runaway query into an honest
 //! `Unknown` instead of a hang.

@@ -249,7 +249,7 @@ fn report_json_round_trips_the_verdict_keys() {
     m.output("out", s);
     let net = lower(&m.finish());
     let report = prove_annotated(&net, &opts(1));
-    let json = report.to_json();
+    let json = report.to_json().render();
     assert!(json.contains("\"design\":\"json\""));
     assert!(json.contains("\"verdict\":\"counterexample\""));
     assert!(json.contains("\"confirmed\":true"));

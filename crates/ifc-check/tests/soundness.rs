@@ -6,8 +6,12 @@
 //! This is the noninterference property the IFC type system is supposed
 //! to guarantee (modulo downgrading, which these random designs do not
 //! use). A counterexample here would be a genuine checker bug.
+//!
+//! The lint report's JSON codec rides along: a damaged `LINT_REPORT.json`
+//! must be refused with an error, never a panic.
 
 use hdl::{Design, ModuleBuilder, Sig};
+use ifc_check::dataflow::{Finding, LintReport, Severity};
 use ifc_lattice::Label;
 use proptest::prelude::*;
 use sim::{Simulator, TrackMode};
@@ -168,6 +172,60 @@ proptest! {
         let (design, _, _) = build(&no_secret);
         let report = ifc_check::check(&design);
         prop_assert!(report.is_secure(), "{report}");
+    }
+}
+
+fn arb_string() -> impl Strategy<Value = String> {
+    let chars = prop_oneof![
+        (0x20u32..0x7f).prop_map(|c| char::from_u32(c).expect("ascii")),
+        Just('"'),
+        Just('\\'),
+        Just('\n'),
+        Just('\u{1}'),
+        Just('→'),
+    ];
+    proptest::collection::vec(chars, 0..16).prop_map(|cs| cs.into_iter().collect())
+}
+
+fn arb_lint_report() -> impl Strategy<Value = LintReport> {
+    let finding = (0u8..3, arb_string(), any::<bool>(), arb_string()).prop_map(
+        |(sev, pass, located, message)| Finding {
+            severity: [Severity::Info, Severity::Warning, Severity::Error][usize::from(sev)],
+            node: located.then(|| message.chars().rev().collect()),
+            pass,
+            message,
+        },
+    );
+    (
+        arb_string(),
+        proptest::collection::vec(arb_string(), 0..4),
+        proptest::collection::vec(finding, 0..6),
+    )
+        .prop_map(|(design, passes, findings)| LintReport {
+            design,
+            passes,
+            findings,
+        })
+}
+
+proptest! {
+    #[test]
+    fn damaged_lint_report_json_errs_without_panicking(
+        report in arb_lint_report(),
+        at in any::<u64>(),
+        byte in any::<u8>(),
+    ) {
+        let text = report.to_json().render();
+        prop_assert_eq!(LintReport::from_json(&text), Ok(report));
+        let at = (at % text.len() as u64) as usize;
+        // A strict prefix of the compact object lacks its closing brace.
+        let cut = String::from_utf8_lossy(&text.as_bytes()[..at]);
+        prop_assert!(LintReport::from_json(&cut).is_err(), "accepted {:?}", cut);
+        // A one-byte edit may still spell a valid report; decoding must
+        // return either way.
+        let mut edited = text.into_bytes();
+        edited[at] = byte;
+        let _ = LintReport::from_json(&String::from_utf8_lossy(&edited));
     }
 }
 

@@ -4,7 +4,7 @@
 //! Admission rejections, runtime [`sim::RuntimeViolation`]s, and
 //! hardware release refusals become [`AuditRecord`]s carrying tenant /
 //! job / engine-cycle / netlist-node attribution — the node resolved to
-//! its nearest named source signals via [`ifc_check::runtime_blame`] so
+//! its nearest named source signals via `ifc_check::runtime_blame` so
 //! the record names *hardware*, not an opaque id. Records live in a
 //! bounded ring (oldest evicted first, evictions counted) and render to
 //! JSON with an exact parser for the round-trip property tests.

@@ -1,5 +1,7 @@
-//! The JSON value, emitter, and strict parser shared by every telemetry
-//! codec.
+//! The workspace's one JSON codec: the value, its compact emitter, and a
+//! strict parser. Every artifact — traces, audit logs, metrics, lint
+//! reports and SARIF, prover and mutation reports, farm metrics, the
+//! guards' summaries — renders and parses through it.
 //!
 //! Hand-rolled like the rest of the repo (the build environment is
 //! offline; no serde). Two properties matter more than generality:
@@ -137,7 +139,7 @@ impl Json {
             }
             Json::Str(s) => {
                 out.push('"');
-                out.push_str(&escape(s));
+                escape_into(s, out);
                 out.push('"');
             }
             Json::Arr(items) => {
@@ -157,7 +159,7 @@ impl Json {
                         out.push(',');
                     }
                     out.push('"');
-                    out.push_str(&escape(k));
+                    escape_into(k, out);
                     out.push_str("\":");
                     v.render_into(out);
                 }
@@ -169,25 +171,49 @@ impl Json {
     /// Parses a complete JSON document (strict: one value, nothing but
     /// whitespace after it).
     ///
+    /// Safe on untrusted text: it never panics, runs in time linear in
+    /// the input, and refuses nesting deeper than 128 levels instead of
+    /// recursing off the end of the stack.
+    ///
     /// # Errors
     ///
     /// A human-readable description of the first syntax error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing data at byte {pos}"));
         }
         Ok(value)
     }
+
+    /// Looks up a required key and converts its value with `as_kind`
+    /// (one of the `as_*` accessors) — the building block of every
+    /// `from_json` decoder.
+    ///
+    /// # Errors
+    ///
+    /// Names the key when it is missing, `self` is not an object, or
+    /// `as_kind` rejects the value.
+    pub fn field<'a, T>(
+        &'a self,
+        key: &str,
+        as_kind: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        self.get(key)
+            .and_then(as_kind)
+            .ok_or_else(|| format!("missing or ill-typed field {key:?}"))
+    }
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. Every
+/// emitter in the workspace nests well under 16 levels; the bound keeps
+/// a hostile document (100 000 `[`, say) from overflowing the stack.
+const MAX_DEPTH: usize = 128;
+
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+fn escape_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -198,7 +224,6 @@ pub fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -216,14 +241,19 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
+        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -233,7 +263,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -255,10 +285,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -318,71 +348,72 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let cp = parse_hex4(bytes, *pos + 1)?;
-                        *pos += 4;
-                        // Surrogate pairs (we never emit them, but accept
-                        // them for robustness).
-                        let c = if (0xD800..0xDC00).contains(&cp) {
-                            if bytes.get(*pos + 1) == Some(&b'\\')
-                                && bytes.get(*pos + 2) == Some(&b'u')
-                            {
-                                let lo = parse_hex4(bytes, *pos + 3)?;
-                                *pos += 6;
-                                let combined =
-                                    0x10000 + ((cp - 0xD800) << 10) + (lo.wrapping_sub(0xDC00));
-                                char::from_u32(combined)
-                            } else {
-                                None
-                            }
-                        } else {
-                            char::from_u32(cp)
-                        };
-                        out.push(c.ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?);
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 code point.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {}", *pos))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        // Copy the run up to the next quote or backslash in one step.
+        // Both delimiters are ASCII, so the run ends on a char boundary
+        // and the whole string costs one pass.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or("unterminated string")?;
+        out.push_str(
+            text.get(*pos..*pos + run)
+                .ok_or_else(|| format!("invalid UTF-8 at byte {}", *pos))?,
+        );
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1;
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b't') => out.push('\t'),
+            Some(b'r') => out.push('\r'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let mut cp = parse_hex4(bytes, *pos + 1)?;
+                *pos += 4;
+                // A high surrogate is only valid as the first half of an
+                // escaped pair (we never emit them, but accept them for
+                // robustness); anything else is refused, not wrapped.
+                if (0xD800..0xDC00).contains(&cp) {
+                    let lo = match bytes.get(*pos + 1..*pos + 3) {
+                        Some(b"\\u") => parse_hex4(bytes, *pos + 3)?,
+                        _ => 0,
+                    };
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(format!("unpaired surrogate at byte {}", *pos));
+                    }
+                    *pos += 6;
+                    cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                }
+                out.push(
+                    char::from_u32(cp).ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?,
+                );
+            }
+            _ => return Err(format!("bad escape at byte {}", *pos)),
+        }
+        *pos += 1;
     }
 }
 
 fn parse_hex4(bytes: &[u8], start: usize) -> Result<u32, String> {
-    let slice = bytes
+    let digits = bytes
         .get(start..start + 4)
-        .ok_or_else(|| format!("truncated \\u escape at byte {start}"))?;
-    let text = std::str::from_utf8(slice).map_err(|_| "non-ASCII \\u escape".to_string())?;
-    u32::from_str_radix(text, 16).map_err(|e| format!("bad \\u escape at byte {start}: {e}"))
+        .filter(|d| d.iter().all(u8::is_ascii_hexdigit))
+        .ok_or_else(|| format!("bad \\u escape at byte {start}"))?;
+    Ok(digits.iter().fold(0, |acc, &d| {
+        acc * 16 + char::from(d).to_digit(16).expect("hex digit")
+    }))
 }
 
 #[cfg(test)]
@@ -431,6 +462,54 @@ mod tests {
         let doc = "{\"z\":1,\"a\":2}";
         let v = Json::parse(doc).unwrap();
         assert_eq!(v.render(), doc);
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_strays_are_refused() {
+        assert_eq!(
+            Json::parse("\"\\ud83d\\ude00\"").unwrap(),
+            Json::Str("\u{1f600}".into())
+        );
+        for bad in [
+            "\"\\ud800\\u0000\"", // high surrogate, low half out of range
+            "\"\\ud800\\ud800\"", // two high halves
+            "\"\\ud800x\"",       // high surrogate, no second escape
+            "\"\\ud800\"",        // high surrogate at the end
+            "\"\\udc00\"",        // lone low surrogate
+            "\"\\u+fff\"",        // a sign is not a hex digit
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_on_a_small_stack() {
+        // The default test-thread stack: 100 000 unclosed brackets must
+        // come back as an error, not a stack overflow.
+        let handle = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| Json::parse(&"[".repeat(100_000)))
+            .unwrap();
+        let err = handle
+            .join()
+            .expect("parser must not overflow")
+            .unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let past_limit = format!("{{\"a\":{at_limit}}}");
+        assert!(Json::parse(&past_limit).is_err());
+    }
+
+    #[test]
+    fn field_names_the_missing_or_ill_typed_key() {
+        let v = Json::parse("{\"n\":1,\"s\":\"x\"}").unwrap();
+        assert_eq!(v.field("n", Json::as_u64), Ok(1));
+        assert_eq!(v.field("s", Json::as_str), Ok("x"));
+        assert!(v.field("s", Json::as_u64).unwrap_err().contains("\"s\""));
+        assert!(v.field("gone", Json::as_u64).is_err());
+        assert!(Json::Null.field("n", Json::as_u64).is_err());
     }
 
     #[test]

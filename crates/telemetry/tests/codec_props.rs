@@ -52,6 +52,18 @@ fn arb_finite_f64() -> impl Strategy<Value = f64> {
     })
 }
 
+/// Bytes biased toward JSON's structural and escape alphabet, so the
+/// byte soup reaches deep into the parser rather than failing on the
+/// first byte.
+fn arb_json_byte() -> impl Strategy<Value = u8> {
+    const ALPHABET: &[u8] = b"[]{}\":,\\/\"u0123456789abcdefABCDEF.eE+-ntrflsd \n";
+    prop_oneof![
+        any::<u8>(),
+        (0..ALPHABET.len()).prop_map(|i| ALPHABET[i]),
+        (0..ALPHABET.len()).prop_map(|i| ALPHABET[i]),
+    ]
+}
+
 fn arb_arg() -> impl Strategy<Value = Arg> {
     prop_oneof![
         any::<u64>().prop_map(Arg::U64),
@@ -224,5 +236,16 @@ proptest! {
         };
         let back = MetricsSnapshot::from_json(&snap.to_json()).expect("rendered snapshot parses");
         prop_assert_eq!(back, snap);
+    }
+
+    /// The parser is total on arbitrary text: any byte soup (decoded
+    /// lossily, as a corpus or report file would be) yields `Ok` or
+    /// `Err`, never a panic, and whatever it accepts re-renders to a
+    /// document it accepts again.
+    #[test]
+    fn json_parse_never_panics_on_arbitrary_bytes(bytes in vec(arb_json_byte(), 0..96)) {
+        if let Ok(v) = Json::parse(&String::from_utf8_lossy(&bytes)) {
+            prop_assert!(Json::parse(&v.render()).is_ok(), "{:?}", v);
+        }
     }
 }
