@@ -46,3 +46,65 @@ fn baseline_debug_port_yields_confirmed_counterexample() {
         assert_ne!(cex.observed[0], cex.observed[1]);
     }
 }
+
+/// Pins the exact formula of four SAT-backed queries: the encoder's
+/// variable and clause counts and the solver's search counters. Any change
+/// to the AIG construction order, the Tseitin numbering or the solver's
+/// heuristics moves at least one of these; a pure speed-up moves none.
+#[test]
+fn sat_queries_build_the_pinned_formulas() {
+    use accel::Protection;
+    // (design, k, observable, [vars, clauses, learnt, conflicts, decisions,
+    // propagations])
+    let cases: [(&str, hdl::Design, u32, &str, [u64; 6]); 4] = [
+        (
+            "protected",
+            accel::protected(),
+            4,
+            "cfg_out",
+            [405, 990, 86, 104, 688, 10_354],
+        ),
+        (
+            "trojaned",
+            accel::trojaned(Protection::Full),
+            4,
+            "out_tag",
+            [20_214, 57_378, 0, 0, 1_105, 20_214],
+        ),
+        (
+            "baseline_annotated",
+            accel::baseline_annotated(),
+            4,
+            "cfg_out",
+            [351, 864, 0, 0, 95, 351],
+        ),
+        (
+            "baseline_annotated",
+            accel::baseline_annotated(),
+            3,
+            "dbg_out",
+            [106_315, 316_881, 0, 0, 1_239, 106_315],
+        ),
+    ];
+    for (name, design, k, obs, want) in cases {
+        let net = design.lower().expect("design lowers");
+        let report = prove_annotated(
+            &net,
+            &ProveOptions {
+                k,
+                targets: Some(vec![obs.into()]),
+                ..ProveOptions::default()
+            },
+        );
+        let s = report.stats;
+        let got = [
+            s.vars,
+            s.clauses,
+            s.learnt,
+            s.conflicts,
+            s.decisions,
+            s.propagations,
+        ];
+        assert_eq!(got, want, "{name}.{obs} at k={k}");
+    }
+}

@@ -327,19 +327,53 @@ impl Aig {
         acc
     }
 
-    /// Binary mux tree: selects `entries[addr]`. The entry list must have
-    /// exactly `2^addr_bits.len()` members.
+    /// Binary mux tree: selects `entries[addr % entries.len()]` at
+    /// `width` bits. The tree has `2^addr_bits.len()` leaves, so callers
+    /// bound the address width.
     pub fn bv_select(&mut self, entries: &[Bv], addr_bits: &[Lit], width: usize) -> Bv {
-        assert_eq!(entries.len(), 1 << addr_bits.len(), "select shape");
-        if addr_bits.is_empty() {
-            return self.bv_resize(&entries[0], width);
+        assert!(!entries.is_empty(), "select over no entries");
+        let mut out = vec![FALSE; width];
+        let mut scratch = vec![vec![FALSE; width]; addr_bits.len().saturating_sub(1)];
+        self.select_into(entries, 0, 1, addr_bits, &mut out, &mut scratch);
+        Bv(out)
+    }
+
+    /// The subtree of [`Aig::bv_select`] over the addresses `first,
+    /// first + stride, …`, written into `out`. Splits on the low address
+    /// bit — even subtree, then odd subtree, then the muxes bit by bit —
+    /// so every `and` call, and so every node id, follows one fixed order.
+    /// `scratch` holds one `width`-bit buffer per level below this one.
+    fn select_into(
+        &mut self,
+        entries: &[Bv],
+        first: usize,
+        stride: usize,
+        addr_bits: &[Lit],
+        out: &mut [Lit],
+        scratch: &mut [Vec<Lit>],
+    ) {
+        let entry = |a: usize| &entries[a % entries.len()];
+        match addr_bits {
+            [] => {
+                for (i, o) in out.iter_mut().enumerate() {
+                    *o = entry(first).bit(i);
+                }
+            }
+            &[s] => {
+                let (f, t) = (entry(first), entry(first + stride));
+                for (i, o) in out.iter_mut().enumerate() {
+                    *o = self.mux(s, t.bit(i), f.bit(i));
+                }
+            }
+            &[s, ref rest @ ..] => {
+                let (t, below) = scratch.split_first_mut().expect("one buffer per level");
+                self.select_into(entries, first, stride * 2, rest, out, below);
+                self.select_into(entries, first + stride, stride * 2, rest, t, below);
+                for (o, &t) in out.iter_mut().zip(t.iter()) {
+                    *o = self.mux(s, t, *o);
+                }
+            }
         }
-        // Split on the low bit: even addresses vs odd addresses.
-        let evens: Vec<Bv> = entries.iter().step_by(2).cloned().collect();
-        let odds: Vec<Bv> = entries.iter().skip(1).step_by(2).cloned().collect();
-        let f = self.bv_select(&evens, &addr_bits[1..], width);
-        let t = self.bv_select(&odds, &addr_bits[1..], width);
-        self.bv_mux(addr_bits[0], &t, &f, width)
     }
 
     /// Evaluates a literal under a model that assigns the *input nodes*
@@ -456,6 +490,76 @@ mod tests {
             let mut memo = vec![None; g.len()];
             assert_eq!(g.eval_bv(&sel, &model, &mut memo), want * 3);
         }
+    }
+
+    /// A splitmix-style bit of `(seed, n)`: a fixed pseudo-random model.
+    fn coin(seed: u64, n: u32) -> bool {
+        let mut z = seed ^ u64::from(n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) & 1 == 1
+    }
+
+    #[test]
+    fn strided_select_reads_every_address() {
+        // Entry width 3; results narrower, equal and wider. Even entries
+        // are constants, odd ones free variables.
+        for bits in 0..=6usize {
+            let mut g = Aig::new(1 << 20);
+            let entries: Vec<Bv> = (0..1u128 << bits)
+                .map(|v| {
+                    if v % 2 == 0 {
+                        g.bv_const(v * 5 + 3, 3)
+                    } else {
+                        g.bv_var(3)
+                    }
+                })
+                .collect();
+            let addr = g.bv_var(bits);
+            let addr_nodes: Vec<u32> = addr.0.iter().map(|&l| node_of(l)).collect();
+            for width in [2, 3, 5] {
+                let sel = g.bv_select(&entries, &addr.0, width);
+                assert_eq!(sel.width(), width);
+                for seed in 0..3u64 {
+                    for (a, entry) in entries.iter().enumerate() {
+                        let model = |n: u32| match addr_nodes.iter().position(|&x| x == n) {
+                            Some(i) => (a >> i) & 1 == 1,
+                            None => coin(seed, n),
+                        };
+                        let mut memo = vec![None; g.len()];
+                        let want = g.eval_bv(entry, &model, &mut memo) & ((1 << width) - 1);
+                        let got = g.eval_bv(&sel, &model, &mut memo);
+                        assert_eq!(got, want, "bits {bits} width {width} addr {a}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn select_wraps_addresses_modulo_the_entry_count() {
+        let mut g = Aig::new(1 << 20);
+        let entries: Vec<Bv> = (0..5u128).map(|v| g.bv_const(v + 10, 8)).collect();
+        let addr = g.bv_var(3);
+        let base = node_of(addr.0[0]);
+        let sel = g.bv_select(&entries, &addr.0, 8);
+        for a in 0..8u128 {
+            let model = move |n: u32| (a >> (n - base)) & 1 == 1;
+            let mut memo = vec![None; g.len()];
+            assert_eq!(g.eval_bv(&sel, &model, &mut memo), a % 5 + 10);
+        }
+    }
+
+    #[test]
+    fn repeated_select_adds_no_nodes() {
+        let mut g = Aig::new(1 << 20);
+        let entries: Vec<Bv> = (0..16).map(|_| g.bv_var(8)).collect();
+        let addr = g.bv_var(4);
+        let first = g.bv_select(&entries, &addr.0, 8);
+        let len = g.len();
+        let again = g.bv_select(&entries, &addr.0, 8);
+        assert_eq!(g.len(), len, "a repeated select only hits the hash");
+        assert_eq!(again, first);
     }
 
     #[test]

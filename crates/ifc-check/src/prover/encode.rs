@@ -303,6 +303,9 @@ pub struct Encoder<'n> {
     /// Shared havoc initial state, keyed by node / `(mem, cell)`.
     init_regs: HashMap<u32, Bv>,
     init_mems: HashMap<u32, Rc<Vec<Bv>>>,
+    /// Memoised memory reads, keyed by cell-vector identity, address
+    /// literals and width (see [`Encoder::mem_select`]).
+    selects: HashMap<(usize, Vec<Lit>, usize), Bv>,
 }
 
 impl<'n> Encoder<'n> {
@@ -327,6 +330,7 @@ impl<'n> Encoder<'n> {
             free: HashMap::new(),
             init_regs: HashMap::new(),
             init_mems: HashMap::new(),
+            selects: HashMap::new(),
         }
     }
 
@@ -487,23 +491,33 @@ impl<'n> Encoder<'n> {
     }
 
     /// Reads `cells[addr % depth]` as a mux tree.
-    fn mem_select(&mut self, cells: &[Bv], addr: &Bv, width: usize) -> Bv {
+    ///
+    /// Memoised on the cell vector's identity, the address literals and
+    /// the width. A repeated select would only hit the AIG's structural
+    /// hash and add no node, so a hit returns exactly the literals a
+    /// rebuild would. Every cell vector stays alive in `mems` or
+    /// `init_mems` for the encoder's lifetime, so no address is reused.
+    fn mem_select(&mut self, cells: &Rc<Vec<Bv>>, addr: &Bv, width: usize) -> Bv {
         let depth = cells.len();
         let w = addr.width();
-        if depth.is_power_of_two() {
-            let lb = depth.trailing_zeros() as usize;
-            if w >= lb {
-                return self.aig.bv_select(cells, &addr.0[..lb], width);
-            }
-            let reachable: Vec<Bv> = cells[..1 << w].to_vec();
-            return self.aig.bv_select(&reachable, &addr.0, width);
-        }
-        if w > MAX_ADDR_BITS {
+        // A power-of-two depth reads the low address bits (all of them
+        // when the port is narrower); any other depth enumerates every
+        // address the port can form, each wrapped modulo depth.
+        let used = if depth.is_power_of_two() {
+            &addr.0[..w.min(depth.trailing_zeros() as usize)]
+        } else if w > MAX_ADDR_BITS {
             self.aig.mark_overflow();
             return self.aig.bv_const(0, width);
+        } else {
+            &addr.0[..]
+        };
+        let key = (Rc::as_ptr(cells) as usize, used.to_vec(), width);
+        if let Some(bv) = self.selects.get(&key) {
+            return bv.clone();
         }
-        let entries: Vec<Bv> = (0..1usize << w).map(|a| cells[a % depth].clone()).collect();
-        self.aig.bv_select(&entries, &addr.0, width)
+        let bv = self.aig.bv_select(cells, used, width);
+        self.selects.insert(key, bv.clone());
+        bv
     }
 
     /// Memory contents at the *start* of `cycle`.
@@ -514,6 +528,9 @@ impl<'n> Encoder<'n> {
         }
         let cells = if cycle == 0 {
             self.init_mem_cells(mem)
+        } else if !self.net.write_ports.iter().any(|wp| wp.mem == mem) {
+            // Nothing writes it (a ROM): every cycle shares one state.
+            self.mem_state(cycle - 1, copy, mem)
         } else {
             let prev = self.mem_state(cycle - 1, copy, mem);
             let mut cells: Vec<Bv> = prev.as_ref().clone();
@@ -561,7 +578,7 @@ impl<'n> Encoder<'n> {
             Node::MemRead { mem, addr } => {
                 let addr_v = self.value(cycle, copy, addr);
                 let cells = self.mem_state(cycle, copy, mem);
-                self.mem_select(cells.as_ref(), &addr_v, w)
+                self.mem_select(&cells, &addr_v, w)
             }
             Node::Unary { op, a } => {
                 let av = self.value(cycle, copy, a);
@@ -781,5 +798,44 @@ impl<'n> Encoder<'n> {
             }
         }
         acc
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hdl::ModuleBuilder;
+
+    #[test]
+    fn unwritten_memory_shares_its_state_across_cycles() {
+        let mut m = ModuleBuilder::new("rom_and_ram");
+        let addr = m.input("addr", 2);
+        let data = m.input("data", 8);
+        let rom = m.mem("rom", 8, 4, vec![7, 1, 9, 4]);
+        let ram = m.mem("ram", 8, 4, Vec::new());
+        let r = m.mem_read(rom, addr);
+        let q = m.mem_read(ram, addr);
+        m.mem_write(ram, addr, data);
+        let x = m.xor(r, q);
+        m.output("out", x);
+        let net = m.finish().lower().expect("design lowers");
+        let mem_id = |name: &str| {
+            net.node_ids()
+                .find_map(|id| match *net.node(id) {
+                    Node::MemRead { mem, .. } if net.mems[mem.index()].name == name => Some(mem),
+                    _ => None,
+                })
+                .expect("memory is read")
+        };
+        let (rom, ram) = (mem_id("rom"), mem_id("ram"));
+        let mut enc = Encoder::new(&net, ProveEnv::new(), 1 << 20, false);
+        for copy in [COPY_A, COPY_B] {
+            let rom0 = enc.mem_state(0, copy, rom);
+            let ram0 = enc.mem_state(0, copy, ram);
+            for cycle in 1..6 {
+                assert!(Rc::ptr_eq(&enc.mem_state(cycle, copy, rom), &rom0));
+                assert!(!Rc::ptr_eq(&enc.mem_state(cycle, copy, ram), &ram0));
+            }
+        }
     }
 }

@@ -26,8 +26,6 @@ pub mod encode;
 pub mod sat;
 pub mod witness;
 
-use std::collections::HashMap;
-
 use hdl::{Netlist, Value};
 use telemetry::Json;
 
@@ -250,40 +248,47 @@ fn program_json(program: &PortProgram) -> Json {
     )
 }
 
+/// Marks an AIG node outside the encoded cone in the [`tseitin`] map.
+const UNMAPPED: u32 = u32::MAX;
+
 /// Tseitin-encodes the cone of `miter` into `solver`, returning the
-/// AIG-node → SAT-variable map. `miter` must not be constant.
-fn tseitin(aig: &Aig, miter: Lit, solver: &mut Solver) -> HashMap<u32, u32> {
-    let mut map: HashMap<u32, u32> = HashMap::new();
+/// AIG-node → SAT-variable map, indexed by node ([`UNMAPPED`] outside
+/// the cone). `miter` must not be constant.
+fn tseitin(aig: &Aig, miter: Lit, solver: &mut Solver) -> Vec<u32> {
+    let mut map = vec![UNMAPPED; aig.len()];
+    // At most one variable per node, three clauses per AND plus the two
+    // units (constant node and miter).
+    solver.reserve(aig.len(), 3 * aig.len() + 2);
     let mut stack = vec![node_of(miter)];
     while let Some(&n) = stack.last() {
-        if map.contains_key(&n) {
+        if map[n as usize] != UNMAPPED {
             stack.pop();
             continue;
         }
         if n == 0 {
             let v = solver.new_var();
             solver.add_clause(&[slit(v, false)]);
-            map.insert(0, v);
+            map[0] = v;
             stack.pop();
             continue;
         }
         if aig.is_input(n) {
-            map.insert(n, solver.new_var());
+            map[n as usize] = solver.new_var();
             stack.pop();
             continue;
         }
         let (a, b) = aig.and_operands(n).expect("non-input node is an AND");
         let (na, nb) = (node_of(a), node_of(b));
-        let (ma, mb) = (map.get(&na).copied(), map.get(&nb).copied());
-        let (Some(va), Some(vb)) = (ma, mb) else {
-            if ma.is_none() {
+        let (va, vb) = (map[na as usize], map[nb as usize]);
+        if va == UNMAPPED || vb == UNMAPPED {
+            if va == UNMAPPED {
                 stack.push(na);
             }
-            if mb.is_none() {
+            if vb == UNMAPPED {
                 stack.push(nb);
             }
             continue;
-        };
+        }
         let v = solver.new_var();
         let la = slit(va, is_neg(a));
         let lb = slit(vb, is_neg(b));
@@ -291,10 +296,10 @@ fn tseitin(aig: &Aig, miter: Lit, solver: &mut Solver) -> HashMap<u32, u32> {
         solver.add_clause(&[sat::neg(ln), la]);
         solver.add_clause(&[sat::neg(ln), lb]);
         solver.add_clause(&[ln, sat::neg(la), sat::neg(lb)]);
-        map.insert(n, v);
+        map[n as usize] = v;
         stack.pop();
     }
-    let m = slit(map[&node_of(miter)], is_neg(miter));
+    let m = slit(map[node_of(miter) as usize], is_neg(miter));
     solver.add_clause(&[m]);
     map
 }
@@ -447,7 +452,10 @@ fn prove_one(
             reason: format!("conflict budget ({}) exhausted", opts.max_conflicts),
         },
         SolveResult::Sat => {
-            let model = move |n: u32| map.get(&n).is_some_and(|&v| solver.value(v));
+            let model = move |n: u32| {
+                let v = map[n as usize];
+                v != UNMAPPED && solver.value(v)
+            };
             let mut memo = vec![None; enc.aig.len()];
             let cycle = diffs
                 .iter()

@@ -210,6 +210,23 @@ impl Solver {
         }
     }
 
+    /// Reserves exact room for `vars` more variables and `clauses` more
+    /// clauses, so a caller that knows its formula's size up front skips
+    /// the doubling reallocations (and the heap holes they leave behind).
+    pub(crate) fn reserve(&mut self, vars: usize, clauses: usize) {
+        self.assign.reserve_exact(vars);
+        self.level.reserve_exact(vars);
+        self.reason.reserve_exact(vars);
+        self.activity.reserve_exact(vars);
+        self.phase.reserve_exact(vars);
+        self.seen.reserve_exact(vars);
+        self.watches.reserve_exact(2 * vars);
+        self.heap.heap.reserve_exact(vars);
+        self.heap.pos.reserve_exact(vars);
+        self.trail.reserve_exact(vars);
+        self.clauses.reserve_exact(clauses);
+    }
+
     /// A fresh variable.
     pub fn new_var(&mut self) -> u32 {
         let v = self.assign.len() as u32;
