@@ -47,16 +47,18 @@ struct Ports {
     alloc_cell: NodeId,
     alloc_tag: NodeId,
     cfg_we: NodeId,
+    cfg_data: NodeId,
+    cfg_wr_tag: NodeId,
+    dbg_sel: NodeId,
     out_ready: NodeId,
 }
 
 /// One lane's port activity for one [`BatchedDriver::step`] cycle.
 ///
-/// The whole-batch helpers ([`BatchedDriver::alloc_cell`],
-/// [`BatchedDriver::write_key_cell`], [`BatchedDriver::try_submit_each`])
-/// drive every lane through the same protocol phase; `LaneAction` lets
-/// each lane be in a *different* phase on the same cycle, which is what
-/// live lane refill in the accelerator farm needs.
+/// Each lane may be in a *different* protocol phase on the same cycle,
+/// which is what live lane refill in the accelerator farm needs; the
+/// whole-batch helpers ([`BatchedDriver::load_keys`] and the fleet's
+/// session loop) are sequences of `step`s.
 #[derive(Debug, Clone)]
 pub enum LaneAction {
     /// Hold this lane's inputs cleared for the cycle.
@@ -85,6 +87,23 @@ pub enum LaneAction {
         req: Request,
         /// Decrypt instead of encrypt.
         decrypt: bool,
+    },
+    /// Write the configuration register as `writer` (only the writer's
+    /// integrity travels with the data, exactly as in
+    /// [`AccelDriver::write_cfg`](crate::driver::AccelDriver::write_cfg)).
+    WriteCfg {
+        /// New register value.
+        value: u8,
+        /// Writer principal.
+        writer: Label,
+    },
+    /// Drive the debug-port selector for the cycle. Whether the reader
+    /// may see `dbg_out` is the SoC interconnect's decision
+    /// ([`debug_port_admits`](crate::driver::debug_port_admits)), not
+    /// the hardware's.
+    ReadDebug {
+        /// Debug probe selector.
+        sel: u32,
     },
 }
 
@@ -159,6 +178,9 @@ impl BatchedDriver {
             alloc_cell: inp("alloc_cell"),
             alloc_tag: inp("alloc_tag"),
             cfg_we: inp("cfg_we"),
+            cfg_data: inp("cfg_data"),
+            cfg_wr_tag: inp("cfg_wr_tag"),
+            dbg_sel: inp("dbg_sel"),
             out_ready: inp("out_ready"),
         };
         let lanes = sim.lanes();
@@ -276,53 +298,6 @@ impl BatchedDriver {
         }
     }
 
-    /// Allocates scratchpad `cell` to a per-lane owner on every lane
-    /// (retags and wipes the cell). One cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `owners` does not hold one label per lane.
-    pub fn alloc_cell(&mut self, cell: usize, owners: &[Label]) {
-        assert_eq!(owners.len(), self.lanes(), "one owner per lane");
-        self.clear_cycle_inputs();
-        let p = self.ports;
-        for (lane, owner) in owners.iter().enumerate() {
-            self.sim.set_node(lane, p.alloc_we, 1);
-            self.sim.set_node(lane, p.alloc_cell, cell as u128);
-            self.sim.set_node(
-                lane,
-                p.alloc_tag,
-                u128::from(SecurityTag::from(*owner).bits()),
-            );
-        }
-        self.finish_cycle();
-    }
-
-    /// Writes one 64-bit scratchpad cell with per-lane data and writer.
-    /// One cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` or `writers` does not hold one entry per lane.
-    pub fn write_key_cell(&mut self, cell: usize, data: &[u64], writers: &[Label]) {
-        assert_eq!(data.len(), self.lanes(), "one data word per lane");
-        assert_eq!(writers.len(), self.lanes(), "one writer per lane");
-        self.clear_cycle_inputs();
-        let p = self.ports;
-        for lane in 0..self.lanes() {
-            self.sim.set_node(lane, p.key_we, 1);
-            self.sim.set_node(lane, p.key_cell, cell as u128);
-            self.sim.set_node(lane, p.key_data, u128::from(data[lane]));
-            self.sim.set_node_label(lane, p.key_data, writers[lane]);
-            self.sim.set_node(
-                lane,
-                p.key_wr_tag,
-                u128::from(SecurityTag::from(writers[lane]).bits()),
-            );
-        }
-        self.finish_cycle();
-    }
-
     /// Allocates and loads a full per-lane 128-bit key into `slot` (four
     /// cycles plus the decrypt-key preparation idle, exactly like
     /// [`AccelDriver::load_key`](crate::driver::AccelDriver::load_key)).
@@ -341,36 +316,42 @@ impl BatchedDriver {
                 "only the supervisor may touch the master-key slot"
             );
         }
-        let hi: Vec<u64> = keys
-            .iter()
-            .map(|k| u64::from_be_bytes(k[..8].try_into().expect("8 bytes")))
-            .collect();
-        let lo: Vec<u64> = keys
-            .iter()
-            .map(|k| u64::from_be_bytes(k[8..].try_into().expect("8 bytes")))
-            .collect();
-        self.alloc_cell(2 * slot, owners);
-        self.alloc_cell(2 * slot + 1, owners);
-        self.write_key_cell(2 * slot, &hi, owners);
-        self.write_key_cell(2 * slot + 1, &lo, owners);
+        let mut accepted = vec![false; self.lanes()];
+        for cell in [2 * slot, 2 * slot + 1] {
+            let allocs: Vec<LaneAction> = owners
+                .iter()
+                .map(|&owner| LaneAction::Alloc { cell, owner })
+                .collect();
+            self.step(&allocs, &mut accepted);
+        }
+        for (cell, half) in [(2 * slot, 0..8), (2 * slot + 1, 8..16)] {
+            let writes: Vec<LaneAction> = keys
+                .iter()
+                .zip(owners)
+                .map(|(key, &writer)| LaneAction::WriteKey {
+                    cell,
+                    data: u64::from_be_bytes(key[half.clone()].try_into().expect("8 bytes")),
+                    writer,
+                })
+                .collect();
+            self.step(&writes, &mut accepted);
+        }
         // Let every lane's decrypt-key preparation unit finish expanding
         // RK10 before the key is used.
         self.idle(14);
     }
 
     /// Advances one cycle with an independent port action per lane — the
-    /// farm's lane engine uses this to interleave phases across lanes
-    /// (one lane allocating its key cells while its neighbours keep
-    /// submitting blocks), which the whole-batch helpers above cannot
-    /// express.
+    /// one port-driving path of the driver. The farm's lane engine uses
+    /// it to interleave phases across lanes (one lane allocating its key
+    /// cells while its neighbours keep submitting blocks).
     ///
     /// Acceptance is reported per lane in `accepted`: `true` only for a
     /// [`LaneAction::Submit`] the input handshake took this cycle.
     /// Alloc/write actions always land (the arbiter's *security*
     /// decision shows up in the tag planes, not a handshake); policy
     /// checks such as the master-slot supervisor rule are the caller's
-    /// admission layer, exactly as with
-    /// [`alloc_cell`](Self::alloc_cell)/[`write_key_cell`](Self::write_key_cell).
+    /// admission layer.
     ///
     /// # Panics
     ///
@@ -417,6 +398,20 @@ impl BatchedDriver {
                     );
                     self.sim.set_node(lane, p.in_key_slot, req.key_slot as u128);
                 }
+                LaneAction::WriteCfg { value, writer } => {
+                    let label = Label::new(Label::PUBLIC_TRUSTED.conf, writer.integ);
+                    self.sim.set_node(lane, p.cfg_we, 1);
+                    self.sim.set_node(lane, p.cfg_data, u128::from(*value));
+                    self.sim.set_node_label(lane, p.cfg_data, label);
+                    self.sim.set_node(
+                        lane,
+                        p.cfg_wr_tag,
+                        u128::from(SecurityTag::from(label).bits()),
+                    );
+                }
+                LaneAction::ReadDebug { sel } => {
+                    self.sim.set_node(lane, p.dbg_sel, u128::from(*sel));
+                }
             }
         }
         for (lane, action) in actions.iter().enumerate() {
@@ -424,45 +419,6 @@ impl BatchedDriver {
             let LaneAction::Submit { req, .. } = action else {
                 continue;
             };
-            if self.sim.peek_node(lane, self.ports.in_ready) == 1 {
-                self.pending[lane].push_back(Pending {
-                    submitted: self.sim.cycle(),
-                    user: req.user,
-                });
-                accepted[lane] = true;
-            }
-        }
-        self.finish_cycle();
-    }
-
-    /// Tries to submit one request per lane this cycle (`None` lanes
-    /// idle). Writes per-lane acceptance into `accepted`; a refused
-    /// lane's request must be retried next cycle. Consumes one cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reqs` or `accepted` does not hold one entry per lane.
-    pub fn try_submit_each(&mut self, reqs: &[Option<Request>], accepted: &mut [bool]) {
-        assert_eq!(reqs.len(), self.lanes(), "one request slot per lane");
-        assert_eq!(accepted.len(), self.lanes(), "one flag per lane");
-        self.clear_cycle_inputs();
-        let p = self.ports;
-        for (lane, req) in reqs.iter().enumerate() {
-            let Some(req) = req else { continue };
-            self.sim.set_node(lane, p.in_valid, 1);
-            self.sim
-                .set_node(lane, p.in_block, block_to_u128(req.block));
-            self.sim.set_node_label(lane, p.in_block, req.user);
-            self.sim.set_node(
-                lane,
-                p.in_tag,
-                u128::from(SecurityTag::from(req.user).bits()),
-            );
-            self.sim.set_node(lane, p.in_key_slot, req.key_slot as u128);
-        }
-        for (lane, req) in reqs.iter().enumerate() {
-            accepted[lane] = false;
-            let Some(req) = req else { continue };
             if self.sim.peek_node(lane, self.ports.in_ready) == 1 {
                 self.pending[lane].push_back(Pending {
                     submitted: self.sim.cycle(),

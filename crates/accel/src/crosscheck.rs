@@ -2,8 +2,8 @@
 //!
 //! Statically, [`ifc_check::dataflow::bound_plane`] claims a per-wire
 //! upper bound on every label the runtime tag planes can ever hold. This
-//! module drives seeded accelerator sessions on the interpreting,
-//! compiled, and lane-batched simulators across the tracking modes, folds
+//! module drives seeded accelerator sessions on the interpreting oracle
+//! and the lane-batched tape engine across the tracking modes, folds
 //! the runtime tag planes they produce into an
 //! [`ObservedPlane`](ifc_check::ObservedPlane), and diffs the result
 //! against the static bound. Any wire where the static bound sits *below*
@@ -14,18 +14,18 @@
 use hdl::Netlist;
 use ifc_check::dataflow::{bound_plane, crosscheck_findings, Finding, LintConfig, ObservedPlane};
 use ifc_lattice::Label;
-use sim::{CompiledSim, SimBackend, Simulator, TrackMode};
+use sim::TrackMode;
 
-use crate::batch::BatchedDriver;
+use crate::batch::{BatchedDriver, LaneAction};
 use crate::driver::{AccelDriver, Request};
-use crate::fleet::block_from;
+use crate::fleet::{block_from, submit_next};
 use crate::params::{supervisor_label, user_label};
 
 /// The per-session key derivation salt [`crate::fleet::run_session`] uses,
 /// so cross-check sessions exercise the same key material the fleet does.
 const KEY_SALT: u64 = 0x4b45_5953;
 
-fn fold<B: SimBackend>(driver: &mut AccelDriver<B>, plane: &mut ObservedPlane) {
+fn fold(driver: &mut AccelDriver, plane: &mut ObservedPlane) {
     let sim = driver.sim_mut();
     sim.fold_label_plane(&mut plane.nodes);
     sim.fold_mem_labels(&mut plane.mems);
@@ -36,8 +36,8 @@ fn fold<B: SimBackend>(driver: &mut AccelDriver<B>, plane: &mut ObservedPlane) {
 /// per-cycle tag-plane sample, and probe the debug port — touching every
 /// labelled region of the design while the plane records what the runtime
 /// tags actually reached.
-fn observe_session<B: SimBackend>(
-    driver: &mut AccelDriver<B>,
+fn observe_session(
+    driver: &mut AccelDriver,
     plane: &mut ObservedPlane,
     user: Label,
     seed: u64,
@@ -67,12 +67,13 @@ fn observe_session<B: SimBackend>(
     fold(driver, plane);
 }
 
-/// Folds the observed tag plane from `sessions` seeded sessions on
-/// backend `B` in tracking mode `mode`, `blocks` encryptions each.
+/// Folds the observed tag plane from `sessions` seeded sessions on the
+/// interpreting oracle in tracking mode `mode`, `blocks` encryptions
+/// each.
 /// Deterministic in `base_seed`; sessions rotate through the SoC's user
 /// levels.
 #[must_use]
-pub fn observe_sessions<B: SimBackend>(
+pub fn observe_sessions(
     net: &Netlist,
     mode: TrackMode,
     sessions: usize,
@@ -81,7 +82,7 @@ pub fn observe_sessions<B: SimBackend>(
 ) -> ObservedPlane {
     let mut plane = ObservedPlane::new(net);
     for s in 0..sessions {
-        let mut driver = AccelDriver::<B>::from_netlist_on(net.clone(), mode);
+        let mut driver = AccelDriver::from_netlist(net.clone(), mode);
         observe_session(
             &mut driver,
             &mut plane,
@@ -123,18 +124,14 @@ pub fn observe_lanes(
     fold_batched(&mut driver, &mut plane);
 
     let mut next = vec![0usize; lanes];
-    let mut reqs: Vec<Option<Request>> = vec![None; lanes];
+    let mut actions = vec![LaneAction::Idle; lanes];
     let mut accepted = vec![false; lanes];
     let mut guard = 0u32;
     while next.iter().any(|&n| n < blocks) {
         for l in 0..lanes {
-            reqs[l] = (next[l] < blocks).then(|| Request {
-                block: block_from(seeds[l], next[l] as u64),
-                key_slot: 0,
-                user: users[l],
-            });
+            actions[l] = submit_next(next[l], blocks, seeds[l], users[l]);
         }
-        driver.try_submit_each(&reqs, &mut accepted);
+        driver.step(&actions, &mut accepted);
         for l in 0..lanes {
             if accepted[l] {
                 next[l] += 1;
@@ -166,7 +163,7 @@ pub struct CrosscheckOutcome {
 }
 
 /// Runs the full pass-4 campaign on a netlist: seeded sessions on the
-/// interpreting, compiled, and lane-batched backends, across the `Off`,
+/// interpreting oracle and the lane-batched engine, across the `Off`,
 /// `Conservative`, and `Precise` tracking modes, then diffs the merged
 /// observed plane against the static bound plane.
 #[must_use]
@@ -178,8 +175,8 @@ pub fn crosscheck_campaign(net: &Netlist, seed: u64, cfg: &LintConfig) -> Crossc
         .enumerate()
     {
         let m = seed ^ ((i as u64 + 1) << 32);
-        observed.merge(&observe_sessions::<Simulator>(net, mode, 1, 2, m));
-        observed.merge(&observe_sessions::<CompiledSim>(net, mode, 2, 3, m ^ 0xc0));
+        observed.merge(&observe_sessions(net, mode, 1, 2, m));
+        observed.merge(&observe_sessions(net, mode, 2, 3, m ^ 0xc0));
         sessions += 3;
         if mode != TrackMode::Off {
             observed.merge(&observe_lanes(net, mode, 4, 2, m ^ 0xba));

@@ -2,15 +2,18 @@
 //!
 //! [`AccelDriver`] hides the port-level protocol: allocate scratchpad
 //! cells, load keys, submit encryption requests, and observe cycle-stamped
-//! responses. It is the shared substrate for the integration tests, the
-//! attack library, and the benchmark harness.
+//! responses. It runs on the interpreting [`Simulator`] oracle and is the
+//! shared substrate for the integration tests, the attack library, and
+//! the differential suites that pin the tape engine's
+//! [`BatchedDriver`](crate::batch::BatchedDriver) to it.
+//! [`debug_port_admits`] is the SoC debug-port gate both drivers share.
 
 use std::collections::VecDeque;
 
 use aes_core::{block_to_u128, u128_to_block};
 use hdl::Design;
 use ifc_lattice::{Label, SecurityTag};
-use sim::{RuntimeViolation, SimBackend, Simulator, TrackMode};
+use sim::{RuntimeViolation, Simulator, TrackMode};
 
 use crate::build::{baseline, protected, Protection};
 use crate::params::MASTER_KEY_SLOT;
@@ -58,17 +61,13 @@ pub(crate) struct Pending {
     pub(crate) user: Label,
 }
 
-/// Drives a simulated accelerator at the transaction level.
-///
-/// Generic over the simulation backend: the default [`Simulator`] is the
-/// interpreting reference engine; instantiate with
-/// [`CompiledSim`](sim::CompiledSim) (via
-/// [`from_design_on`](Self::from_design_on) /
-/// [`new_on`](Self::new_on)) for the compiled-tape throughput engine.
-/// All transaction-level behaviour is identical across backends.
+/// Drives a simulated accelerator at the transaction level on the
+/// interpreting [`Simulator`], the reference oracle. The lane-batched
+/// tape engine has the same protocol in
+/// [`BatchedDriver`](crate::batch::BatchedDriver).
 #[derive(Debug)]
-pub struct AccelDriver<B: SimBackend = Simulator> {
-    sim: B,
+pub struct AccelDriver {
+    sim: Simulator,
     pending: VecDeque<Pending>,
     /// Completed encryptions, in order.
     pub responses: Vec<Response>,
@@ -77,54 +76,42 @@ pub struct AccelDriver<B: SimBackend = Simulator> {
     receiver_ready: bool,
 }
 
+/// The SoC interconnect's debug-port gate: the interconnect routes
+/// `dbg_out` only to principals cleared for the port's confidentiality
+/// level. The level is the port's constant release label; a port without
+/// one counts as public.
+#[must_use]
+pub fn debug_port_admits(net: &hdl::Netlist, reader: Label) -> bool {
+    let port_label = net
+        .outputs
+        .iter()
+        .find(|p| p.name == "dbg_out")
+        .and_then(|p| match &p.label {
+            Some(hdl::LabelExpr::Const(l)) => Some(*l),
+            _ => None,
+        })
+        .unwrap_or(Label::PUBLIC_UNTRUSTED);
+    port_label.conf.flows_to(reader.conf)
+}
+
 impl AccelDriver {
-    /// Wraps an already-built accelerator design using the interpreting
-    /// [`Simulator`] backend.
+    /// Wraps an already-built accelerator design.
     ///
     /// # Panics
     ///
     /// Panics if the design fails to lower (the shipped designs never do).
     #[must_use]
     pub fn from_design(design: &Design, mode: TrackMode) -> AccelDriver {
-        AccelDriver::from_design_on(design, mode)
-    }
-
-    /// Builds and wraps a fresh design at the given protection level, with
-    /// mux-precise runtime tracking (what the protected hardware's
-    /// tracking logic implements).
-    #[must_use]
-    pub fn new(protection: Protection) -> AccelDriver {
-        AccelDriver::new_on(protection)
-    }
-}
-
-impl<B: SimBackend> AccelDriver<B> {
-    /// Wraps an already-built accelerator design on an explicit backend,
-    /// e.g. `AccelDriver::<CompiledSim>::from_design_on(&design, mode)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the design fails to lower (the shipped designs never do).
-    #[must_use]
-    pub fn from_design_on(design: &Design, mode: TrackMode) -> AccelDriver<B> {
         let net = design.lower().expect("accelerator design lowers");
-        AccelDriver::from_netlist_on(net, mode)
+        AccelDriver::from_netlist(net, mode)
     }
 
-    /// Wraps an already-lowered netlist on an explicit backend. Lowering
-    /// is the expensive part of construction, so fleets of identical
-    /// sessions lower once and hand each driver a clone of the netlist.
+    /// Wraps an already-lowered netlist. Lowering is the expensive part
+    /// of construction, so callers running many identical sessions lower
+    /// once and hand each driver a clone of the netlist.
     #[must_use]
-    pub fn from_netlist_on(net: hdl::Netlist, mode: TrackMode) -> AccelDriver<B> {
-        AccelDriver::from_backend(B::from_netlist(net, mode))
-    }
-
-    /// Wraps an already-constructed backend. For compiled backends even
-    /// netlist lowering can be skipped: a fleet builds one prototype
-    /// backend (compiling the tape once) and hands each driver a clone,
-    /// which costs only the session's state arrays.
-    #[must_use]
-    pub fn from_backend(mut sim: B) -> AccelDriver<B> {
+    pub fn from_netlist(net: hdl::Netlist, mode: TrackMode) -> AccelDriver {
+        let mut sim = Simulator::with_tracking(net, mode);
         // The factory-provisioned master key in scratchpad cells 6/7
         // carries the (⊤,⊤) label from power-on.
         if let Some(mem) = sim.mem_index("scratchpad.cells") {
@@ -140,26 +127,27 @@ impl<B: SimBackend> AccelDriver<B> {
         }
     }
 
-    /// Builds and wraps a fresh design at the given protection level on an
-    /// explicit backend, with mux-precise runtime tracking.
+    /// Builds and wraps a fresh design at the given protection level, with
+    /// mux-precise runtime tracking (what the protected hardware's
+    /// tracking logic implements).
     #[must_use]
-    pub fn new_on(protection: Protection) -> AccelDriver<B> {
+    pub fn new(protection: Protection) -> AccelDriver {
         let design = match protection {
             Protection::Full => protected(),
             Protection::Off => baseline(),
             Protection::Annotated => crate::build::baseline_annotated(),
         };
-        AccelDriver::from_design_on(&design, TrackMode::Precise)
+        AccelDriver::from_design(&design, TrackMode::Precise)
     }
 
     /// The wrapped simulator (for assertions on labels and violations).
-    pub fn sim_mut(&mut self) -> &mut B {
+    pub fn sim_mut(&mut self) -> &mut Simulator {
         &mut self.sim
     }
 
     /// Shared view of the wrapped simulator.
     #[must_use]
-    pub fn sim(&self) -> &B {
+    pub fn sim(&self) -> &Simulator {
         &self.sim
     }
 
@@ -389,31 +377,14 @@ impl<B: SimBackend> AccelDriver<B> {
     }
 
     /// Reads the debug port at `sel` on behalf of `reader`. Returns the
-    /// probed value if the SoC access gate (the port's confidentiality
-    /// versus the reader's clearance) permits it.
+    /// probed value if the SoC access gate ([`debug_port_admits`])
+    /// permits it.
     pub fn read_debug(&mut self, sel: u32, reader: Label) -> Option<[u8; 16]> {
         self.clear_cycle_inputs();
         self.sim.set("dbg_sel", u128::from(sel));
-        let port_label = self
-            .sim
-            .netlist()
-            .outputs
-            .iter()
-            .find(|p| p.name == "dbg_out")
-            .and_then(|p| match &p.label {
-                Some(hdl::LabelExpr::Const(l)) => Some(*l),
-                _ => None,
-            })
-            .unwrap_or(Label::PUBLIC_UNTRUSTED);
         let value = self.sim.peek("dbg_out");
         self.finish_cycle();
-        // The SoC interconnect only routes a port to principals cleared
-        // for its confidentiality level.
-        if port_label.conf.flows_to(reader.conf) {
-            Some(u128_to_block(value))
-        } else {
-            None
-        }
+        debug_port_admits(self.sim.netlist(), reader).then(|| u128_to_block(value))
     }
 
     /// Number of in-flight requests.

@@ -3,28 +3,26 @@
 //! An SoC deployment of the accelerator serves many mutually distrusting
 //! principals at once; for simulation-based evaluation the natural way to
 //! scale is *sessions*, not cycles: N fully independent accelerator
-//! instances, each with its own keys and request stream, running on N OS
-//! threads. Netlist lowering happens once; every session receives a clone
-//! of the lowered netlist and builds its own simulation backend
-//! ([`Simulator`](sim::Simulator) or the compiled tape backend
-//! [`CompiledSim`](sim::CompiledSim) — the harness is generic over
-//! [`SimBackend`]).
+//! instances, each with its own keys and request stream. The netlist is
+//! lowered and compiled once; sessions run as lanes of
+//! [`BatchedSim`] batches on a bounded worker pool.
 //!
-//! [`run_fleet`] drives a deterministic encrypt workload through every
-//! session, checks each ciphertext against the software AES oracle, and
-//! aggregates per-session statistics. The benchmark suite uses it to
-//! measure 1-vs-N-session scaling for both backends.
+//! [`run_fleet_batched`] drives a deterministic encrypt workload through
+//! every session, checks each ciphertext against the software AES oracle,
+//! and aggregates per-session statistics. [`run_session`] runs the same
+//! workload on one [`AccelDriver`] (the interpreting oracle), and
+//! [`run_lane_sessions`] on the lanes of one [`BatchedDriver`]; per-lane
+//! results match the oracle's exactly.
 
 use aes_core::Aes;
 use hdl::Netlist;
 use ifc_lattice::Label;
-use sim::{BatchedSim, OptConfig, RuntimeViolation, SimBackend, TrackMode, SUPPORTED_LANES};
+use sim::{BatchedSim, OptConfig, RuntimeViolation, TrackMode, SUPPORTED_LANES};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
-use crate::batch::BatchedDriver;
-use crate::build::{protected, Protection};
+use crate::batch::{BatchedDriver, LaneAction};
 use crate::driver::{AccelDriver, Request};
 use crate::params::user_label;
 
@@ -184,8 +182,8 @@ pub fn block_from(seed: u64, i: u64) -> [u8; 16] {
 /// Runs one session's workload on an existing driver: load a key, submit
 /// `blocks` encryptions under `user`, drain, and verify every ciphertext
 /// against the software oracle.
-pub fn run_session<B: SimBackend>(
-    driver: &mut AccelDriver<B>,
+pub fn run_session(
+    driver: &mut AccelDriver,
     blocks: usize,
     user: Label,
     seed: u64,
@@ -230,45 +228,22 @@ fn worker_count(items: usize) -> usize {
         .max(1)
 }
 
-/// Runs `config.sessions` independent accelerator instances on backend
-/// `B`, on a bounded worker pool.
-///
-/// The netlist is lowered and compiled **once**: every session's driver
-/// wraps a clone of one prototype backend, so for the compiled backends a
-/// session costs only its own state arrays, not a recompilation of the
-/// tape. Workers are clamped to [`std::thread::available_parallelism`]
-/// and claim sessions from a shared counter, so the pool stays fully
-/// busy without oversubscribing the host.
-///
-/// Sessions stay fully isolated — separate simulator state, separate key
-/// material — so this measures how simulation throughput scales with
-/// independent instances, the deployment shape of a multi-tenant SoC
-/// evaluation.
+/// Lane action for a session's `next`-th block of `blocks`: submit it
+/// (the plaintext stream derived from `seed` exactly as [`run_session`]
+/// derives it), or idle once every block is in.
 #[must_use]
-pub fn run_fleet_on_netlist<B: SimBackend + Clone + Send + Sync>(
-    net: &Netlist,
-    config: FleetConfig,
-) -> FleetStats {
-    let prototype = B::from_netlist(net.clone(), config.mode);
-    let next = AtomicUsize::new(0);
-    let results = Mutex::new(vec![SessionStats::default(); config.sessions]);
-    thread::scope(|s| {
-        for _ in 0..worker_count(config.sessions) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= config.sessions {
-                    break;
-                }
-                let mut driver = AccelDriver::from_backend(prototype.clone());
-                let user = user_label(i % 4);
-                let seed = mix(config.seed ^ (i as u64) << 8);
-                let stats = run_session(&mut driver, config.blocks_per_session, user, seed);
-                results.lock().expect("no poisoned sessions")[i] = stats;
-            });
+pub fn submit_next(next: usize, blocks: usize, seed: u64, user: Label) -> LaneAction {
+    if next < blocks {
+        LaneAction::Submit {
+            req: Request {
+                block: block_from(seed, next as u64),
+                key_slot: 0,
+                user,
+            },
+            decrypt: false,
         }
-    });
-    FleetStats {
-        sessions: results.into_inner().expect("no poisoned sessions"),
+    } else {
+        LaneAction::Idle
     }
 }
 
@@ -296,18 +271,14 @@ pub fn run_lane_sessions(
     driver.load_keys(0, &keys, users);
 
     let mut next = vec![0usize; lanes];
-    let mut reqs: Vec<Option<Request>> = vec![None; lanes];
+    let mut actions = vec![LaneAction::Idle; lanes];
     let mut accepted = vec![false; lanes];
     let mut stalled = 0u32;
     while next.iter().any(|&n| n < blocks) {
         for l in 0..lanes {
-            reqs[l] = (next[l] < blocks).then(|| Request {
-                block: block_from(seeds[l], next[l] as u64),
-                key_slot: 0,
-                user: users[l],
-            });
+            actions[l] = submit_next(next[l], blocks, seeds[l], users[l]);
         }
-        driver.try_submit_each(&reqs, &mut accepted);
+        driver.step(&actions, &mut accepted);
         let mut any = false;
         for l in 0..lanes {
             if accepted[l] {
@@ -346,9 +317,9 @@ pub fn run_lane_sessions(
 /// shared by every batch, and a bounded worker pool claims batches.
 ///
 /// Per-lane observable results (responses, rejections, violations,
-/// verification) match [`run_fleet_on_netlist`] for the same
-/// configuration; only the throughput differs, because one tape pass
-/// advances a whole batch.
+/// verification, cycles) match [`run_session`] on a fresh
+/// [`AccelDriver`] with the same user and seed; only the throughput
+/// differs, because one tape pass advances a whole batch.
 #[must_use]
 pub fn run_fleet_batched(net: &Netlist, config: FleetConfig) -> FleetStats {
     run_fleet_batched_opt(net, config, &OptConfig::none())
@@ -395,10 +366,25 @@ pub fn plan_batches(sessions: usize, workers: usize) -> Vec<(usize, usize)> {
 /// the prototype to each batch's width.
 #[must_use]
 pub fn run_fleet_batched_opt(net: &Netlist, config: FleetConfig, opt: &OptConfig) -> FleetStats {
-    let batches = plan_batches(config.sessions, worker_count(config.sessions));
-
     // Compile once; every batch re-stripes the same program.
     let prototype = BatchedSim::with_tracking_opt(net.clone(), config.mode, 1, opt);
+    run_fleet_on_prototype(&prototype, config)
+}
+
+/// [`run_fleet_batched_opt`] over an already-compiled prototype, so a
+/// caller timing the sessions can keep compilation out of the window.
+///
+/// # Panics
+///
+/// Panics if `config.mode` is not the prototype's tracking mode.
+#[must_use]
+pub fn run_fleet_on_prototype(prototype: &BatchedSim, config: FleetConfig) -> FleetStats {
+    assert_eq!(
+        prototype.mode(),
+        config.mode,
+        "prototype tracks another mode"
+    );
+    let batches = plan_batches(config.sessions, worker_count(config.sessions));
     let next = AtomicUsize::new(0);
     let results = Mutex::new(vec![SessionStats::default(); config.sessions]);
     thread::scope(|s| {
@@ -425,30 +411,23 @@ pub fn run_fleet_batched_opt(net: &Netlist, config: FleetConfig, opt: &OptConfig
     }
 }
 
-/// Convenience wrapper: lowers a freshly built design at the given
-/// protection level, then calls [`run_fleet_on_netlist`].
-///
-/// # Panics
-///
-/// Panics if the design fails to lower (the shipped designs never do).
-#[must_use]
-pub fn run_fleet<B: SimBackend + Clone + Send + Sync>(
-    protection: Protection,
-    config: FleetConfig,
-) -> FleetStats {
-    let design = match protection {
-        Protection::Full => protected(),
-        Protection::Off => crate::build::baseline(),
-        Protection::Annotated => crate::build::baseline_annotated(),
-    };
-    let net = design.lower().expect("accelerator design lowers");
-    run_fleet_on_netlist::<B>(&net, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim::{CompiledSim, Simulator};
+    use crate::build::protected;
+
+    /// Session `i` of a fleet run on the oracle driver: the user and seed
+    /// the batched fleet gives its lane `i`.
+    fn oracle_session(net: &Netlist, config: FleetConfig, i: usize) -> SessionStats {
+        let mut driver = AccelDriver::from_netlist(net.clone(), config.mode);
+        let seed = mix(config.seed ^ (i as u64) << 8);
+        run_session(
+            &mut driver,
+            config.blocks_per_session,
+            user_label(i % 4),
+            seed,
+        )
+    }
 
     #[test]
     fn fleet_runs_parallel_sessions_and_verifies() {
@@ -458,7 +437,8 @@ mod tests {
             mode: TrackMode::Precise,
             seed: 7,
         };
-        let stats = run_fleet::<CompiledSim>(Protection::Full, config);
+        let net = protected().lower().expect("lowers");
+        let stats = run_fleet_batched(&net, config);
         assert_eq!(stats.sessions.len(), 3);
         assert_eq!(stats.total_responses(), 12);
         assert!(stats.all_verified(), "{stats:?}");
@@ -473,10 +453,13 @@ mod tests {
             mode: TrackMode::Conservative,
             seed: 99,
         };
-        let a = run_fleet::<Simulator>(Protection::Full, config);
-        let b = run_fleet::<CompiledSim>(Protection::Full, config);
-        assert_eq!(a.sessions, b.sessions);
-        assert!(a.all_verified());
+        let net = protected().lower().expect("lowers");
+        let oracle: Vec<SessionStats> = (0..config.sessions)
+            .map(|i| oracle_session(&net, config, i))
+            .collect();
+        let batched = run_fleet_batched(&net, config);
+        assert_eq!(oracle, batched.sessions);
+        assert!(batched.all_verified());
     }
 
     #[test]
@@ -500,8 +483,8 @@ mod tests {
     #[test]
     fn batched_fleet_matches_per_session_fleet() {
         // 5 sessions forces a mixed partition (one 4-lane batch + one
-        // 1-lane batch); per-lane results must still match the
-        // session-at-a-time fleet exactly, including cycle counts.
+        // 1-lane batch on two workers); per-lane results must still match
+        // the session-at-a-time oracle exactly, including cycle counts.
         let config = FleetConfig {
             sessions: 5,
             blocks_per_session: 3,
@@ -509,13 +492,15 @@ mod tests {
             seed: 21,
         };
         let net = protected().lower().expect("lowers");
-        let a = run_fleet_on_netlist::<CompiledSim>(&net, config);
+        let a: Vec<SessionStats> = (0..config.sessions)
+            .map(|i| oracle_session(&net, config, i))
+            .collect();
         let b = run_fleet_batched(&net, config);
-        assert_eq!(a.sessions, b.sessions);
+        assert_eq!(a, b.sessions);
         assert!(b.all_verified(), "{b:?}");
         // With every optimizer pass on (exercising DCE's handling of the
         // real design's dynamic release labels), results are unchanged.
         let c = run_fleet_batched_opt(&net, config, &sim::OptConfig::all());
-        assert_eq!(a.sessions, c.sessions);
+        assert_eq!(a, c.sessions);
     }
 }

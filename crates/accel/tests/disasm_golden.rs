@@ -13,7 +13,7 @@
 //! ```
 
 use accel::protected;
-use sim::{disasm, CompiledSim, OptConfig, TrackMode};
+use sim::{disasm, BatchedSim, OptConfig, TrackMode};
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -25,7 +25,7 @@ const SNAPSHOT_INSTRS: usize = 47;
 
 fn snapshot() -> String {
     let net = protected().lower().expect("protected design lowers");
-    let sim = CompiledSim::with_tracking_opt(net, TrackMode::Precise, &OptConfig::all());
+    let sim = BatchedSim::with_tracking_opt(net, TrackMode::Precise, 1, &OptConfig::all());
     let listing = sim.disassemble();
     let head: Vec<&str> = listing.lines().take(SNAPSHOT_INSTRS + 1).collect();
     assert_eq!(

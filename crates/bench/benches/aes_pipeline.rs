@@ -1,28 +1,29 @@
 //! Simulation throughput of the accelerator pipeline (baseline vs
 //! protected) and the software reference for context — on both
-//! simulation backends, plus parallel multi-session scaling. The
+//! simulation engines, plus parallel multi-session scaling. The
 //! cycle-accurate numbers behind the paper's throughput claim come from
 //! `cargo run -p bench --bin throughput`; this bench tracks the
 //! *simulator's* wall-clock cost per encrypted block.
 //!
 //! The netlists are lowered once up front; each iteration clones the
-//! lowered netlist and rebuilds the backend, so the measurement is
+//! lowered netlist and rebuilds the engine, so the measurement is
 //! dominated by simulation (hundreds of cycles over the full design),
 //! not by design construction.
 
+use accel::batch::BatchedDriver;
 use accel::driver::{AccelDriver, Request};
-use accel::fleet::{run_fleet_on_netlist, FleetConfig};
+use accel::fleet::{run_fleet_batched, run_lane_sessions, FleetConfig};
 use accel::{baseline, protected, user_label};
 use aes_core::Aes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hdl::Netlist;
-use sim::{CompiledSim, SimBackend, Simulator, TrackMode};
+use sim::TrackMode;
 use std::hint::black_box;
 
 const BLOCKS: u64 = 32;
 
-fn pipeline_stream<B: SimBackend>(net: &Netlist, mode: TrackMode) -> u64 {
-    let mut drv = AccelDriver::<B>::from_netlist_on(net.clone(), mode);
+fn pipeline_stream(net: &Netlist, mode: TrackMode) -> u64 {
+    let mut drv = AccelDriver::from_netlist(net.clone(), mode);
     let alice = user_label(1);
     drv.load_key(0, [9u8; 16], alice);
     for i in 0..BLOCKS {
@@ -38,6 +39,13 @@ fn pipeline_stream<B: SimBackend>(net: &Netlist, mode: TrackMode) -> u64 {
     drv.responses.len() as u64
 }
 
+/// A `BLOCKS`-block session on a one-lane tape engine.
+fn tape_stream(net: &Netlist, mode: TrackMode) -> u64 {
+    let mut drv = BatchedDriver::from_netlist(net.clone(), mode, 1);
+    let stats = run_lane_sessions(&mut drv, BLOCKS as usize, &[user_label(1)], &[9]);
+    stats[0].responses as u64
+}
+
 fn bench_pipeline(c: &mut Criterion) {
     let baseline_net = baseline().lower().expect("baseline lowers");
     let protected_net = protected().lower().expect("protected lowers");
@@ -47,62 +55,38 @@ fn bench_pipeline(c: &mut Criterion) {
     group.throughput(Throughput::Elements(BLOCKS));
     group.bench_function("baseline_sim", |b| {
         b.iter(|| {
-            black_box(pipeline_stream::<Simulator>(
-                &baseline_net,
-                TrackMode::Precise,
-            ));
+            black_box(pipeline_stream(&baseline_net, TrackMode::Precise));
         });
     });
     group.bench_function("protected_sim", |b| {
         b.iter(|| {
-            black_box(pipeline_stream::<Simulator>(
-                &protected_net,
-                TrackMode::Precise,
-            ));
+            black_box(pipeline_stream(&protected_net, TrackMode::Precise));
         });
     });
-    group.bench_function("baseline_compiled", |b| {
-        b.iter(|| {
-            black_box(pipeline_stream::<CompiledSim>(
-                &baseline_net,
-                TrackMode::Precise,
-            ));
-        });
+    group.bench_function("baseline_tape", |b| {
+        b.iter(|| black_box(tape_stream(&baseline_net, TrackMode::Precise)));
     });
-    group.bench_function("protected_compiled", |b| {
-        b.iter(|| {
-            black_box(pipeline_stream::<CompiledSim>(
-                &protected_net,
-                TrackMode::Precise,
-            ));
-        });
+    group.bench_function("protected_tape", |b| {
+        b.iter(|| black_box(tape_stream(&protected_net, TrackMode::Precise)));
     });
     group.finish();
 
-    // The backend face-off: interpreter vs compiled tape on the
+    // The engine face-off: interpreter vs one-lane tape on the
     // pipelined AES with conservative tracking.
     let mut backends = c.benchmark_group("sim_backends");
     backends.sample_size(10);
     backends.throughput(Throughput::Elements(BLOCKS));
     backends.bench_function("interpreter_conservative", |b| {
         b.iter(|| {
-            black_box(pipeline_stream::<Simulator>(
-                &protected_net,
-                TrackMode::Conservative,
-            ));
+            black_box(pipeline_stream(&protected_net, TrackMode::Conservative));
         });
     });
-    backends.bench_function("compiled_conservative", |b| {
-        b.iter(|| {
-            black_box(pipeline_stream::<CompiledSim>(
-                &protected_net,
-                TrackMode::Conservative,
-            ));
-        });
+    backends.bench_function("tape_conservative", |b| {
+        b.iter(|| black_box(tape_stream(&protected_net, TrackMode::Conservative)));
     });
     backends.finish();
 
-    // Parallel multi-session scaling on the compiled backend.
+    // Parallel multi-session scaling on lane batches.
     let mut fleet = c.benchmark_group("parallel_sessions");
     fleet.sample_size(10);
     for sessions in [1usize, 2, 4, 8] {
@@ -113,9 +97,9 @@ fn bench_pipeline(c: &mut Criterion) {
             seed: 42,
         };
         fleet.throughput(Throughput::Elements((sessions * 8) as u64));
-        fleet.bench_function(&format!("compiled_x{sessions}"), |b| {
+        fleet.bench_function(&format!("batched_x{sessions}"), |b| {
             b.iter(|| {
-                let stats = run_fleet_on_netlist::<CompiledSim>(&protected_net, config);
+                let stats = run_fleet_batched(&protected_net, config);
                 assert!(stats.all_verified());
                 black_box(stats.total_responses())
             });

@@ -1,14 +1,13 @@
-//! Lane-batched fleet throughput: 8 accelerator sessions scheduled as
-//! one 8-lane batch versus eight session-at-a-time compiled runs, plus
-//! the per-width cost curve of a single batch. Criterion counterpart of
+//! Lane-batched fleet throughput: 8 accelerator sessions scheduled onto
+//! lane batches, plus the per-width cost curve of a single batch. Criterion counterpart of
 //! the `sim_backends` sweep, so CI's bench smoke run compiles and
 //! exercises the batched path on every change.
 
-use accel::fleet::{run_fleet_batched_opt, run_fleet_on_netlist, FleetConfig};
+use accel::fleet::{run_fleet_batched_opt, FleetConfig};
 use accel::protected;
 use criterion::{criterion_group, criterion_main, Criterion};
 use hdl::Netlist;
-use sim::{BatchedSim, CompiledSim, OptConfig, TrackMode, SUPPORTED_LANES};
+use sim::{BatchedSim, OptConfig, TrackMode, SUPPORTED_LANES};
 use std::hint::black_box;
 
 fn fleet_config(sessions: usize) -> FleetConfig {
@@ -24,9 +23,6 @@ fn bench_batched_fleet(c: &mut Criterion) {
     let net = protected().lower().expect("protected lowers");
     let mut group = c.benchmark_group("batched_fleet");
     group.sample_size(10);
-    group.bench_function("compiled_8_sessions", |b| {
-        b.iter(|| black_box(run_fleet_on_netlist::<CompiledSim>(&net, fleet_config(8))));
-    });
     group.bench_function("batched_8_sessions", |b| {
         b.iter(|| {
             black_box(run_fleet_batched_opt(

@@ -2,20 +2,22 @@
 //! tracking (what the baseline hardware does), conservative RTL-level
 //! propagation (RTLIFT-style), and mux-precise propagation
 //! (GLIFT-flavoured; what the protected design's tag logic needs to avoid
-//! false release blocks) — measured on both simulation backends. On the
-//! compiled backend `TrackMode::Off` is monomorphised with label code
-//! compiled out, so the off/tracked gap shows the true label-tracking
-//! overhead rather than interpreter dispatch noise.
+//! false release blocks) — measured on both simulation engines. On the
+//! one-lane tape engine `TrackMode::Off` is monomorphised with label
+//! code compiled out, so the off/tracked gap shows the true
+//! label-tracking overhead rather than interpreter dispatch noise.
 
+use accel::batch::BatchedDriver;
 use accel::driver::{AccelDriver, Request};
+use accel::fleet::run_lane_sessions;
 use accel::{protected, user_label};
 use criterion::{criterion_group, criterion_main, Criterion};
 use hdl::Netlist;
-use sim::{CompiledSim, SimBackend, Simulator, TrackMode};
+use sim::TrackMode;
 use std::hint::black_box;
 
-fn run<B: SimBackend>(net: &Netlist, mode: TrackMode) -> usize {
-    let mut drv = AccelDriver::<B>::from_netlist_on(net.clone(), mode);
+fn run(net: &Netlist, mode: TrackMode) -> usize {
+    let mut drv = AccelDriver::from_netlist(net.clone(), mode);
     let alice = user_label(1);
     drv.load_key(0, [5u8; 16], alice);
     for i in 0..16u64 {
@@ -31,6 +33,12 @@ fn run<B: SimBackend>(net: &Netlist, mode: TrackMode) -> usize {
     drv.responses.len()
 }
 
+/// The same 16-block session on a one-lane tape engine.
+fn run_tape(net: &Netlist, mode: TrackMode) -> usize {
+    let mut drv = BatchedDriver::from_netlist(net.clone(), mode, 1);
+    run_lane_sessions(&mut drv, 16, &[user_label(1)], &[5])[0].responses
+}
+
 fn bench_tracking(c: &mut Criterion) {
     let net = protected().lower().expect("protected lowers");
     let mut group = c.benchmark_group("tracking_modes");
@@ -41,10 +49,10 @@ fn bench_tracking(c: &mut Criterion) {
         ("precise", TrackMode::Precise),
     ] {
         group.bench_function(name, |b| {
-            b.iter(|| black_box(run::<Simulator>(&net, mode)));
+            b.iter(|| black_box(run(&net, mode)));
         });
-        group.bench_function(&format!("{name}_compiled"), |b| {
-            b.iter(|| black_box(run::<CompiledSim>(&net, mode)));
+        group.bench_function(&format!("{name}_tape"), |b| {
+            b.iter(|| black_box(run_tape(&net, mode)));
         });
     }
     group.finish();

@@ -1,9 +1,8 @@
 //! Disassembles the protected accelerator's compiled SoA tape.
 //!
-//! Prints the human-readable listing of the tape the compiled and
-//! lane-batched engines execute — one line per tape instruction,
-//! prefixed by a header with the instruction count and the tape
-//! fingerprint — after
+//! Prints the human-readable listing of the tape the lane-batched
+//! engine executes — one line per tape instruction, prefixed by a header
+//! with the instruction count and the tape fingerprint — after
 //! round-tripping it through [`sim::disasm::parse`] to prove the listing
 //! is faithful. A summary line compares the raw (pass-free) tape against
 //! the optimized one, so pass regressions show up as instruction-count

@@ -14,9 +14,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::Instant;
 
-use accel::batch::BatchedDriver;
-use accel::driver::Request;
-use accel::fleet::{block_from, mix};
+use accel::batch::{BatchedDriver, LaneAction};
+use accel::fleet::{block_from, mix, submit_next};
 use accel::user_label;
 use hdl::Netlist;
 use sim::{BatchedSim, OptConfig, TrackMode};
@@ -33,21 +32,13 @@ fn stream(proto: &BatchedSim, width: usize, blocks: usize, seed: u64) -> (usize,
 
     let start = Instant::now();
     let mut sent = vec![0usize; width];
+    let mut actions = vec![LaneAction::Idle; width];
     let mut accepted = vec![false; width];
-    loop {
-        let reqs: Vec<Option<Request>> = (0..width)
-            .map(|l| {
-                (sent[l] < blocks).then(|| Request {
-                    block: block_from(seed ^ l as u64, sent[l] as u64),
-                    key_slot: 0,
-                    user: owners[l],
-                })
-            })
-            .collect();
-        if reqs.iter().all(Option::is_none) {
-            break;
+    while sent.iter().any(|&n| n < blocks) {
+        for l in 0..width {
+            actions[l] = submit_next(sent[l], blocks, seed ^ l as u64, owners[l]);
         }
-        driver.try_submit_each(&reqs, &mut accepted);
+        driver.step(&actions, &mut accepted);
         for (l, ok) in accepted.iter().enumerate() {
             if *ok {
                 sent[l] += 1;

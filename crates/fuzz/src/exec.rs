@@ -6,11 +6,11 @@
 //! * a [`BatchedSim`] with one lane per tenant, running
 //!   [`TrackMode::Precise`] — the batched-fleet style of runtime
 //!   tracking;
-//! * a plain [`Simulator`] (through the [`SimBackend`] trait) replaying
-//!   tenant 0 under [`TrackMode::Conservative`] — the reference oracle.
+//! * a plain [`Simulator`] replaying tenant 0 under
+//!   [`TrackMode::Conservative`] — the reference oracle.
 //!
 //! Both surfaces fold their per-cycle runtime label planes
-//! ([`SimBackend::fold_label_plane`] / [`BatchedSim::fold_label_plane`])
+//! ([`Simulator::fold_label_plane`] / [`BatchedSim::fold_label_plane`])
 //! into one [`ObservedPlane`], which fuzz invariant 1 later cross-checks
 //! against the static bound plane. Runtime violations are *recorded*,
 //! never treated as failures here: a `DowngradeRejected` on a faulted
@@ -27,7 +27,7 @@ use std::collections::BTreeSet;
 use hdl::{Netlist, Value};
 use ifc_check::ObservedPlane;
 use ifc_lattice::{Label, SecurityTag};
-use sim::{BatchedSim, OptConfig, RuntimeViolation, SimBackend, Simulator, TrackMode};
+use sim::{BatchedSim, OptConfig, RuntimeViolation, Simulator, TrackMode};
 
 use crate::program::{AttackOp, TenantProgram};
 use crate::spec::{DebugPort, DesignSpec};
@@ -222,29 +222,29 @@ pub fn run_generated(net: &Netlist, spec: &DesignSpec, programs: &[TenantProgram
     }
 
     // ---- Surface 2: the reference oracle replays tenant 0 ------------
-    let mut oracle = <Simulator as SimBackend>::from_netlist(net.clone(), TrackMode::Conservative);
+    let mut oracle = Simulator::with_tracking(net.clone(), TrackMode::Conservative);
     for cycle in 0..total {
         let op = schedules
             .first()
             .and_then(|s| s.get(cycle as usize))
             .and_then(Option::as_ref);
         for (port, value, label) in cycle_drives(spec, 0, op, cycle) {
-            SimBackend::set(&mut oracle, port, value);
-            SimBackend::set_label(&mut oracle, port, label);
+            oracle.set(port, value);
+            oracle.set_label(port, label);
         }
         oracle.eval();
-        if SimBackend::peek(&mut oracle, "out_valid") != 0 {
-            out_tag_bits.insert((SimBackend::peek(&mut oracle, "out_tag") & 0xff) as u8);
+        if oracle.peek("out_valid") != 0 {
+            out_tag_bits.insert((oracle.peek("out_tag") & 0xff) as u8);
         }
         oracle.fold_label_plane(&mut observed.nodes);
         oracle.fold_mem_labels(&mut observed.mems);
-        SimBackend::tick(&mut oracle);
+        oracle.tick();
     }
     record_violations(
         &mut violations,
         TrackMode::Conservative,
         0,
-        SimBackend::violations(&oracle),
+        oracle.violations(),
     );
 
     ExecOutcome {

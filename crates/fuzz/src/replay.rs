@@ -8,16 +8,18 @@
 //! ciphertext landing in a non-supervisor's response queue, or the debug
 //! tap answering a non-supervisor, is a leak no tracking mode may permit.
 //!
-//! The protected tape is compiled once per mode ([`CompiledSim`] is
-//! cheap to clone once compiled — the fleet runner relies on the same
-//! property), so a 500-input campaign pays for three compiles total.
+//! The protected tape is compiled once per mode into a one-lane
+//! [`BatchedSim`] prototype, and every replay drives a fresh lane of
+//! state over that shared tape through a [`BatchedDriver`] — so a
+//! 500-input campaign pays for three compiles total.
 
 use std::collections::VecDeque;
 
-use accel::driver::{AccelDriver, Request};
+use accel::batch::{BatchedDriver, LaneAction};
+use accel::driver::{debug_port_admits, Request};
 use accel::{master_key_encrypt, supervisor_label, user_label, MASTER_KEY_SLOT};
 use ifc_lattice::Label;
-use sim::{CompiledSim, RuntimeViolation, SimBackend, TrackMode};
+use sim::{BatchedSim, RuntimeViolation, TrackMode};
 
 use crate::program::{AttackOp, TenantProgram};
 
@@ -73,10 +75,10 @@ impl ReplayOutcome {
 }
 
 /// Compiles the protected accelerator once per tracking mode and replays
-/// fuzz inputs against clones.
+/// fuzz inputs on fresh single-lane state over each compiled tape.
 #[derive(Debug)]
 pub struct ProtectedReplayer {
-    prototypes: Vec<(TrackMode, CompiledSim)>,
+    prototypes: Vec<BatchedSim>,
 }
 
 impl Default for ProtectedReplayer {
@@ -98,12 +100,7 @@ impl ProtectedReplayer {
         ProtectedReplayer {
             prototypes: REPLAY_MODES
                 .iter()
-                .map(|&mode| {
-                    (
-                        mode,
-                        <CompiledSim as SimBackend>::from_netlist(net.clone(), mode),
-                    )
-                })
+                .map(|&mode| BatchedSim::with_tracking(net.clone(), mode, 1))
                 .collect(),
         }
     }
@@ -115,7 +112,7 @@ impl ProtectedReplayer {
             modes: self
                 .prototypes
                 .iter()
-                .map(|(mode, proto)| replay_one(*mode, proto.clone(), programs))
+                .map(|proto| replay_one(proto.with_lanes(1), programs))
                 .collect(),
         }
     }
@@ -130,8 +127,17 @@ struct Tenant<'p> {
     forbidden: Vec<[u8; 16]>,
 }
 
-fn replay_one(mode: TrackMode, sim: CompiledSim, programs: &[TenantProgram]) -> ModeReplay {
-    let mut driver: AccelDriver<CompiledSim> = AccelDriver::from_backend(sim);
+/// One cycle of `action` on the single lane; returns whether a submit
+/// was accepted.
+fn step(driver: &mut BatchedDriver, action: LaneAction) -> bool {
+    let mut accepted = [false];
+    driver.step(&[action], &mut accepted);
+    accepted[0]
+}
+
+fn replay_one(sim: BatchedSim, programs: &[TenantProgram]) -> ModeReplay {
+    let mode = sim.mode();
+    let mut driver = BatchedDriver::from_batched(sim);
     let mut tenants: Vec<Tenant<'_>> = programs
         .iter()
         .enumerate()
@@ -167,13 +173,11 @@ fn replay_one(mode: TrackMode, sim: CompiledSim, programs: &[TenantProgram]) -> 
                         key_slot,
                         user: me,
                     };
-                    let mut accepted = false;
-                    for _ in 0..64 {
-                        if driver.try_submit(&req) {
-                            accepted = true;
-                            break;
-                        }
-                    }
+                    let submit = LaneAction::Submit {
+                        req,
+                        decrypt: false,
+                    };
+                    let accepted = (0..64).any(|_| step(&mut driver, submit.clone()));
                     if !accepted {
                         stalled_submits += 1;
                     }
@@ -184,16 +188,20 @@ fn replay_one(mode: TrackMode, sim: CompiledSim, programs: &[TenantProgram]) -> 
                     supervisor,
                 } => {
                     let writer = if supervisor { supervisor_label() } else { me };
-                    driver.write_key_cell(usize::from(addr) % 8, data, writer);
+                    let cell = usize::from(addr) % 8;
+                    step(&mut driver, LaneAction::WriteKey { cell, data, writer });
                 }
                 AttackOp::Alloc { cell } => {
-                    driver.alloc_cell(usize::from(cell) % 8, me);
+                    let cell = usize::from(cell) % 8;
+                    step(&mut driver, LaneAction::Alloc { cell, owner: me });
                 }
                 AttackOp::WriteCfg { value } => {
-                    driver.write_cfg(value, me);
+                    step(&mut driver, LaneAction::WriteCfg { value, writer: me });
                 }
                 AttackOp::ReadDebug { sel } => {
-                    if driver.read_debug(u32::from(sel) % 8, me).is_some() {
+                    let sel = u32::from(sel) % 8;
+                    step(&mut driver, LaneAction::ReadDebug { sel });
+                    if debug_port_admits(driver.sim().netlist(), me) {
                         leaks.push(format!(
                             "debug tap answered non-supervisor {me} at sel {sel}"
                         ));
@@ -209,16 +217,16 @@ fn replay_one(mode: TrackMode, sim: CompiledSim, programs: &[TenantProgram]) -> 
     // Bounded drain — no panic on a wedged pipeline, just a recorded
     // replay-blocked condition.
     let mut budget = 2_000u32;
-    while driver.in_flight() > 0 && budget > 0 {
+    while driver.in_flight(0) > 0 && budget > 0 {
         driver.idle_cycle();
         budget -= 1;
     }
-    let drained = driver.in_flight() == 0;
+    let drained = driver.in_flight(0) == 0;
 
     // The value oracle: did any tenant actually receive a master-key
     // ciphertext of one of their own master-slot submissions?
     let supervisor = supervisor_label();
-    for resp in &driver.responses {
+    for resp in &driver.responses[0] {
         if resp.user == supervisor {
             continue;
         }
@@ -236,9 +244,9 @@ fn replay_one(mode: TrackMode, sim: CompiledSim, programs: &[TenantProgram]) -> 
     ModeReplay {
         mode,
         leaks,
-        violations: driver.violations().to_vec(),
-        responses: driver.responses.len(),
-        rejections: driver.rejections.len(),
+        violations: driver.violations(0).to_vec(),
+        responses: driver.responses[0].len(),
+        rejections: driver.rejections[0].len(),
         stalled_submits,
         drained,
     }

@@ -3,7 +3,7 @@
 //! well-formed design — no dangling [`NodeId`]s anywhere the netlist can
 //! reference one — and the deterministic topological order must survive
 //! (re-derivation agrees, and an identical rebuild reproduces it
-//! bit-for-bit, which is what the compiled simulator's tape layout and
+//! bit-for-bit, which is what the tape engine's slot layout and
 //! the lint fixpoint both assume). The render leg checks the Verilog
 //! backend: surgered netlists still print, and identically so.
 //!

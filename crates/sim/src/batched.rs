@@ -1,9 +1,9 @@
 //! Lane-batched simulation: W independent sessions per tape pass.
 //!
-//! [`BatchedSim`] executes the same compiled instruction tape as
-//! [`CompiledSim`](crate::CompiledSim), but widens every value and label
-//! slot to a *lane array*: slot `s` of lane `l` lives at `s * W + l`, so
-//! the W copies of a slot sit contiguously in memory. One fetch/decode of
+//! [`BatchedSim`] executes a netlist compiled once into a flat
+//! instruction tape, and widens every value and label slot to a *lane
+//! array*: slot `s` of lane `l` lives at `s * W + l`, so the W copies of
+//! a slot sit contiguously in memory. One fetch/decode of
 //! each instruction then drives all W lanes with a tight inner loop —
 //! per-instruction dispatch cost, the dominant cost of small tapes, is
 //! paid once per *batch* instead of once per session.
@@ -38,14 +38,13 @@
 //! [`violations`](BatchedSim::violations)`(lane)`, and so on.
 //!
 //! The executor is monomorphised over the lane width (W ∈ {1, 2, 4, 8,
-//! 16}) and the tracking mode, the same way `CompiledSim` is
-//! monomorphised over tracking alone, so the inner lane loops unroll at
-//! known trip counts, and dispatches once per same-opcode *run* (see the
+//! 16}) and the tracking mode, so the inner lane loops unroll at known
+//! trip counts, and dispatches once per same-opcode *run* (see the
 //! [`schedule`](crate::opt) pass) instead of once per instruction.
 //! Semantics per lane are bit-for-bit identical to the interpreter — the
 //! differential suite drives the same stimulus through
-//! [`Simulator`](crate::Simulator), `CompiledSim`, and every lane of a
-//! `BatchedSim` and asserts identical values, labels, and violation
+//! [`Simulator`](crate::Simulator) and every lane of a `BatchedSim` and
+//! asserts identical values, labels, and violation
 //! streams.
 
 use std::sync::Arc;
@@ -518,7 +517,7 @@ impl BatchedSim {
 
     /// Joins one lane's settled runtime label of every node into `acc`,
     /// indexed by [`NodeId::index`] — the lane-batched counterpart of
-    /// [`crate::SimBackend::fold_label_plane`].
+    /// [`Simulator::fold_label_plane`](crate::Simulator::fold_label_plane).
     pub fn fold_label_plane(&mut self, lane: usize, acc: &mut [Label]) {
         let n = self.program.net.node_count();
         assert_eq!(acc.len(), n, "accumulator must cover every node");
@@ -530,7 +529,7 @@ impl BatchedSim {
 
     /// Joins one lane's memory cell labels into `acc`, summarised per
     /// array — the lane-batched counterpart of
-    /// [`crate::SimBackend::fold_mem_labels`].
+    /// [`Simulator::fold_mem_labels`](crate::Simulator::fold_mem_labels).
     pub fn fold_mem_labels(&mut self, lane: usize, acc: &mut [Label]) {
         self.eval();
         let depths: Vec<usize> = self.program.net.mems.iter().map(|m| m.depth).collect();
@@ -654,7 +653,7 @@ impl BatchedSim {
 
     /// Advances every lane one clock cycle.
     ///
-    /// Same settled fast path as `CompiledSim::tick` (the shared
+    /// Same settled fast path as `Simulator::tick` (the shared
     /// `backend::tick_engine` loop): after an `eval`, only the violation
     /// scan (downgrade gates + release checks) runs.
     pub fn tick(&mut self) {
@@ -906,9 +905,9 @@ impl BatchedSim {
     }
 
     /// The batched dispatch loop: one opcode match per same-op run, each
-    /// arm looping its instructions and lanes. `TRACK`/`PRECISE` as in
-    /// `CompiledSim::exec`; the caller has refreshed the per-lane room
-    /// scratch.
+    /// arm looping its instructions and lanes. `TRACK` turns label
+    /// propagation on and `PRECISE` selects the mux-aware rule; the
+    /// caller has refreshed the per-lane room scratch.
     ///
     /// Value halves are addressed as `[u64; W]` lane chunks and labels as
     /// `[u8; W]` level chunks (`as_chunks_mut`): one bounds check per

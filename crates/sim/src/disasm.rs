@@ -1,7 +1,7 @@
 //! Tape disassembler: a human-readable listing of the compiled
 //! instruction tape, with an exact round-trip parser.
 //!
-//! The listing is the debugging surface for the compiled backends: one
+//! The listing is the debugging surface for the tape engine: one
 //! line per tape instruction, rendered with op-aware field names
 //! (`%slot` operands, `shr=`/`low=`/`mem=` immediates, downgrade target
 //! tags) so an optimized tape can be inspected, diffed across optimizer
@@ -15,7 +15,7 @@
 //! `b=`/`c=`/`aux=` pairs otherwise, so the guarantee holds even for
 //! tapes produced by future passes. [`ParsedTape::fingerprint`] hashes
 //! all columns (FNV-1a) for cheap equality checks; it matches
-//! [`CompiledSim::tape_fingerprint`](crate::CompiledSim::tape_fingerprint)
+//! [`BatchedSim::tape_fingerprint`](crate::BatchedSim::tape_fingerprint)
 //! when the round trip is exact.
 //!
 //! The `tape_dis` bench binary exposes the listing on the command line
@@ -183,7 +183,7 @@ impl ParsedTape {
     }
 
     /// FNV-1a hash over every column; equals
-    /// [`CompiledSim::tape_fingerprint`](crate::CompiledSim::tape_fingerprint)
+    /// [`BatchedSim::tape_fingerprint`](crate::BatchedSim::tape_fingerprint)
     /// when the parsed tape is identical to the simulator's.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {

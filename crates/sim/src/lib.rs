@@ -16,6 +16,14 @@
 //! output ports are checked against their release labels; failures are
 //! recorded as [`RuntimeViolation`]s.
 //!
+//! There are two engines. [`Simulator`] is the interpreting reference
+//! oracle that settles every semantic question. [`BatchedSim`] is the
+//! tape engine: it compiles the netlist once into a flat instruction tape
+//! (optionally shrunk by the [`opt`] passes) and runs W independent
+//! sessions per tape pass, one session at W = 1. Every lane must match a
+//! fresh `Simulator` driven with that lane's stimulus; the differential
+//! suites check exactly that.
+//!
 //! # Example
 //!
 //! ```
@@ -46,7 +54,6 @@
 
 mod backend;
 mod batched;
-mod compiled;
 pub mod disasm;
 pub mod opt;
 mod profile;
@@ -55,9 +62,7 @@ mod simulator;
 pub mod vcd;
 mod violation;
 
-pub use backend::SimBackend;
 pub use batched::{BatchedSim, LaneSnapshot, SUPPORTED_LANES};
-pub use compiled::CompiledSim;
 pub use opt::{tuned as tuned_opt_config, OptConfig, OptStats, PassStats, DEFAULT_SCHEDULE_WINDOW};
 #[cfg(feature = "profile")]
 pub use profile::{OpProfile, ProfileReport};

@@ -2,13 +2,10 @@
 //! struct-of-arrays instruction tape plus the clock-edge and release-check
 //! tables, independent of any execution state.
 //!
-//! A [`Program`] is what both execution backends run:
-//!
-//! * [`CompiledSim`](crate::CompiledSim) instantiates one lane of state
-//!   over it (the single-session throughput engine);
-//! * [`BatchedSim`](crate::BatchedSim) instantiates W lanes over the same
-//!   tape, so one fetch/decode of every instruction drives W independent
-//!   sessions.
+//! A [`Program`] is what the tape engine runs:
+//! [`BatchedSim`](crate::BatchedSim) instantiates W lanes of state over
+//! it (W = 1 for a single session), so one fetch/decode of every
+//! instruction drives W independent sessions.
 //!
 //! Because the program is immutable after construction it is shared
 //! between sessions behind an `Arc`: a fleet lowers and compiles once and
@@ -18,7 +15,6 @@
 //! place between compilation and execution.
 
 use hdl::{mask, BinOp, LabelExpr, Netlist, Node, NodeId, UnOp, Value};
-use ifc_lattice::Label;
 
 use crate::opt::OptStats;
 use crate::simulator::{build_output_checks, compute_widths, AllowedLabel};
@@ -535,25 +531,6 @@ impl Program {
             self.runs.push((op, start as u32, end as u32));
             start = end;
         }
-    }
-
-    /// Fresh per-slot label state.
-    pub(crate) fn init_labels(&self) -> Vec<Label> {
-        vec![Label::PUBLIC_TRUSTED; self.num_slots]
-    }
-
-    /// Instruction counts per opcode name, sorted descending.
-    pub(crate) fn op_histogram(&self) -> Vec<(&'static str, usize)> {
-        let mut counts: Vec<(&'static str, usize)> = Vec::new();
-        for &op in &self.tape.ops {
-            let name = op.name();
-            match counts.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, c)) => *c += 1,
-                None => counts.push((name, 1)),
-            }
-        }
-        counts.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
-        counts
     }
 
     /// Resolves an input port by name.

@@ -319,6 +319,42 @@ impl Simulator {
         self.clean = false;
     }
 
+    /// Joins the settled runtime label of every node into `acc`, indexed
+    /// by [`NodeId::index`]. The static/dynamic lint cross-check samples
+    /// this each cycle to build the observed tag plane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc` does not hold one label per node.
+    pub fn fold_label_plane(&mut self, acc: &mut [Label]) {
+        assert_eq!(
+            acc.len(),
+            self.labels.len(),
+            "accumulator must cover every node"
+        );
+        self.eval();
+        for (slot, &label) in acc.iter_mut().zip(&self.labels) {
+            *slot = slot.join(label);
+        }
+    }
+
+    /// Joins every memory cell's runtime label into `acc`, summarised per
+    /// array (one join over all cells), indexed by memory index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc` does not hold one label per memory.
+    pub fn fold_mem_labels(&mut self, acc: &mut [Label]) {
+        assert_eq!(
+            acc.len(),
+            self.mem_labels.len(),
+            "accumulator must cover every memory"
+        );
+        for (slot, cells) in acc.iter_mut().zip(&self.mem_labels) {
+            *slot = cells.iter().fold(*slot, |a, &l| a.join(l));
+        }
+    }
+
     fn lookup(&self, name: &str) -> NodeId {
         self.net
             .output(name)

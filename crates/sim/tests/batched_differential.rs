@@ -3,18 +3,20 @@
 //!
 //! Each lane of a [`BatchedSim`] is an independent session, so lane `l`
 //! driven with stimulus `S_l` must observe exactly what a fresh
-//! [`Simulator`] (the reference oracle) and a fresh [`CompiledSim`]
-//! observe when driven with `S_l` alone: settled values and labels of
+//! [`Simulator`] (the reference oracle) observes when driven with `S_l`
+//! alone: settled values and labels of
 //! every output, the full recorded violation stream (order included),
 //! the truncation flag, and final register and memory state — in all
 //! three tracking modes, with the optimizer passes off and on. Lanes are
 //! deliberately given *different* stimuli (values, labels, and therefore
-//! violation patterns) to prove they don't bleed into each other.
+//! violation patterns) to prove they don't bleed into each other. The
+//! violation cap, including a cap raised mid-run, truncates every lane's
+//! stream exactly where the oracle's is truncated.
 
 use hdl::{Design, ModuleBuilder, Sig};
 use ifc_lattice::Label;
 use proptest::prelude::*;
-use sim::{BatchedSim, CompiledSim, OptConfig, SimBackend, Simulator, TrackMode, SUPPORTED_LANES};
+use sim::{BatchedSim, OptConfig, Simulator, TrackMode, SUPPORTED_LANES};
 
 const LABELS: [Label; 4] = [
     Label::PUBLIC_TRUSTED,
@@ -23,8 +25,7 @@ const LABELS: [Label; 4] = [
     Label::SECRET_UNTRUSTED,
 ];
 
-/// A recipe for one random labelled synchronous design (same shape as
-/// the compiled-backend differential suite).
+/// A recipe for one random labelled synchronous design.
 #[derive(Debug, Clone)]
 struct Recipe {
     ops: Vec<(u8, u8, u8)>,
@@ -169,10 +170,10 @@ fn lane_stimulus(recipe: &Recipe, lane: usize) -> Vec<([u8; 4], [u8; 4])> {
         .collect()
 }
 
-/// Drives one single-session backend with a stimulus, recording per-step
-/// output values and labels.
-fn drive_single<B: SimBackend>(
-    sim: &mut B,
+/// Drives the oracle with a stimulus, recording per-step output values
+/// and labels.
+fn drive_single(
+    sim: &mut Simulator,
     stimulus: &[([u8; 4], [u8; 4])],
     outputs: &[String],
 ) -> Vec<(u128, Label)> {
@@ -226,8 +227,8 @@ fn drive_batched(
 }
 
 /// The full cross-check for one (mode, optimizer config, lane width):
-/// every batched lane against a fresh interpreter and a fresh compiled
-/// backend driven with that lane's stimulus.
+/// every batched lane against a fresh interpreter driven with that
+/// lane's stimulus.
 fn check_lanes(
     recipe: &Recipe,
     outputs: &[String],
@@ -242,9 +243,7 @@ fn check_lanes(
     for (lane, lane_obs) in batched_obs.iter().enumerate() {
         let stim = lane_stimulus(recipe, lane);
         let mut interp = Simulator::with_tracking(netlist.clone(), mode);
-        let mut compiled = CompiledSim::with_tracking_opt(netlist.clone(), mode, opt);
         let interp_obs = drive_single(&mut interp, &stim, outputs);
-        let compiled_obs = drive_single(&mut compiled, &stim, outputs);
 
         prop_assert_eq!(
             &interp_obs,
@@ -254,7 +253,6 @@ fn check_lanes(
             mode,
             opt
         );
-        prop_assert_eq!(&interp_obs, &compiled_obs);
         prop_assert_eq!(
             interp.violations(),
             batched.violations(lane),
@@ -263,7 +261,6 @@ fn check_lanes(
             mode,
             opt
         );
-        prop_assert_eq!(interp.violations(), compiled.violations());
         prop_assert_eq!(
             interp.violations_truncated(),
             batched.violations_truncated(lane)
@@ -288,8 +285,69 @@ fn check_lanes(
     Ok(())
 }
 
+/// One leak-per-tick design: a secret input wired straight to an open
+/// output raises one `OutputLeak` per tick while its label is secret.
+fn leaky() -> hdl::Netlist {
+    let mut m = ModuleBuilder::new("leaky");
+    let secret = m.input("secret", 8);
+    m.output("out", secret);
+    m.finish().lower().expect("lowers")
+}
+
+/// Lane `lane`'s label on the leaky input: lanes 0, 1, 3, 4, 6, ... leak,
+/// every third lane stays public and clean.
+fn leak_label(lane: usize) -> Label {
+    if lane % 3 == 2 {
+        Label::PUBLIC_TRUSTED
+    } else {
+        Label::SECRET_TRUSTED
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn violation_cap_matches_across_backends(cap in 0usize..6) {
+        // Ten ticks at `cap`, then the cap is raised by three and a
+        // five-cycle run follows: every lane's stream must stop, and
+        // resume, exactly where its oracle's does.
+        let net = leaky();
+        for lanes in SUPPORTED_LANES {
+            let mut batched = BatchedSim::with_tracking(net.clone(), TrackMode::Conservative, lanes);
+            let mut oracles: Vec<Simulator> = (0..lanes)
+                .map(|_| Simulator::with_tracking(net.clone(), TrackMode::Conservative))
+                .collect();
+            batched.set_violation_cap(cap);
+            for (lane, oracle) in oracles.iter_mut().enumerate() {
+                oracle.set_violation_cap(cap);
+                oracle.set("secret", 0xab);
+                oracle.set_label("secret", leak_label(lane));
+                batched.set(lane, "secret", 0xab);
+                batched.set_label(lane, "secret", leak_label(lane));
+            }
+            for _ in 0..10 {
+                batched.tick();
+                oracles.iter_mut().for_each(Simulator::tick);
+            }
+            for (lane, oracle) in oracles.iter().enumerate() {
+                let leaks = if lane % 3 == 2 { 0 } else { 10 };
+                prop_assert_eq!(oracle.violations().len(), cap.min(leaks));
+                prop_assert_eq!(oracle.violations_truncated(), cap < leaks);
+                prop_assert_eq!(oracle.violations(), batched.violations(lane), "W={} lane {}", lanes, lane);
+                prop_assert_eq!(oracle.violations_truncated(), batched.violations_truncated(lane));
+            }
+
+            batched.set_violation_cap(cap + 3);
+            batched.run(5);
+            for (lane, oracle) in oracles.iter_mut().enumerate() {
+                oracle.set_violation_cap(cap + 3);
+                oracle.run(5);
+                prop_assert_eq!(oracle.violations(), batched.violations(lane), "W={} lane {} after raise", lanes, lane);
+                prop_assert_eq!(oracle.violations_truncated(), batched.violations_truncated(lane));
+            }
+        }
+    }
 
     #[test]
     fn batched_lanes_match_interpreter(recipe in arb_recipe()) {

@@ -1,11 +1,11 @@
-//! Disassembler round-trip properties: for generated netlists, every
-//! backend's listing parses back to a column-identical tape (fingerprint
+//! Disassembler round-trip properties: for generated netlists, the tape
+//! engine's listing parses back to a column-identical tape (fingerprint
 //! equality), re-renders byte-identically, and is invariant across lane
 //! widths — the lane count scales the state planes, never the program.
 
 use hdl::{ModuleBuilder, Netlist};
 use proptest::prelude::*;
-use sim::{disasm, BatchedSim, CompiledSim, OptConfig, TrackMode, SUPPORTED_LANES};
+use sim::{disasm, BatchedSim, OptConfig, TrackMode, SUPPORTED_LANES};
 
 /// Structural recipe for a small design (same scheme as the batched
 /// differential tests): binary ops chained over a register file, with
@@ -104,22 +104,14 @@ fn assert_roundtrip(listing: &str, fingerprint: u64, len: usize, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `render → parse → fingerprint/render` is exact for the compiled
-    /// backend and for the batched backend at every supported lane
-    /// width, raw and optimized; and the program is identical across
-    /// widths.
+    /// `render → parse → fingerprint/render` is exact for the tape
+    /// engine at every supported lane width, raw and optimized; and the
+    /// program is identical across widths (W=1 is the reference).
     #[test]
     fn listing_roundtrips_at_every_lane_width(recipe in arb_recipe()) {
         let net = build(&recipe);
         for config in [OptConfig::none(), OptConfig::all()] {
-            let compiled =
-                CompiledSim::with_tracking_opt(net.clone(), TrackMode::Precise, &config);
-            assert_roundtrip(
-                &compiled.disassemble(),
-                compiled.tape_fingerprint(),
-                compiled.tape_len(),
-                "CompiledSim",
-            );
+            let single = BatchedSim::with_tracking_opt(net.clone(), TrackMode::Precise, 1, &config);
             for lanes in SUPPORTED_LANES {
                 let sim = BatchedSim::with_tracking_opt(
                     net.clone(),
@@ -135,10 +127,10 @@ proptest! {
                 );
                 prop_assert_eq!(
                     sim.tape_fingerprint(),
-                    compiled.tape_fingerprint(),
+                    single.tape_fingerprint(),
                     "lane width {} changed the program", lanes
                 );
-                prop_assert_eq!(sim.disassemble(), compiled.disassemble());
+                prop_assert_eq!(sim.disassemble(), single.disassemble());
             }
         }
     }

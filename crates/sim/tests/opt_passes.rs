@@ -6,7 +6,12 @@
 use hdl::ModuleBuilder;
 use ifc_lattice::Label;
 use proptest::prelude::*;
-use sim::{BatchedSim, CompiledSim, OptConfig, SimBackend, Simulator, TrackMode};
+use sim::{BatchedSim, OptConfig, Simulator, TrackMode};
+
+/// A one-lane tape engine (conservative tracking) with `config`'s passes.
+fn tape(net: &hdl::Netlist, config: &OptConfig) -> BatchedSim {
+    BatchedSim::with_tracking_opt(net.clone(), TrackMode::Conservative, 1, config)
+}
 
 fn fold_only() -> OptConfig {
     OptConfig {
@@ -51,8 +56,8 @@ fn fold_evaluates_constant_cones() {
     m.output("const_out", d);
     let net = m.finish().lower().expect("lowers");
 
-    let plain = CompiledSim::with_tracking(net.clone(), TrackMode::Conservative);
-    let mut folded = CompiledSim::with_tracking_opt(net, TrackMode::Conservative, &fold_only());
+    let plain = tape(&net, &OptConfig::none());
+    let mut folded = tape(&net, &fold_only());
     assert!(
         folded.tape_len() < plain.tape_len(),
         "fold removed nothing: {} -> {}",
@@ -66,9 +71,9 @@ fn fold_evaluates_constant_cones() {
     assert_eq!(stats.passes[0].removed(), stats.total_removed());
     assert!(stats.total_removed() >= 2, "{stats:?}");
 
-    folded.set("x", 1);
-    assert_eq!(folded.peek("const_out"), (0x0f ^ 0x35) + 0x35);
-    assert_eq!(folded.peek("out"), (0x0fu128 ^ 0x35) + 0x35 + 1);
+    folded.set(0, "x", 1);
+    assert_eq!(folded.peek(0, "const_out"), (0x0f ^ 0x35) + 0x35);
+    assert_eq!(folded.peek(0, "out"), (0x0fu128 ^ 0x35) + 0x35 + 1);
 }
 
 #[test]
@@ -89,8 +94,8 @@ fn pinned_input_folds_like_a_literal() {
         pin_inputs: vec![("cfg".into(), 0x3c)],
         ..OptConfig::none()
     };
-    let plain = CompiledSim::with_tracking(net.clone(), TrackMode::Conservative);
-    let mut opt = CompiledSim::with_tracking_opt(net.clone(), TrackMode::Conservative, &config);
+    let plain = tape(&net, &OptConfig::none());
+    let mut opt = tape(&net, &config);
     assert!(opt.tape_len() < plain.tape_len());
 
     let mut oracle = Simulator::with_tracking(net, TrackMode::Conservative);
@@ -98,10 +103,10 @@ fn pinned_input_folds_like_a_literal() {
     for v in [0u128, 0x5a, 0xff, 0x13] {
         oracle.set("x", v);
         oracle.set_label("x", Label::SECRET_TRUSTED);
-        opt.set("x", v);
-        opt.set_label("x", Label::SECRET_TRUSTED);
-        assert_eq!(oracle.peek("out"), opt.peek("out"));
-        assert_eq!(oracle.peek_label("out"), opt.peek_label("out"));
+        opt.set(0, "x", v);
+        opt.set_label(0, "x", Label::SECRET_TRUSTED);
+        assert_eq!(oracle.peek("out"), opt.peek(0, "out"));
+        assert_eq!(oracle.peek_label("out"), opt.peek_label(0, "out"));
         oracle.tick();
         opt.tick();
     }
@@ -119,8 +124,8 @@ fn driving_a_pinned_input_panics() {
         pin_inputs: vec![("cfg".into(), 7)],
         ..OptConfig::none()
     };
-    let mut sim = CompiledSim::with_tracking_opt(net, TrackMode::Conservative, &config);
-    sim.set("cfg", 1);
+    let mut sim = tape(&net, &config);
+    sim.set(0, "cfg", 1);
 }
 
 #[test]
@@ -138,19 +143,19 @@ fn cse_merges_duplicate_expressions() {
     m.output("o2", y2);
     let net = m.finish().lower().expect("lowers");
 
-    let plain = CompiledSim::with_tracking(net.clone(), TrackMode::Conservative);
-    let mut merged = CompiledSim::with_tracking_opt(net, TrackMode::Conservative, &cse_only());
+    let plain = tape(&net, &OptConfig::none());
+    let mut merged = tape(&net, &cse_only());
     assert_eq!(
         merged.tape_len(),
         plain.tape_len() - 2,
         "both duplicate pairs merge"
     );
-    merged.set("a", 0x21);
-    merged.set("b", 0x43);
-    merged.set_label("b", Label::SECRET_UNTRUSTED);
-    assert_eq!(merged.peek("o1"), merged.peek("o2"));
-    assert_eq!(merged.peek("o1"), ((0x21u128 ^ 0x43) + 0x21) & 0xff);
-    assert_eq!(merged.peek_label("o1"), merged.peek_label("o2"));
+    merged.set(0, "a", 0x21);
+    merged.set(0, "b", 0x43);
+    merged.set_label(0, "b", Label::SECRET_UNTRUSTED);
+    assert_eq!(merged.peek(0, "o1"), merged.peek(0, "o2"));
+    assert_eq!(merged.peek(0, "o1"), ((0x21u128 ^ 0x43) + 0x21) & 0xff);
+    assert_eq!(merged.peek_label(0, "o1"), merged.peek_label(0, "o2"));
 }
 
 #[test]
@@ -169,13 +174,13 @@ fn dce_drops_unobserved_cones_and_keeps_named_nodes() {
     m.output("out", out);
     let net = m.finish().lower().expect("lowers");
 
-    let plain = CompiledSim::with_tracking(net.clone(), TrackMode::Conservative);
-    let mut swept = CompiledSim::with_tracking_opt(net, TrackMode::Conservative, &dce_only());
+    let plain = tape(&net, &OptConfig::none());
+    let mut swept = tape(&net, &dce_only());
     assert_eq!(swept.tape_len(), plain.tape_len() - 2, "dead cone removed");
-    swept.set("a", 0xf0);
-    swept.set("b", 0x1e);
-    assert_eq!(swept.peek("out"), 0xf0 | 0x1e);
-    assert_eq!(swept.peek("kept"), 0xf0 & 0x1e);
+    swept.set(0, "a", 0xf0);
+    swept.set(0, "b", 0x1e);
+    assert_eq!(swept.peek(0, "out"), 0xf0 | 0x1e);
+    assert_eq!(swept.peek(0, "kept"), 0xf0 & 0x1e);
 }
 
 #[test]
@@ -193,27 +198,17 @@ fn dce_preserves_downgrade_violations() {
     let net = m.finish().lower().expect("lowers");
 
     let mut oracle = Simulator::with_tracking(net.clone(), TrackMode::Conservative);
-    let mut swept = CompiledSim::with_tracking_opt(net, TrackMode::Conservative, &OptConfig::all());
-    for sim in [&mut oracle as &mut dyn Drive, &mut swept as &mut dyn Drive] {
-        sim.drive();
+    let mut swept = tape(&net, &OptConfig::all());
+    oracle.set("secret", 0x5a);
+    oracle.set_label("secret", Label::SECRET_TRUSTED);
+    swept.set(0, "secret", 0x5a);
+    swept.set_label(0, "secret", Label::SECRET_TRUSTED);
+    for _ in 0..3 {
+        oracle.tick();
+        swept.tick();
     }
-    assert_eq!(oracle.violations(), swept.violations());
+    assert_eq!(oracle.violations(), swept.violations(0));
     assert_eq!(oracle.violations().len(), 3, "one rejection per tick");
-}
-
-/// Object-safe shim so the downgrade test drives both backends the same.
-trait Drive {
-    fn drive(&mut self);
-}
-
-impl<B: SimBackend> Drive for B {
-    fn drive(&mut self) {
-        self.set("secret", 0x5a);
-        self.set_label("secret", Label::SECRET_TRUSTED);
-        for _ in 0..3 {
-            self.tick();
-        }
-    }
 }
 
 #[test]
@@ -286,30 +281,18 @@ proptest! {
             OptConfig::all(),
         ] {
             let mut oracle = Simulator::with_tracking(net.clone(), TrackMode::Conservative);
-            let mut opt =
-                CompiledSim::with_tracking_opt(net.clone(), TrackMode::Conservative, &config);
-            for sim in [&mut oracle as &mut dyn SimObj, &mut opt as &mut dyn SimObj] {
-                sim.drive_ab(u128::from(a), u128::from(b), LABELS[la], LABELS[lb]);
+            let mut opt = tape(&net, &config);
+            for (port, value, label) in [("a", a, LABELS[la]), ("b", b, LABELS[lb])] {
+                oracle.set(port, u128::from(value));
+                oracle.set_label(port, label);
+                opt.set(0, port, u128::from(value));
+                opt.set_label(0, port, label);
             }
-            prop_assert_eq!(oracle.peek("out"), opt.peek("out"), "config {:?}", &config);
-            prop_assert_eq!(oracle.peek_label("out"), opt.peek_label("out"));
+            prop_assert_eq!(oracle.peek("out"), opt.peek(0, "out"), "config {:?}", &config);
+            prop_assert_eq!(oracle.peek_label("out"), opt.peek_label(0, "out"));
             oracle.tick();
             opt.tick();
-            prop_assert_eq!(oracle.violations(), opt.violations());
+            prop_assert_eq!(oracle.violations(), opt.violations(0));
         }
-    }
-}
-
-/// Object-safe shim for the proptest above.
-trait SimObj {
-    fn drive_ab(&mut self, a: u128, b: u128, la: Label, lb: Label);
-}
-
-impl<B: SimBackend> SimObj for B {
-    fn drive_ab(&mut self, a: u128, b: u128, la: Label, lb: Label) {
-        self.set("a", a);
-        self.set("b", b);
-        self.set_label("a", la);
-        self.set_label("b", lb);
     }
 }

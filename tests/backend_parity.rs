@@ -1,25 +1,28 @@
-//! Seeded-RNG differential between the interpreting and compiled
-//! simulation backends on the real accelerator designs.
+//! Seeded-RNG differential between the interpreting oracle and the
+//! lane-batched tape engine on the real accelerator designs.
 //!
 //! Two layers of comparison, each across all three tracking modes:
 //!
 //! * **Port-level lockstep** on the iterative engine and the full
-//!   protected pipeline: identical random stimulus into both backends,
-//!   comparing every output port's value *and* runtime label every
-//!   cycle, then the complete violation streams.
-//! * **Transaction-level** via [`AccelDriver`] on the protected design:
-//!   the same request schedule (including master-key misuse that the
-//!   release check refuses) must yield identical responses, rejections,
-//!   and violations.
+//!   protected pipeline: every lane of a 4-lane [`BatchedSim`] gets its
+//!   own seeded random stimulus, and a fresh [`Simulator`] per lane gets
+//!   the same; every output port's value *and* runtime label must match
+//!   every cycle, then the complete violation streams.
+//! * **Transaction-level**: the same request schedule (including
+//!   master-key misuse that the release check refuses), configuration
+//!   writes and a debug read through [`AccelDriver`] and a one-lane
+//!   [`BatchedDriver`] must yield identical responses, rejections,
+//!   violations, cycle counts, and configuration and debug-port state.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use secure_aes_ifc::accel::driver::{AccelDriver, Request};
+use secure_aes_ifc::accel::batch::{BatchedDriver, LaneAction};
+use secure_aes_ifc::accel::driver::{debug_port_admits, AccelDriver, Request};
 use secure_aes_ifc::accel::engine::iterative_engine;
-use secure_aes_ifc::accel::{protected, user_label, MASTER_KEY_SLOT};
+use secure_aes_ifc::accel::{protected, supervisor_label, user_label, MASTER_KEY_SLOT};
 use secure_aes_ifc::hdl::Netlist;
 use secure_aes_ifc::ifc_lattice::Label;
-use secure_aes_ifc::sim::{CompiledSim, SimBackend, Simulator, TrackMode};
+use secure_aes_ifc::sim::{BatchedSim, Simulator, TrackMode};
 
 const MODES: [TrackMode; 3] = [TrackMode::Off, TrackMode::Conservative, TrackMode::Precise];
 
@@ -30,51 +33,64 @@ const LABELS: [Label; 4] = [
     Label::SECRET_UNTRUSTED,
 ];
 
-/// Drives both backends with identical random port stimulus for `steps`
-/// cycles, asserting every output's value and label matches each cycle
-/// and the recorded violation streams match at the end.
+const LANES: usize = 4;
+
+/// Drives every lane of a batch and one oracle per lane with identical
+/// per-lane random port stimulus for `steps` cycles, asserting every
+/// output's value and label matches each cycle and the recorded
+/// violation streams match at the end.
 fn lockstep_fuzz(net: &Netlist, mode: TrackMode, steps: usize, seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut interp = Simulator::with_tracking(net.clone(), mode);
-    let mut compiled = CompiledSim::with_tracking(net.clone(), mode);
+    let mut rngs: Vec<StdRng> = (0..LANES)
+        .map(|lane| StdRng::seed_from_u64(seed ^ ((lane as u64) << 32)))
+        .collect();
+    let mut oracles: Vec<Simulator> = (0..LANES)
+        .map(|_| Simulator::with_tracking(net.clone(), mode))
+        .collect();
+    let mut batched = BatchedSim::with_tracking(net.clone(), mode, LANES);
 
     let inputs: Vec<String> = net.input_ports().map(|(n, _)| n.to_string()).collect();
     let outputs: Vec<String> = net.output_ports().map(|(n, _)| n.to_string()).collect();
 
     for step in 0..steps {
-        for name in &inputs {
-            let value: u128 = rng.gen();
-            let label = LABELS[rng.gen_range(0..LABELS.len())];
-            interp.set(name, value);
-            compiled.set(name, value);
-            interp.set_label(name, label);
-            compiled.set_label(name, label);
+        for (lane, (oracle, rng)) in oracles.iter_mut().zip(&mut rngs).enumerate() {
+            for name in &inputs {
+                let value: u128 = rng.gen();
+                let label = LABELS[rng.gen_range(0..LABELS.len())];
+                oracle.set(name, value);
+                batched.set(lane, name, value);
+                oracle.set_label(name, label);
+                batched.set_label(lane, name, label);
+            }
         }
-        for name in &outputs {
-            assert_eq!(
-                interp.peek(name),
-                compiled.peek(name),
-                "value of {name} diverged at step {step} in {mode:?}"
-            );
-            assert_eq!(
-                interp.peek_label(name),
-                compiled.peek_label(name),
-                "label of {name} diverged at step {step} in {mode:?}"
-            );
+        for (lane, oracle) in oracles.iter_mut().enumerate() {
+            for name in &outputs {
+                assert_eq!(
+                    oracle.peek(name),
+                    batched.peek(lane, name),
+                    "value of {name} diverged on lane {lane} at step {step} in {mode:?}"
+                );
+                assert_eq!(
+                    oracle.peek_label(name),
+                    batched.peek_label(lane, name),
+                    "label of {name} diverged on lane {lane} at step {step} in {mode:?}"
+                );
+            }
+            oracle.tick();
         }
-        interp.tick();
-        compiled.tick();
+        batched.tick();
     }
-    assert_eq!(interp.cycle(), compiled.cycle());
-    assert_eq!(
-        interp.violations(),
-        compiled.violations(),
-        "violation streams diverged in {mode:?}"
-    );
-    assert_eq!(
-        interp.violations_truncated(),
-        compiled.violations_truncated()
-    );
+    for (lane, oracle) in oracles.iter().enumerate() {
+        assert_eq!(oracle.cycle(), batched.cycle());
+        assert_eq!(
+            oracle.violations(),
+            batched.violations(lane),
+            "violation streams diverged on lane {lane} in {mode:?}"
+        );
+        assert_eq!(
+            oracle.violations_truncated(),
+            batched.violations_truncated(lane)
+        );
+    }
 }
 
 #[test]
@@ -95,36 +111,96 @@ fn pipelined_accelerator_backends_agree() {
     }
 }
 
-/// The same transaction schedule on both backends: keys, well-formed
-/// requests, and master-key misuse (refused at release).
-fn transact<B: SimBackend>(drv: &mut AccelDriver<B>, seed: u64) {
+/// The request schedule: keys, well-formed requests, and master-key
+/// misuse (refused at release).
+fn schedule(seed: u64) -> ([u8; 16], Vec<Request>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let alice = user_label(1);
     let key: [u8; 16] = rng.gen();
-    drv.load_key(0, key, alice);
-    for _ in 0..10 {
-        let misuse = rng.gen_bool(0.3);
-        drv.submit(&Request {
-            block: rng.gen(),
-            key_slot: if misuse { MASTER_KEY_SLOT } else { 0 },
-            user: alice,
-        });
-    }
-    drv.drain(500);
+    let reqs = (0..10)
+        .map(|_| {
+            let misuse = rng.gen_bool(0.3);
+            Request {
+                block: rng.gen(),
+                key_slot: if misuse { MASTER_KEY_SLOT } else { 0 },
+                user: alice,
+            }
+        })
+        .collect();
+    (key, reqs)
 }
 
 #[test]
 fn accelerator_transactions_agree_across_backends() {
-    let design = protected();
+    let net = protected().lower().expect("accelerator lowers");
+    let alice = user_label(1);
     for (i, mode) in MODES.into_iter().enumerate() {
-        let seed = 0xD1FF + i as u64;
-        let mut a = AccelDriver::<Simulator>::from_design_on(&design, mode);
-        let mut b = AccelDriver::<CompiledSim>::from_design_on(&design, mode);
-        transact(&mut a, seed);
-        transact(&mut b, seed);
-        assert_eq!(a.responses, b.responses, "{mode:?}");
-        assert_eq!(a.rejections, b.rejections, "{mode:?}");
-        assert_eq!(a.sim().violations(), b.sim().violations(), "{mode:?}");
+        let (key, reqs) = schedule(0xD1FF + i as u64);
+
+        let mut a = AccelDriver::from_netlist(net.clone(), mode);
+        a.load_key(0, key, alice);
+        for req in &reqs {
+            a.submit(req);
+        }
+        a.drain(500);
+
+        let mut b = BatchedDriver::from_netlist(net.clone(), mode, 1);
+        b.load_keys(0, &[key], &[alice]);
+        let mut accepted = [false];
+        for &req in &reqs {
+            let submit = [LaneAction::Submit {
+                req,
+                decrypt: false,
+            }];
+            for _ in 0..10_000 {
+                b.step(&submit, &mut accepted);
+                if accepted[0] {
+                    break;
+                }
+            }
+            assert!(accepted[0], "pipeline refused input for 10000 cycles");
+        }
+        b.drain(500);
+
+        // Configuration writes by a user and by the supervisor, then a
+        // supervisor debug read: the register and the debug tap (its
+        // selector stays driven) must agree after every cycle.
+        let sup = supervisor_label();
+        let actions = [
+            LaneAction::WriteCfg {
+                value: 0x5a,
+                writer: alice,
+            },
+            LaneAction::WriteCfg {
+                value: 0xa5,
+                writer: sup,
+            },
+            LaneAction::ReadDebug { sel: 5 },
+        ];
+        for action in actions {
+            match action {
+                LaneAction::WriteCfg { value, writer } => a.write_cfg(value, writer),
+                LaneAction::ReadDebug { sel } => {
+                    assert!(a.read_debug(sel, sup).is_some(), "supervisor is cleared");
+                }
+                _ => unreachable!(),
+            }
+            b.step(&[action], &mut accepted);
+            for port in ["cfg_out", "dbg_out"] {
+                let (oracle, tape) = (a.sim_mut(), b.sim_mut());
+                assert_eq!(oracle.peek(port), tape.peek(0, port), "{port} {mode:?}");
+                assert_eq!(
+                    oracle.peek_label(port),
+                    tape.peek_label(0, port),
+                    "{port} label {mode:?}"
+                );
+            }
+        }
+        assert!(!debug_port_admits(b.sim().netlist(), alice));
+
+        assert_eq!(a.responses, b.responses[0], "{mode:?}");
+        assert_eq!(a.rejections, b.rejections[0], "{mode:?}");
+        assert_eq!(a.violations(), b.violations(0), "{mode:?}");
         assert_eq!(a.cycle(), b.cycle(), "{mode:?}");
         // The schedule includes master-key misuse, so in tracking modes
         // the release check must actually have fired — this test isn't
