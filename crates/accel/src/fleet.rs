@@ -124,35 +124,6 @@ impl FleetStats {
             .iter()
             .all(|s| s.responses == blocks_per_session && s.verified == s.responses)
     }
-
-    /// Loads the run's aggregates into a [`telemetry::Registry`] under
-    /// `fleet_*` names, so fleet harness results share an exposition
-    /// (JSON / Prometheus text) with the farm's metrics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the registry mutex is poisoned.
-    pub fn record_into(&self, reg: &telemetry::Registry) {
-        reg.counter("fleet_sessions_total")
-            .add(self.sessions.len() as u64);
-        reg.counter("fleet_responses_total")
-            .add(self.total_responses() as u64);
-        reg.counter("fleet_violations_total")
-            .add(self.total_violations() as u64);
-        reg.counter("fleet_cycles_total").add(self.total_cycles());
-        reg.counter("fleet_rejections_total")
-            .add(self.sessions.iter().map(|s| s.rejections as u64).sum());
-        reg.counter("fleet_verified_total")
-            .add(self.sessions.iter().map(|s| s.verified as u64).sum());
-        let cycles = reg.histogram(
-            "fleet_session_cycles",
-            &[256.0, 1024.0, 4096.0, 16384.0, 65536.0],
-        );
-        for s in &self.sessions {
-            #[allow(clippy::cast_precision_loss)]
-            cycles.observe(s.cycles as f64);
-        }
-    }
 }
 
 /// Deterministic per-session key/plaintext derivation (SplitMix64) —
@@ -322,7 +293,9 @@ pub fn run_lane_sessions(
 /// differs, because one tape pass advances a whole batch.
 #[must_use]
 pub fn run_fleet_batched(net: &Netlist, config: FleetConfig) -> FleetStats {
-    run_fleet_batched_opt(net, config, &OptConfig::none())
+    // Compile once; every batch re-stripes the same program.
+    let prototype = BatchedSim::with_tracking_opt(net.clone(), config.mode, 1, &OptConfig::none());
+    run_fleet_on_prototype(&prototype, config)
 }
 
 /// Greedy partition of `sessions` into `(first session, width)` lane
@@ -330,11 +303,12 @@ pub fn run_fleet_batched(net: &Netlist, config: FleetConfig) -> FleetStats {
 ///
 /// Plain widest-fit packs 8 sessions into one 8-wide batch, which on a
 /// 2-core host leaves the second worker idle *and* runs the measurably
-/// slower W=8 batch shape (BENCH_sim.json recorded 3009 blocks/s at W=8
-/// against 4085 at W=4 before this clamp). Capping the width at
-/// `ceil(sessions / workers)`, rounded up to a supported width, splits
-/// the same sessions into enough batches to keep every worker busy: 8
-/// sessions on 2 cores become two concurrent 4-wide batches.
+/// slower W=8 batch shape (`farm::tuner`'s `SEED_BLOCKS_PER_SEC`,
+/// recorded by `width_probe` on the 2-core host, puts W=8 below W=4).
+/// Capping the width at `ceil(sessions / workers)`, rounded up to a
+/// supported width, splits the same sessions into enough batches to
+/// keep every worker busy: 8 sessions on 2 cores become two concurrent
+/// 4-wide batches.
 #[must_use]
 pub fn plan_batches(sessions: usize, workers: usize) -> Vec<(usize, usize)> {
     let target = sessions.div_ceil(workers.max(1));
@@ -358,21 +332,12 @@ pub fn plan_batches(sessions: usize, workers: usize) -> Vec<(usize, usize)> {
     batches
 }
 
-/// [`run_fleet_batched`] with the tape optimizer: the shared program is
-/// compiled once and run through the configured passes before any batch
-/// executes, so every session benefits from the shrunken tape. Sessions
-/// are greedily grouped into lane batches sized for the worker pool (see
-/// [`plan_batches`]), and the bounded pool claims batches and re-stripes
-/// the prototype to each batch's width.
-#[must_use]
-pub fn run_fleet_batched_opt(net: &Netlist, config: FleetConfig, opt: &OptConfig) -> FleetStats {
-    // Compile once; every batch re-stripes the same program.
-    let prototype = BatchedSim::with_tracking_opt(net.clone(), config.mode, 1, opt);
-    run_fleet_on_prototype(&prototype, config)
-}
-
-/// [`run_fleet_batched_opt`] over an already-compiled prototype, so a
-/// caller timing the sessions can keep compilation out of the window.
+/// [`run_fleet_batched`] over an already-compiled prototype, so a
+/// caller can pick the prototype's optimizer passes and keep compilation
+/// out of a timing window. Sessions are greedily grouped into lane
+/// batches sized for the worker pool (see [`plan_batches`]), and the
+/// bounded pool claims batches and re-stripes the prototype to each
+/// batch's width.
 ///
 /// # Panics
 ///
@@ -500,7 +465,9 @@ mod tests {
         assert!(b.all_verified(), "{b:?}");
         // With every optimizer pass on (exercising DCE's handling of the
         // real design's dynamic release labels), results are unchanged.
-        let c = run_fleet_batched_opt(&net, config, &sim::OptConfig::all());
+        let prototype =
+            BatchedSim::with_tracking_opt(net.clone(), config.mode, 1, &OptConfig::all());
+        let c = run_fleet_on_prototype(&prototype, config);
         assert_eq!(a, c.sessions);
     }
 }

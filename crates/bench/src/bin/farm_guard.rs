@@ -13,11 +13,11 @@
 //!   multi-tenant churn);
 //! * the drain is clean: every admitted job has an outcome, every block
 //!   verifies against the software oracle, queues and lanes end empty;
-//! * no scheduling quantum ran at W=8 — the width `BENCH_sim.json`'s
-//!   `engine_width` rows measure slower than W=4 on the 2-core CI
-//!   host, which the width tuner must structurally avoid until this
-//!   host's own measurements say otherwise (they can't: a width is only
-//!   measured once selected).
+//! * no scheduling quantum ran at W=8 — the width the tuner's
+//!   `SEED_BLOCKS_PER_SEC`, recorded by `width_probe` on the 2-core
+//!   host, puts below W=4, which the width tuner must structurally
+//!   avoid until this host's own measurements say otherwise (they
+//!   can't: a width is only measured once selected).
 //!
 //! Writes the measured snapshot to `BENCH_farm.json` (CI uploads it as
 //! an artifact).
@@ -257,7 +257,8 @@ fn main() -> ExitCode {
     for &(w, q) in &m.width_quanta {
         if w == 8 && q > 0 {
             failures.push(format!(
-                "{q} quanta ran at W=8, the width BENCH_sim.json measures slower than W=4"
+                "{q} quanta ran at W=8, which SEED_BLOCKS_PER_SEC (recorded by width_probe \
+                 on the 2-core host) puts below W=4"
             ));
         }
     }

@@ -1,6 +1,8 @@
 //! Experiment harness: one function per table/figure of the paper's
-//! evaluation, shared between the `bin/` report generators, the
-//! integration tests, and the Criterion benches.
+//! evaluation, shared between the `bin/` report generators and the
+//! integration tests. The simulator's own wall-clock speed is measured
+//! by the steady benchmark declared in `BENCHMARK.json` (see
+//! `perfbench/STEADINESS.md`), not here.
 //!
 //! Per-experiment index (see `DESIGN.md` §3):
 //!
@@ -19,7 +21,6 @@
 
 pub mod experiments;
 pub mod lint_cli;
-pub mod probe;
 pub mod table;
 
 /// The one deterministic seed a guard run derives everything from.

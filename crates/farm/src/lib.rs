@@ -30,12 +30,12 @@
 //!   ([`sim::LaneSnapshot`]), rebuilds the engine at the new width on the
 //!   same compiled tape, and restores the sessions mid-flight.
 //! * **Measured width selection** ([`tuner`]): the width chosen per batch
-//!   comes from per-width blocks/s estimates seeded from the repo's
-//!   `BENCH_sim.json` measurements and refined online (EWMA) from this
-//!   host's observed quanta. The estimates are why the farm avoids the
-//!   W=8 batched-throughput cliff: eight waiting jobs pack into two
-//!   four-wide batches, never one eight-wide one, unless this host
-//!   actually measures W=8 faster.
+//!   comes from per-width blocks/s estimates seeded from the tuner's
+//!   `SEED_BLOCKS_PER_SEC`, recorded by `width_probe` on the 2-core
+//!   host, and refined online (EWMA) from this host's observed quanta.
+//!   The estimates are why the farm avoids the W=8 batched-throughput
+//!   cliff: eight waiting jobs pack into two four-wide batches, never
+//!   one eight-wide one, unless this host actually measures W=8 faster.
 //!
 //! [`Farm::metrics`] snapshots the whole service as plain data (and JSON)
 //! for the benchmark guards: per-tenant counters, queue depth, stall

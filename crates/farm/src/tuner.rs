@@ -1,17 +1,17 @@
 //! Measured per-width throughput model driving batch-width selection.
 //!
-//! The fleet's original widest-fit packing walked straight into the W=8
-//! cliff recorded in `BENCH_sim.json`'s session sweep: 8 sessions
-//! sustained ~3009 blocks/s while 4 sustained ~4085. Diagnosing that
-//! row for the farm revealed it was a *scheduling* artifact, not an
-//! engine one — widest-fit packed all 8 sessions into a single 8-wide
-//! batch pinned to one worker while the second core sat idle (fixed by
-//! the worker-count clamp in `accel::fleet::plan_batches`). At the
-//! engine level the `engine_width` rows show steady-state throughput
-//! generally *rising* with width, with a dip at W=8 under per-core
-//! contention. Either way the lesson stands: width is a *throughput*
-//! choice, not a capacity one — so the farm picks it from measured
-//! blocks/s per width, seeded from the checked-in benchmark rows and
+//! The fleet's original widest-fit packing walked straight into a W=8
+//! cliff in its session sweep: 8 sessions sustained ~3009 blocks/s
+//! while 4 sustained ~4085. Diagnosing that row for the farm revealed
+//! it was a *scheduling* artifact, not an engine one — widest-fit
+//! packed all 8 sessions into a single 8-wide batch pinned to one
+//! worker while the second core sat idle (fixed by the worker-count
+//! clamp in `accel::fleet::plan_batches`). At the engine level,
+//! `SEED_BLOCKS_PER_SEC` — recorded by `width_probe` on the 2-core
+//! host — shows steady-state throughput generally *rising* with width,
+//! with a dip at W=8. Either way the lesson stands: width is a
+//! *throughput* choice, not a capacity one — so the farm picks it from
+//! measured blocks/s per width, seeded from those checked-in rates and
 //! refined online as quanta complete on the actual host.
 //!
 //! Online refinement has a trap: a farm under load measures its sampled
@@ -35,9 +35,9 @@
 
 use sim::SUPPORTED_LANES;
 
-/// Seed estimates (blocks/s) from `BENCH_sim.json`'s `engine_width`
-/// rows (steady-state, one engine, precise tracking) on the 2-core
-/// recording host, one per entry of [`SUPPORTED_LANES`]. The recorded
+/// Seed estimates (blocks/s), recorded by `width_probe` on the 2-core
+/// host (steady-state, one engine, precise tracking), one per entry of
+/// [`SUPPORTED_LANES`]. The recorded
 /// dip at W=8 means the tuner jumps 4 → 16 and only packs 8-wide if
 /// this host's own measurements show W=8 beating W=4.
 const SEED_BLOCKS_PER_SEC: [f64; 5] = [15921.0, 19712.0, 24943.0, 22809.0, 35848.0];
@@ -72,8 +72,9 @@ impl WidthTuner {
     }
 
     /// A tuner seeded from caller-supplied blocks/s estimates (one per
-    /// [`SUPPORTED_LANES`] entry) — used when a host's own
-    /// `BENCH_sim.json` has fresher rows than the checked-in defaults.
+    /// [`SUPPORTED_LANES`] entry) — used when a host's own `width_probe`
+    /// run is fresher than `SEED_BLOCKS_PER_SEC`, recorded by
+    /// `width_probe` on the 2-core host.
     ///
     /// # Panics
     ///

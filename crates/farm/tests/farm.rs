@@ -35,7 +35,7 @@ fn spec(label: ifc_lattice::Label, blocks: usize, seed: u64) -> JobSpec {
     }
 }
 
-/// The acceptance-criterion test: a policy-violating submission is
+/// The acceptance test: a policy-violating submission is
 /// rejected at admission — before touching hardware — and the other
 /// tenants' work is completely unaffected (their jobs all complete,
 /// verify, and record zero violations).

@@ -1,4 +1,4 @@
-//! The acceptance-criterion shrink: a seeded known-bad input (the
+//! The acceptance shrink: a seeded known-bad input (the
 //! annotation spoof buried under noise surgery and noise traffic) must
 //! shrink, under the *real* pipeline predicate, to a 1-minimal witness —
 //! every single remaining op is necessary for the invariant-1 failure to

@@ -1,7 +1,8 @@
 //! Evaluation-section integration tests: Table 2's shape, the throughput
-//! and latency claims, and the design-effort measurement.
+//! and latency claims, the sharing-granularity claim, and the
+//! design-effort measurement.
 
-use bench::experiments::{design_effort, table2, throughput};
+use bench::experiments::{design_effort, sharing, table2, throughput};
 use secure_aes_ifc::accel::Protection;
 
 #[test]
@@ -49,6 +50,14 @@ fn protection_matches_baseline_performance() {
     let prot = throughput(Protection::Full, 128);
     assert_eq!(base.cycles, prot.cycles, "no performance impact");
     assert_eq!(base.latency, prot.latency);
+}
+
+#[test]
+fn fine_grained_sharing_beats_coarse_grained() {
+    // Users alternating every 4 requests: the tagged pipeline keeps
+    // streaming, the coarse design drains the pipeline at every switch.
+    let s = sharing(32, &[4])[0];
+    assert!(s.fine_bpc > s.coarse_bpc, "{s:?}");
 }
 
 #[test]
