@@ -8,10 +8,12 @@
 //! ciphertext landing in a non-supervisor's response queue, or the debug
 //! tap answering a non-supervisor, is a leak no tracking mode may permit.
 //!
-//! The protected tape is compiled once per mode into a one-lane
-//! [`BatchedSim`] prototype, and every replay drives a fresh lane of
-//! state over that shared tape through a [`BatchedDriver`] — so a
-//! 500-input campaign pays for three compiles total.
+//! The mode-free protected tape is compiled once into a one-lane
+//! [`BatchedSim`] prototype; every replay drives fresh lane state over it
+//! through a [`BatchedDriver`]. Tracking gates only the label plane, and
+//! `Off` records no violations, so each input executes only under
+//! `Conservative` and `Precise`: its `Off` row is the `Precise` row with
+//! no violations.
 
 use std::collections::VecDeque;
 
@@ -74,11 +76,11 @@ impl ReplayOutcome {
     }
 }
 
-/// Compiles the protected accelerator once per tracking mode and replays
-/// fuzz inputs on fresh single-lane state over each compiled tape.
+/// Compiles the protected accelerator once and replays fuzz inputs on
+/// fresh single-lane state over the compiled tape.
 #[derive(Debug)]
 pub struct ProtectedReplayer {
-    prototypes: Vec<BatchedSim>,
+    prototype: BatchedSim,
 }
 
 impl Default for ProtectedReplayer {
@@ -88,7 +90,7 @@ impl Default for ProtectedReplayer {
 }
 
 impl ProtectedReplayer {
-    /// Builds and compiles the protected design under every replay mode.
+    /// Builds and compiles the protected design.
     ///
     /// # Panics
     ///
@@ -98,22 +100,24 @@ impl ProtectedReplayer {
     pub fn new() -> ProtectedReplayer {
         let net = accel::protected().lower().expect("protected design lowers");
         ProtectedReplayer {
-            prototypes: REPLAY_MODES
-                .iter()
-                .map(|&mode| BatchedSim::with_tracking(net.clone(), mode, 1))
-                .collect(),
+            prototype: BatchedSim::with_tracking(net, TrackMode::Precise, 1),
         }
     }
 
-    /// Replays one input's tenant programs under every tracking mode.
+    /// Replays one input's tenant programs under every tracking mode
+    /// (two executions; see the [module docs](self)).
     #[must_use]
     pub fn replay(&self, programs: &[TenantProgram]) -> ReplayOutcome {
+        let run = |mode| replay_one(self.prototype.with_mode(mode, 1), programs);
+        let conservative = run(TrackMode::Conservative);
+        let precise = run(TrackMode::Precise);
+        let off = ModeReplay {
+            mode: TrackMode::Off,
+            violations: Vec::new(),
+            ..precise.clone()
+        };
         ReplayOutcome {
-            modes: self
-                .prototypes
-                .iter()
-                .map(|proto| replay_one(proto.with_lanes(1), programs))
-                .collect(),
+            modes: vec![off, conservative, precise],
         }
     }
 }

@@ -144,3 +144,19 @@ fn tape_replay_matches_the_oracle_on_every_field() {
     assert!(exercised.1 > 0, "no rejection in any replay: {exercised:?}");
     assert!(exercised.2 > 0, "no violation in any replay: {exercised:?}");
 }
+
+/// FNV-1a digest of `format!("{:?}", outcome.modes)` over 64 seeded
+/// generated inputs — every field of every mode's replay, pinned. Any
+/// change to replay order, values, violations or the Off row shows here.
+const REPLAY_DIGEST: u64 = 33_711_921_538_542_216;
+
+#[test]
+fn replay_outcomes_match_the_pinned_digest() {
+    let replayer = ProtectedReplayer::new();
+    let mut text = String::new();
+    for seed in 0..64u64 {
+        let input = gen_input(0x0_d16e_0000 + seed);
+        text.push_str(&format!("{:?}\n", replayer.replay(&input.programs).modes));
+    }
+    assert_eq!(fuzz::coverage::fnv64(&text), REPLAY_DIGEST);
+}

@@ -91,6 +91,8 @@ fn label_of(conf: u8, integ: u8) -> Label {
 #[derive(Debug, Clone)]
 pub struct BatchedSim {
     program: Arc<Program>,
+    /// Per instance: the tape is mode-free.
+    mode: TrackMode,
     lanes: usize,
     /// Low 64 value bits, slot-major lane-striped: slot `s`, lane `l` at
     /// `s * W + l`.
@@ -128,7 +130,7 @@ pub struct BatchedSim {
 
 /// One lane's complete architectural state, checkpointed by
 /// [`BatchedSim::lane_snapshot`] and resumable into any lane of any batch
-/// compiled from the same tape via [`BatchedSim::restore_lane`] — the
+/// of the same tape and tracking mode via [`BatchedSim::restore_lane`] — the
 /// mechanism the accelerator farm uses to re-pack live sessions across
 /// batch widths without replaying their history.
 ///
@@ -244,9 +246,9 @@ impl BatchedSim {
         lanes: usize,
         config: &OptConfig,
     ) -> BatchedSim {
-        let mut program = Program::compile(net, mode);
+        let mut program = Program::compile(net);
         opt::optimize(&mut program, config);
-        BatchedSim::from_program(Arc::new(program), lanes)
+        BatchedSim::from_program(Arc::new(program), mode, lanes)
     }
 
     /// Instantiates `lanes` lanes of execution state over a shared
@@ -255,7 +257,7 @@ impl BatchedSim {
     /// # Panics
     ///
     /// Panics if `lanes` is not one of [`SUPPORTED_LANES`].
-    fn from_program(program: Arc<Program>, lanes: usize) -> BatchedSim {
+    fn from_program(program: Arc<Program>, mode: TrackMode, lanes: usize) -> BatchedSim {
         assert!(
             SUPPORTED_LANES.contains(&lanes),
             "unsupported lane width {lanes} (supported: {SUPPORTED_LANES:?})"
@@ -283,6 +285,7 @@ impl BatchedSim {
         let mem_lab_integ: Vec<Vec<u8>> = mem_lo.iter().map(|c| vec![pt_integ; c.len()]).collect();
         let reg_count = program.regs.len() * lanes;
         BatchedSim {
+            mode,
             lanes,
             values_lo,
             values_hi,
@@ -317,7 +320,14 @@ impl BatchedSim {
     /// Panics if `lanes` is not one of [`SUPPORTED_LANES`].
     #[must_use]
     pub fn with_lanes(&self, lanes: usize) -> BatchedSim {
-        BatchedSim::from_program(Arc::clone(&self.program), lanes)
+        self.with_mode(self.mode, lanes)
+    }
+
+    /// [`with_lanes`](BatchedSim::with_lanes) under a (possibly different)
+    /// tracking mode: the tape is mode-free, so all modes share it.
+    #[must_use]
+    pub fn with_mode(&self, mode: TrackMode, lanes: usize) -> BatchedSim {
+        BatchedSim::from_program(Arc::clone(&self.program), mode, lanes)
     }
 
     /// The wrapped netlist.
@@ -326,10 +336,10 @@ impl BatchedSim {
         &self.program.net
     }
 
-    /// The tracking mode this backend was compiled for.
+    /// This instance's tracking mode.
     #[must_use]
     pub fn mode(&self) -> TrackMode {
-        self.program.mode
+        self.mode
     }
 
     /// Number of lanes (independent sessions) in this batch.
@@ -657,24 +667,7 @@ impl BatchedSim {
     /// `backend::tick_engine` loop): after an `eval`, only the violation
     /// scan (downgrade gates + release checks) runs.
     pub fn tick(&mut self) {
-        match self.lanes {
-            1 => self.tick_width::<1>(),
-            2 => self.tick_width::<2>(),
-            4 => self.tick_width::<4>(),
-            8 => self.tick_width::<8>(),
-            16 => self.tick_width::<16>(),
-            _ => unreachable!("lane width validated at construction"),
-        }
-    }
-
-    fn tick_width<const W: usize>(&mut self) {
-        match self.mode() {
-            TrackMode::Off => backend::tick_engine(&mut BatchedEngine::<W, false, false>(self)),
-            TrackMode::Conservative => {
-                backend::tick_engine(&mut BatchedEngine::<W, true, false>(self));
-            }
-            TrackMode::Precise => backend::tick_engine(&mut BatchedEngine::<W, true, true>(self)),
-        }
+        self.run(1);
     }
 
     /// Runs `n` clock cycles with the current inputs, hoisting the mode

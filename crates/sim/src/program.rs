@@ -1,6 +1,6 @@
 //! The shared compiled-tape program: a netlist lowered once into a flat
 //! struct-of-arrays instruction tape plus the clock-edge and release-check
-//! tables, independent of any execution state.
+//! tables, independent of any execution state and of the tracking mode.
 //!
 //! A [`Program`] is what the tape engine runs:
 //! [`BatchedSim`](crate::BatchedSim) instantiates W lanes of state over
@@ -19,7 +19,6 @@ use hdl::{mask, BinOp, LabelExpr, Netlist, Node, NodeId, UnOp, Value};
 use crate::opt::OptStats;
 use crate::simulator::{build_output_checks, compute_widths, AllowedLabel};
 use crate::violation::RuntimeViolation;
-use crate::TrackMode;
 
 /// Tape opcodes. One per combinational node kind; `Input`, `Const`,
 /// `Reg`, and `Wire` nodes compile to no instruction at all (their
@@ -267,7 +266,6 @@ pub(crate) fn expr_signals(expr: &LabelExpr, out: &mut Vec<NodeId>) {
 #[derive(Debug, Clone)]
 pub(crate) struct Program {
     pub(crate) net: Netlist,
-    pub(crate) mode: TrackMode,
     /// Node index → value/label slot (wires alias their driver's slot).
     pub(crate) slot_of: Vec<u32>,
     /// Per-*node* widths (needed to mask driven input values).
@@ -305,7 +303,7 @@ impl Program {
     /// away), precomputes widths and masks, and emits the instruction
     /// tape in topological order.
     #[allow(clippy::too_many_lines)]
-    pub(crate) fn compile(net: Netlist, mode: TrackMode) -> Program {
+    pub(crate) fn compile(net: Netlist) -> Program {
         let n = net.node_count();
         let node_widths = compute_widths(&net);
 
@@ -485,7 +483,6 @@ impl Program {
             .collect();
 
         let mut program = Program {
-            mode,
             slot_of,
             node_widths,
             num_slots: num_slots as usize,

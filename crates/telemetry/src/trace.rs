@@ -451,7 +451,7 @@ impl Trace {
                     break;
                 }
             }
-            let end = e.ts_us + e.dur_us;
+            let end = e.ts_us.saturating_add(e.dur_us);
             if let Some(&enclosing_end) = stack.last() {
                 if end > enclosing_end {
                     problems.push(format!(

@@ -64,6 +64,32 @@ fn arb_json_byte() -> impl Strategy<Value = u8> {
     ]
 }
 
+/// `doc` with each `(at, op, byte)` edit applied in turn: delete,
+/// insert or replace the character at `at` (modulo the current length).
+fn mutated(doc: &str, edits: &[(usize, u8, u8)]) -> String {
+    let mut chars: Vec<char> = doc.chars().collect();
+    for &(at, op, byte) in edits {
+        let (at, ch) = (at % (chars.len() + 1), char::from(byte));
+        match op % 3 {
+            0 if at < chars.len() => {
+                chars.remove(at);
+            }
+            1 => chars.insert(at, ch),
+            _ if at < chars.len() => chars[at] = ch,
+            _ => chars.push(ch),
+        }
+    }
+    chars.into_iter().collect()
+}
+
+/// Parses `text` as a Chrome trace; an accepted trace must validate
+/// without panicking.
+fn chrome_parse_is_total(text: &str) {
+    if let Ok(trace) = Trace::from_chrome_json(text) {
+        let _ = trace.validate();
+    }
+}
+
 fn arb_arg() -> impl Strategy<Value = Arg> {
     prop_oneof![
         any::<u64>().prop_map(Arg::U64),
@@ -247,5 +273,20 @@ proptest! {
         if let Ok(v) = Json::parse(&String::from_utf8_lossy(&bytes)) {
             prop_assert!(Json::parse(&v.render()).is_ok(), "{:?}", v);
         }
+    }
+
+    /// `Trace::from_chrome_json` is total too, on byte soup and on real
+    /// renderings damaged by deletions, insertions and replacements.
+    #[test]
+    fn chrome_trace_parse_never_panics_on_arbitrary_bytes(bytes in vec(arb_json_byte(), 0..96)) {
+        chrome_parse_is_total(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn chrome_trace_parse_never_panics_on_mutated_traces(
+        trace in arb_trace(),
+        edits in vec((any::<usize>(), any::<u8>(), arb_json_byte()), 1..8),
+    ) {
+        chrome_parse_is_total(&mutated(&trace.to_chrome_json(), &edits));
     }
 }
