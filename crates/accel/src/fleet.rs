@@ -93,12 +93,6 @@ impl FleetStats {
         self.sessions.iter().map(|s| s.violations).sum()
     }
 
-    /// Total simulated cycles across all sessions.
-    #[must_use]
-    pub fn total_cycles(&self) -> u64 {
-        self.sessions.iter().map(|s| s.cycles).sum()
-    }
-
     /// Whether every ciphertext in every session matched the software
     /// AES oracle.
     #[must_use]

@@ -13,19 +13,23 @@ use sim::TrackMode;
 use super::report::{KillStage, MutantOutcome, MutationReport};
 use super::{catalog, Mutation};
 
+/// Tracking mode of the protected arm's runtime stage.
+const MODE: TrackMode = TrackMode::Precise;
+
+/// Fleet sessions in the runtime stage. Four covers all user labels —
+/// their integrity values {2, 5, 8, 11} together exercise every
+/// integrity tag bit, which is what makes the stuck-bit class killable
+/// by traffic alone.
+const SESSIONS: usize = 4;
+
+/// Encryptions per session in the runtime stage.
+const BLOCKS_PER_SESSION: usize = 4;
+
 /// Campaign parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignConfig {
     /// Enumeration-order seed (also the fleet's traffic seed).
     pub seed: u64,
-    /// Tracking mode for the runtime stage.
-    pub mode: TrackMode,
-    /// Fleet sessions. Four covers all user labels — their integrity
-    /// values {2, 5, 8, 11} together exercise every integrity tag bit,
-    /// which is what makes the stuck-bit class killable by traffic alone.
-    pub sessions: usize,
-    /// Encryptions per session in the runtime stage.
-    pub blocks_per_session: usize,
     /// Control arm: skip the static stage, strip every label, track
     /// nothing — the unprotected evaluation of the same fault.
     pub control: bool,
@@ -41,9 +45,6 @@ impl Default for CampaignConfig {
     fn default() -> CampaignConfig {
         CampaignConfig {
             seed: 2019,
-            mode: TrackMode::Precise,
-            sessions: 4,
-            blocks_per_session: 4,
             control: false,
             prove: false,
         }
@@ -165,19 +166,15 @@ pub fn run_mutant(base: &Design, mutation: &dyn Mutation, cfg: &CampaignConfig) 
 
     // Stage 3: ordinary multi-user fleet traffic.
     let fleet_cfg = FleetConfig {
-        sessions: cfg.sessions,
-        blocks_per_session: cfg.blocks_per_session,
-        mode: if cfg.control {
-            TrackMode::Off
-        } else {
-            cfg.mode
-        },
+        sessions: SESSIONS,
+        blocks_per_session: BLOCKS_PER_SESSION,
+        mode: if cfg.control { TrackMode::Off } else { MODE },
         seed: cfg.seed,
     };
     let stats = run_fleet_batched(&net, fleet_cfg);
     if cfg.control {
         // No tracking, no checker: only functional testing is left.
-        if !stats.functionally_clean(cfg.blocks_per_session) {
+        if !stats.functionally_clean(BLOCKS_PER_SESSION) {
             outcome.kill = Some(KillStage::Functional);
             outcome.detail =
                 "functional testing catches the fault (missing or wrong ciphertexts)".into();

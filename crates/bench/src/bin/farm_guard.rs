@@ -33,7 +33,7 @@ use accel::{protected, supervisor_label, user_label};
 use farm::baseline::run_static;
 use farm::{Farm, FarmConfig, FarmReport, JobSpec, TenantSpec};
 use ifc_lattice::Label;
-use sim::{OptConfig, TrackMode};
+use sim::TrackMode;
 use telemetry::Json;
 
 /// Farm throughput must beat the static baseline by at least this much.
@@ -152,7 +152,6 @@ fn run_farm_once(net: &hdl::Netlist, jobs: &[(usize, JobSpec, Duration)]) -> Far
             workers: 0,
             queue_capacity: 64,
             repack_quantum: 64,
-            opt: Some(OptConfig::all()),
             telemetry: None,
         },
     );
@@ -194,7 +193,7 @@ fn main() -> ExitCode {
 
     // Untimed warm-up pair: fault in the tapes and caches so rep 0
     // isn't measuring first-touch costs.
-    let _ = run_static(&net, TrackMode::Precise, &OptConfig::all(), &static_specs);
+    let _ = run_static(&net, TrackMode::Precise, &static_specs);
     let _ = run_farm_once(&net, &jobs);
 
     // Interleave the two sides rep by rep and compare per-rep *ratios*:
@@ -206,7 +205,7 @@ fn main() -> ExitCode {
     let mut ratios = Vec::with_capacity(REPS);
     let mut last: Option<FarmReport> = None;
     for _ in 0..REPS {
-        let sreport = run_static(&net, TrackMode::Precise, &OptConfig::all(), &static_specs);
+        let sreport = run_static(&net, TrackMode::Precise, &static_specs);
         assert!(
             sreport.all_verified(),
             "static baseline produced a bad ciphertext"

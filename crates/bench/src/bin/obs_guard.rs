@@ -32,7 +32,7 @@ use std::time::Duration;
 use accel::{protected, user_label, MASTER_KEY_SLOT};
 use attacks::mutate::{enumerate, run_mutant, CampaignConfig, KillStage};
 use farm::{Farm, FarmConfig, FarmReport, JobSpec, TenantSpec};
-use sim::{OptConfig, TrackMode};
+use sim::TrackMode;
 use telemetry::{AuditKind, Json, TelemetryBundle, TelemetryConfig, Trace};
 
 /// Paired on/off repetitions for the overhead check.
@@ -56,7 +56,6 @@ fn config(telemetry: Option<TelemetryConfig>) -> FarmConfig {
         workers: 0,
         queue_capacity: 64,
         repack_quantum: 64,
-        opt: Some(OptConfig::all()),
         telemetry,
     }
 }

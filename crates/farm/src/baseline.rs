@@ -63,18 +63,13 @@ impl StaticReport {
 ///
 /// Panics if a batch fails to complete within a generous cycle cap.
 #[must_use]
-pub fn run_static(
-    net: &Netlist,
-    mode: TrackMode,
-    opt: &OptConfig,
-    jobs: &[JobSpec],
-) -> StaticReport {
+pub fn run_static(net: &Netlist, mode: TrackMode, jobs: &[JobSpec]) -> StaticReport {
     let workers = thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
         .min(jobs.len().max(1));
     let batches = plan_batches(jobs.len(), workers);
-    let proto = BatchedSim::with_tracking_opt(net.clone(), mode, 1, opt);
+    let proto = BatchedSim::with_tracking_opt(net.clone(), mode, 1, &OptConfig::all());
     let next = AtomicUsize::new(0);
     let outcomes = Mutex::new(Vec::with_capacity(jobs.len()));
 

@@ -6,7 +6,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use hdl::Netlist;
-use sim::{tuned_opt_config, BatchedSim, OptConfig, TrackMode, SUPPORTED_LANES};
+use sim::{BatchedSim, OptConfig, TrackMode, SUPPORTED_LANES};
 
 use crate::engine::{EngineTel, LaneEngine};
 use crate::metrics::{rate, FarmMetrics, TenantMetrics};
@@ -33,7 +33,8 @@ const QUANTUM_US_BOUNDS: &[f64] = &[
 /// How long an idle worker sleeps between queue polls.
 const IDLE_POLL: Duration = Duration::from_micros(200);
 
-/// Service configuration.
+/// Service configuration. The shared tape is always compiled with every
+/// optimizer pass ([`OptConfig::all`]).
 #[derive(Debug, Clone)]
 pub struct FarmConfig {
     /// Tracking mode every engine runs.
@@ -44,9 +45,6 @@ pub struct FarmConfig {
     pub queue_capacity: usize,
     /// Cycles per scheduling quantum — the re-pack decision cadence.
     pub repack_quantum: u64,
-    /// Optimizer configuration for the shared tape; `None` uses
-    /// [`sim::tuned_opt_config`] (all passes, profiled schedule window).
-    pub opt: Option<OptConfig>,
     /// Observability: `None` (the default) arms nothing and keeps the
     /// hot path at a single branch; `Some` arms the configured
     /// instruments and attaches the bundle to the drain report.
@@ -60,7 +58,6 @@ impl Default for FarmConfig {
             workers: 0,
             queue_capacity: 64,
             repack_quantum: 64,
-            opt: None,
             telemetry: None,
         }
     }
@@ -134,10 +131,6 @@ impl Farm {
     /// prototype fails to build.
     #[must_use]
     pub fn start(net: &Netlist, config: FarmConfig) -> Farm {
-        let opt = config
-            .opt
-            .clone()
-            .unwrap_or_else(|| tuned_opt_config(net, config.mode));
         let workers = if config.workers == 0 {
             thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -145,7 +138,7 @@ impl Farm {
         } else {
             config.workers
         };
-        let proto = BatchedSim::with_tracking_opt(net.clone(), config.mode, 1, &opt);
+        let proto = BatchedSim::with_tracking_opt(net.clone(), config.mode, 1, &OptConfig::all());
         let tel = config.telemetry.clone().map(Telemetry::new);
         let flight_signals = match &config.telemetry {
             Some(tc) if tc.flight => resolve_flight_signals(net, &tc.flight_signals),

@@ -6,7 +6,7 @@ use std::time::Duration;
 use accel::{protected, supervisor_label, user_label, MASTER_KEY_SLOT};
 use farm::{AdmissionError, Farm, FarmConfig, JobSpec, TenantSpec};
 use hdl::Netlist;
-use sim::{OptConfig, TrackMode};
+use sim::TrackMode;
 
 fn accel_net() -> Netlist {
     protected().lower().expect("protected design lowers")
@@ -20,7 +20,6 @@ fn test_config() -> FarmConfig {
         workers: 2,
         queue_capacity: 32,
         repack_quantum: 32,
-        opt: Some(OptConfig::all()),
         telemetry: None,
     }
 }

@@ -6,7 +6,7 @@ use std::time::Duration;
 use accel::{protected, user_label};
 use farm::{Farm, FarmConfig, JobSpec, TenantSpec, WidthTuner};
 use hdl::Netlist;
-use sim::{OptConfig, TrackMode, SUPPORTED_LANES};
+use sim::{TrackMode, SUPPORTED_LANES};
 
 fn accel_net() -> Netlist {
     protected().lower().expect("protected design lowers")
@@ -33,7 +33,6 @@ fn repack_preserves_sessions_and_verifies() {
         repack_quantum: 16,
         queue_capacity: 32,
         mode: TrackMode::Precise,
-        opt: Some(OptConfig::all()),
         telemetry: None,
     };
     let farm = Farm::start(&accel_net(), config);
@@ -105,7 +104,6 @@ fn width_selection_respects_measured_estimates() {
         repack_quantum: 16,
         queue_capacity: 32,
         mode: TrackMode::Precise,
-        opt: Some(OptConfig::all()),
         telemetry: None,
     };
     let farm = Farm::start(&accel_net(), config);

@@ -8,7 +8,7 @@ use std::time::Duration;
 use accel::{protected, supervisor_label, user_label};
 use farm::{Farm, FarmConfig, JobSpec, TenantSpec};
 use hdl::Netlist;
-use sim::{OptConfig, TrackMode};
+use sim::TrackMode;
 use telemetry::{AuditKind, TelemetryConfig, Trace};
 
 fn accel_net() -> Netlist {
@@ -21,7 +21,6 @@ fn config(telemetry: Option<TelemetryConfig>) -> FarmConfig {
         workers: 2,
         queue_capacity: 32,
         repack_quantum: 32,
-        opt: Some(OptConfig::all()),
         telemetry,
     }
 }

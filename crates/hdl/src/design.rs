@@ -1,7 +1,5 @@
 //! The immutable, finished design.
 
-use ifc_lattice::Label;
-
 use crate::label_expr::LabelExpr;
 use crate::lower::{lower, LowerError};
 use crate::netlist::Netlist;
@@ -127,16 +125,6 @@ impl Design {
     #[must_use]
     pub fn label_of(&self, id: NodeId) -> Option<&LabelExpr> {
         self.labels[id.index()].as_ref()
-    }
-
-    /// The designer's label annotation resolved to a static label, when it
-    /// is one.
-    #[must_use]
-    pub fn static_label_of(&self, id: NodeId) -> Option<Label> {
-        match self.label_of(id) {
-            Some(LabelExpr::Const(l)) => Some(*l),
-            _ => None,
-        }
     }
 
     /// The guarded statements, in program order.

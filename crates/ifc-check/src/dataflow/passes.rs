@@ -741,11 +741,6 @@ impl ObservedPlane {
         self.nodes[index] = self.nodes[index].join(label);
     }
 
-    /// Joins one observed memory-cell label in (summarised per array).
-    pub fn join_mem(&mut self, mem: usize, label: Label) {
-        self.mems[mem] = self.mems[mem].join(label);
-    }
-
     /// Merges another plane (e.g. from a different backend or lane).
     pub fn merge(&mut self, other: &ObservedPlane) {
         for (acc, l) in self.nodes.iter_mut().zip(&other.nodes) {

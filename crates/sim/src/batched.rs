@@ -123,9 +123,6 @@ pub struct BatchedSim {
     violations: Vec<Vec<RuntimeViolation>>,
     violation_cap: usize,
     violations_truncated: Vec<bool>,
-    /// Per-opcode run timing (zero-sized no-op without the `profile`
-    /// feature).
-    profile: crate::profile::ProfileData,
 }
 
 /// One lane's complete architectural state, checkpointed by
@@ -219,13 +216,6 @@ impl<const W: usize, const TRACK: bool, const PRECISE: bool> RunEngine
 }
 
 impl BatchedSim {
-    /// Compiles a netlist for `lanes` sessions with default conservative
-    /// tracking.
-    #[must_use]
-    pub fn new(net: Netlist, lanes: usize) -> BatchedSim {
-        BatchedSim::with_tracking(net, TrackMode::default(), lanes)
-    }
-
     /// Compiles a netlist for the given tracking mode, no optimizer
     /// passes.
     #[must_use]
@@ -257,7 +247,7 @@ impl BatchedSim {
     /// # Panics
     ///
     /// Panics if `lanes` is not one of [`SUPPORTED_LANES`].
-    fn from_program(program: Arc<Program>, mode: TrackMode, lanes: usize) -> BatchedSim {
+    pub(crate) fn from_program(program: Arc<Program>, mode: TrackMode, lanes: usize) -> BatchedSim {
         assert!(
             SUPPORTED_LANES.contains(&lanes),
             "unsupported lane width {lanes} (supported: {SUPPORTED_LANES:?})"
@@ -305,7 +295,6 @@ impl BatchedSim {
             violations: vec![Vec::new(); lanes],
             violation_cap: DEFAULT_VIOLATION_CAP,
             violations_truncated: vec![false; lanes],
-            profile: crate::profile::ProfileData::default(),
             program,
         }
     }
@@ -375,22 +364,6 @@ impl BatchedSim {
         crate::disasm::fingerprint(&self.program.tape)
     }
 
-    /// Aggregated per-opcode executor timing since construction (or the
-    /// last [`BatchedSim::profile_reset`]). Only built with the
-    /// `profile` cargo feature.
-    #[cfg(feature = "profile")]
-    #[must_use]
-    pub fn profile_report(&self) -> crate::ProfileReport {
-        self.profile.report()
-    }
-
-    /// Clears the profiler's accumulated buckets. Only built with the
-    /// `profile` cargo feature.
-    #[cfg(feature = "profile")]
-    pub fn profile_reset(&mut self) {
-        self.profile.reset();
-    }
-
     /// Statistics of the optimizer passes that ran at construction.
     #[must_use]
     pub fn opt_stats(&self) -> &OptStats {
@@ -432,14 +405,9 @@ impl BatchedSim {
     ///
     /// # Panics
     ///
-    /// Panics if the input is pinned by the optimizer config, or `lane`
-    /// is out of range.
+    /// Panics if `lane` is out of range.
     pub fn set_node(&mut self, lane: usize, id: NodeId, value: Value) {
         assert!(lane < self.lanes, "lane {lane} out of range");
-        assert!(
-            !self.program.pinned[id.index()],
-            "input node {id:?} is pinned to a constant by the optimizer config"
-        );
         let width = self.program.node_widths[id.index()];
         let idx = self.slot(id) * self.lanes + lane;
         let v = mask(value, width);
@@ -925,10 +893,8 @@ impl BatchedSim {
             violations_truncated,
             room,
             cycle,
-            profile,
             ..
         } = self;
-        profile.begin_pass();
         let tape = &program.tape;
         let n = tape.ops.len();
         let col_dst = &tape.dst[..n];
@@ -944,7 +910,6 @@ impl BatchedSim {
         let tag8 = |v: u64| Label::from(SecurityTag::from_bits(v as u8));
         for &(op, start, end) in &program.runs {
             let (s, e) = (start as usize, end as usize);
-            let run_started = profile.begin_run();
             // `copy_labels`/`join_labels`: the unary and binary label
             // rules — copy `a`'s level chunks, or join `a`'s and `b`'s
             // lanewise (byte max on confidentiality, byte min on
@@ -1413,7 +1378,6 @@ impl BatchedSim {
                     }
                 }
             }
-            profile.end_run(op, e - s, run_started);
         }
 
         if record && TRACK {

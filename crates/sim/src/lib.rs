@@ -56,16 +56,13 @@ mod backend;
 mod batched;
 pub mod disasm;
 pub mod opt;
-mod profile;
 mod program;
 mod simulator;
 pub mod vcd;
 mod violation;
 
 pub use batched::{BatchedSim, LaneSnapshot, SUPPORTED_LANES};
-pub use opt::{tuned as tuned_opt_config, OptConfig, OptStats, PassStats, DEFAULT_SCHEDULE_WINDOW};
-#[cfg(feature = "profile")]
-pub use profile::{OpProfile, ProfileReport};
+pub use opt::{tuned as tuned_opt_config, OptConfig, OptStats, PassStats};
 pub use simulator::{Simulator, TrackMode};
 pub use vcd::{parse_vcd, width_of, VcdDoc, VcdRecorder, VcdSignal, VcdTrace};
 pub use violation::RuntimeViolation;

@@ -1,10 +1,10 @@
-//! Constant folding through literals and config-pinned inputs.
+//! Constant folding through literals.
 //!
 //! A slot is *constant* when nothing can ever rewrite it at runtime: the
-//! slot of a `Const` node, the slot of a pinned input, or the destination
-//! of an instruction whose operands are all constant. Such instructions
-//! are evaluated once here, their results baked into
-//! [`Program::init_values`], and the instructions dropped from the tape.
+//! slot of a `Const` node, or the destination of an instruction whose
+//! operands are all constant. Such instructions are evaluated once here,
+//! their results baked into [`Program::init_values`], and the
+//! instructions dropped from the tape.
 //!
 //! Soundness under label tracking: constant slots are initialised to
 //! `(⊥,⊤)` and no surviving instruction writes them, so at runtime their
@@ -65,13 +65,8 @@ pub(super) fn run(program: &mut Program) {
     let num_slots = program.num_slots;
     let mut is_const = vec![false; num_slots];
     for id in program.net.node_ids() {
-        let idx = id.index();
-        match program.net.node(id) {
-            Node::Const { .. } => is_const[program.slot_of[idx] as usize] = true,
-            Node::Input { .. } if program.pinned[idx] => {
-                is_const[program.slot_of[idx] as usize] = true;
-            }
-            _ => {}
+        if matches!(program.net.node(id), Node::Const { .. }) {
+            is_const[program.slot_of[id.index()] as usize] = true;
         }
     }
 

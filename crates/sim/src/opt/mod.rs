@@ -8,8 +8,7 @@
 //! each pass individually against the interpreter oracle.
 //!
 //! * **Constant folding** ([`fold`]): an instruction whose operands are
-//!   all tied to constants (literals, or inputs pinned by
-//!   [`OptConfig::pin_inputs`]) is evaluated once at compile time and its
+//!   all tied to literals is evaluated once at compile time and its
 //!   result baked into the slot's initial value. Sound under label
 //!   tracking because constant slots carry `(⊥,⊤)` forever, so the folded
 //!   instruction's label join is `(⊥,⊤)` — exactly the destination slot's
@@ -45,18 +44,15 @@ mod dce;
 mod fold;
 mod schedule;
 
-use hdl::{mask, Value};
-
 use crate::program::Program;
 
-/// Default instruction window of the run-scheduling pass (see
-/// [`OptConfig::schedule_window`]).
-pub const DEFAULT_SCHEDULE_WINDOW: usize = 96;
+/// Instruction window of the run-scheduling pass (see [`schedule`]).
+const SCHEDULE_WINDOW: usize = 96;
 
-/// Which optimizer passes run, and any inputs pinned to constants.
+/// Which optimizer passes run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OptConfig {
-    /// Constant folding through literals and pinned inputs.
+    /// Constant folding through literals.
     pub fold: bool,
     /// Common-subexpression elimination over the tape.
     pub cse: bool,
@@ -64,16 +60,6 @@ pub struct OptConfig {
     pub dce: bool,
     /// Same-op run scheduling (dependency-preserving tape reorder).
     pub schedule: bool,
-    /// Instruction window for the scheduling pass; `None` uses
-    /// [`DEFAULT_SCHEDULE_WINDOW`]. The cycle profiler's
-    /// `ProfileReport::suggest_window` (built with the `profile`
-    /// feature) derives a value for this from measured run
-    /// fragmentation.
-    pub schedule_window: Option<usize>,
-    /// Inputs tied to fixed values by configuration (name, value). A
-    /// pinned input's slot becomes a constant seed for folding; driving
-    /// it afterwards panics.
-    pub pin_inputs: Vec<(String, Value)>,
 }
 
 impl OptConfig {
@@ -83,7 +69,7 @@ impl OptConfig {
         OptConfig::default()
     }
 
-    /// Every pass enabled, no pinned inputs.
+    /// Every pass enabled.
     #[must_use]
     pub fn all() -> OptConfig {
         OptConfig {
@@ -91,44 +77,17 @@ impl OptConfig {
             cse: true,
             dce: true,
             schedule: true,
-            schedule_window: None,
-            pin_inputs: Vec::new(),
         }
     }
 }
 
-/// Calibration length for [`tuned`]'s profiling run: enough tape passes
-/// for the average run length to stabilise, short enough that the probe
-/// costs single-digit milliseconds per (netlist, mode) launch.
-#[cfg(feature = "profile")]
-const TUNE_CYCLES: u64 = 128;
-
-/// The optimizer configuration fleet and farm launches use by default:
-/// every pass enabled, with the scheduling window fed back from the cycle
-/// profiler's measured run fragmentation instead of requiring manual
-/// plumbing.
-///
-/// With the `profile` cargo feature, a one-lane probe batch compiled with
-/// [`OptConfig::all`] executes a short calibration run and
-/// `ProfileReport::suggest_window` sizes
-/// [`OptConfig::schedule_window`] from the observed average same-op run
-/// length. Without the feature the probe would measure nothing, so the
-/// result is exactly [`OptConfig::all`] (window `None`, i.e. the default).
+/// Exactly [`OptConfig::all`], for every netlist and mode. Kept as a
+/// function only because the benchmark package (`perfbench`, its
+/// `farm_churn` workload) calls it by this name; the farm uses
+/// [`OptConfig::all`] directly.
 #[must_use]
-pub fn tuned(net: &hdl::Netlist, mode: crate::TrackMode) -> OptConfig {
-    #[cfg_attr(not(feature = "profile"), allow(unused_mut))]
-    let mut config = OptConfig::all();
-    #[cfg(feature = "profile")]
-    {
-        let mut probe = crate::BatchedSim::with_tracking_opt(net.clone(), mode, 1, &config);
-        probe.run(TUNE_CYCLES);
-        config.schedule_window = Some(probe.profile_report().suggest_window());
-    }
-    #[cfg(not(feature = "profile"))]
-    {
-        let _ = (net, mode);
-    }
-    config
+pub fn tuned(_net: &hdl::Netlist, _mode: crate::TrackMode) -> OptConfig {
+    OptConfig::all()
 }
 
 /// Before/after instruction counts of one optimizer pass.
@@ -167,21 +126,7 @@ impl OptStats {
 
 /// Runs the configured passes over a program, in fold → cse → dce →
 /// schedule order, recording per-pass statistics into the program.
-///
-/// # Panics
-///
-/// Panics if a pinned input names no input port.
 pub(crate) fn optimize(program: &mut Program, config: &OptConfig) {
-    // Pin configured inputs first: bake the value into the slot's initial
-    // state and mark the node so a later `set` is rejected.
-    for (name, value) in &config.pin_inputs {
-        let id = program.resolve_input(name);
-        let idx = id.index();
-        let slot = program.slot_of[idx] as usize;
-        program.init_values[slot] = mask(*value, program.node_widths[idx].max(1));
-        program.pinned[idx] = true;
-    }
-
     let mut stats = OptStats::default();
     let mut record = |name: &'static str, before: usize, after: usize| {
         stats.passes.push(PassStats {
@@ -208,10 +153,7 @@ pub(crate) fn optimize(program: &mut Program, config: &OptConfig) {
     }
     if config.schedule {
         let before = program.tape.len();
-        schedule::run(
-            program,
-            config.schedule_window.unwrap_or(DEFAULT_SCHEDULE_WINDOW),
-        );
+        schedule::run(program, SCHEDULE_WINDOW);
         record("schedule", before, program.tape.len());
     }
 

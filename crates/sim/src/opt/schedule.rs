@@ -18,14 +18,10 @@
 //! migrates instructions arbitrarily far from their producers, which
 //! wrecks the cache locality of the lane-batched executor's operand
 //! accesses — measured, it is a net loss at 4+ lanes. Windowed
-//! scheduling keeps every instruction within the configured window
-//! ([`OptConfig::schedule_window`](crate::OptConfig::schedule_window),
-//! defaulting to
-//! [`DEFAULT_SCHEDULE_WINDOW`](crate::opt::DEFAULT_SCHEDULE_WINDOW)) of
-//! its original neighbourhood, trading some run-length for intact
-//! producer→consumer reuse distance. The `profile`-feature cycle
-//! profiler measures the resulting run fragmentation and suggests a
-//! window adjustment when dispatch overhead dominates.
+//! scheduling keeps every instruction within a fixed window
+//! ([`SCHEDULE_WINDOW`](super::SCHEDULE_WINDOW) instructions) of its
+//! original neighbourhood, trading some run-length
+//! for intact producer→consumer reuse distance.
 //!
 //! ## Soundness
 //!
@@ -174,6 +170,87 @@ fn schedule_window(
             if indegree[s] == 0 {
                 buckets[tape.ops[ws + s] as usize].push_back(succ);
                 ready_count += 1;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use hdl::{ModuleBuilder, Netlist, Value};
+    use ifc_lattice::{Conf, Integ, Label};
+
+    use super::run;
+    use crate::opt::SCHEDULE_WINDOW;
+    use crate::program::Program;
+    use crate::{BatchedSim, TrackMode};
+
+    /// Six independent xor/add/and cones folded into an accumulator
+    /// register: the lowered tape cycles through the opcodes, so there
+    /// are same-op runs to cluster.
+    fn netlist() -> Netlist {
+        let mut m = ModuleBuilder::new("scheduled");
+        let a = m.input("a", 8);
+        let b = m.input("b", 8);
+        let acc = m.reg("acc", 8, 1);
+        let mut x = acc;
+        for k in 0..6 {
+            let key = m.lit(k * 0x25, 8);
+            let s = m.xor(a, key);
+            let t = m.add(b, acc);
+            let u = m.and(s, t);
+            x = m.or(x, u);
+        }
+        m.connect(acc, x);
+        m.output("x", x);
+        m.finish().lower().expect("lowers")
+    }
+
+    /// A one-lane Precise instance over the tape, scheduled with
+    /// `window` when given, and the tape's same-op run count.
+    fn instance(net: &Netlist, window: Option<usize>) -> (BatchedSim, usize) {
+        let mut program = Program::compile(net.clone());
+        if let Some(window) = window {
+            run(&mut program, window);
+            program.rebuild_downgrade_index();
+        }
+        let runs = program.runs.len();
+        let sim = BatchedSim::from_program(Arc::new(program), TrackMode::Precise, 1);
+        (sim, runs)
+    }
+
+    #[test]
+    fn every_window_matches_the_unscheduled_tape() {
+        let net = netlist();
+        let (plain, plain_runs) = instance(&net, None);
+        for window in [1, 2, SCHEDULE_WINDOW] {
+            let (mut scheduled, runs) = instance(&net, Some(window));
+            if window == SCHEDULE_WINDOW {
+                assert!(runs < plain_runs, "{runs} runs, unscheduled {plain_runs}");
+            }
+            let mut plain = plain.with_lanes(1);
+            for cycle in 0..16u64 {
+                let level = |k: u64| ((cycle * 7 + k) % 16) as u8;
+                for (k, port) in ["a", "b"].into_iter().enumerate() {
+                    let k = k as u64;
+                    let value = Value::from((cycle * 0x9d) ^ (k * 0x5a));
+                    let label = Label::new(Conf::new(level(k)), Integ::new(level(k + 3)));
+                    for sim in [&mut plain, &mut scheduled] {
+                        sim.set(0, port, value);
+                        sim.set_label(0, port, label);
+                    }
+                }
+                for id in net.node_ids() {
+                    assert_eq!(
+                        (scheduled.peek_node(0, id), scheduled.peek_node_label(0, id)),
+                        (plain.peek_node(0, id), plain.peek_node_label(0, id)),
+                        "window {window}, cycle {cycle}, node {id:?}"
+                    );
+                }
+                plain.tick();
+                scheduled.tick();
             }
         }
     }

@@ -73,33 +73,6 @@ pub(crate) enum Op {
 }
 
 impl Op {
-    /// Every opcode, in declaration order (for profiler bucket naming).
-    #[cfg(feature = "profile")]
-    pub(crate) const ALL: [Op; 22] = [
-        Op::Not,
-        Op::ReduceOr,
-        Op::ReduceAnd,
-        Op::ReduceXor,
-        Op::And,
-        Op::Or,
-        Op::Xor,
-        Op::Add,
-        Op::Sub,
-        Op::Eq,
-        Op::Ne,
-        Op::Lt,
-        Op::Ge,
-        Op::TagLeq,
-        Op::TagJoin,
-        Op::TagMeet,
-        Op::Mux,
-        Op::Slice,
-        Op::Cat,
-        Op::MemRead,
-        Op::Declassify,
-        Op::Endorse,
-    ];
-
     /// Whether the `b` column holds a value slot (as opposed to a shift
     /// amount or a memory index).
     pub(crate) fn b_is_slot(self) -> bool {
@@ -290,9 +263,6 @@ pub(crate) struct Program {
     pub(crate) mem_addr_mask: Vec<Option<usize>>,
     /// Initial memory contents (init cells resized to depth).
     pub(crate) mem_init: Vec<Vec<Value>>,
-    /// Per-node flag: input pinned to a constant by the optimizer config
-    /// (driving a pinned input is a programming error).
-    pub(crate) pinned: Vec<bool>,
     /// Before/after statistics of the optimizer pipeline that ran over
     /// this program (empty when no passes ran).
     pub(crate) opt_stats: OptStats,
@@ -495,7 +465,6 @@ impl Program {
             runs: Vec::new(),
             mem_addr_mask,
             mem_init,
-            pinned: vec![false; n],
             opt_stats: OptStats::default(),
             net,
         };

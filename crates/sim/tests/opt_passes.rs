@@ -1,7 +1,7 @@
 //! Targeted tests for the tape optimizer passes: each pass individually
-//! (statistics and semantics against the interpreter oracle), pinned
-//! config inputs, and the soundness corner cases the passes must respect
-//! (downgrade gates, named nodes, label preservation).
+//! (statistics and semantics against the interpreter oracle) and the
+//! soundness corner cases the passes must respect (downgrade gates,
+//! named nodes, label preservation).
 
 use hdl::ModuleBuilder;
 use ifc_lattice::Label;
@@ -74,58 +74,6 @@ fn fold_evaluates_constant_cones() {
     folded.set(0, "x", 1);
     assert_eq!(folded.peek(0, "const_out"), (0x0f ^ 0x35) + 0x35);
     assert_eq!(folded.peek(0, "out"), (0x0fu128 ^ 0x35) + 0x35 + 1);
-}
-
-#[test]
-fn pinned_input_folds_like_a_literal() {
-    // Pinning `cfg` makes everything derived from it constant; the
-    // optimized backend must match an interpreter that drives `cfg` to
-    // the pinned value — values *and* labels.
-    let mut m = ModuleBuilder::new("cfg_tied");
-    let cfg = m.input("cfg", 8);
-    let x = m.input("x", 8);
-    let mask = m.not(cfg);
-    let gated = m.and(x, mask);
-    m.output("out", gated);
-    let net = m.finish().lower().expect("lowers");
-
-    let config = OptConfig {
-        fold: true,
-        pin_inputs: vec![("cfg".into(), 0x3c)],
-        ..OptConfig::none()
-    };
-    let plain = tape(&net, &OptConfig::none());
-    let mut opt = tape(&net, &config);
-    assert!(opt.tape_len() < plain.tape_len());
-
-    let mut oracle = Simulator::with_tracking(net, TrackMode::Conservative);
-    oracle.set("cfg", 0x3c);
-    for v in [0u128, 0x5a, 0xff, 0x13] {
-        oracle.set("x", v);
-        oracle.set_label("x", Label::SECRET_TRUSTED);
-        opt.set(0, "x", v);
-        opt.set_label(0, "x", Label::SECRET_TRUSTED);
-        assert_eq!(oracle.peek("out"), opt.peek(0, "out"));
-        assert_eq!(oracle.peek_label("out"), opt.peek_label(0, "out"));
-        oracle.tick();
-        opt.tick();
-    }
-}
-
-#[test]
-#[should_panic(expected = "pinned to a constant")]
-fn driving_a_pinned_input_panics() {
-    let mut m = ModuleBuilder::new("pinned");
-    let cfg = m.input("cfg", 8);
-    m.output("out", cfg);
-    let net = m.finish().lower().expect("lowers");
-    let config = OptConfig {
-        fold: true,
-        pin_inputs: vec![("cfg".into(), 7)],
-        ..OptConfig::none()
-    };
-    let mut sim = tape(&net, &config);
-    sim.set(0, "cfg", 1);
 }
 
 #[test]

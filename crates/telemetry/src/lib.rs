@@ -21,9 +21,9 @@
 //! * [`metrics::Registry`] — counters, gauges, and histograms with
 //!   snapshot/delta semantics and JSON + Prometheus text exposition.
 //!
-//! Everything follows the `sim::profile` discipline: the disabled form
-//! of each handle is a `None` behind a cheap null check, so a farm run
-//! with telemetry off pays nothing on the hot path.
+//! Everything is off by default: the disabled form of each handle is a
+//! `None` behind a cheap null check, so a farm run with telemetry off
+//! pays nothing on the hot path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
