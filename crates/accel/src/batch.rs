@@ -8,7 +8,7 @@
 //! one tape pass per cycle. The port protocol per lane is cycle-for-cycle
 //! identical to the single-session driver, so per-lane statistics from a
 //! symmetric workload match what `AccelDriver` reports for the same
-//! stimulus — the fleet tests assert exactly that.
+//! stimulus — the `accel::fleet` tests assert exactly that.
 //!
 //! Lanes may diverge (one lane stalled or rejected while another
 //! proceeds): submission is per-lane handshake-checked each cycle, and
@@ -57,8 +57,8 @@ struct Ports {
 ///
 /// Each lane may be in a *different* protocol phase on the same cycle,
 /// which is what live lane refill in the accelerator farm needs; the
-/// whole-batch helpers ([`BatchedDriver::load_keys`] and the fleet's
-/// session loop) are sequences of `step`s.
+/// whole-batch helpers ([`BatchedDriver::load_keys`] and
+/// [`crate::fleet::run_lane_sessions`]) are sequences of `step`s.
 #[derive(Debug, Clone)]
 pub enum LaneAction {
     /// Hold this lane's inputs cleared for the cycle.
@@ -134,8 +134,9 @@ impl BatchedDriver {
         BatchedDriver::from_batched(BatchedSim::with_tracking(net, mode, lanes))
     }
 
-    /// Wraps an already-constructed batched simulator (the fleet path:
-    /// one prototype shares its compiled program with every batch).
+    /// Wraps an already-constructed batched simulator (so one prototype
+    /// can share its compiled program with every batch, or a caller can
+    /// pick its optimizer passes).
     ///
     /// # Panics
     ///

@@ -18,12 +18,8 @@ use sim::TrackMode;
 
 use crate::batch::{BatchedDriver, LaneAction};
 use crate::driver::{AccelDriver, Request};
-use crate::fleet::{block_from, submit_next};
+use crate::fleet::{block_from, submit_next, KEY_DERIVE_INDEX};
 use crate::params::{supervisor_label, user_label};
-
-/// The per-session key derivation salt [`crate::fleet::run_session`] uses,
-/// so cross-check sessions exercise the same key material the fleet does.
-const KEY_SALT: u64 = 0x4b45_5953;
 
 fn fold(driver: &mut AccelDriver, plane: &mut ObservedPlane) {
     let sim = driver.sim_mut();
@@ -31,11 +27,12 @@ fn fold(driver: &mut AccelDriver, plane: &mut ObservedPlane) {
     sim.fold_mem_labels(&mut plane.mems);
 }
 
-/// One instrumented session: load a tagged key, write the configuration
-/// register as the supervisor, stream `blocks` encryptions, drain with a
-/// per-cycle tag-plane sample, and probe the debug port — touching every
-/// labelled region of the design while the plane records what the runtime
-/// tags actually reached.
+/// One instrumented session: load a tagged key (derived from `seed` as
+/// [`crate::fleet::run_session`] derives its session key), write the
+/// configuration register as the supervisor, stream `blocks` encryptions,
+/// drain with a per-cycle tag-plane sample, and probe the debug port —
+/// touching every labelled region of the design while the plane records
+/// what the runtime tags actually reached.
 fn observe_session(
     driver: &mut AccelDriver,
     plane: &mut ObservedPlane,
@@ -43,7 +40,7 @@ fn observe_session(
     seed: u64,
     blocks: usize,
 ) {
-    driver.load_key(0, block_from(seed, KEY_SALT), user);
+    driver.load_key(0, block_from(seed, KEY_DERIVE_INDEX), user);
     fold(driver, plane);
     driver.write_cfg((seed as u8) | 1, supervisor_label());
     fold(driver, plane);
@@ -119,7 +116,10 @@ pub fn observe_lanes(
     let seeds: Vec<u64> = (0..lanes)
         .map(|l| base_seed ^ (0xba7c * (l as u64 + 1)))
         .collect();
-    let keys: Vec<[u8; 16]> = seeds.iter().map(|&s| block_from(s, KEY_SALT)).collect();
+    let keys: Vec<[u8; 16]> = seeds
+        .iter()
+        .map(|&s| block_from(s, KEY_DERIVE_INDEX))
+        .collect();
     driver.load_keys(0, &keys, &users);
     fold_batched(&mut driver, &mut plane);
 

@@ -1,62 +1,32 @@
-//! Parallel multi-session throughput harness.
+//! Multi-session workload helpers.
 //!
 //! An SoC deployment of the accelerator serves many mutually distrusting
-//! principals at once; for simulation-based evaluation the natural way to
-//! scale is *sessions*, not cycles: N fully independent accelerator
-//! instances, each with its own keys and request stream. The netlist is
-//! lowered and compiled once; sessions run as lanes of
-//! [`BatchedSim`] batches on a bounded worker pool.
+//! principals at once; a *session* is one principal's deterministic
+//! encrypt workload — its own key and request stream, derived from a
+//! seed by [`mix`] and [`block_from`], with every ciphertext checked
+//! against the software AES oracle.
 //!
-//! [`run_fleet_batched`] drives a deterministic encrypt workload through
-//! every session, checks each ciphertext against the software AES oracle,
-//! and aggregates per-session statistics. [`run_session`] runs the same
-//! workload on one [`AccelDriver`] (the interpreting oracle), and
-//! [`run_lane_sessions`] on the lanes of one [`BatchedDriver`]; per-lane
-//! results match the oracle's exactly.
+//! [`run_session`] runs a session on one [`AccelDriver`] (the
+//! interpreting oracle), and [`run_lane_sessions`] runs one session per
+//! lane of a [`BatchedDriver`]; per-lane results match the oracle's
+//! exactly. Packing sessions onto lane batches across worker threads is
+//! `farm::baseline::run_static`'s job (static packing) and the farm's
+//! (refill and re-packing).
 
 use aes_core::Aes;
-use hdl::Netlist;
 use ifc_lattice::Label;
-use sim::{BatchedSim, OptConfig, RuntimeViolation, TrackMode, SUPPORTED_LANES};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::thread;
+use sim::RuntimeViolation;
 
 use crate::batch::{BatchedDriver, LaneAction};
 use crate::driver::{AccelDriver, Request};
-use crate::params::user_label;
 
 /// Stream index reserved for deriving a session's key from its seed
 /// (ASCII `"KEYS"`; request blocks use their small submission indices,
 /// which never collide with it).
 pub const KEY_DERIVE_INDEX: u64 = 0x4b45_5953;
 
-/// Workload configuration for one fleet run.
-#[derive(Debug, Clone, Copy)]
-pub struct FleetConfig {
-    /// Number of independent accelerator sessions (one thread each).
-    pub sessions: usize,
-    /// Encryption requests submitted per session.
-    pub blocks_per_session: usize,
-    /// Tracking mode every session's backend runs.
-    pub mode: TrackMode,
-    /// Seed mixed into each session's key and plaintext stream.
-    pub seed: u64,
-}
-
-impl Default for FleetConfig {
-    fn default() -> FleetConfig {
-        FleetConfig {
-            sessions: 4,
-            blocks_per_session: 32,
-            mode: TrackMode::Precise,
-            seed: 0x5eed,
-        }
-    }
-}
-
 /// What one session observed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionStats {
     /// Completed encryptions.
     pub responses: usize,
@@ -73,55 +43,8 @@ pub struct SessionStats {
     pub first_violation: Option<u64>,
 }
 
-/// Aggregated results of a fleet run.
-#[derive(Debug, Clone, Default)]
-pub struct FleetStats {
-    /// Per-session statistics, in session order.
-    pub sessions: Vec<SessionStats>,
-}
-
-impl FleetStats {
-    /// Total completed encryptions across all sessions.
-    #[must_use]
-    pub fn total_responses(&self) -> usize {
-        self.sessions.iter().map(|s| s.responses).sum()
-    }
-
-    /// Total runtime violations across all sessions.
-    #[must_use]
-    pub fn total_violations(&self) -> usize {
-        self.sessions.iter().map(|s| s.violations).sum()
-    }
-
-    /// Whether every ciphertext in every session matched the software
-    /// AES oracle.
-    #[must_use]
-    pub fn all_verified(&self) -> bool {
-        self.sessions
-            .iter()
-            .all(|s| s.verified == s.responses && s.responses > 0)
-    }
-
-    /// The earliest violation cycle across all sessions, if any session
-    /// recorded a runtime violation.
-    #[must_use]
-    pub fn first_violation_cycle(&self) -> Option<u64> {
-        self.sessions.iter().filter_map(|s| s.first_violation).min()
-    }
-
-    /// Whether every session completed its full workload with a
-    /// verified ciphertext for each submitted block — the functional
-    /// acceptance a test bench without IFC oversight would apply.
-    #[must_use]
-    pub fn functionally_clean(&self, blocks_per_session: usize) -> bool {
-        self.sessions
-            .iter()
-            .all(|s| s.responses == blocks_per_session && s.verified == s.responses)
-    }
-}
-
 /// Deterministic per-session key/plaintext derivation (SplitMix64) —
-/// shared by the fleet harness and the farm's churn workloads so the
+/// shared by the session runners and the farm's churn workloads so the
 /// same seed always produces the same traffic.
 #[must_use]
 pub fn mix(mut x: u64) -> u64 {
@@ -181,23 +104,11 @@ pub fn run_session(
     }
 }
 
-/// Number of worker threads for a fleet: one per hardware thread, never
-/// more than there are work items (a fleet used to spawn one thread per
-/// session, which on a small host oversubscribes the cores and measures
-/// scheduler churn instead of simulation throughput).
-fn worker_count(items: usize) -> usize {
-    thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(items)
-        .max(1)
-}
-
 /// Lane action for a session's `next`-th block of `blocks`: submit it
 /// (the plaintext stream derived from `seed` exactly as [`run_session`]
 /// derives it), or idle once every block is in.
 #[must_use]
-pub fn submit_next(next: usize, blocks: usize, seed: u64, user: Label) -> LaneAction {
+pub(crate) fn submit_next(next: usize, blocks: usize, seed: u64, user: Label) -> LaneAction {
     if next < blocks {
         LaneAction::Submit {
             req: Request {
@@ -276,192 +187,76 @@ pub fn run_lane_sessions(
         .collect()
 }
 
-/// Runs `config.sessions` accelerator sessions scheduled onto lane
-/// batches of the [`BatchedSim`] backend: sessions are greedily grouped
-/// into the widest supported lane batches, the tape is compiled once and
-/// shared by every batch, and a bounded worker pool claims batches.
-///
-/// Per-lane observable results (responses, rejections, violations,
-/// verification, cycles) match [`run_session`] on a fresh
-/// [`AccelDriver`] with the same user and seed; only the throughput
-/// differs, because one tape pass advances a whole batch.
-#[must_use]
-pub fn run_fleet_batched(net: &Netlist, config: FleetConfig) -> FleetStats {
-    // Compile once; every batch re-stripes the same program.
-    let prototype = BatchedSim::with_tracking_opt(net.clone(), config.mode, 1, &OptConfig::none());
-    run_fleet_on_prototype(&prototype, config)
-}
-
-/// Greedy partition of `sessions` into `(first session, width)` lane
-/// batches with the width clamped for worker coverage.
-///
-/// Plain widest-fit packs 8 sessions into one 8-wide batch, which on a
-/// 2-core host leaves the second worker idle *and* runs the measurably
-/// slower W=8 batch shape (`farm::tuner`'s `SEED_BLOCKS_PER_SEC`,
-/// recorded by `width_probe` on the 2-core host, puts W=8 below W=4).
-/// Capping the width at `ceil(sessions / workers)`, rounded up to a
-/// supported width, splits the same sessions into enough batches to
-/// keep every worker busy: 8 sessions on 2 cores become two concurrent
-/// 4-wide batches.
-#[must_use]
-pub fn plan_batches(sessions: usize, workers: usize) -> Vec<(usize, usize)> {
-    let target = sessions.div_ceil(workers.max(1));
-    let cap = SUPPORTED_LANES
-        .iter()
-        .copied()
-        .find(|&w| w >= target)
-        .unwrap_or(SUPPORTED_LANES[SUPPORTED_LANES.len() - 1]);
-    let mut batches = Vec::new();
-    let mut i = 0;
-    while i < sessions {
-        let width = SUPPORTED_LANES
-            .iter()
-            .rev()
-            .copied()
-            .find(|&w| w <= (sessions - i).min(cap))
-            .expect("width 1 always fits");
-        batches.push((i, width));
-        i += width;
-    }
-    batches
-}
-
-/// [`run_fleet_batched`] over an already-compiled prototype, so a
-/// caller can pick the prototype's optimizer passes and keep compilation
-/// out of a timing window. Sessions are greedily grouped into lane
-/// batches sized for the worker pool (see [`plan_batches`]), and the
-/// bounded pool claims batches and re-stripes the prototype to each
-/// batch's width.
-///
-/// # Panics
-///
-/// Panics if `config.mode` is not the prototype's tracking mode.
-#[must_use]
-pub fn run_fleet_on_prototype(prototype: &BatchedSim, config: FleetConfig) -> FleetStats {
-    assert_eq!(
-        prototype.mode(),
-        config.mode,
-        "prototype tracks another mode"
-    );
-    let batches = plan_batches(config.sessions, worker_count(config.sessions));
-    let next = AtomicUsize::new(0);
-    let results = Mutex::new(vec![SessionStats::default(); config.sessions]);
-    thread::scope(|s| {
-        for _ in 0..worker_count(batches.len()) {
-            s.spawn(|| loop {
-                let b = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(first, width)) = batches.get(b) else {
-                    break;
-                };
-                let mut driver = BatchedDriver::from_batched(prototype.with_lanes(width));
-                let users: Vec<Label> = (first..first + width).map(|i| user_label(i % 4)).collect();
-                let seeds: Vec<u64> = (first..first + width)
-                    .map(|i| mix(config.seed ^ (i as u64) << 8))
-                    .collect();
-                let stats =
-                    run_lane_sessions(&mut driver, config.blocks_per_session, &users, &seeds);
-                results.lock().expect("no poisoned sessions")[first..first + width]
-                    .copy_from_slice(&stats);
-            });
-        }
-    });
-    FleetStats {
-        sessions: results.into_inner().expect("no poisoned sessions"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::protected;
+    use crate::params::user_label;
+    use hdl::Netlist;
+    use sim::{BatchedSim, OptConfig, TrackMode};
 
-    /// Session `i` of a fleet run on the oracle driver: the user and seed
-    /// the batched fleet gives its lane `i`.
-    fn oracle_session(net: &Netlist, config: FleetConfig, i: usize) -> SessionStats {
-        let mut driver = AccelDriver::from_netlist(net.clone(), config.mode);
-        let seed = mix(config.seed ^ (i as u64) << 8);
-        run_session(
-            &mut driver,
-            config.blocks_per_session,
-            user_label(i % 4),
-            seed,
-        )
-    }
-
-    #[test]
-    fn fleet_runs_parallel_sessions_and_verifies() {
-        let config = FleetConfig {
-            sessions: 3,
-            blocks_per_session: 4,
-            mode: TrackMode::Precise,
-            seed: 7,
-        };
-        let net = protected().lower().expect("lowers");
-        let stats = run_fleet_batched(&net, config);
-        assert_eq!(stats.sessions.len(), 3);
-        assert_eq!(stats.total_responses(), 12);
-        assert!(stats.all_verified(), "{stats:?}");
-        assert_eq!(stats.total_violations(), 0, "{stats:?}");
-    }
-
-    #[test]
-    fn fleet_matches_across_backends() {
-        let config = FleetConfig {
-            sessions: 2,
-            blocks_per_session: 3,
-            mode: TrackMode::Conservative,
-            seed: 99,
-        };
-        let net = protected().lower().expect("lowers");
-        let oracle: Vec<SessionStats> = (0..config.sessions)
-            .map(|i| oracle_session(&net, config, i))
+    /// Runs `lanes` sessions on one `lanes`-wide batched driver compiled
+    /// with `opt`, lane `i` under `user_label(i % 4)` and seed
+    /// `mix(seed ^ i << 8)`, and asserts every lane's stats equal
+    /// [`run_session`]'s on a fresh oracle driver with that user and seed
+    /// — cycle counts included — and that every ciphertext verifies.
+    fn assert_lanes_match_oracle(
+        net: &Netlist,
+        mode: TrackMode,
+        opt: &OptConfig,
+        lanes: usize,
+        blocks: usize,
+        seed: u64,
+    ) -> Vec<SessionStats> {
+        let users: Vec<Label> = (0..lanes).map(|i| user_label(i % 4)).collect();
+        let seeds: Vec<u64> = (0..lanes).map(|i| mix(seed ^ (i as u64) << 8)).collect();
+        let oracle: Vec<SessionStats> = (0..lanes)
+            .map(|i| {
+                let mut driver = AccelDriver::from_netlist(net.clone(), mode);
+                run_session(&mut driver, blocks, users[i], seeds[i])
+            })
             .collect();
-        let batched = run_fleet_batched(&net, config);
-        assert_eq!(oracle, batched.sessions);
-        assert!(batched.all_verified());
+        let mut driver = BatchedDriver::from_batched(BatchedSim::with_tracking_opt(
+            net.clone(),
+            mode,
+            lanes,
+            opt,
+        ));
+        let batched = run_lane_sessions(&mut driver, blocks, &users, &seeds);
+        assert_eq!(oracle, batched, "{lanes} lanes, {mode:?}, {opt:?}");
+        assert!(
+            batched
+                .iter()
+                .all(|s| s.responses == blocks && s.verified == blocks),
+            "{batched:?}"
+        );
+        batched
     }
 
     #[test]
-    fn plan_batches_clamps_width_to_worker_coverage() {
-        // The W=8 cliff: 8 sessions on 2 workers must split into two
-        // 4-wide batches, not one 8-wide batch that idles a core.
-        assert_eq!(plan_batches(8, 2), vec![(0, 4), (4, 4)]);
-        // 4 sessions on 2 workers: two 2-wide batches keep both busy.
-        assert_eq!(plan_batches(4, 2), vec![(0, 2), (2, 2)]);
-        // A single worker gets plain widest-fit.
-        assert_eq!(plan_batches(8, 1), vec![(0, 8)]);
-        // Leftovers still narrow down to fit.
-        assert_eq!(plan_batches(5, 2), vec![(0, 4), (4, 1)]);
-        // Targets past the widest supported width saturate at 16.
-        assert_eq!(plan_batches(64, 2).len(), 4);
-        // A batch never exceeds the remaining sessions.
-        assert_eq!(plan_batches(1, 2), vec![(0, 1)]);
-        assert_eq!(plan_batches(0, 2), vec![]);
-    }
-
-    #[test]
-    fn batched_fleet_matches_per_session_fleet() {
-        // 5 sessions forces a mixed partition (one 4-lane batch + one
-        // 1-lane batch on two workers); per-lane results must still match
-        // the session-at-a-time oracle exactly, including cycle counts.
-        let config = FleetConfig {
-            sessions: 5,
-            blocks_per_session: 3,
-            mode: TrackMode::Precise,
-            seed: 21,
-        };
+    fn one_lane_session_matches_the_oracle_and_verifies() {
         let net = protected().lower().expect("lowers");
-        let a: Vec<SessionStats> = (0..config.sessions)
-            .map(|i| oracle_session(&net, config, i))
-            .collect();
-        let b = run_fleet_batched(&net, config);
-        assert_eq!(a, b.sessions);
-        assert!(b.all_verified(), "{b:?}");
+        for opt in [OptConfig::none(), OptConfig::all()] {
+            let stats = assert_lanes_match_oracle(&net, TrackMode::Precise, &opt, 1, 4, 7);
+            assert_eq!(stats[0].violations, 0, "{stats:?}");
+        }
+    }
+
+    #[test]
+    fn two_lane_sessions_match_the_oracle() {
+        let net = protected().lower().expect("lowers");
+        for opt in [OptConfig::none(), OptConfig::all()] {
+            assert_lanes_match_oracle(&net, TrackMode::Conservative, &opt, 2, 3, 99);
+        }
+    }
+
+    #[test]
+    fn four_lane_sessions_match_the_oracle() {
         // With every optimizer pass on (exercising DCE's handling of the
         // real design's dynamic release labels), results are unchanged.
-        let prototype =
-            BatchedSim::with_tracking_opt(net.clone(), config.mode, 1, &OptConfig::all());
-        let c = run_fleet_on_prototype(&prototype, config);
-        assert_eq!(a, c.sessions);
+        let net = protected().lower().expect("lowers");
+        for opt in [OptConfig::none(), OptConfig::all()] {
+            assert_lanes_match_oracle(&net, TrackMode::Precise, &opt, 4, 3, 21);
+        }
     }
 }

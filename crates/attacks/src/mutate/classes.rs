@@ -120,7 +120,7 @@ impl Mutation for StallGuardBreak {
 ///
 /// Excluded as behaviourally equivalent or fail-closed: all
 /// confidentiality bits (stuck-low = leak-free over-classification caught
-/// nowhere because nothing changes observably for fleet users; stuck-high
+/// nowhere because nothing changes observably for ordinary users; stuck-high
 /// rejects lawful traffic), and stuck-at-1 on integrity bits 0/1/3 (no
 /// user's integrity crosses an authority threshold through them).
 pub struct StuckTagBit {

@@ -10,7 +10,7 @@
 //! require that every mutant is **killed** by one of three stages:
 //!
 //! 1. **static** — `ifc_check::check` flags the mutant at design time;
-//! 2. **runtime** — the PR-2 batched fleet raises a tracking violation
+//! 2. **runtime** — a 4-lane batched driver raises a tracking violation
 //!    (`DowngradeRejected` / `OutputLeak`) while serving ordinary
 //!    multi-user traffic;
 //! 3. **attack** — one of the `attacks::scenarios` adversaries, blocked on

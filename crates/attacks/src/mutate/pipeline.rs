@@ -1,14 +1,18 @@
 //! The four-stage kill pipeline and the campaign runner.
 //!
-//! Stage 3 (ordinary multi-user traffic) runs every mutant through the
-//! lane-batched fleet ([`run_fleet_batched`]), which starts instantly on
-//! each distinct mutant netlist and checks every ciphertext against the
-//! software AES oracle.
+//! Stage 3 (ordinary multi-user traffic) runs every mutant as one
+//! session per lane of a 4-lane batched driver
+//! ([`run_lane_sessions`]), which starts instantly on each distinct
+//! mutant netlist and checks every ciphertext against the software AES
+//! oracle.
 
-use accel::fleet::{run_fleet_batched, FleetConfig};
+use accel::batch::BatchedDriver;
+use accel::fleet::{mix, run_lane_sessions};
+use accel::user_label;
 use hdl::{Design, Rewriter};
 use ifc_check::{run_static_passes, LintConfig, Severity};
-use sim::TrackMode;
+use ifc_lattice::Label;
+use sim::{BatchedSim, OptConfig, TrackMode};
 
 use super::report::{KillStage, MutantOutcome, MutationReport};
 use super::{catalog, Mutation};
@@ -16,7 +20,7 @@ use super::{catalog, Mutation};
 /// Tracking mode of the protected arm's runtime stage.
 const MODE: TrackMode = TrackMode::Precise;
 
-/// Fleet sessions in the runtime stage. Four covers all user labels —
+/// Sessions (lanes) in the runtime stage. Four covers all user labels —
 /// their integrity values {2, 5, 8, 11} together exercise every
 /// integrity tag bit, which is what makes the stuck-bit class killable
 /// by traffic alone.
@@ -28,13 +32,13 @@ const BLOCKS_PER_SESSION: usize = 4;
 /// Campaign parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignConfig {
-    /// Enumeration-order seed (also the fleet's traffic seed).
+    /// Enumeration-order seed (also the runtime stage's traffic seed).
     pub seed: u64,
     /// Control arm: skip the static stage, strip every label, track
     /// nothing — the unprotected evaluation of the same fault.
     pub control: bool,
     /// Run the noninterference prover (stage 2½) on each mutant between
-    /// the static check and the fleet: an oracle-confirmed two-run
+    /// the static check and the traffic stage: an oracle-confirmed two-run
     /// counterexample kills at [`KillStage::Counterexample`]. Opt-in —
     /// prover cost is mutant-shaped, and attribution-sensitive
     /// consumers enable it explicitly.
@@ -64,10 +68,11 @@ impl CampaignConfig {
 
 /// Pushes one mutant through the kill pipeline.
 ///
-/// Protected arm: netlist lint → static check → fleet traffic under
-/// tracking → stage-4 adversaries. Control arm: labels stripped, tracking
-/// off; the only detector left is functional verification of the fleet's
-/// ciphertexts — exactly what a test suite without IFC would see.
+/// Protected arm: netlist lint → static check → multi-user traffic
+/// under tracking → stage-4 adversaries. Control arm: labels stripped,
+/// tracking off; the only detector left is functional verification of
+/// the traffic's ciphertexts — exactly what a test suite without IFC
+/// would see.
 ///
 /// A mutant that fails to lower is reported as a *survivor* with a
 /// curation-error detail: the guard must fail loudly on a broken
@@ -85,7 +90,7 @@ pub fn run_mutant(base: &Design, mutation: &dyn Mutation, cfg: &CampaignConfig) 
         cycles_to_kill: None,
     };
 
-    // Lower once up front: the netlist feeds the lint stage and the fleet.
+    // Lower once up front: the netlist feeds the lint and traffic stages.
     let sim_design = if cfg.control {
         let mut rw = Rewriter::new(&design);
         rw.strip_labels();
@@ -132,7 +137,7 @@ pub fn run_mutant(base: &Design, mutation: &dyn Mutation, cfg: &CampaignConfig) 
         // Stage 2½ (opt-in): the noninterference prover. Shallow
         // unrolling with tight budgets — only an oracle-confirmed
         // counterexample convicts, so `unknown` just falls through to
-        // the fleet.
+        // the traffic stage.
         if cfg.prove {
             let opts = ifc_check::prover::ProveOptions {
                 k: 4,
@@ -164,17 +169,25 @@ pub fn run_mutant(base: &Design, mutation: &dyn Mutation, cfg: &CampaignConfig) 
         }
     }
 
-    // Stage 3: ordinary multi-user fleet traffic.
-    let fleet_cfg = FleetConfig {
-        sessions: SESSIONS,
-        blocks_per_session: BLOCKS_PER_SESSION,
-        mode: if cfg.control { TrackMode::Off } else { MODE },
-        seed: cfg.seed,
-    };
-    let stats = run_fleet_batched(&net, fleet_cfg);
+    // Stage 3: ordinary multi-user traffic, one session per lane.
+    let mode = if cfg.control { TrackMode::Off } else { MODE };
+    let mut driver = BatchedDriver::from_batched(BatchedSim::with_tracking_opt(
+        net,
+        mode,
+        SESSIONS,
+        &OptConfig::none(),
+    ));
+    let users: Vec<Label> = (0..SESSIONS).map(|i| user_label(i % 4)).collect();
+    let seeds: Vec<u64> = (0..SESSIONS)
+        .map(|i| mix(cfg.seed ^ (i as u64) << 8))
+        .collect();
+    let stats = run_lane_sessions(&mut driver, BLOCKS_PER_SESSION, &users, &seeds);
     if cfg.control {
         // No tracking, no checker: only functional testing is left.
-        if !stats.functionally_clean(BLOCKS_PER_SESSION) {
+        let clean = stats
+            .iter()
+            .all(|s| s.responses == BLOCKS_PER_SESSION && s.verified == s.responses);
+        if !clean {
             outcome.kill = Some(KillStage::Functional);
             outcome.detail =
                 "functional testing catches the fault (missing or wrong ciphertexts)".into();
@@ -183,13 +196,12 @@ pub fn run_mutant(base: &Design, mutation: &dyn Mutation, cfg: &CampaignConfig) 
         }
         return outcome;
     }
-    if stats.total_violations() > 0 {
+    let violations: usize = stats.iter().map(|s| s.violations).sum();
+    if violations > 0 {
         outcome.kill = Some(KillStage::Runtime);
-        outcome.cycles_to_kill = stats.first_violation_cycle();
-        outcome.detail = format!(
-            "{} tracking violation(s) raised by ordinary fleet traffic",
-            stats.total_violations()
-        );
+        outcome.cycles_to_kill = stats.iter().filter_map(|s| s.first_violation).min();
+        outcome.detail =
+            format!("{violations} tracking violation(s) raised by ordinary fleet traffic");
         return outcome;
     }
 

@@ -22,10 +22,10 @@ pub enum KillStage {
     Static,
     /// The noninterference prover found an oracle-confirmed two-run
     /// counterexample on the lowered mutant — a proof-level conviction,
-    /// still before any fleet simulation.
+    /// still before any traffic simulation.
     Counterexample,
-    /// The batched fleet raised a tracking violation under ordinary
-    /// multi-user traffic.
+    /// A 4-lane batched driver raised a tracking violation under
+    /// ordinary multi-user traffic.
     Runtime,
     /// A scenario adversary, blocked on the intact design, now succeeds.
     Attack,
@@ -65,7 +65,7 @@ impl KillStage {
 
     /// The report's derived `killed_by` category: `"static"` for kills
     /// that needed no simulation (netlist lint, design-time checker),
-    /// `"dynamic"` for execution-based kills (tracked fleet traffic,
+    /// `"dynamic"` for execution-based kills (tracked multi-user traffic,
     /// replayed adversaries), `"functional"` for the control arm's plain
     /// functional testing.
     #[must_use]

@@ -3,12 +3,17 @@
 //! Drives a deterministic churn workload — Poisson arrivals, four
 //! tenants with wildly mixed job sizes — through [`farm::Farm`], and the
 //! *same* job list through the static widest-fit baseline
-//! ([`farm::baseline::run_static`], the fleet's scheduling strategy with
-//! no lane refill). Exits non-zero unless:
+//! ([`farm::baseline::run_static`], static packing with no lane refill).
+//! Exits non-zero unless:
 //!
 //! * the farm sustains at least [`SPEEDUP_FLOOR`]× the static baseline's
 //!   blocks/s (work-stealing + refill + re-packing must pay for
 //!   themselves under churn, or CI goes red);
+//! * lane batching pays for itself: [`BATCH_JOBS`] equal jobs through
+//!   `run_static` (on a 2-core host, two 4-wide batches on two workers)
+//!   sustain at least [`BATCHING_FLOOR`]× the blocks/s of one such job
+//!   (one W=1 batch on one thread), as the median of interleaved paired
+//!   ratios;
 //! * no tenant records a runtime violation (the IFC story survives
 //!   multi-tenant churn);
 //! * the drain is clean: every admitted job has an outcome, every block
@@ -43,6 +48,19 @@ const SPEEDUP_FLOOR: f64 = 1.3;
 /// back to back and the guard gates on the median of the per-rep
 /// ratios, which cancels the shared host's epoch-to-epoch speed swings.
 const REPS: usize = 3;
+
+/// Batched-to-single throughput must not drop below this: lane batching
+/// that runs slower than one lane has stopped paying for itself.
+const BATCHING_FLOOR: f64 = 1.0;
+
+/// Jobs on the batched side of the batching check.
+const BATCH_JOBS: usize = 8;
+
+/// Blocks per job in the batching check.
+const BATCH_BLOCKS: usize = 32;
+
+/// Paired repetitions of the batching check (after one warm-up pair).
+const BATCH_REPS: usize = 5;
 
 /// Mean inter-arrival gap of the Poisson process. Small against total
 /// work so the measurement is dominated by scheduling, not by waiting
@@ -177,6 +195,39 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
+/// `jobs` equal encrypt jobs of [`BATCH_BLOCKS`] blocks, job `i` under
+/// user `i % 4` with its own seeded stream.
+fn batch_jobs(seed: u64, jobs: usize) -> Vec<JobSpec> {
+    (0..jobs)
+        .map(|i| JobSpec {
+            key_slot: 0,
+            blocks: BATCH_BLOCKS,
+            seed: mix(seed ^ (i as u64) << 8),
+            decrypt: false,
+            user: user_label(i % 4),
+        })
+        .collect()
+}
+
+/// Median paired ratio of [`BATCH_JOBS`] batched jobs' blocks/s to one
+/// job's, conservative tracking: one warm-up pair, then [`BATCH_REPS`]
+/// interleaved pairs. `run_static` compiles its tape before its timer
+/// starts, so each side measures the engines, not construction.
+fn batching_ratio(net: &hdl::Netlist, seed: u64) -> f64 {
+    let (single, batched) = (batch_jobs(seed, 1), batch_jobs(seed, BATCH_JOBS));
+    let pair = || {
+        let one = run_static(net, TrackMode::Conservative, &single);
+        let many = run_static(net, TrackMode::Conservative, &batched);
+        assert!(
+            one.all_verified() && many.all_verified(),
+            "batching check produced a bad ciphertext"
+        );
+        many.blocks_per_sec() / one.blocks_per_sec()
+    };
+    let _ = pair();
+    median((0..BATCH_REPS).map(|_| pair()).collect())
+}
+
 fn main() -> ExitCode {
     let out_path = std::env::args()
         .nth(1)
@@ -229,6 +280,13 @@ fn main() -> ExitCode {
              floor (median rates: farm {farm_bps:.0}, static {static_bps:.0} blocks/s)"
         ));
     }
+    let batching = batching_ratio(&net, seed);
+    if batching < BATCHING_FLOOR {
+        failures.push(format!(
+            "median paired {BATCH_JOBS}-job/1-job static ratio {batching:.2}x is below the \
+             {BATCHING_FLOOR}x floor: lane batching has stopped paying for itself"
+        ));
+    }
     let violations: u64 = m.tenants.iter().map(|t| t.violations).sum();
     if violations != 0 {
         failures.push(format!("{violations} runtime violations under churn"));
@@ -278,6 +336,8 @@ fn main() -> ExitCode {
         ("static_blocks_per_sec", Json::F64(static_bps)),
         ("speedup", Json::F64(speedup)),
         ("floor", Json::F64(SPEEDUP_FLOOR)),
+        ("batching_ratio", Json::F64(batching)),
+        ("batching_floor", Json::F64(BATCHING_FLOOR)),
         ("metrics", m.to_json()),
     ]);
     if let Err(e) = std::fs::write(&out_path, json.render() + "\n") {
@@ -288,6 +348,10 @@ fn main() -> ExitCode {
     println!(
         "farm: {farm_bps:.0} blocks/s under churn | static widest-fit: {static_bps:.0} | \
          speedup {speedup:.2}x (floor {SPEEDUP_FLOOR}x)"
+    );
+    println!(
+        "batched {BATCH_JOBS}-job static: {batching:.2}x a single W=1 job \
+         (floor {BATCHING_FLOOR}x)"
     );
     println!(
         "repacks {} | steals {} | stall_rate {:.4} | widths {:?}",

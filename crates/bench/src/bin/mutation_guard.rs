@@ -2,7 +2,7 @@
 //!
 //! Enumerates the full curated mutant catalogue against the protected
 //! accelerator, pushes every mutant through the four-stage kill pipeline
-//! (netlist lint → static check → tracked fleet traffic → replayed
+//! (netlist lint → static check → tracked multi-user traffic → replayed
 //! adversaries), writes `MUTATION_REPORT.json`, and **exits non-zero** if
 //! any mutant survives — a surviving mutant is a hole in the enforcement,
 //! not a test failure.
@@ -15,11 +15,11 @@
 //! Usage: `cargo run --release -p bench --bin mutation_guard
 //! [REPORT.json]`
 //!
-//! Stage-3 fleet traffic runs on the lane-batched engine
-//! (`sim::BatchedSim`). The report carries `"schema_version": 2`:
-//! version 1 also recorded which fleet backend was requested and used,
-//! which stopped meaning anything once the batched engine became the
-//! only one.
+//! Stage-3 traffic runs one session per lane of a 4-lane batched driver
+//! on the lane-batched engine (`sim::BatchedSim`). The report carries
+//! `"schema_version": 2`: version 1 also recorded which backend the
+//! traffic stage was asked for and used, which stopped meaning anything
+//! once the batched engine became the only one.
 
 use std::process::ExitCode;
 use std::time::Instant;

@@ -1,22 +1,21 @@
 //! Static-packing baseline for the farm benchmarks.
 //!
-//! The comparison point `farm_guard` measures against: the fleet's
-//! strategy applied to a mixed-size job list. All jobs are known up
-//! front, partitioned once by [`accel::fleet::plan_batches`] (widest
-//! fit, clamped to worker coverage), and each batch runs to completion
-//! with **no refill** — when a short job finishes next to a long one,
-//! its lane idles until the whole batch drains, exactly what a static
-//! scheduler does to a churn workload. Same engines, same tape, same
-//! verification; the only difference is the scheduling.
+//! The one static batch runner, and the comparison point `farm_guard`
+//! measures against. All jobs are known up front, partitioned once by
+//! `plan_batches` (widest fit, clamped to worker coverage), and each
+//! batch runs to completion with **no refill** — when a short job
+//! finishes next to a long one, its lane idles until the whole batch
+//! drains, exactly what a static scheduler does to a churn workload.
+//! Same engines, same tape, same verification as the farm; the only
+//! difference is the scheduling.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use accel::fleet::plan_batches;
 use hdl::Netlist;
-use sim::{BatchedSim, OptConfig, TrackMode};
+use sim::{BatchedSim, OptConfig, TrackMode, SUPPORTED_LANES};
 
 use crate::engine::LaneEngine;
 use crate::tenant::{Job, JobOutcome, JobSpec, TenantId};
@@ -54,6 +53,39 @@ impl StaticReport {
             .iter()
             .all(|o| o.verified == o.responses && o.rejections == 0)
     }
+}
+
+/// Greedy partition of `sessions` into `(first session, width)` lane
+/// batches with the width clamped for worker coverage.
+///
+/// Plain widest-fit packs 8 sessions into one 8-wide batch, which on a
+/// 2-core host leaves the second worker idle *and* runs the measurably
+/// slower W=8 batch shape (`crate::tuner`'s `SEED_BLOCKS_PER_SEC`,
+/// recorded by `width_probe` on the 2-core host, puts W=8 below W=4).
+/// Capping the width at `ceil(sessions / workers)`, rounded up to a
+/// supported width, splits the same sessions into enough batches to
+/// keep every worker busy: 8 sessions on 2 cores become two concurrent
+/// 4-wide batches.
+fn plan_batches(sessions: usize, workers: usize) -> Vec<(usize, usize)> {
+    let target = sessions.div_ceil(workers.max(1));
+    let cap = SUPPORTED_LANES
+        .iter()
+        .copied()
+        .find(|&w| w >= target)
+        .unwrap_or(SUPPORTED_LANES[SUPPORTED_LANES.len() - 1]);
+    let mut batches = Vec::new();
+    let mut i = 0;
+    while i < sessions {
+        let width = SUPPORTED_LANES
+            .iter()
+            .rev()
+            .copied()
+            .find(|&w| w <= (sessions - i).min(cap))
+            .expect("width 1 always fits");
+        batches.push((i, width));
+        i += width;
+    }
+    batches
 }
 
 /// Runs `jobs` to completion under static widest-fit packing (the
@@ -112,5 +144,28 @@ pub fn run_static(net: &Netlist, mode: TrackMode, jobs: &[JobSpec]) -> StaticRep
     StaticReport {
         outcomes: outcomes.into_inner().expect("outcomes poisoned"),
         wall: started.elapsed(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn plan_batches_clamps_width_to_worker_coverage() {
+        // The W=8 cliff: 8 sessions on 2 workers must split into two
+        // 4-wide batches, not one 8-wide batch that idles a core.
+        assert_eq!(plan_batches(8, 2), vec![(0, 4), (4, 4)]);
+        // 4 sessions on 2 workers: two 2-wide batches keep both busy.
+        assert_eq!(plan_batches(4, 2), vec![(0, 2), (2, 2)]);
+        // A single worker gets plain widest-fit.
+        assert_eq!(plan_batches(8, 1), vec![(0, 8)]);
+        // Leftovers still narrow down to fit.
+        assert_eq!(plan_batches(5, 2), vec![(0, 4), (4, 1)]);
+        // Targets past the widest supported width saturate at 16.
+        assert_eq!(plan_batches(64, 2).len(), 4);
+        // A batch never exceeds the remaining sessions.
+        assert_eq!(plan_batches(1, 2), vec![(0, 1)]);
+        assert_eq!(plan_batches(0, 2), vec![]);
     }
 }

@@ -1,7 +1,7 @@
 //! Per-worker lane engine: independent job lifecycles on one batch.
 //!
-//! The fleet's batched driver keeps every lane in the same protocol
-//! phase (all loading keys, then all streaming). A farm worker cannot:
+//! [`accel::fleet::run_lane_sessions`] keeps every lane in the same
+//! protocol phase (all loading keys, then all streaming). A farm worker cannot:
 //! jobs land on lanes at different times, so one lane may be allocating
 //! its key cells while its neighbours stream blocks. [`LaneEngine`]
 //! drives one [`BatchedDriver`] with a per-lane phase machine over

@@ -1,13 +1,13 @@
 //! Accelerator-farm service: a long-lived multi-tenant scheduler over
 //! the lane-batched AES simulators.
 //!
-//! The fleet harness ([`accel::fleet`]) measures a *static* workload:
-//! every session is known up front, partitioned once, and run to
-//! completion. A deployed accelerator pool doesn't look like that — jobs
-//! arrive continuously from many mutually distrusting tenants, differ
-//! wildly in size, and finish at different times, leaving lanes idle
-//! inside half-finished batches. This crate turns the batched simulator
-//! into a *service*:
+//! The static batch runner ([`baseline::run_static`]) measures a
+//! *static* workload: every job is known up front, partitioned once,
+//! and run to completion. A deployed accelerator pool doesn't look like
+//! that — jobs arrive continuously from many mutually distrusting
+//! tenants, differ wildly in size, and finish at different times,
+//! leaving lanes idle inside half-finished batches. This crate turns the
+//! batched simulator into a *service*:
 //!
 //! * **Admission** ([`Farm::submit`]) enforces the per-tenant IFC policy
 //!   *before* a job reaches hardware: the submitted label must match the

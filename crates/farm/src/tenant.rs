@@ -30,7 +30,7 @@ pub struct TenantSpec {
 }
 
 /// One encrypt/decrypt job: a deterministic stream of blocks against one
-/// key slot, exactly the fleet harness's per-session workload shape.
+/// key slot, exactly [`accel::fleet::run_session`]'s workload shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobSpec {
     /// Scratchpad key slot (0..=3; slot 3 is the master key and

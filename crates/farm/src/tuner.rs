@@ -1,12 +1,12 @@
 //! Measured per-width throughput model driving batch-width selection.
 //!
-//! The fleet's original widest-fit packing walked straight into a W=8
+//! The original widest-fit static packing walked straight into a W=8
 //! cliff in its session sweep: 8 sessions sustained ~3009 blocks/s
 //! while 4 sustained ~4085. Diagnosing that row for the farm revealed
 //! it was a *scheduling* artifact, not an engine one — widest-fit
 //! packed all 8 sessions into a single 8-wide batch pinned to one
 //! worker while the second core sat idle (fixed by the worker-count
-//! clamp in `accel::fleet::plan_batches`). At the engine level,
+//! clamp in `crate::baseline`'s `plan_batches`). At the engine level,
 //! `SEED_BLOCKS_PER_SEC` — recorded by `width_probe` on the 2-core
 //! host — shows steady-state throughput generally *rising* with width,
 //! with a dip at W=8. Either way the lesson stands: width is a

@@ -2,9 +2,12 @@
 //! with the 0-survivors gate lives in the `mutation_guard` bench binary;
 //! this file keeps the debug-build checks fast by sampling the pipeline).
 
+use accel::driver::AccelDriver;
+use accel::fleet::{mix, run_session};
 use secure_aes_ifc::attacks::mutate::{
     enumerate, run_mutant, CampaignConfig, KillStage, MutationClass,
 };
+use sim::TrackMode;
 
 #[test]
 fn catalogue_is_deterministic_and_broad() {
@@ -105,8 +108,8 @@ fn control_arm_shows_silent_survivors() {
 fn kill_stages_match_the_fault_model() {
     // A stuck-at-0 integrity-tag fault is statically invisible (the
     // annotations still point at the architected register) but ordinary
-    // fleet traffic trips the tracker; the check-bypass class dies before
-    // any simulation runs.
+    // multi-user traffic trips the tracker; the check-bypass class dies
+    // before any simulation runs.
     let base = accel::protected();
     let cfg = CampaignConfig::default();
     let mutants = enumerate(&base, cfg.seed);
@@ -144,4 +147,31 @@ fn kill_stages_match_the_fault_model() {
         outcome.kill,
         outcome.detail
     );
+}
+
+#[test]
+fn runtime_kill_cycle_matches_the_oracle() {
+    // The runtime stage's cycles-to-kill is the earliest first violation
+    // over its four sessions (lane `i`: user `i % 4`, seed
+    // `mix(seed ^ i << 8)`, four blocks, precise tracking). The same
+    // sessions on the interpreting oracle must agree on that cycle.
+    let base = accel::protected();
+    let cfg = CampaignConfig::default();
+    let mutants = enumerate(&base, cfg.seed);
+    let stuck = mutants
+        .iter()
+        .find(|m| m.class() == MutationClass::StuckTagBit && m.site().ends_with("s0"))
+        .expect("stuck-at-0 mutant");
+    let outcome = run_mutant(&base, stuck.as_ref(), &cfg);
+
+    let net = stuck.apply(&base).lower().expect("mutant lowers");
+    let oracle_first = (0..4)
+        .filter_map(|i| {
+            let mut driver = AccelDriver::from_netlist(net.clone(), TrackMode::Precise);
+            let seed = mix(cfg.seed ^ (i as u64) << 8);
+            run_session(&mut driver, 4, accel::user_label(i % 4), seed).first_violation
+        })
+        .min();
+    assert!(oracle_first.is_some(), "the oracle sees the fault too");
+    assert_eq!(outcome.cycles_to_kill, oracle_first, "{}", outcome.detail);
 }
