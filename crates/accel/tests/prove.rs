@@ -108,3 +108,61 @@ fn sat_queries_build_the_pinned_formulas() {
         assert_eq!(got, want, "{name}.{obs} at k={k}");
     }
 }
+
+/// FNV-1a over a string.
+fn fnv64(text: &str) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in text.as_bytes() {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Pins the counterexample each of three SAT queries decodes: an FNV-1a
+/// digest of `format!("{:?}", (cycle, programs, observed))`. The counters
+/// above pin the search; this pins the model it ends in, down to every
+/// port value of both rails' replayable programs.
+#[test]
+fn sat_queries_decode_the_pinned_counterexamples() {
+    use accel::Protection;
+    let cases: [(&str, hdl::Design, u32, &str, u64); 3] = [
+        (
+            "trojaned",
+            accel::trojaned(Protection::Full),
+            4,
+            "out_tag",
+            8_509_937_096_532_925_264,
+        ),
+        (
+            "baseline_annotated",
+            accel::baseline_annotated(),
+            4,
+            "cfg_out",
+            14_148_408_784_071_033_009,
+        ),
+        (
+            "baseline_annotated",
+            accel::baseline_annotated(),
+            3,
+            "dbg_out",
+            11_712_179_408_605_962_414,
+        ),
+    ];
+    for (name, design, k, obs, want) in cases {
+        let net = design.lower().expect("design lowers");
+        let report = prove_annotated(
+            &net,
+            &ProveOptions {
+                k,
+                targets: Some(vec![obs.into()]),
+                ..ProveOptions::default()
+            },
+        );
+        let Verdict::Counterexample(cex) = &report.results[0].verdict else {
+            panic!("{name}.{obs} at k={k}: expected a counterexample");
+        };
+        let text = format!("{:?}", (cex.cycle, &cex.programs, cex.observed));
+        assert_eq!(fnv64(&text), want, "{name}.{obs} at k={k}");
+    }
+}

@@ -43,6 +43,7 @@
 
 mod design;
 pub mod dot;
+pub mod hash;
 mod label_expr;
 mod lower;
 mod module;

@@ -10,8 +10,7 @@
 //! TRUE, so [`TRUE`]` == 0` and [`FALSE`]` == 1`. Construction folds
 //! constants and idempotent/contradictory operand pairs eagerly.
 
-use std::collections::HashMap;
-
+use hdl::hash::FixedMap;
 use hdl::Value;
 
 /// An AIG literal: `node << 1 | negated`.
@@ -66,7 +65,9 @@ pub struct Aig {
     /// `(a, b)` operand pairs; `(INPUT, INPUT)` marks a free variable,
     /// node 0 is the constant TRUE.
     nodes: Vec<(Lit, Lit)>,
-    cons: HashMap<(Lit, Lit), u32>,
+    /// Structural hash: the operand pair, packed `lo << 32 | hi`, to its
+    /// node.
+    cons: FixedMap<u64, u32>,
     node_limit: usize,
     overflowed: bool,
 }
@@ -77,7 +78,7 @@ impl Aig {
     pub fn new(node_limit: usize) -> Aig {
         Aig {
             nodes: vec![(0, 0)],
-            cons: HashMap::new(),
+            cons: FixedMap::default(),
             node_limit,
             overflowed: false,
         }
@@ -152,12 +153,13 @@ impl Aig {
             return a;
         }
         let key = if a < b { (a, b) } else { (b, a) };
-        if let Some(&id) = self.cons.get(&key) {
+        let packed = u64::from(key.0) << 32 | u64::from(key.1);
+        if let Some(&id) = self.cons.get(&packed) {
             return id << 1;
         }
         let id = self.push(key);
         if !self.overflowed {
-            self.cons.insert(key, id);
+            self.cons.insert(packed, id);
         }
         id << 1
     }

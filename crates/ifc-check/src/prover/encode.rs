@@ -25,9 +25,10 @@
 //!   observable's cone is never touched, and constants (register resets,
 //!   ROM contents) fold through the whole pipeline.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use hdl::hash::FixedMap;
 use hdl::{BinOp, LabelExpr, MemId, Netlist, Node, NodeId, UnOp, Value};
 use ifc_lattice::Conf;
 
@@ -291,21 +292,21 @@ pub struct Encoder<'n> {
     /// Havoc the cycle-0 architectural state (for the inductive step)
     /// instead of using reset values.
     havoc_init: bool,
-    comb: HashMap<(u32, u8, u32), Bv>,
-    regs: HashMap<(u32, u8, u32), Bv>,
-    mems: HashMap<(u32, u8, u32), Rc<Vec<Bv>>>,
+    comb: FixedMap<(u32, u8, u32), Bv>,
+    regs: FixedMap<(u32, u8, u32), Bv>,
+    mems: FixedMap<(u32, u8, u32), Rc<Vec<Bv>>>,
     /// Variables shared by both rails: public inputs, declassify havoc,
     /// keyed by `(cycle, node)`.
-    shared: HashMap<(u32, u32), Bv>,
+    shared: FixedMap<(u32, u32), Bv>,
     /// Per-rail free variables: secret inputs and the free half of a
     /// `CondTag` input, keyed by `(cycle, copy, node)`.
-    free: HashMap<(u32, u8, u32), Bv>,
+    free: FixedMap<(u32, u8, u32), Bv>,
     /// Shared havoc initial state, keyed by node / `(mem, cell)`.
-    init_regs: HashMap<u32, Bv>,
-    init_mems: HashMap<u32, Rc<Vec<Bv>>>,
+    init_regs: FixedMap<u32, Bv>,
+    init_mems: FixedMap<u32, Rc<Vec<Bv>>>,
     /// Memoised memory reads, keyed by cell-vector identity, address
     /// literals and width (see [`Encoder::mem_select`]).
-    selects: HashMap<(usize, Vec<Lit>, usize), Bv>,
+    selects: FixedMap<(usize, Vec<Lit>, usize), Bv>,
 }
 
 impl<'n> Encoder<'n> {
@@ -323,14 +324,14 @@ impl<'n> Encoder<'n> {
             env,
             aig: Aig::new(node_limit),
             havoc_init,
-            comb: HashMap::new(),
-            regs: HashMap::new(),
-            mems: HashMap::new(),
-            shared: HashMap::new(),
-            free: HashMap::new(),
-            init_regs: HashMap::new(),
-            init_mems: HashMap::new(),
-            selects: HashMap::new(),
+            comb: FixedMap::default(),
+            regs: FixedMap::default(),
+            mems: FixedMap::default(),
+            shared: FixedMap::default(),
+            free: FixedMap::default(),
+            init_regs: FixedMap::default(),
+            init_mems: FixedMap::default(),
+            selects: FixedMap::default(),
         }
     }
 

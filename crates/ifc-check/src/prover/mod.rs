@@ -256,9 +256,9 @@ const UNMAPPED: u32 = u32::MAX;
 /// the cone). `miter` must not be constant.
 fn tseitin(aig: &Aig, miter: Lit, solver: &mut Solver) -> Vec<u32> {
     let mut map = vec![UNMAPPED; aig.len()];
-    // At most one variable per node, three clauses per AND plus the two
-    // units (constant node and miter).
-    solver.reserve(aig.len(), 3 * aig.len() + 2);
+    // At most one variable per node; three clauses, seven literals, per
+    // AND plus the two units (constant node and miter).
+    solver.reserve(aig.len(), 3 * aig.len() + 2, 7 * aig.len() + 2);
     let mut stack = vec![node_of(miter)];
     while let Some(&n) = stack.last() {
         if map[n as usize] != UNMAPPED {

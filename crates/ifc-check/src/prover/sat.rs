@@ -156,12 +156,60 @@ impl VarHeap {
     }
 }
 
+/// Every literal's watch list — the clauses watching it, in watch order —
+/// in one pool. A list is a window of `pool` with room for `cap` entries;
+/// a full list moves to the pool's end with twice the room, leaving its
+/// old window unused. No list is ever its own heap allocation.
+#[derive(Default)]
+struct Watches {
+    pool: Vec<u32>,
+    /// Per literal: `(start, len, cap)` of its window.
+    lists: Vec<(u32, u32, u32)>,
+}
+
+impl Watches {
+    fn len(&self, lit: SLit) -> usize {
+        self.lists[lit as usize].1 as usize
+    }
+
+    fn get(&self, lit: SLit, i: usize) -> u32 {
+        self.pool[self.lists[lit as usize].0 as usize + i]
+    }
+
+    fn push(&mut self, lit: SLit, cr: u32) {
+        let (start, len, cap) = &mut self.lists[lit as usize];
+        if *len == *cap {
+            let moved = u32::try_from(self.pool.len()).expect("watch pool fits u32 offsets");
+            self.pool
+                .extend_from_within(*start as usize..(*start + *len) as usize);
+            *cap = (*cap * 2).max(2);
+            self.pool.resize((moved + *cap) as usize, 0);
+            *start = moved;
+        }
+        self.pool[(*start + *len) as usize] = cr;
+        *len += 1;
+    }
+
+    /// `Vec::swap_remove` on one list.
+    fn swap_remove(&mut self, lit: SLit, i: usize) {
+        let (start, len, _) = &mut self.lists[lit as usize];
+        *len -= 1;
+        self.pool
+            .swap(*start as usize + i, (*start + *len) as usize);
+    }
+}
+
 /// The CDCL solver.
 pub struct Solver {
-    /// Clause arena; learnt clauses share it.
-    clauses: Vec<Vec<SLit>>,
-    /// Watch lists indexed by literal: clause indices watching it.
-    watches: Vec<Vec<u32>>,
+    /// Clause arena, learnt clauses included: each clause is its length
+    /// followed by its literals, and is named by the offset of that
+    /// length, so a visit reads one place rather than a header and a
+    /// separate heap block.
+    arena: Vec<u32>,
+    /// `add_clause`'s reused dedup buffer.
+    scratch: Vec<SLit>,
+    /// Watch lists indexed by literal: the clauses watching it.
+    watches: Watches,
     /// Assignment per variable: 0 false, 1 true, 2 unassigned.
     assign: Vec<u8>,
     /// Decision level per variable.
@@ -192,8 +240,9 @@ impl Solver {
     #[must_use]
     pub fn new() -> Solver {
         Solver {
-            clauses: Vec::new(),
-            watches: Vec::new(),
+            arena: Vec::new(),
+            scratch: Vec::new(),
+            watches: Watches::default(),
             assign: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
@@ -211,20 +260,21 @@ impl Solver {
     }
 
     /// Reserves exact room for `vars` more variables and `clauses` more
-    /// clauses, so a caller that knows its formula's size up front skips
-    /// the doubling reallocations (and the heap holes they leave behind).
-    pub(crate) fn reserve(&mut self, vars: usize, clauses: usize) {
+    /// clauses of `lits` literals in all, so a caller that knows its
+    /// formula's size up front skips the doubling reallocations (and the
+    /// heap holes they leave behind).
+    pub(crate) fn reserve(&mut self, vars: usize, clauses: usize, lits: usize) {
         self.assign.reserve_exact(vars);
         self.level.reserve_exact(vars);
         self.reason.reserve_exact(vars);
         self.activity.reserve_exact(vars);
         self.phase.reserve_exact(vars);
         self.seen.reserve_exact(vars);
-        self.watches.reserve_exact(2 * vars);
+        self.watches.lists.reserve_exact(2 * vars);
         self.heap.heap.reserve_exact(vars);
         self.heap.pos.reserve_exact(vars);
         self.trail.reserve_exact(vars);
-        self.clauses.reserve_exact(clauses);
+        self.arena.reserve_exact(clauses + lits);
     }
 
     /// A fresh variable.
@@ -236,8 +286,7 @@ impl Solver {
         self.activity.push(0.0);
         self.phase.push(false);
         self.seen.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        self.watches.lists.extend([(0, 0, 0); 2]);
         self.heap.grow(self.assign.len());
         self.heap.insert(v, &self.activity);
         self.stats.vars += 1;
@@ -261,37 +310,52 @@ impl Solver {
         }
         debug_assert!(self.trail_lim.is_empty(), "clauses are added at level 0");
         // Dedup and drop clauses satisfied or falsified at level 0.
-        let mut c: Vec<SLit> = Vec::with_capacity(lits.len());
+        let mut c = std::mem::take(&mut self.scratch);
+        c.clear();
+        let mut satisfied = false;
         for &l in lits {
             if self.lit_value(l) == 1 || c.contains(&neg(l)) {
-                return true; // satisfied or tautology
+                satisfied = true; // satisfied or tautology
+                break;
             }
             if self.lit_value(l) == 0 || c.contains(&l) {
                 continue; // falsified at level 0 or duplicate
             }
             c.push(l);
         }
-        match c.len() {
-            0 => {
-                self.unsat = true;
-                return false;
-            }
-            1 => {
-                self.enqueue(c[0], u32::MAX);
-                if self.propagate().is_some() {
-                    self.unsat = true;
-                    return false;
+        let ok = satisfied
+            || match c.len() {
+                0 => false,
+                1 => {
+                    self.enqueue(c[0], u32::MAX);
+                    self.propagate().is_none()
                 }
-                return true;
-            }
-            _ => {}
-        }
-        let idx = self.clauses.len() as u32;
-        self.watches[c[0] as usize].push(idx);
-        self.watches[c[1] as usize].push(idx);
-        self.clauses.push(c);
-        self.stats.clauses += 1;
-        true
+                _ => {
+                    self.push_clause(&c);
+                    self.stats.clauses += 1;
+                    true
+                }
+            };
+        self.unsat = !ok;
+        self.scratch = c;
+        ok
+    }
+
+    /// Appends a clause of two or more literals to the arena and watches
+    /// its first two; returns its name.
+    fn push_clause(&mut self, c: &[SLit]) -> u32 {
+        let cr = u32::try_from(self.arena.len()).expect("clause arena fits u32 offsets");
+        self.watches.push(c[0], cr);
+        self.watches.push(c[1], cr);
+        self.arena.push(c.len() as u32);
+        self.arena.extend_from_slice(c);
+        cr
+    }
+
+    /// The arena range of clause `cr`'s literals.
+    fn span(&self, cr: u32) -> std::ops::Range<usize> {
+        let start = cr as usize + 1;
+        start..start + self.arena[cr as usize] as usize
     }
 
     fn enqueue(&mut self, l: SLit, reason: u32) {
@@ -311,27 +375,30 @@ impl Solver {
             let l = self.trail[self.prop_head];
             self.prop_head += 1;
             let falsified = neg(l);
-            let mut watchers = std::mem::take(&mut self.watches[falsified as usize]);
+            // New watches go to non-false literals, so nothing is pushed
+            // onto this list while it is walked.
             let mut i = 0;
-            while i < watchers.len() {
-                let ci = watchers[i];
+            while i < self.watches.len(falsified) {
+                let ci = self.watches.get(falsified, i);
+                let span = self.span(ci);
+                let c0 = span.start;
                 // Normalise: the falsified literal sits at slot 1.
-                if self.clauses[ci as usize][0] == falsified {
-                    self.clauses[ci as usize].swap(0, 1);
+                if self.arena[c0] == falsified {
+                    self.arena.swap(c0, c0 + 1);
                 }
-                let first = self.clauses[ci as usize][0];
+                let first = self.arena[c0];
                 if self.lit_value(first) == 1 {
                     i += 1;
                     continue;
                 }
                 // Look for a new watch.
                 let mut moved = false;
-                for k in 2..self.clauses[ci as usize].len() {
-                    let q = self.clauses[ci as usize][k];
+                for k in c0 + 2..span.end {
+                    let q = self.arena[k];
                     if self.lit_value(q) != 0 {
-                        self.clauses[ci as usize].swap(1, k);
-                        self.watches[q as usize].push(ci);
-                        watchers.swap_remove(i);
+                        self.arena.swap(c0 + 1, k);
+                        self.watches.push(q, ci);
+                        self.watches.swap_remove(falsified, i);
                         moved = true;
                         break;
                     }
@@ -340,15 +407,12 @@ impl Solver {
                     continue;
                 }
                 if self.lit_value(first) == 0 {
-                    // Conflict: restore remaining watchers.
-                    self.watches[falsified as usize].append(&mut watchers);
-                    return Some(ci);
+                    return Some(ci); // conflict
                 }
                 // Unit: propagate first.
                 self.enqueue(first, ci);
                 i += 1;
             }
-            self.watches[falsified as usize] = watchers;
         }
         None
     }
@@ -374,8 +438,8 @@ impl Solver {
         let current = self.trail_lim.len() as u32;
         let mut trail_pos = self.trail.len();
         loop {
-            for idx in 0..self.clauses[clause as usize].len() {
-                let q = self.clauses[clause as usize][idx];
+            for idx in self.span(clause) {
+                let q = self.arena[idx];
                 // Skip the literal this clause propagated (the pivot of
                 // the resolution step).
                 if Some(q) == cursor {
@@ -487,13 +551,9 @@ impl Solver {
                 if learnt.len() == 1 {
                     self.enqueue(learnt[0], u32::MAX);
                 } else {
-                    let idx = self.clauses.len() as u32;
-                    self.watches[learnt[0] as usize].push(idx);
-                    self.watches[learnt[1] as usize].push(idx);
-                    let uip = learnt[0];
-                    self.clauses.push(learnt);
+                    let idx = self.push_clause(&learnt);
                     self.stats.learnt += 1;
-                    self.enqueue(uip, idx);
+                    self.enqueue(learnt[0], idx);
                 }
                 self.var_inc /= 0.95;
             } else {
@@ -596,6 +656,44 @@ mod tests {
         xor_clauses(&mut s, x[1], x[2], true);
         xor_clauses(&mut s, x[0], x[2], true);
         assert_eq!(s.solve(10_000), SolveResult::Unsat);
+    }
+
+    #[test]
+    fn dropped_clauses_leave_no_literals_behind() {
+        // Four variables; `a` is a level-0 unit in both solvers.
+        let fresh = || {
+            let mut s = Solver::new();
+            let v: Vec<u32> = (0..4).map(|_| s.new_var()).collect();
+            assert!(s.add_clause(&[lit(v[0])]));
+            (s, v)
+        };
+        let (mut s, v) = fresh();
+        let (a, b, c, d) = (v[0], v[1], v[2], v[3]);
+        // The first two are dropped after literals reached the buffer; the
+        // third keeps two of its four.
+        assert!(s.add_clause(&[lit(b), lit(c), slit(b, true)]), "tautology");
+        assert!(
+            s.add_clause(&[lit(c), lit(d), lit(a)]),
+            "satisfied at level 0"
+        );
+        assert!(
+            s.add_clause(&[lit(b), lit(d), lit(b), lit(d)]),
+            "duplicates"
+        );
+        assert!(s.add_clause(&[slit(b, true), lit(c), lit(d)]));
+
+        let (mut want, _) = fresh();
+        assert!(want.add_clause(&[lit(b), lit(d)]));
+        assert!(want.add_clause(&[slit(b, true), lit(c), lit(d)]));
+
+        assert_eq!(s.arena, want.arena);
+        assert_eq!(s.stats().clauses, 2);
+        assert_eq!(s.stats(), want.stats());
+        assert_eq!(s.solve(100), SolveResult::Sat);
+        assert_eq!(want.solve(100), SolveResult::Sat);
+        for &x in &v {
+            assert_eq!(s.value(x), want.value(x), "var {x}");
+        }
     }
 
     #[test]

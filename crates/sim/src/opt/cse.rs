@@ -15,8 +15,9 @@
 //! its own node id, and merging would drop entries from the recorded
 //! stream.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
+use hdl::hash::FixedMap;
 use hdl::Value;
 
 use crate::program::{Op, Program, Tape};
@@ -31,7 +32,8 @@ pub(super) fn run(program: &mut Program) {
 
     let old = std::mem::take(&mut program.tape);
     let mut new = Tape::default();
-    let mut seen: HashMap<Key, u32> = HashMap::new();
+    let mut seen: FixedMap<Key, u32> =
+        FixedMap::with_capacity_and_hasher(old.len(), Default::default());
     for i in 0..old.len() {
         let op = old.ops[i];
         // Remap operands through every merge made so far. The tape is in
@@ -53,10 +55,10 @@ pub(super) fn run(program: &mut Program) {
             continue;
         }
         let key: Key = (op, a, b, c, old.aux[i], old.out_mask[i]);
-        match seen.get(&key) {
-            Some(&canonical) => remap[dst as usize] = canonical,
-            None => {
-                seen.insert(key, dst);
+        match seen.entry(key) {
+            Entry::Occupied(canonical) => remap[dst as usize] = *canonical.get(),
+            Entry::Vacant(slot) => {
+                slot.insert(dst);
                 new.push(op, dst, a, b, c, old.aux[i], old.out_mask[i]);
             }
         }

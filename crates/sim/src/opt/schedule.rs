@@ -65,10 +65,11 @@ pub(crate) fn run(program: &mut Program, window: usize) {
     }
 
     let mut order: Vec<u32> = Vec::with_capacity(n);
+    let mut scratch = Scratch::default();
     let mut ws = 0usize;
     while ws < n {
         let we = (ws + window).min(n);
-        schedule_window(program, &producer, ws, we, &mut order);
+        schedule_window(program, &producer, ws, we, &mut scratch, &mut order);
         ws = we;
     }
     debug_assert_eq!(order.len(), n, "schedule must be a permutation");
@@ -92,6 +93,14 @@ pub(crate) fn run(program: &mut Program, window: usize) {
     program.tape = scheduled;
 }
 
+/// The per-window work space, reused by every window of one run.
+#[derive(Default)]
+struct Scratch {
+    indegree: Vec<u32>,
+    successors: Vec<Vec<u32>>,
+    buckets: Vec<VecDeque<u32>>,
+}
+
 /// Greedy opcode-affine list scheduling of the window `[ws, we)`,
 /// appending the chosen order to `order`. Only dependencies whose
 /// producer is itself inside the window constrain the order — an earlier
@@ -101,6 +110,7 @@ fn schedule_window(
     producer: &[u32],
     ws: usize,
     we: usize,
+    scratch: &mut Scratch,
     order: &mut Vec<u32>,
 ) {
     let tape = &program.tape;
@@ -110,8 +120,14 @@ fn schedule_window(
     // Window-local dependency edges producer → consumer, plus a chain
     // through the window's downgrade instructions to pin their relative
     // order.
-    let mut indegree = vec![0u32; w];
-    let mut successors: Vec<Vec<u32>> = vec![Vec::new(); w];
+    let indegree = &mut scratch.indegree;
+    indegree.clear();
+    indegree.resize(w, 0);
+    if scratch.successors.len() < w {
+        scratch.successors.resize_with(w, Vec::new);
+    }
+    let successors = &mut scratch.successors[..w];
+    successors.iter_mut().for_each(Vec::clear);
     let depend = |from_slot: u32, to: usize, successors: &mut [Vec<u32>], indegree: &mut [u32]| {
         let p = producer[from_slot as usize];
         if in_window(p) && p as usize != to {
@@ -122,12 +138,12 @@ fn schedule_window(
     let mut prev_downgrade: Option<usize> = None;
     for i in ws..we {
         let op = tape.ops[i];
-        depend(tape.a[i], i, &mut successors, &mut indegree);
+        depend(tape.a[i], i, successors, indegree);
         if op.b_is_slot() {
-            depend(tape.b[i], i, &mut successors, &mut indegree);
+            depend(tape.b[i], i, successors, indegree);
         }
         if op.c_is_slot() {
-            depend(tape.c[i], i, &mut successors, &mut indegree);
+            depend(tape.c[i], i, successors, indegree);
         }
         if op.is_downgrade() {
             if let Some(prev) = prev_downgrade {
@@ -140,8 +156,10 @@ fn schedule_window(
 
     // FIFO queues keep each opcode's instructions in original
     // (slot-allocation) order, which also keeps operand accesses roughly
-    // sequential in memory.
-    let mut buckets: Vec<VecDeque<u32>> = vec![VecDeque::new(); OP_BUCKETS];
+    // sequential in memory. Every window drains its buckets, so the next
+    // one starts with them empty.
+    let buckets = &mut scratch.buckets;
+    buckets.resize_with(OP_BUCKETS, VecDeque::new);
     let mut ready_count = 0usize;
     for i in 0..w {
         if indegree[i] == 0 {
