@@ -8,6 +8,7 @@ use accel::{
 };
 use fpga_model::{estimate, AreaReport, Calibration};
 use ifc_check::{check, check_policies, PolicyOutcome};
+use sim::TrackMode;
 
 /// Paper-reported Table 2 numbers (Virtex-7, Vivado 2017.1).
 #[derive(Debug, Clone, Copy)]
@@ -371,9 +372,10 @@ pub struct BufferDepthSample {
 }
 
 /// Ablates the output holding buffer's depth: when the stall policy
-/// forbids stalling (mixed-level pipeline) and the receiver blocks, the
-/// buffer is the only place completed blocks can go — too shallow and
-/// they drop. This sizes the paper's "extra buffer" BRAM.
+/// forbids stalling (mixed-level pipeline) and the receiver blocks for
+/// 35 cycles (t ∈ \[20, 54\]), the buffer is the only place completed
+/// blocks can go — too shallow and they drop. This sizes the paper's
+/// "extra buffer" BRAM.
 ///
 /// Only the hardware counters are meaningful here: dropped blocks never
 /// emit, so the driver's per-request attribution is not used.
@@ -388,7 +390,7 @@ pub fn buffer_depth_sweep(depths: &[usize]) -> Vec<BufferDepthSample> {
                 ..AccelParams::paper()
             };
             let design = build_with(Protection::Full, params, Mechanisms::all());
-            let mut drv = accel::driver::AccelDriver::from_design(&design, sim::TrackMode::Precise);
+            let mut drv = accel::driver::AccelDriver::from_design(&design, TrackMode::Precise);
             let alice = user_label(1);
             let eve = user_label(0);
             drv.load_key(0, [1u8; 16], alice);
@@ -428,6 +430,58 @@ pub fn buffer_depth_sweep(depths: &[usize]) -> Vec<BufferDepthSample> {
                 depth,
                 drops: drv.drop_count(),
                 completed: drv.responses.len(),
+            }
+        })
+        .collect()
+}
+
+/// One row of the tracking-precision ablation.
+#[derive(Debug, Clone, Copy)]
+pub struct TrackingSample {
+    /// The runtime label-tracking rule.
+    pub mode: TrackMode,
+    /// Blocks that completed.
+    pub completed: usize,
+    /// Runtime label violations raised.
+    pub violations: usize,
+}
+
+/// The tracking-precision ablation: one interleaved two-user 24-block
+/// stream through the protected design under each [`TrackMode`], in the
+/// order Off, Conservative, Precise.
+///
+/// The conservative RTL-level rule (every mux output joins *all* arms,
+/// RTLIFT-style) over-taints: the shared output mux joins both users'
+/// labels, so the release gate rejects legitimate releases. The
+/// mux-aware rule (GLIFT-flavoured) tracks only the selected arm and
+/// raises nothing — why the design carries explicit per-stage tags
+/// rather than deriving labels from conservative tracking.
+#[must_use]
+pub fn tracking_ablation() -> Vec<TrackingSample> {
+    let design = protected();
+    [TrackMode::Off, TrackMode::Conservative, TrackMode::Precise]
+        .into_iter()
+        .map(|mode| {
+            let mut drv = AccelDriver::from_design(&design, mode);
+            let alice = user_label(1);
+            let eve = user_label(0);
+            drv.load_key(0, [7u8; 16], alice);
+            drv.load_key(1, [8u8; 16], eve);
+            for i in 0..24u64 {
+                let mut block = [0u8; 16];
+                block[..8].copy_from_slice(&i.to_be_bytes());
+                let slot = (i % 2) as usize;
+                drv.submit(&Request {
+                    block,
+                    key_slot: slot,
+                    user: if slot == 0 { alice } else { eve },
+                });
+            }
+            drv.drain(300);
+            TrackingSample {
+                mode,
+                completed: drv.responses.len(),
+                violations: drv.violations().len(),
             }
         })
         .collect()

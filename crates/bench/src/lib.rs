@@ -1,20 +1,35 @@
 //! Experiment harness: one function per table/figure of the paper's
-//! evaluation, shared between the `bin/` report generators and the
-//! integration tests. The simulator's own wall-clock speed is measured
-//! by the steady benchmark declared in `BENCHMARK.json` (see
-//! `perfbench/STEADINESS.md`), not here.
+//! evaluation, shared between the `experiments` binary (which prints each
+//! one's full table, by name) and the integration tests. The simulator's
+//! own wall-clock speed is measured by the steady benchmark declared in
+//! `BENCHMARK.json` (see `perfbench/STEADINESS.md`), not here.
 //!
-//! Per-experiment index (see `DESIGN.md` §3):
+//! Per-experiment index (see `DESIGN.md` §3), by `experiments` name:
 //!
-//! * [`experiments::table1`] — Table 1 policy audit.
-//! * [`experiments::table2`] — Table 2 area/frequency comparison.
-//! * [`experiments::throughput`] — 51.2 Gbps @ 400 MHz, 30-cycle latency.
-//! * [`experiments::design_effort`] — the ~70-changed-lines claim.
-//! * [`experiments::fig6`] — the leaky-engine label error and its timing
-//!   channel.
-//! * [`experiments::fig8`] — stall-policy behaviour and buffer occupancy.
-//! * [`experiments::sharing`] — coarse- vs fine-grained sharing sweep.
-//! * [`attacks::attack_matrix`] — the E-atk matrix (re-exported).
+//! * `table1` — [`experiments::table1`], the Table 1 policy audit.
+//! * `table2` — [`experiments::table2`], the Table 2 area/frequency
+//!   comparison.
+//! * `throughput` — [`experiments::throughput`] and
+//!   [`experiments::throughput_decrypt`]: 51.2 Gbps @ 400 MHz, 30-cycle
+//!   latency.
+//! * `design_effort` — [`experiments::design_effort`], the
+//!   ~70-changed-lines claim.
+//! * `fig6_leak` — [`experiments::fig6`], the leaky-engine label error and
+//!   its timing channel.
+//! * `fig8_stall` — [`experiments::fig8`], stall-policy behaviour and
+//!   buffer occupancy.
+//! * `sharing_granularity` — [`experiments::sharing`], the coarse- vs
+//!   fine-grained sharing sweep, and [`experiments::cbc_sharing`], its
+//!   CBC-tenant corollary.
+//! * `attack_matrix` — [`attacks::attack_matrix`], the E-atk matrix.
+//! * `noninterference` — [`attacks::noninterference_holds`] and
+//!   [`attacks::eve_trace`], the attacker-trace comparison.
+//! * `lesion_study` — [`attacks::lesion_study`], one mechanism removed at
+//!   a time.
+//! * `tracking_ablation` — [`experiments::tracking_ablation`], RTLIFT- vs
+//!   GLIFT-style tracking precision.
+//! * `buffer_depth` — [`experiments::buffer_depth_sweep`], sizing the
+//!   Fig. 8 holding buffer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -373,7 +373,12 @@ pub fn estimate_by_group(net: &Netlist) -> Vec<GroupArea> {
     }
 
     let mut out: Vec<GroupArea> = groups.into_values().collect();
-    out.sort_by_key(|g| std::cmp::Reverse(g.luts + g.ffs));
+    // Ties break by name: the map's iteration order is random.
+    out.sort_by(|a, b| {
+        (b.luts + b.ffs)
+            .cmp(&(a.luts + a.ffs))
+            .then_with(|| a.group.cmp(&b.group))
+    });
     out
 }
 
@@ -455,12 +460,17 @@ mod tests {
             m.connect(r, x);
             m.output("state", r);
         });
-        m.scope("iface", |m| {
-            let q = m.reg("q", 4, 0);
-            m.output("q", q);
-        });
+        for scope in ["iface", "aux"] {
+            m.scope(scope, |m| {
+                let q = m.reg("q", 4, 0);
+                m.output("q", q);
+            });
+        }
         let net = m.finish().lower().unwrap();
         let groups = estimate_by_group(&net);
+        // Largest first; equal-sized groups in name order.
+        let order: Vec<&str> = groups.iter().map(|g| g.group.as_str()).collect();
+        assert_eq!(order[..3], ["engine", "aux", "iface"]);
         let engine = groups.iter().find(|g| g.group == "engine").unwrap();
         assert_eq!(engine.ffs, 8);
         assert!(engine.luts >= 4, "the xor belongs to the engine");

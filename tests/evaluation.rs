@@ -1,9 +1,12 @@
 //! Evaluation-section integration tests: Table 2's shape, the throughput
-//! and latency claims, the sharing-granularity claim, and the
-//! design-effort measurement.
+//! and latency claims, the sharing-granularity claim, the design-effort
+//! measurement, and the tracking-precision ablation.
 
-use bench::experiments::{design_effort, sharing, table2, throughput};
+use bench::experiments::{
+    cbc_sharing, design_effort, sharing, table2, throughput, tracking_ablation,
+};
 use secure_aes_ifc::accel::Protection;
+use secure_aes_ifc::sim::TrackMode;
 
 #[test]
 fn table2_overheads_are_marginal_and_frequency_unchanged() {
@@ -58,6 +61,11 @@ fn fine_grained_sharing_beats_coarse_grained() {
     // streaming, the coarse design drains the pipeline at every switch.
     let s = sharing(32, &[4])[0];
     assert!(s.fine_bpc > s.coarse_bpc, "{s:?}");
+    // Latency-bound CBC chains: three interleaved tenants reach about
+    // three times the throughput of one chain.
+    let cbc = cbc_sharing(8, 3);
+    let speedup = cbc.multi_bpc / cbc.single_bpc;
+    assert!((speedup - 3.0).abs() < 0.1, "{cbc:?}: {speedup:.2}x");
 }
 
 #[test]
@@ -81,4 +89,21 @@ fn design_effort_is_on_the_order_of_seventy_lines() {
     );
     assert!(d.annotations > 0);
     assert!(d.checker_nodes > 0);
+}
+
+#[test]
+fn conservative_tracking_over_taints_and_precise_tracking_does_not() {
+    let samples = tracking_ablation();
+    let modes: Vec<TrackMode> = samples.iter().map(|s| s.mode).collect();
+    assert_eq!(
+        modes,
+        [TrackMode::Off, TrackMode::Conservative, TrackMode::Precise]
+    );
+    for s in &samples {
+        assert_eq!(s.completed, 24, "every block completes: {s:?}");
+        match s.mode {
+            TrackMode::Conservative => assert!(s.violations > 0, "{s:?}"),
+            TrackMode::Off | TrackMode::Precise => assert_eq!(s.violations, 0, "{s:?}"),
+        }
+    }
 }
