@@ -6,6 +6,8 @@ use std::fmt;
 use hdl::NodeId;
 use ifc_lattice::Label;
 
+use crate::dataflow::Lattice;
+
 /// An abstract security label: a static component joined with a set of
 /// runtime tag signals.
 ///
@@ -24,15 +26,6 @@ pub struct AbstractLabel {
 }
 
 impl AbstractLabel {
-    /// The least abstract label: public, trusted, no tags.
-    #[must_use]
-    pub fn bottom() -> AbstractLabel {
-        AbstractLabel {
-            base: Label::PUBLIC_TRUSTED,
-            tags: BTreeSet::new(),
-        }
-    }
-
     /// A purely static abstract label.
     #[must_use]
     pub fn of(label: Label) -> AbstractLabel {
@@ -56,29 +49,20 @@ impl AbstractLabel {
     pub fn is_static(&self) -> bool {
         self.tags.is_empty()
     }
+}
 
-    /// Joins two abstract labels.
-    #[must_use]
-    pub fn join(&self, other: &AbstractLabel) -> AbstractLabel {
+/// The fact lattice of label inference; ⊥ is public, trusted, no tags.
+/// Its height is the static label lattice's plus the number of distinct
+/// tag signals in the design.
+impl Lattice for AbstractLabel {
+    fn bottom() -> AbstractLabel {
+        AbstractLabel::of(Label::PUBLIC_TRUSTED)
+    }
+    fn join(&self, other: &AbstractLabel) -> AbstractLabel {
         AbstractLabel {
             base: self.base.join(other.base),
             tags: self.tags.union(&other.tags).copied().collect(),
         }
-    }
-
-    /// In-place join; returns `true` if `self` changed (used by the
-    /// fixpoint loop).
-    pub fn join_assign(&mut self, other: &AbstractLabel) -> bool {
-        let mut changed = false;
-        let joined = self.base.join(other.base);
-        if joined != self.base {
-            self.base = joined;
-            changed = true;
-        }
-        for &t in &other.tags {
-            changed |= self.tags.insert(t);
-        }
-        changed
     }
 }
 
@@ -116,13 +100,5 @@ mod tests {
         let j = a.join(&b);
         assert_eq!(j.base, Label::new(Conf::new(5), Integ::new(2)));
         assert_eq!(j.tags.len(), 2);
-    }
-
-    #[test]
-    fn join_assign_reports_changes() {
-        let mut a = AbstractLabel::bottom();
-        let b = AbstractLabel::of(Label::SECRET_UNTRUSTED);
-        assert!(a.join_assign(&b));
-        assert!(!a.join_assign(&b));
     }
 }

@@ -8,6 +8,7 @@ use ifc_lattice::{Label, SecurityTag};
 use crate::alabel::AbstractLabel;
 use crate::blame::{blame_path, render_path, Offence};
 use crate::ctx::{refine_sink, refine_source, GuardCtx, SinkLabel};
+use crate::dataflow::Lattice;
 use crate::infer::{infer, Inference};
 use crate::report::{CheckReport, Violation, ViolationKind};
 
@@ -24,7 +25,6 @@ struct FlowError {
 pub fn check(design: &Design) -> CheckReport {
     let inference = infer(design);
     let mut report = CheckReport {
-        iterations: inference.iterations,
         warnings: inference.warnings.clone(),
         ..CheckReport::default()
     };

@@ -138,10 +138,10 @@ fn tag_matches(design: &Design, a: NodeId, want: NodeId) -> bool {
     }
     // Follow single-source wire aliases in both directions, one level deep
     // on each side (enough for the builder idioms used by the accelerator).
-    alias_source(design, a) == Some(want)
-        || alias_source(design, want) == Some(a)
+    wire_alias(design, a) == Some(want)
+        || wire_alias(design, want) == Some(a)
         || matches!(
-            (alias_source(design, a), alias_source(design, want)),
+            (wire_alias(design, a), wire_alias(design, want)),
             (Some(x), Some(y)) if x == y
         )
 }
@@ -164,10 +164,6 @@ pub(crate) fn wire_alias(design: &Design, node: NodeId) -> Option<NodeId> {
         }
     }
     unconditional
-}
-
-fn alias_source(design: &Design, node: NodeId) -> Option<NodeId> {
-    wire_alias(design, node)
 }
 
 /// Resolves a memory's label annotation for an access at `addr`.
@@ -214,6 +210,7 @@ pub fn refine_source(
     ctx: &GuardCtx,
 ) -> crate::alabel::AbstractLabel {
     use crate::alabel::AbstractLabel;
+    use crate::dataflow::Lattice;
     match expr {
         LabelExpr::Const(l) => AbstractLabel::of(*l),
         LabelExpr::Table { sel, entries } => match ctx.binding(*sel) {

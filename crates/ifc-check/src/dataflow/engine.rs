@@ -1,29 +1,31 @@
-//! The generic worklist/fixpoint dataflow engine over netlist graphs.
+//! The one worklist/fixpoint engine every static label analysis runs on.
 //!
 //! Analyses plug in a [`Transfer`] function over a join-semilattice of
-//! facts; the engine owns the graph plumbing: one fact slot per node plus
-//! one per memory array, a dependency map covering combinational edges,
-//! register next-value edges, and memory read/write edges, and a
-//! deterministic worklist (seeded in topological order, drained FIFO) so
-//! the same netlist always produces the same fixpoint trajectory.
+//! facts; the engine owns the worklist. It runs over a [`Graph`] of fact
+//! slots — one per node plus one per memory array — built from either IR:
+//! [`Graph::of_netlist`] for the lowered [`Netlist`] (the bound and
+//! release planes, the prover's structural taint) and [`Graph::of_design`]
+//! for the guarded-statement [`Design`] (label inference, policy
+//! reachability). The worklist is seeded in the graph's order and drained
+//! FIFO, so the same graph always produces the same fixpoint trajectory.
 
 use std::collections::{HashSet, VecDeque};
 
-use hdl::{Netlist, Node, NodeId};
+use hdl::{Action, Design, Netlist, Node, NodeId};
 use ifc_lattice::Label;
 
-/// One element of the analysis universe: a netlist node, or a whole
-/// memory array (memories are summarised per array, joined over every
-/// write port — the same granularity the inference in `infer.rs` uses).
+/// One element of the analysis universe: a node, or a whole memory array
+/// (memories are summarised per array, joined over every write).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Slot {
-    /// A netlist node.
+    /// A node.
     Node(NodeId),
-    /// A memory array, by index into [`Netlist::mems`].
+    /// A memory array, by index.
     Mem(usize),
 }
 
-/// A join-semilattice of dataflow facts.
+/// A join-semilattice of dataflow facts. Every lattice the engine runs
+/// over must have finite height: that is what bounds the fixpoint.
 pub trait Lattice: Clone + PartialEq {
     /// The least element (the initial fact everywhere).
     fn bottom() -> Self;
@@ -37,6 +39,16 @@ impl Lattice for Label {
     }
     fn join(&self, other: &Label) -> Label {
         Label::join(*self, *other)
+    }
+}
+
+/// Reachability: "can this slot carry X?".
+impl Lattice for bool {
+    fn bottom() -> bool {
+        false
+    }
+    fn join(&self, other: &bool) -> bool {
+        *self || *other
     }
 }
 
@@ -61,87 +73,211 @@ impl<F> Facts<F> {
     }
 }
 
-/// A pluggable transfer function: recomputes the fact for one slot from
-/// the current table. Must be **monotone** in the fact order implied by
-/// [`Lattice::join`], or the fixpoint may not terminate.
+/// A pluggable transfer function: recomputes the fact for one slot. It
+/// holds the IR it analyses, and may read only the slots with an edge
+/// into `slot` in the [`Graph`] it runs on — most slots take just
+/// [`Graph::join_inputs`]. Must be **monotone** in the fact order implied
+/// by [`Lattice::join`].
 pub trait Transfer {
     /// The fact lattice this analysis computes over.
     type Fact: Lattice;
 
     /// The new fact for `slot`, given the current table.
-    fn transfer(&self, net: &Netlist, slot: Slot, facts: &Facts<Self::Fact>) -> Self::Fact;
+    fn transfer(&self, graph: &Graph, slot: Slot, facts: &Facts<Self::Fact>) -> Self::Fact;
 }
 
-/// Runs the worklist fixpoint of `transfer` over the netlist.
+fn slot_index(nodes: usize, slot: Slot) -> usize {
+    match slot {
+        Slot::Node(id) => id.index(),
+        Slot::Mem(mem) => nodes + mem,
+    }
+}
+
+/// The slot dependency graph of one IR: which slots each slot reads, who
+/// must be recomputed when a slot's fact changes, and the order the
+/// worklist is seeded in. Slots are numbered nodes first, then memories.
+#[derive(Debug)]
+pub struct Graph {
+    nodes: usize,
+    seed: Vec<usize>,
+    inputs: Adjacency,
+    dependents: Adjacency,
+}
+
+/// Edges grouped by their first endpoint, in the order they were given:
+/// slot `i`'s neighbours are `to[start[i]..start[i + 1]]`.
+#[derive(Debug)]
+struct Adjacency {
+    start: Vec<usize>,
+    to: Vec<usize>,
+}
+
+impl Adjacency {
+    fn new(slots: usize, edges: impl Iterator<Item = (usize, usize)> + Clone) -> Adjacency {
+        let mut start = vec![0; slots + 1];
+        for (from, _) in edges.clone() {
+            start[from + 1] += 1;
+        }
+        for i in 0..slots {
+            start[i + 1] += start[i];
+        }
+        let mut next = start.clone();
+        let mut to = vec![0; start[slots]];
+        for (from, t) in edges {
+            to[next[from]] = t;
+            next[from] += 1;
+        }
+        Adjacency { start, to }
+    }
+
+    fn of(&self, slot: usize) -> &[usize] {
+        &self.to[self.start[slot]..self.start[slot + 1]]
+    }
+}
+
+impl Graph {
+    /// A graph over `nodes` nodes and `mems` memories whose `(from, to)`
+    /// edges say that `to`'s fact reads `from`'s, seeded in `order` and
+    /// then the memories.
+    fn new(
+        nodes: usize,
+        mems: usize,
+        order: impl Iterator<Item = NodeId>,
+        edges: &[(Slot, Slot)],
+    ) -> Graph {
+        let pair = |&(f, t): &(Slot, Slot)| (slot_index(nodes, f), slot_index(nodes, t));
+        Graph {
+            nodes,
+            seed: order
+                .map(NodeId::index)
+                .chain(nodes..nodes + mems)
+                .collect(),
+            inputs: Adjacency::new(nodes + mems, edges.iter().map(pair).map(|(f, t)| (t, f))),
+            dependents: Adjacency::new(nodes + mems, edges.iter().map(pair)),
+        }
+    }
+
+    /// The slots the slot at index `idx` reads (nodes first, then
+    /// memories).
+    pub(crate) fn inputs_of(&self, idx: usize) -> &[usize] {
+        self.inputs.of(idx)
+    }
+
+    /// The join of the facts of every slot with an edge into `slot`.
+    pub fn join_inputs<F: Lattice>(&self, slot: Slot, facts: &Facts<F>) -> F {
+        let inputs = self.inputs.of(slot_index(self.nodes, slot));
+        inputs
+            .iter()
+            .fold(F::bottom(), |acc, &i| match i.checked_sub(self.nodes) {
+                None => acc.join(&facts.nodes[i]),
+                Some(mem) => acc.join(&facts.mems[mem]),
+            })
+    }
+
+    /// The netlist graph: combinational edges (a wire reads its resolved
+    /// driver), register next-value edges, memory → read edges and write
+    /// port `data`/`addr`/`en` → memory edges. Seeded in the netlist's
+    /// topological order, so one sweep settles the acyclic core.
+    #[must_use]
+    pub fn of_netlist(net: &Netlist) -> Graph {
+        let mut edges = Vec::new();
+        for id in net.node_ids() {
+            for dep in net.comb_dependencies(id) {
+                edges.push((Slot::Node(dep), Slot::Node(id)));
+            }
+            if let Node::MemRead { mem, .. } = *net.node(id) {
+                edges.push((Slot::Mem(mem.index()), Slot::Node(id)));
+            }
+            if let Some(next) = net.reg_next[id.index()] {
+                edges.push((Slot::Node(next), Slot::Node(id)));
+            }
+        }
+        for wp in &net.write_ports {
+            for src in [wp.data, wp.addr, wp.en] {
+                edges.push((Slot::Node(src), Slot::Mem(wp.mem.index())));
+            }
+        }
+        Graph::new(net.node_count(), net.mems.len(), net.topo_order(), &edges)
+    }
+
+    /// The design graph: every node's operands (a wire's default
+    /// included), memory → read edges, and per statement its source and
+    /// every guard condition → the connected node, or its `data`, `addr`
+    /// and guard conditions → the written memory. Seeded in node order.
+    #[must_use]
+    pub fn of_design(design: &Design) -> Graph {
+        let mut edges = Vec::new();
+        for id in design.node_ids() {
+            let node = design.node(id);
+            for op in node.operands() {
+                edges.push((Slot::Node(op), Slot::Node(id)));
+            }
+            if let Node::MemRead { mem, .. } = *node {
+                edges.push((Slot::Mem(mem.index()), Slot::Node(id)));
+            }
+        }
+        for stmt in design.stmts() {
+            let (to, srcs) = match stmt.action {
+                Action::Connect { dst, src } => (Slot::Node(dst), [Some(src), None]),
+                Action::MemWrite { mem, addr, data } => {
+                    (Slot::Mem(mem.index()), [Some(data), Some(addr)])
+                }
+            };
+            let guards = stmt.guards.iter().map(|g| g.cond);
+            for src in srcs.into_iter().flatten().chain(guards) {
+                edges.push((Slot::Node(src), to));
+            }
+        }
+        Graph::new(
+            design.node_count(),
+            design.mems().len(),
+            design.node_ids(),
+            &edges,
+        )
+    }
+}
+
+/// Runs the worklist fixpoint of `transfer` over `graph`.
 ///
 /// Every slot starts at [`Lattice::bottom`]; slots are (re)processed until
-/// no fact changes. The worklist is seeded with all nodes in the
-/// netlist's deterministic topological order (then the memories), and a
-/// slot re-enters the queue only when one of its dependencies changes, so
-/// acyclic regions settle in one sweep and cyclic regions (register
-/// feedback, memory loops) iterate to their least fixpoint.
-pub fn fixpoint<T: Transfer>(net: &Netlist, transfer: &T) -> Facts<T::Fact> {
-    let n = net.node_count();
-    let m = net.mems.len();
+/// no fact changes. The worklist is seeded with every slot in the graph's
+/// order, and a slot re-enters the queue only when one of its dependencies
+/// changes, so acyclic regions settle in one sweep and cyclic regions
+/// (register feedback, memory loops, combinational wire loops in a
+/// `Design`) iterate to their least fixpoint.
+///
+/// # Panics
+///
+/// If a slot's fact ever fails to grow when it changes — the sign of a
+/// non-monotone transfer. Growth-only updates change each slot at most
+/// the lattice's height times, which is what bounds the loop.
+pub fn fixpoint<T: Transfer>(graph: &Graph, transfer: &T) -> Facts<T::Fact> {
+    let slots = graph.dependents.start.len() - 1;
     let mut facts = Facts {
-        nodes: vec![T::Fact::bottom(); n],
-        mems: vec![T::Fact::bottom(); m],
+        nodes: vec![T::Fact::bottom(); graph.nodes],
+        mems: vec![T::Fact::bottom(); slots - graph.nodes],
     };
+    let mut queue: VecDeque<usize> = graph.seed.iter().copied().collect();
+    let mut queued = vec![true; slots];
 
-    // Slot indexing: nodes 0..n, then memories n..n+m.
-    let slot_index = |slot: Slot| match slot {
-        Slot::Node(id) => id.index(),
-        Slot::Mem(mem) => n + mem,
-    };
-    let slot_of = |idx: usize| {
-        if idx < n {
-            Slot::Node(NodeId::from_raw(idx as u32))
-        } else {
-            Slot::Mem(idx - n)
-        }
-    };
-
-    // Reverse dependency map: who must be recomputed when a slot changes.
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n + m];
-    for id in net.node_ids() {
-        for dep in net.comb_dependencies(id) {
-            dependents[dep.index()].push(id.index());
-        }
-        if let Node::MemRead { mem, .. } = *net.node(id) {
-            dependents[n + mem.index()].push(id.index());
-        }
-        if let Some(next) = net.reg_next[id.index()] {
-            dependents[next.index()].push(id.index());
-        }
-    }
-    for wp in &net.write_ports {
-        for src in [wp.data, wp.addr, wp.en] {
-            dependents[src.index()].push(n + wp.mem.index());
-        }
-    }
-
-    // Seed in topological order: one sweep settles the acyclic core.
-    let mut queue: VecDeque<usize> = net.topo_order().map(NodeId::index).collect();
-    queue.extend(n..n + m);
-    let mut queued = vec![true; n + m];
-
-    let mut steps = 0usize;
     while let Some(idx) = queue.pop_front() {
         queued[idx] = false;
-        steps += 1;
-        assert!(
-            steps < 64 * (n + m + 1),
-            "dataflow fixpoint failed to converge (non-monotone transfer?)"
-        );
-        let slot = slot_of(idx);
-        let new = transfer.transfer(net, slot, &facts);
+        let slot = match idx.checked_sub(graph.nodes) {
+            None => Slot::Node(NodeId::from_raw(idx as u32)),
+            Some(mem) => Slot::Mem(mem),
+        };
+        let new = transfer.transfer(graph, slot, &facts);
         let old = match slot {
             Slot::Node(id) => &mut facts.nodes[id.index()],
             Slot::Mem(mem) => &mut facts.mems[mem],
         };
         if *old != new {
+            assert!(
+                old.join(&new) == new,
+                "dataflow fixpoint: {slot:?} did not grow (non-monotone transfer?)"
+            );
             *old = new;
-            for &d in &dependents[slot_index(slot)] {
+            for &d in graph.dependents.of(idx) {
                 if !queued[d] {
                     queued[d] = true;
                     queue.push_back(d);
@@ -181,38 +317,10 @@ mod tests {
         source: NodeId,
     }
 
-    impl Lattice for bool {
-        fn bottom() -> bool {
-            false
-        }
-        fn join(&self, other: &bool) -> bool {
-            *self || *other
-        }
-    }
-
     impl Transfer for Taint {
         type Fact = bool;
-        fn transfer(&self, net: &Netlist, slot: Slot, facts: &Facts<bool>) -> bool {
-            match slot {
-                Slot::Node(id) => {
-                    if id == self.source {
-                        return true;
-                    }
-                    let mut acc = net.comb_dependencies(id).iter().any(|d| *facts.node(*d));
-                    if let hdl::Node::MemRead { mem, .. } = *net.node(id) {
-                        acc = acc || *facts.mem(mem.index());
-                    }
-                    if let Some(next) = net.reg_next[id.index()] {
-                        acc = acc || *facts.node(next);
-                    }
-                    acc
-                }
-                Slot::Mem(mem) => net
-                    .write_ports
-                    .iter()
-                    .filter(|wp| wp.mem.index() == mem)
-                    .any(|wp| *facts.node(wp.data) || *facts.node(wp.addr) || *facts.node(wp.en)),
-            }
+        fn transfer(&self, graph: &Graph, slot: Slot, facts: &Facts<bool>) -> bool {
+            slot == Slot::Node(self.source) || graph.join_inputs(slot, facts)
         }
     }
 
@@ -233,7 +341,7 @@ mod tests {
         m.output("y", mixed);
         let net = m.finish().lower().unwrap();
 
-        let facts = fixpoint(&net, &Taint { source: t.id() });
+        let facts = fixpoint(&Graph::of_netlist(&net), &Taint { source: t.id() });
         assert!(*facts.node(t.id()));
         assert!(*facts.node(r.id()));
         assert!(*facts.mem(0));

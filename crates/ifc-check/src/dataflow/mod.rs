@@ -1,7 +1,7 @@
 //! The static netlist verification suite.
 //!
-//! A generic worklist/fixpoint dataflow engine ([`engine`]) over lowered
-//! [`hdl::Netlist`]s, the static label planes computed with it
+//! The worklist/fixpoint dataflow engine ([`engine`]) that every static
+//! label analysis runs on, the static label planes computed with it
 //! ([`planes`]), the five lint passes and their pass manager ([`passes`]),
 //! and the machine-readable findings/report model with JSON and SARIF
 //! emission ([`findings`]).
@@ -15,7 +15,7 @@ pub mod findings;
 pub mod passes;
 pub mod planes;
 
-pub use engine::{comb_cone, fixpoint, Facts, Lattice, Slot, Transfer};
+pub use engine::{comb_cone, fixpoint, Facts, Graph, Lattice, Slot, Transfer};
 pub use findings::{Finding, LintReport, Severity};
 pub use passes::{
     crosscheck_findings, crosscheck_report, prove_findings, run_static_passes, LintConfig,

@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use hdl::{BinOp, Design, LabelExpr, Netlist, Node, NodeId};
 use ifc_lattice::{Conf, Label, SecurityTag};
 
-use super::engine::{comb_cone, Facts};
+use super::engine::{comb_cone, Facts, Graph};
 use super::findings::{Finding, LintReport, Severity};
 use super::planes::{bound_plane, release_plane};
 use crate::prover;
@@ -544,9 +544,10 @@ fn dead_logic_pass(
     let n = net.node_count();
     let m = net.mems.len();
 
-    // Liveness: reverse reachability from the output ports, crossing
-    // registers, memories, and label-expression dependencies (a tag
-    // signal consulted only by annotations is live — it decides labels).
+    // Liveness: reverse reachability from the output ports along the
+    // netlist graph's edges (crossing registers and memories) and
+    // label-expression dependencies (a tag signal consulted only by
+    // annotations is live — it decides labels).
     let mut live = vec![false; n + m];
     let mut queue: VecDeque<usize> = VecDeque::new();
     let mark = |i: usize, live: &mut Vec<bool>, queue: &mut VecDeque<usize>| {
@@ -562,41 +563,22 @@ fn dead_logic_pass(
     };
     for port in &net.outputs {
         mark(port.node.index(), &mut live, &mut queue);
-        if let Some(expr) = &port.label {
-            for dep in label_deps(expr) {
-                mark(dep.index(), &mut live, &mut queue);
-            }
+        for dep in port.label.iter().flat_map(label_deps) {
+            mark(dep.index(), &mut live, &mut queue);
         }
     }
+    let graph = Graph::of_netlist(net);
     while let Some(i) = queue.pop_front() {
-        if i < n {
-            let id = NodeId::from_raw(i as u32);
-            for dep in net.comb_dependencies(id) {
-                mark(dep.index(), &mut live, &mut queue);
-            }
-            if let Some(next) = net.reg_next[i] {
-                mark(next.index(), &mut live, &mut queue);
-            }
-            if let Node::MemRead { mem, .. } = *net.node(id) {
-                mark(n + mem.index(), &mut live, &mut queue);
-            }
-            if let Some(expr) = &net.labels[i] {
-                for dep in label_deps(expr) {
-                    mark(dep.index(), &mut live, &mut queue);
-                }
-            }
+        for &j in graph.inputs_of(i) {
+            mark(j, &mut live, &mut queue);
+        }
+        let label = if i < n {
+            &net.labels[i]
         } else {
-            let mem = i - n;
-            for wp in net.write_ports.iter().filter(|wp| wp.mem.index() == mem) {
-                for src in [wp.data, wp.addr, wp.en] {
-                    mark(src.index(), &mut live, &mut queue);
-                }
-            }
-            if let Some(expr) = &net.mems[mem].label {
-                for dep in label_deps(expr) {
-                    mark(dep.index(), &mut live, &mut queue);
-                }
-            }
+            &net.mems[i - n].label
+        };
+        for dep in label.iter().flat_map(label_deps) {
+            mark(dep.index(), &mut live, &mut queue);
         }
     }
 

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use hdl::{BinOp, LabelExpr, Netlist, Node, NodeId};
 use ifc_lattice::{Label, SecurityTag};
 
-use super::engine::{comb_cone, fixpoint, Facts, Slot, Transfer};
+use super::engine::{comb_cone, fixpoint, Facts, Graph, Slot, Transfer};
 
 /// The label-propagation transfer function.
 ///
@@ -39,7 +39,8 @@ use super::engine::{comb_cone, fixpoint, Facts, Slot, Transfer};
 /// * everything else joins its combinational operands (for a mux that
 ///   includes the select, covering implicit flows in both the
 ///   `Conservative` and `Precise` runtime tracking modes).
-pub struct LabelBound {
+pub struct LabelBound<'n> {
+    net: &'n Netlist,
     /// `false` → bound plane (downgrade = incoming ⊔ target);
     /// `true` → release plane (downgrade = target).
     pub optimistic: bool,
@@ -48,55 +49,41 @@ pub struct LabelBound {
     refine: HashMap<(usize, usize), Label>,
 }
 
-impl Transfer for LabelBound {
+impl Transfer for LabelBound<'_> {
     type Fact = Label;
 
-    fn transfer(&self, net: &Netlist, slot: Slot, facts: &Facts<Label>) -> Label {
-        match slot {
+    fn transfer(&self, graph: &Graph, slot: Slot, facts: &Facts<Label>) -> Label {
+        let net = self.net;
+        let upper_bound = |expr: &Option<LabelExpr>| {
+            expr.as_ref()
+                .map_or(Label::PUBLIC_TRUSTED, LabelExpr::upper_bound)
+        };
+        let id = match slot {
             Slot::Mem(mem) => {
-                let mut acc = net.mems[mem]
-                    .label
-                    .as_ref()
-                    .map_or(Label::PUBLIC_TRUSTED, LabelExpr::upper_bound);
-                for wp in net.write_ports.iter().filter(|wp| wp.mem.index() == mem) {
-                    acc = acc
-                        .join(*facts.node(wp.data))
-                        .join(*facts.node(wp.addr))
-                        .join(*facts.node(wp.en));
-                }
-                acc
+                return upper_bound(&net.mems[mem].label).join(graph.join_inputs(slot, facts))
             }
-            Slot::Node(id) => match *net.node(id) {
-                Node::Input { .. } => net.labels[id.index()]
-                    .as_ref()
-                    .map_or(Label::PUBLIC_TRUSTED, LabelExpr::upper_bound),
-                Node::Const { .. } => Label::PUBLIC_TRUSTED,
-                Node::Reg { .. } => {
-                    net.reg_next[id.index()].map_or(Label::PUBLIC_TRUSTED, |next| *facts.node(next))
+            Slot::Node(id) => id,
+        };
+        match *net.node(id) {
+            Node::Input { .. } => upper_bound(&net.labels[id.index()]),
+            Node::Declassify { data, to_tag, .. } | Node::Endorse { data, to_tag, .. } => {
+                let to = Label::from(SecurityTag::from_bits(to_tag));
+                if self.optimistic {
+                    to
+                } else {
+                    facts.node(data).join(to)
                 }
-                Node::MemRead { mem, addr } => facts.mem(mem.index()).join(*facts.node(addr)),
-                Node::Declassify { data, to_tag, .. } | Node::Endorse { data, to_tag, .. } => {
-                    let to = Label::from(SecurityTag::from_bits(to_tag));
-                    if self.optimistic {
-                        to
-                    } else {
-                        facts.node(data).join(to)
-                    }
-                }
-                Node::Mux { sel, t, f } => {
-                    let arm = |x: NodeId| {
-                        self.refine
-                            .get(&(id.index(), x.index()))
-                            .copied()
-                            .unwrap_or(*facts.node(x))
-                    };
-                    facts.node(sel).join(arm(t)).join(arm(f))
-                }
-                _ => net
-                    .comb_dependencies(id)
-                    .into_iter()
-                    .fold(Label::PUBLIC_TRUSTED, |acc, d| acc.join(*facts.node(d))),
-            },
+            }
+            Node::Mux { sel, t, f } => {
+                let arm = |x: NodeId| {
+                    self.refine
+                        .get(&(id.index(), x.index()))
+                        .copied()
+                        .unwrap_or(*facts.node(x))
+                };
+                facts.node(sel).join(arm(t)).join(arm(f))
+            }
+            _ => graph.join_inputs(slot, facts),
         }
     }
 }
@@ -154,8 +141,9 @@ fn tag_guard_refinements(net: &Netlist) -> HashMap<(usize, usize), Label> {
 #[must_use]
 pub fn bound_plane(net: &Netlist) -> Facts<Label> {
     fixpoint(
-        net,
+        &Graph::of_netlist(net),
         &LabelBound {
+            net,
             optimistic: false,
             refine: HashMap::new(),
         },
@@ -168,8 +156,9 @@ pub fn bound_plane(net: &Netlist) -> Facts<Label> {
 #[must_use]
 pub fn release_plane(net: &Netlist) -> Facts<Label> {
     fixpoint(
-        net,
+        &Graph::of_netlist(net),
         &LabelBound {
+            net,
             optimistic: true,
             refine: tag_guard_refinements(net),
         },

@@ -1,9 +1,11 @@
-//! Global label inference: a monotone fixpoint over the design.
+//! Global label inference: a monotone fixpoint over the design, run on
+//! the shared dataflow engine.
 
 use hdl::{Action, Design, Node, NodeId};
 
 use crate::alabel::AbstractLabel;
-use crate::ctx::{refine_source, GuardCtx};
+use crate::ctx::{refine_source, resolve_mem_label, GuardCtx};
+use crate::dataflow::{fixpoint, Facts, Graph, Lattice, Slot, Transfer};
 
 /// The result of label inference.
 #[derive(Debug, Clone)]
@@ -12,8 +14,6 @@ pub struct Inference {
     pub node_labels: Vec<AbstractLabel>,
     /// Inferred abstract label per memory (whole-array, conservative).
     pub mem_labels: Vec<AbstractLabel>,
-    /// Number of fixpoint iterations performed.
-    pub iterations: usize,
     /// Non-fatal observations (e.g. unlabelled inputs assumed public).
     pub warnings: Vec<String>,
     /// Wires whose drivers do not cover every cycle: no default, and the
@@ -33,6 +33,37 @@ impl Inference {
     }
 }
 
+/// The inference transfer function over [`Graph::of_design`]: a node
+/// joins its operands and, for every `connect` into it, the source and
+/// the guard conditions (`src ⊔ pc`); a memory joins every write's
+/// `data ⊔ addr ⊔ pc`.
+struct LabelFlow<'d> {
+    design: &'d Design,
+    /// The contract of each annotated node; `None` where it is inferred.
+    contracts: Vec<Option<AbstractLabel>>,
+    /// Per `MemRead` of a labelled memory: the annotation resolved for its
+    /// address (see [`resolve_mem_label`]), computed once.
+    read_labels: Vec<Option<AbstractLabel>>,
+}
+
+impl Transfer for LabelFlow<'_> {
+    type Fact = AbstractLabel;
+
+    fn transfer(&self, graph: &Graph, slot: Slot, facts: &Facts<AbstractLabel>) -> AbstractLabel {
+        match slot {
+            Slot::Node(id) => match (&self.contracts[id.index()], &self.read_labels[id.index()]) {
+                (Some(contract), _) => contract.clone(),
+                (None, Some(read)) => graph.join_inputs(slot, facts).join(read),
+                (None, None) => graph.join_inputs(slot, facts),
+            },
+            // A labelled memory's writes are checked against, and its reads
+            // take, its annotation: its own slot stays ⊥.
+            Slot::Mem(mem) if self.design.mems()[mem].label.is_some() => AbstractLabel::bottom(),
+            Slot::Mem(_) => graph.join_inputs(slot, facts),
+        }
+    }
+}
+
 /// Runs label inference to a fixpoint.
 ///
 /// Annotated nodes are *contracts*: their label is the (unrefined)
@@ -44,21 +75,25 @@ impl Inference {
 pub fn infer(design: &Design) -> Inference {
     let n = design.node_count();
     let empty_ctx = GuardCtx::default();
-    let mut labels: Vec<AbstractLabel> = vec![AbstractLabel::bottom(); n];
-    let mut mem_labels: Vec<AbstractLabel> = vec![AbstractLabel::bottom(); design.mems().len()];
     let mut warnings = Vec::new();
 
-    // Fixed contracts from annotations.
-    let mut fixed = vec![false; n];
+    let mut flow = LabelFlow {
+        design,
+        contracts: vec![None; n],
+        read_labels: vec![None; n],
+    };
     for id in design.node_ids() {
         if let Some(expr) = design.label_of(id) {
-            labels[id.index()] = refine_source(design, expr, &empty_ctx);
-            fixed[id.index()] = true;
+            flow.contracts[id.index()] = Some(refine_source(design, expr, &empty_ctx));
         } else if matches!(design.node(id), Node::Input { .. }) {
             warnings.push(format!(
                 "input {} has no label annotation; assuming (P,T)",
                 design.describe(id)
             ));
+        }
+        if let Node::MemRead { mem, addr } = *design.node(id) {
+            flow.read_labels[id.index()] = resolve_mem_label(design, mem, addr)
+                .map(|expr| refine_source(design, &expr, &empty_ctx));
         }
     }
 
@@ -74,80 +109,10 @@ pub fn infer(design: &Design) -> Inference {
         ));
     }
 
-    let mut iterations = 0;
-    loop {
-        iterations += 1;
-        assert!(iterations < 10_000, "label inference failed to converge");
-        let mut changed = false;
-
-        // Combinational / structural propagation.
-        for id in design.node_ids() {
-            let idx = id.index();
-            if fixed[idx] {
-                continue;
-            }
-            let candidate = match design.node(id) {
-                Node::Input { .. } | Node::Const { .. } => continue,
-                // Wires and registers are driven by statements (below).
-                Node::Reg { .. } => continue,
-                Node::Wire { default, .. } => {
-                    if let Some(d) = default {
-                        labels[d.index()].clone()
-                    } else {
-                        continue;
-                    }
-                }
-                Node::MemRead { mem, addr } => {
-                    let mem_part = match crate::ctx::resolve_mem_label(design, *mem, *addr) {
-                        Some(expr) => refine_source(design, &expr, &empty_ctx),
-                        None => mem_labels[mem.index()].clone(),
-                    };
-                    mem_part.join(&labels[addr.index()])
-                }
-                other => {
-                    let mut acc = AbstractLabel::bottom();
-                    for op in other.operands() {
-                        acc = acc.join(&labels[op.index()]);
-                    }
-                    acc
-                }
-            };
-            changed |= labels[idx].join_assign(&candidate);
-        }
-
-        // Statement-driven propagation (explicit + implicit flows).
-        for stmt in design.stmts() {
-            let mut pc = AbstractLabel::bottom();
-            for g in &stmt.guards {
-                pc = pc.join(&labels[g.cond.index()]);
-            }
-            match stmt.action {
-                Action::Connect { dst, src } => {
-                    if fixed[dst.index()] {
-                        continue;
-                    }
-                    let eff = labels[src.index()].join(&pc);
-                    changed |= labels[dst.index()].join_assign(&eff);
-                }
-                Action::MemWrite { mem, addr, data } => {
-                    if design.mems()[mem.index()].label.is_some() {
-                        continue;
-                    }
-                    let eff = labels[data.index()].join(&labels[addr.index()]).join(&pc);
-                    changed |= mem_labels[mem.index()].join_assign(&eff);
-                }
-            }
-        }
-
-        if !changed {
-            break;
-        }
-    }
-
+    let facts = fixpoint(&Graph::of_design(design), &flow);
     Inference {
-        node_labels: labels,
-        mem_labels,
-        iterations,
+        node_labels: facts.nodes,
+        mem_labels: facts.mems,
         warnings,
         unconstrained,
     }
@@ -282,11 +247,38 @@ mod tests {
         m.output("r2", r2);
         let d = m.finish();
         let inf = infer(&d);
-        assert_eq!(
-            inf.node_labels[r2.id().index()].base,
-            Label::SECRET_UNTRUSTED
+        for r in [r1, r2] {
+            assert_eq!(inf.label(r.id()).base, Label::SECRET_UNTRUSTED);
+        }
+    }
+
+    #[test]
+    fn combinational_wire_loop_converges() {
+        // `a = b ^ s; b = a`: a zero-latency loop lowering rejects, but the
+        // statement graph the checker analyses still reaches its fixpoint.
+        let mut m = ModuleBuilder::new("t");
+        let secret = m.input("s", 1);
+        m.set_label(secret, Label::SECRET_UNTRUSTED);
+        let a = m.wire("a", 1);
+        let b = m.wire("b", 1);
+        let mixed = m.xor(b, secret);
+        m.connect(a, mixed);
+        m.connect(b, a);
+        m.output("b", b);
+        let d = m.finish();
+        assert!(d.lower().is_err(), "the loop is combinational");
+        let inf = infer(&d);
+        for w in [a, b] {
+            assert_eq!(inf.label(w.id()).base, Label::SECRET_UNTRUSTED);
+        }
+        // The public output port is fed by the loop; the blame walk back
+        // through it terminates too.
+        let report = crate::check(&d);
+        assert_eq!(report.violations.len(), 1, "{report}");
+        assert!(
+            report.violations[0].message.contains("[via s → a → b]"),
+            "{report}"
         );
-        assert!(inf.iterations < 20);
     }
 
     #[test]

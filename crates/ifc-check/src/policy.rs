@@ -13,11 +13,12 @@
 //! rows' violations) and the protected one (where every remaining path
 //! crosses a reviewed declassification).
 
-use std::collections::VecDeque;
 use std::fmt;
 
-use hdl::{Action, Design, Node, NodeId};
+use hdl::{Action, Design, Node, NodeId, Stmt};
 use ifc_lattice::Label;
+
+use crate::dataflow::{fixpoint, Facts, Graph, Slot, Transfer};
 
 /// Which dimension a policy constrains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -228,7 +229,7 @@ pub fn parse_policies(design: &Design, text: &str) -> Result<Vec<FlowPolicy>, Pa
 /// tag-labelled storage (a `FromTag` annotation). Such flows are governed
 /// by the tag logic that the main checker verifies, so the policy audit
 /// treats them as enforcement points rather than leaks.
-fn stmt_is_enforced(design: &Design, stmt: &hdl::Stmt) -> bool {
+fn stmt_is_enforced(design: &Design, stmt: &Stmt) -> bool {
     let guard_checked = stmt.guards.iter().any(|g| {
         let mut seen = std::collections::HashSet::new();
         cone_has_tagleq(design, g.cond, &mut seen)
@@ -275,99 +276,70 @@ fn cone_has_tagleq(
     }
 }
 
-/// Breadth-first structural reachability from `source` to `sink`,
-/// propagating through operators, statements (explicit and implicit
-/// flows), registers and memories. Downgrade nodes cut propagation in the
-/// dimension they downgrade, and runtime-enforced statements (see
-/// [`stmt_is_enforced`]) cut it in both.
+/// Structural reachability from `source` to `sink` over
+/// [`Graph::of_design`]: through operators, statements (explicit and
+/// implicit flows), registers and memories. Downgrade nodes cut
+/// propagation in the dimension they downgrade, and runtime-enforced
+/// statements (see [`stmt_is_enforced`]) cut it in both.
 fn reaches(design: &Design, source: NodeId, sink: NodeId, kind: PolicyKind) -> bool {
     let n = design.node_count();
-    let m = design.mems().len();
-    // Forward adjacency: node -> nodes reading it combinationally.
-    let mut users: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for id in design.node_ids() {
-        let node = design.node(id);
-        let cut = matches!(
-            (node, kind),
-            (Node::Declassify { .. }, PolicyKind::Confidentiality)
-                | (Node::Endorse { .. }, PolicyKind::Integrity)
-        );
-        if cut {
-            continue;
-        }
-        for op in node.operands() {
-            users[op.index()].push(id.index() as u32);
-        }
-    }
-
-    // Statement edges: src → dst and guards → dst; mem writes feed the
-    // memory, reads drain it.
-    let mut stmt_edges: Vec<(u32, u32)> = Vec::new();
-    let mut mem_in: Vec<Vec<u32>> = vec![Vec::new(); m];
-    let mut mem_out: Vec<Vec<u32>> = vec![Vec::new(); m];
+    let mut open = vec![Vec::new(); n + design.mems().len()];
     for stmt in design.stmts() {
-        if stmt_is_enforced(design, stmt) {
-            continue;
-        }
-        match stmt.action {
-            Action::Connect { dst, src } => {
-                stmt_edges.push((src.index() as u32, dst.index() as u32));
-                for g in &stmt.guards {
-                    stmt_edges.push((g.cond.index() as u32, dst.index() as u32));
-                }
-            }
-            Action::MemWrite { mem, addr, data } => {
-                mem_in[mem.index()].push(data.index() as u32);
-                mem_in[mem.index()].push(addr.index() as u32);
-                for g in &stmt.guards {
-                    mem_in[mem.index()].push(g.cond.index() as u32);
-                }
+        if !stmt_is_enforced(design, stmt) {
+            match stmt.action {
+                Action::Connect { dst, .. } => open[dst.index()].push(stmt),
+                Action::MemWrite { mem, .. } => open[n + mem.index()].push(stmt),
             }
         }
     }
-    for id in design.node_ids() {
-        if let Node::MemRead { mem, .. } = design.node(id) {
-            mem_out[mem.index()].push(id.index() as u32);
-        }
-    }
+    let reach = Reach {
+        design,
+        source,
+        kind,
+        open,
+    };
+    *fixpoint(&Graph::of_design(design), &reach).node(sink)
+}
 
-    let mut node_seen = vec![false; n];
-    let mut mem_seen = vec![false; m];
-    let mut queue = VecDeque::new();
-    node_seen[source.index()] = true;
-    queue.push_back(source);
+/// The transfer function of [`reaches`].
+struct Reach<'d> {
+    design: &'d Design,
+    source: NodeId,
+    kind: PolicyKind,
+    /// The statements into each slot (nodes, then memories) that are not
+    /// runtime-enforced.
+    open: Vec<Vec<&'d Stmt>>,
+}
 
-    while let Some(cur) = queue.pop_front() {
-        if cur == sink {
-            return true;
-        }
-        let push = |id: u32, node_seen: &mut Vec<bool>, queue: &mut VecDeque<NodeId>| {
-            if !node_seen[id as usize] {
-                node_seen[id as usize] = true;
-                queue.push_back(NodeId::from_raw(id));
+impl Transfer for Reach<'_> {
+    type Fact = bool;
+
+    fn transfer(&self, _: &Graph, slot: Slot, facts: &Facts<bool>) -> bool {
+        let reached = |id: NodeId| *facts.node(id);
+        let (structural, open) = match slot {
+            Slot::Node(id) => {
+                let node = self.design.node(id);
+                let cut = matches!(
+                    (node, self.kind),
+                    (Node::Declassify { .. }, PolicyKind::Confidentiality)
+                        | (Node::Endorse { .. }, PolicyKind::Integrity)
+                );
+                let structural = id == self.source
+                    || (!cut && node.operands().any(reached))
+                    || matches!(*node, Node::MemRead { mem, .. } if *facts.mem(mem.index()));
+                (structural, &self.open[id.index()])
             }
+            Slot::Mem(mem) => (false, &self.open[self.design.node_count() + mem]),
         };
-        for &u in &users[cur.index()] {
-            push(u, &mut node_seen, &mut queue);
-        }
-        for &(from, to) in &stmt_edges {
-            if from == cur.index() as u32 {
-                push(to, &mut node_seen, &mut queue);
-            }
-        }
-        for mi in 0..m {
-            if mem_seen[mi] {
-                continue;
-            }
-            if mem_in[mi].contains(&(cur.index() as u32)) {
-                mem_seen[mi] = true;
-                for &r in &mem_out[mi] {
-                    push(r, &mut node_seen, &mut queue);
-                }
-            }
-        }
+        structural
+            || open.iter().any(|stmt| {
+                let value = match stmt.action {
+                    Action::Connect { src, .. } => reached(src),
+                    Action::MemWrite { addr, data, .. } => reached(data) || reached(addr),
+                };
+                value || stmt.guards.iter().any(|g| reached(g.cond))
+            })
     }
-    false
 }
 
 #[cfg(test)]

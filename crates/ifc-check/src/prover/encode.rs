@@ -33,6 +33,7 @@ use hdl::{BinOp, LabelExpr, MemId, Netlist, Node, NodeId, UnOp, Value};
 use ifc_lattice::Conf;
 
 use super::aig::{self, Aig, Bv, Lit};
+use crate::dataflow::{fixpoint, Facts, Graph, Slot, Transfer};
 
 /// How the environment drives one input port across the two runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,58 +220,30 @@ pub fn observables(net: &Netlist, env: &ProveEnv, write_enables: bool) -> Vec<Ob
 /// so the prover reports it `ProvedStructural` without touching SAT.
 #[must_use]
 pub fn taint_fixpoint(net: &Netlist, env: &ProveEnv) -> (Vec<bool>, Vec<bool>) {
-    let mut node_t = vec![false; net.nodes.len()];
-    let mut mem_t = vec![false; net.mems.len()];
-    for port in &net.inputs {
-        if env.class(port.node) != InputClass::Public {
-            node_t[port.node.index()] = true;
-        }
-    }
-    loop {
-        let mut changed = false;
-        let set = |t: &mut Vec<bool>, i: usize, v: bool| {
-            if v && !t[i] {
-                t[i] = true;
-                true
-            } else {
-                false
-            }
-        };
-        for id in net.topo_order() {
-            let idx = id.index();
-            let t = match *net.node(id) {
-                Node::Input { .. } | Node::Const { .. } | Node::Reg { .. } => continue,
-                Node::Wire { .. } => node_t[net.wire_driver[idx].expect("driver").index()],
-                Node::MemRead { mem, addr } => mem_t[mem.index()] || node_t[addr.index()],
-                Node::Unary { a, .. } => node_t[a.index()],
-                Node::Binary { a, b, .. } => node_t[a.index()] || node_t[b.index()],
-                Node::Mux { sel, t, f } => {
-                    node_t[sel.index()] || node_t[t.index()] || node_t[f.index()]
-                }
-                Node::Slice { a, .. } => node_t[a.index()],
-                Node::Cat { hi, lo } => node_t[hi.index()] || node_t[lo.index()],
+    let facts = fixpoint(&Graph::of_netlist(net), &Taint { net, env });
+    (facts.nodes, facts.mems)
+}
+
+/// The transfer function of [`taint_fixpoint`].
+struct Taint<'n> {
+    net: &'n Netlist,
+    env: &'n ProveEnv,
+}
+
+impl Transfer for Taint<'_> {
+    type Fact = bool;
+
+    fn transfer(&self, graph: &Graph, slot: Slot, facts: &Facts<bool>) -> bool {
+        if let Slot::Node(id) = slot {
+            match *self.net.node(id) {
+                Node::Input { .. } => return self.env.class(id) != InputClass::Public,
                 // The declassified value rides the shared havoc rail.
-                Node::Declassify { .. } => false,
-                Node::Endorse { data, .. } => node_t[data.index()],
-            };
-            changed |= set(&mut node_t, idx, t);
-        }
-        for id in net.node_ids() {
-            let idx = id.index();
-            if matches!(net.node(id), Node::Reg { .. }) {
-                if let Some(next) = net.reg_next[idx] {
-                    let v = node_t[next.index()];
-                    changed |= set(&mut node_t, idx, v);
-                }
+                Node::Declassify { .. } => return false,
+                Node::Endorse { data, .. } => return *facts.node(data),
+                _ => {}
             }
         }
-        for wp in &net.write_ports {
-            let t = node_t[wp.addr.index()] || node_t[wp.data.index()] || node_t[wp.en.index()];
-            changed |= set(&mut mem_t, wp.mem.index(), t);
-        }
-        if !changed {
-            return (node_t, mem_t);
-        }
+        graph.join_inputs(slot, facts)
     }
 }
 

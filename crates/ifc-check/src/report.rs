@@ -85,8 +85,6 @@ pub struct CheckReport {
     /// "review the downgrades" discussion (Section 3.2.6) applies to this
     /// list.
     pub runtime_checked_downgrades: Vec<NodeId>,
-    /// Number of fixpoint iterations the label inference needed.
-    pub iterations: usize,
 }
 
 impl CheckReport {
