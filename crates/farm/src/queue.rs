@@ -47,8 +47,11 @@ impl WorkQueues {
     }
 
     /// Enqueues a job on its home shard, or returns it when the pool is
-    /// at capacity (backpressure).
-    pub(crate) fn try_push(&self, job: Job) -> Result<(), Job> {
+    /// at capacity (backpressure). `admitted` runs once the job has its
+    /// slot and before any worker can pop it, so whatever it records
+    /// (the job's trace begin) precedes everything a worker does with
+    /// the job; a refused job never reaches it.
+    pub(crate) fn try_push(&self, job: Job, admitted: impl FnOnce(&Job)) -> Result<(), Job> {
         // Optimistically reserve a slot; undo on the (racy but
         // conservative) full case. Occupancy may transiently read one
         // high, never over-admit.
@@ -56,6 +59,7 @@ impl WorkQueues {
             self.len.fetch_sub(1, Ordering::Relaxed);
             return Err(job);
         }
+        admitted(&job);
         let shard = (job.id as usize) % self.shards.len();
         self.shards[shard]
             .lock()
@@ -118,22 +122,28 @@ mod tests {
     fn backpressure_at_capacity() {
         let q = WorkQueues::new(2, 3);
         for id in 0..3 {
-            assert!(q.try_push(job(id)).is_ok());
+            assert!(q.try_push(job(id), |_| {}).is_ok());
         }
-        assert!(q.try_push(job(3)).is_err(), "fourth push must bounce");
+        assert!(
+            q.try_push(job(3), |_| {}).is_err(),
+            "fourth push must bounce"
+        );
         assert_eq!(q.len(), 3);
         assert!(q.pop(0).is_some());
-        assert!(q.try_push(job(4)).is_ok(), "freed slot accepts again");
+        assert!(
+            q.try_push(job(4), |_| {}).is_ok(),
+            "freed slot accepts again"
+        );
     }
 
     #[test]
     fn pop_reports_steals() {
         let q = WorkQueues::new(2, 8);
-        q.try_push(job(0)).unwrap(); // shard 0
+        q.try_push(job(0), |_| {}).unwrap(); // shard 0
         let (own, stolen) = q.pop(0).unwrap();
         assert_eq!(own.id, 0);
         assert!(!stolen, "own-shard pop is not a steal");
-        q.try_push(job(2)).unwrap(); // shard 0 again
+        q.try_push(job(2), |_| {}).unwrap(); // shard 0 again
         let (theft, stolen) = q.pop(1).unwrap();
         assert_eq!(theft.id, 2);
         assert!(stolen, "cross-shard pop is a steal");
@@ -144,7 +154,7 @@ mod tests {
         let q = WorkQueues::new(2, 8);
         // Even ids land on shard 0; worker 1's own shard stays empty.
         for id in [0, 2, 4] {
-            q.try_push(job(id)).unwrap();
+            q.try_push(job(id), |_| {}).unwrap();
         }
         assert_eq!(q.steals(), 0);
         let (stolen, _) = q.pop(1).expect("steals from shard 0");
@@ -159,7 +169,7 @@ mod tests {
     fn drains_to_empty() {
         let q = WorkQueues::new(3, 16);
         for id in 0..10 {
-            q.try_push(job(id)).unwrap();
+            q.try_push(job(id), |_| {}).unwrap();
         }
         let mut seen = 0;
         while q.pop(seen % 3).is_some() {

@@ -226,23 +226,28 @@ impl Farm {
         }
         let id = self.shared.next_job_id.fetch_add(1, Ordering::Relaxed);
         self.shared.active_jobs.fetch_add(1, Ordering::Relaxed);
-        match self.shared.queues.try_push(Job { id, tenant, spec }) {
+        // The job's trace begin is recorded before the job becomes
+        // visible to the workers, whose lane-assign or steal events must
+        // follow it.
+        let begin = |job: &Job| {
+            if let Some(tel) = &self.shared.tel {
+                tel.tracer.async_event(
+                    'b',
+                    FRONT_DOOR_TID,
+                    job.id,
+                    "job",
+                    "farm",
+                    vec![
+                        arg("tenant", entry.spec.name.as_str()),
+                        arg("blocks", job.spec.blocks as u64),
+                        arg("key_slot", job.spec.key_slot as u64),
+                    ],
+                );
+            }
+        };
+        match self.shared.queues.try_push(Job { id, tenant, spec }, begin) {
             Ok(()) => {
                 entry.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                if let Some(tel) = &self.shared.tel {
-                    tel.tracer.async_event(
-                        'b',
-                        FRONT_DOOR_TID,
-                        id,
-                        "job",
-                        "farm",
-                        vec![
-                            arg("tenant", entry.spec.name.as_str()),
-                            arg("blocks", spec.blocks as u64),
-                            arg("key_slot", spec.key_slot as u64),
-                        ],
-                    );
-                }
                 Ok(id)
             }
             Err(_) => {

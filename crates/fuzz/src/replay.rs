@@ -9,11 +9,14 @@
 //! tap answering a non-supervisor, is a leak no tracking mode may permit.
 //!
 //! The mode-free protected tape is compiled once into a one-lane
-//! [`BatchedSim`] prototype; every replay drives fresh lane state over it
-//! through a [`BatchedDriver`]. Tracking gates only the label plane, and
-//! `Off` records no violations, so each input executes only under
-//! `Conservative` and `Precise`: its `Off` row is the `Precise` row with
-//! no violations.
+//! [`BatchedSim`] prototype. Tracking gates only the label plane, and
+//! `Off` records no violations, so each input executes once, on a fresh
+//! two-lane `[Conservative, Precise]` batch driven by one
+//! [`BatchedDriver`] with the same port action in both lanes. The value
+//! plane is the same in every mode, so the value-derived fields (leaks,
+//! responses, rejections, stalls, drain) are read from lane 0 (debug
+//! builds assert lane 1 agrees); violations come from each lane. The
+//! `Off` row is the `Precise` row with no violations.
 
 use std::collections::VecDeque;
 
@@ -77,7 +80,7 @@ impl ReplayOutcome {
 }
 
 /// Compiles the protected accelerator once and replays fuzz inputs on
-/// fresh single-lane state over the compiled tape.
+/// fresh two-lane state over the compiled tape.
 #[derive(Debug)]
 pub struct ProtectedReplayer {
     prototype: BatchedSim,
@@ -105,12 +108,16 @@ impl ProtectedReplayer {
     }
 
     /// Replays one input's tenant programs under every tracking mode
-    /// (two executions; see the [module docs](self)).
+    /// (one two-lane execution; see the [module docs](self)).
     #[must_use]
     pub fn replay(&self, programs: &[TenantProgram]) -> ReplayOutcome {
-        let run = |mode| replay_one(self.prototype.with_mode(mode, 1), programs);
-        let conservative = run(TrackMode::Conservative);
-        let precise = run(TrackMode::Precise);
+        let mut driver = BatchedDriver::from_batched(self.prototype.with_lane_modes(&LANE_MODES));
+        let values = replay_values(&mut driver, programs);
+        let [conservative, precise] = [0, 1].map(|lane| ModeReplay {
+            mode: LANE_MODES[lane],
+            violations: driver.violations(lane).to_vec(),
+            ..values.clone()
+        });
         let off = ModeReplay {
             mode: TrackMode::Off,
             violations: Vec::new(),
@@ -122,6 +129,9 @@ impl ProtectedReplayer {
     }
 }
 
+/// The replay batch's lane modes, in lane order.
+const LANE_MODES: [TrackMode; 2] = [TrackMode::Conservative, TrackMode::Precise];
+
 struct Tenant<'p> {
     user: Label,
     ops: VecDeque<&'p AttackOp>,
@@ -131,17 +141,18 @@ struct Tenant<'p> {
     forbidden: Vec<[u8; 16]>,
 }
 
-/// One cycle of `action` on the single lane; returns whether a submit
-/// was accepted.
+/// One cycle of `action` on both lanes; returns whether a submit was
+/// accepted.
 fn step(driver: &mut BatchedDriver, action: LaneAction) -> bool {
-    let mut accepted = [false];
-    driver.step(&[action], &mut accepted);
+    let mut accepted = [false; 2];
+    driver.step(&[action.clone(), action], &mut accepted);
+    debug_assert_eq!(accepted[0], accepted[1], "lane value planes diverged");
     accepted[0]
 }
 
-fn replay_one(sim: BatchedSim, programs: &[TenantProgram]) -> ModeReplay {
-    let mode = sim.mode();
-    let mut driver = BatchedDriver::from_batched(sim);
+/// Runs the op schedule on both lanes and returns lane 0's value-derived
+/// fields (`mode` and `violations` are left for the caller to fill).
+fn replay_values(driver: &mut BatchedDriver, programs: &[TenantProgram]) -> ModeReplay {
     let mut tenants: Vec<Tenant<'_>> = programs
         .iter()
         .enumerate()
@@ -181,7 +192,7 @@ fn replay_one(sim: BatchedSim, programs: &[TenantProgram]) -> ModeReplay {
                         req,
                         decrypt: false,
                     };
-                    let accepted = (0..64).any(|_| step(&mut driver, submit.clone()));
+                    let accepted = (0..64).any(|_| step(driver, submit.clone()));
                     if !accepted {
                         stalled_submits += 1;
                     }
@@ -193,18 +204,18 @@ fn replay_one(sim: BatchedSim, programs: &[TenantProgram]) -> ModeReplay {
                 } => {
                     let writer = if supervisor { supervisor_label() } else { me };
                     let cell = usize::from(addr) % 8;
-                    step(&mut driver, LaneAction::WriteKey { cell, data, writer });
+                    step(driver, LaneAction::WriteKey { cell, data, writer });
                 }
                 AttackOp::Alloc { cell } => {
                     let cell = usize::from(cell) % 8;
-                    step(&mut driver, LaneAction::Alloc { cell, owner: me });
+                    step(driver, LaneAction::Alloc { cell, owner: me });
                 }
                 AttackOp::WriteCfg { value } => {
-                    step(&mut driver, LaneAction::WriteCfg { value, writer: me });
+                    step(driver, LaneAction::WriteCfg { value, writer: me });
                 }
                 AttackOp::ReadDebug { sel } => {
                     let sel = u32::from(sel) % 8;
-                    step(&mut driver, LaneAction::ReadDebug { sel });
+                    step(driver, LaneAction::ReadDebug { sel });
                     if debug_port_admits(driver.sim().netlist(), me) {
                         leaks.push(format!(
                             "debug tap answered non-supervisor {me} at sel {sel}"
@@ -226,6 +237,9 @@ fn replay_one(sim: BatchedSim, programs: &[TenantProgram]) -> ModeReplay {
         budget -= 1;
     }
     let drained = driver.in_flight(0) == 0;
+    debug_assert_eq!(driver.in_flight(0), driver.in_flight(1));
+    debug_assert_eq!(driver.responses[0], driver.responses[1]);
+    debug_assert_eq!(driver.rejections[0], driver.rejections[1]);
 
     // The value oracle: did any tenant actually receive a master-key
     // ciphertext of one of their own master-slot submissions?
@@ -246,9 +260,9 @@ fn replay_one(sim: BatchedSim, programs: &[TenantProgram]) -> ModeReplay {
     }
 
     ModeReplay {
-        mode,
+        mode: LANE_MODES[0],
         leaks,
-        violations: driver.violations(0).to_vec(),
+        violations: Vec::new(),
         responses: driver.responses[0].len(),
         rejections: driver.rejections[0].len(),
         stalled_submits,

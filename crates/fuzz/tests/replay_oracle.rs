@@ -1,9 +1,10 @@
 //! Fuzz invariant 2's replay engine against the reference oracle.
 //!
-//! [`ProtectedReplayer`] replays tenant programs on the one-lane tape
-//! engine. This suite replays the same op schedule — round-robin, one op
-//! per tenant per turn, the same stall budget, the same bounded drain and
-//! the same value oracle — through [`AccelDriver`] on the interpreting
+//! [`ProtectedReplayer`] replays tenant programs on one two-lane
+//! `[Conservative, Precise]` batch of the tape engine. This suite replays
+//! the same op schedule — round-robin, one op per tenant per turn, the
+//! same stall budget, the same bounded drain and the same value oracle —
+//! through [`AccelDriver`] on the interpreting
 //! [`Simulator`](sim::Simulator), and requires every [`ModeReplay`] field
 //! to match, for seeded generated inputs under every replay mode.
 

@@ -2,7 +2,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use hdl::{Action, Design, Node, NodeId, Stmt};
+use hdl::{Action, Design, Guard, Node, NodeId, Stmt};
 use ifc_lattice::{Label, SecurityTag};
 
 use crate::alabel::AbstractLabel;
@@ -29,12 +29,37 @@ pub fn check(design: &Design) -> CheckReport {
         ..CheckReport::default()
     };
 
+    let mut scopes: HashMap<&[Guard], GuardScope> = HashMap::new();
     for (stmt_idx, stmt) in design.stmts().iter().enumerate() {
-        check_stmt(design, &inference, stmt_idx, stmt, &mut report);
+        let scope = scopes
+            .entry(&stmt.guards)
+            .or_insert_with(|| GuardScope::new(design, &inference, &stmt.guards));
+        check_stmt(design, &inference, stmt_idx, stmt, scope, &mut report);
     }
     check_outputs(design, &inference, &mut report);
     check_downgrades(design, &inference, &mut report);
     report
+}
+
+/// Everything a statement's check derives from its guard list alone —
+/// the guard context, the pc label and the `source_label` memo — shared
+/// by every statement with the same guards.
+struct GuardScope {
+    ctx: GuardCtx,
+    pc: AbstractLabel,
+    memo: HashMap<NodeId, AbstractLabel>,
+}
+
+impl GuardScope {
+    fn new(design: &Design, inference: &Inference, guards: &[Guard]) -> GuardScope {
+        let ctx = GuardCtx::from_guards(design, guards);
+        let mut memo = HashMap::new();
+        let mut pc = AbstractLabel::bottom();
+        for g in guards {
+            pc = pc.join(&source_label(design, inference, g.cond, &ctx, &mut memo));
+        }
+        GuardScope { ctx, pc, memo }
+    }
 }
 
 fn check_stmt(
@@ -42,23 +67,19 @@ fn check_stmt(
     inference: &Inference,
     stmt_idx: usize,
     stmt: &Stmt,
+    scope: &mut GuardScope,
     report: &mut CheckReport,
 ) {
-    let ctx = GuardCtx::from_guards(design, &stmt.guards);
-    let mut memo: HashMap<NodeId, AbstractLabel> = HashMap::new();
-    let mut pc = AbstractLabel::bottom();
-    for g in &stmt.guards {
-        pc = pc.join(&source_label(design, inference, g.cond, &ctx, &mut memo));
-    }
+    let (ctx, pc, memo) = (&scope.ctx, &scope.pc, &mut scope.memo);
 
     match stmt.action {
         Action::Connect { dst, src } => {
             let Some(annotation) = design.label_of(dst) else {
                 return;
             };
-            let eff = source_label(design, inference, src, &ctx, &mut memo).join(&pc);
-            let sink = refine_sink(annotation, &ctx);
-            if let Err(err) = flow_ok(design, &eff, &sink, &ctx) {
+            let eff = source_label(design, inference, src, ctx, memo).join(pc);
+            let sink = refine_sink(annotation, ctx);
+            if let Err(err) = flow_ok(design, &eff, &sink, ctx) {
                 // The offending label may arrive through the value or
                 // through a guard (implicit flow).
                 let mut path = blame_path(design, inference, src, &err.offence);
@@ -92,11 +113,11 @@ fn check_stmt(
             let Some(annotation) = crate::ctx::resolve_mem_label(design, mem, addr) else {
                 return;
             };
-            let eff = source_label(design, inference, data, &ctx, &mut memo)
-                .join(&source_label(design, inference, addr, &ctx, &mut memo))
-                .join(&pc);
-            let sink = refine_sink(&annotation, &ctx);
-            if let Err(err) = flow_ok(design, &eff, &sink, &ctx) {
+            let eff = source_label(design, inference, data, ctx, memo)
+                .join(&source_label(design, inference, addr, ctx, memo))
+                .join(pc);
+            let sink = refine_sink(&annotation, ctx);
+            if let Err(err) = flow_ok(design, &eff, &sink, ctx) {
                 let path = blame_path(design, inference, data, &err.offence);
                 let (reason, via) = (err.reason, render_path(design, &path));
                 report.violations.push(Violation {

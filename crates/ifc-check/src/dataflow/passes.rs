@@ -13,7 +13,7 @@ use ifc_lattice::{Conf, Label, SecurityTag};
 
 use super::engine::{comb_cone, Facts, Graph};
 use super::findings::{Finding, LintReport, Severity};
-use super::planes::{bound_plane, release_plane};
+use super::planes::{bound_plane, label_plane};
 use crate::prover;
 
 /// The five lint passes, with stable kebab-case keys.
@@ -162,12 +162,13 @@ pub fn run_static_passes(design: Option<&Design>, net: &Netlist, cfg: &LintConfi
 
     // The worklist fixpoint converges on cyclic graphs too, so the label
     // planes (and the passes built on them) stay meaningful even when
-    // pass 1 fired.
-    let bound = bound_plane(net);
+    // pass 1 fired. Both planes and the liveness scan share one graph.
+    let graph = Graph::of_netlist(net);
+    let bound = label_plane(&graph, net, false);
 
     secret_timing_pass(net, &bound, cfg, &mut report);
     downgrade_audit_pass(net, &bound, cfg, &mut report);
-    dead_logic_pass(design, net, cfg, &mut report);
+    dead_logic_pass(design, net, &graph, cfg, &mut report);
 
     report
 }
@@ -538,6 +539,7 @@ fn downgrade_audit_pass(
 fn dead_logic_pass(
     design: Option<&Design>,
     net: &Netlist,
+    graph: &Graph,
     cfg: &LintConfig,
     report: &mut LintReport,
 ) {
@@ -567,7 +569,6 @@ fn dead_logic_pass(
             mark(dep.index(), &mut live, &mut queue);
         }
     }
-    let graph = Graph::of_netlist(net);
     while let Some(i) = queue.pop_front() {
         for &j in graph.inputs_of(i) {
             mark(j, &mut live, &mut queue);
@@ -665,7 +666,7 @@ fn dead_logic_pass(
     // expression are dependent-label pass-throughs, already discharged by
     // the design-level checker's dependent-label rules.
     if any_labels {
-        let release = release_plane(net);
+        let release = label_plane(graph, net, true);
         for port in &net.outputs {
             if port.label.is_some() && port.label == net.labels[port.node.index()] {
                 continue;

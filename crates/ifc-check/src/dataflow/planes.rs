@@ -140,14 +140,7 @@ fn tag_guard_refinements(net: &Netlist) -> HashMap<(usize, usize), Label> {
 /// of the static/dynamic cross-check.
 #[must_use]
 pub fn bound_plane(net: &Netlist) -> Facts<Label> {
-    fixpoint(
-        &Graph::of_netlist(net),
-        &LabelBound {
-            net,
-            optimistic: false,
-            refine: HashMap::new(),
-        },
-    )
+    label_plane(&Graph::of_netlist(net), net, false)
 }
 
 /// The intended post-release labels (optimistic about downgrades, with
@@ -155,12 +148,24 @@ pub fn bound_plane(net: &Netlist) -> Facts<Label> {
 /// ports.
 #[must_use]
 pub fn release_plane(net: &Netlist) -> Facts<Label> {
+    label_plane(&Graph::of_netlist(net), net, true)
+}
+
+/// [`bound_plane`] (`optimistic == false`) or [`release_plane`] over an
+/// already-built [`Graph::of_netlist`], so one lint run builds the graph
+/// once.
+pub(crate) fn label_plane(graph: &Graph, net: &Netlist, optimistic: bool) -> Facts<Label> {
+    let refine = if optimistic {
+        tag_guard_refinements(net)
+    } else {
+        HashMap::new()
+    };
     fixpoint(
-        &Graph::of_netlist(net),
+        graph,
         &LabelBound {
             net,
-            optimistic: true,
-            refine: tag_guard_refinements(net),
+            optimistic,
+            refine,
         },
     )
 }

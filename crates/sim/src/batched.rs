@@ -37,10 +37,18 @@
 //! [`peek`](BatchedSim::peek)`(lane, port)`,
 //! [`violations`](BatchedSim::violations)`(lane)`, and so on.
 //!
+//! The tracking mode is a per-lane property: a tracked batch may mix
+//! `Conservative` and `Precise` lanes (they differ only in the `Mux`
+//! label rule, which the executor computes both ways and selects per
+//! lane), while `Off` is batch-wide — a batch is all-`Off` or
+//! all-tracked. The fuzz replay uses this to run one input under both
+//! tracked modes in a single two-lane pass
+//! ([`with_lane_modes`](BatchedSim::with_lane_modes)).
+//!
 //! The executor is monomorphised over the lane width (W ∈ {1, 2, 4, 8,
-//! 16}) and the tracking mode, so the inner lane loops unroll at known
-//! trip counts, and dispatches once per same-opcode *run* (see the
-//! [`schedule`](crate::opt) pass) instead of once per instruction.
+//! 16}) and whether labels are tracked, so the inner lane loops unroll
+//! at known trip counts, and dispatches once per same-opcode *run* (see
+//! the [`schedule`](crate::opt) pass) instead of once per instruction.
 //! Semantics per lane are bit-for-bit identical to the interpreter — the
 //! differential suite drives the same stimulus through
 //! [`Simulator`](crate::Simulator) and every lane of a `BatchedSim` and
@@ -91,8 +99,9 @@ fn label_of(conf: u8, integ: u8) -> Label {
 #[derive(Debug, Clone)]
 pub struct BatchedSim {
     program: Arc<Program>,
-    /// Per instance: the tape is mode-free.
-    mode: TrackMode,
+    /// Per lane (the tape is mode-free): all `Off`, or any mix of
+    /// `Conservative` and `Precise`.
+    modes: Vec<TrackMode>,
     lanes: usize,
     /// Low 64 value bits, slot-major lane-striped: slot `s`, lane `l` at
     /// `s * W + l`.
@@ -126,8 +135,9 @@ pub struct BatchedSim {
 }
 
 /// One lane's complete architectural state, checkpointed by
-/// [`BatchedSim::lane_snapshot`] and resumable into any lane of any batch
-/// of the same tape and tracking mode via [`BatchedSim::restore_lane`] — the
+/// [`BatchedSim::lane_snapshot`] and resumable into any lane of the same
+/// tracking mode, in any batch of the same tape, via
+/// [`BatchedSim::restore_lane`] — the
 /// mechanism the accelerator farm uses to re-pack live sessions across
 /// batch widths without replaying their history.
 ///
@@ -161,7 +171,7 @@ impl LaneSnapshot {
         self.tape_fingerprint
     }
 
-    /// Tracking mode of the source batch.
+    /// Tracking mode of the source lane.
     #[must_use]
     pub fn mode(&self) -> TrackMode {
         self.mode
@@ -182,14 +192,10 @@ impl LaneSnapshot {
 }
 
 /// [`RunEngine`] adapter binding the shared settled-state run loop to a
-/// `BatchedSim` monomorphised over one lane width and tracking mode.
-struct BatchedEngine<'a, const W: usize, const TRACK: bool, const PRECISE: bool>(
-    &'a mut BatchedSim,
-);
+/// `BatchedSim` monomorphised over one lane width and label tracking.
+struct BatchedEngine<'a, const W: usize, const TRACK: bool>(&'a mut BatchedSim);
 
-impl<const W: usize, const TRACK: bool, const PRECISE: bool> RunEngine
-    for BatchedEngine<'_, W, TRACK, PRECISE>
-{
+impl<const W: usize, const TRACK: bool> RunEngine for BatchedEngine<'_, W, TRACK> {
     fn is_clean(&self) -> bool {
         self.0.clean
     }
@@ -207,7 +213,7 @@ impl<const W: usize, const TRACK: bool, const PRECISE: bool> RunEngine
     }
 
     fn exec_record(&mut self) {
-        self.0.exec::<W, TRACK, PRECISE>(true);
+        self.0.exec::<W, TRACK>(true);
     }
 
     fn edge(&mut self) {
@@ -238,19 +244,27 @@ impl BatchedSim {
     ) -> BatchedSim {
         let mut program = Program::compile(net);
         opt::optimize(&mut program, config);
-        BatchedSim::from_program(Arc::new(program), mode, lanes)
+        BatchedSim::from_program(Arc::new(program), vec![mode; lanes])
     }
 
-    /// Instantiates `lanes` lanes of execution state over a shared
-    /// program (the fleet path: compile once, stripe many sessions).
+    /// Instantiates one lane of execution state per entry of `modes`, in
+    /// that lane's tracking mode, over a shared program (the fleet path:
+    /// compile once, stripe many sessions).
     ///
     /// # Panics
     ///
-    /// Panics if `lanes` is not one of [`SUPPORTED_LANES`].
-    pub(crate) fn from_program(program: Arc<Program>, mode: TrackMode, lanes: usize) -> BatchedSim {
+    /// Panics if the lane count is not one of [`SUPPORTED_LANES`], or if
+    /// `Off` is mixed with tracked lanes.
+    pub(crate) fn from_program(program: Arc<Program>, modes: Vec<TrackMode>) -> BatchedSim {
+        let lanes = modes.len();
         assert!(
             SUPPORTED_LANES.contains(&lanes),
             "unsupported lane width {lanes} (supported: {SUPPORTED_LANES:?})"
+        );
+        let tracked = modes[0] != TrackMode::Off;
+        assert!(
+            modes.iter().all(|&m| (m != TrackMode::Off) == tracked),
+            "a batch is all-Off or all-tracked, got lane modes {modes:?}"
         );
         // Lane-stripe a single-session array: each source element becomes
         // `lanes` contiguous copies (slot-/address-major layout), split
@@ -275,7 +289,7 @@ impl BatchedSim {
         let mem_lab_integ: Vec<Vec<u8>> = mem_lo.iter().map(|c| vec![pt_integ; c.len()]).collect();
         let reg_count = program.regs.len() * lanes;
         BatchedSim {
-            mode,
+            modes,
             lanes,
             values_lo,
             values_hi,
@@ -300,23 +314,46 @@ impl BatchedSim {
     }
 
     /// A fresh batch over the same compiled program with a (possibly
-    /// different) lane width: state is reinitialised, the tape, tables,
-    /// and optimizer results are shared. This is how a fleet stripes many
-    /// sessions over one compilation.
+    /// different) lane width, every lane in this batch's tracking mode:
+    /// state is reinitialised, the tape, tables, and optimizer results
+    /// are shared. This is how a fleet stripes many sessions over one
+    /// compilation.
     ///
     /// # Panics
     ///
-    /// Panics if `lanes` is not one of [`SUPPORTED_LANES`].
+    /// Panics if `lanes` is not one of [`SUPPORTED_LANES`], or if this
+    /// batch mixes tracking modes (use
+    /// [`with_lane_modes`](BatchedSim::with_lane_modes)).
     #[must_use]
     pub fn with_lanes(&self, lanes: usize) -> BatchedSim {
-        self.with_mode(self.mode, lanes)
+        let mode = self.modes[0];
+        assert!(
+            self.modes.iter().all(|&m| m == mode),
+            "with_lanes on a mixed batch {:?}",
+            self.modes
+        );
+        self.with_mode(mode, lanes)
     }
 
     /// [`with_lanes`](BatchedSim::with_lanes) under a (possibly different)
     /// tracking mode: the tape is mode-free, so all modes share it.
     #[must_use]
     pub fn with_mode(&self, mode: TrackMode, lanes: usize) -> BatchedSim {
-        BatchedSim::from_program(Arc::clone(&self.program), mode, lanes)
+        self.with_lane_modes(&vec![mode; lanes])
+    }
+
+    /// A fresh batch over the same compiled program with one lane per
+    /// entry of `modes`, each lane in its own tracking mode.
+    /// `Conservative` and `Precise` lanes mix freely; `Off` is
+    /// batch-wide.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `modes.len()` is not one of [`SUPPORTED_LANES`], or if
+    /// `Off` is mixed with tracked lanes.
+    #[must_use]
+    pub fn with_lane_modes(&self, modes: &[TrackMode]) -> BatchedSim {
+        BatchedSim::from_program(Arc::clone(&self.program), modes.to_vec())
     }
 
     /// The wrapped netlist.
@@ -325,10 +362,9 @@ impl BatchedSim {
         &self.program.net
     }
 
-    /// This instance's tracking mode.
-    #[must_use]
-    pub fn mode(&self) -> TrackMode {
-        self.mode
+    /// Whether labels are tracked (the batch is not all-`Off`).
+    fn tracked(&self) -> bool {
+        self.modes[0] != TrackMode::Off
     }
 
     /// Number of lanes (independent sessions) in this batch.
@@ -428,7 +464,7 @@ impl BatchedSim {
     /// id every cycle).
     pub fn set_node_label(&mut self, lane: usize, id: NodeId, label: Label) {
         assert!(lane < self.lanes, "lane {lane} out of range");
-        if self.mode() != TrackMode::Off {
+        if self.tracked() {
             let idx = self.slot(id) * self.lanes + lane;
             self.lab_conf[idx] = label.conf.raw();
             self.lab_integ[idx] = label.integ.raw();
@@ -545,7 +581,7 @@ impl BatchedSim {
         let pick8 = |v: &[u8]| -> Vec<u8> { v.iter().skip(lane).step_by(w).copied().collect() };
         LaneSnapshot {
             tape_fingerprint: self.tape_fingerprint(),
-            mode: self.mode(),
+            mode: self.modes[lane],
             cycle: self.cycle,
             values_lo: pick64(&self.values_lo),
             values_hi: pick64(&self.values_hi),
@@ -564,7 +600,8 @@ impl BatchedSim {
     /// entire state (values, labels, memories, violation stream). The
     /// target batch may have a different lane width than the source — this
     /// is how the farm re-packs live sessions across batch shapes — but it
-    /// must execute the identical tape in the identical tracking mode.
+    /// must execute the identical tape, and `lane` must be in the
+    /// snapshot's tracking mode.
     ///
     /// The shared cycle counter is *not* restored (it belongs to the
     /// batch, not the lane); violation cycle stamps in the restored stream
@@ -572,8 +609,8 @@ impl BatchedSim {
     ///
     /// # Panics
     ///
-    /// Panics if `lane` is out of range or the snapshot was taken from a
-    /// different tape or tracking mode.
+    /// Panics if `lane` is out of range, the snapshot was taken from a
+    /// different tape, or `lane` runs a different tracking mode.
     pub fn restore_lane(&mut self, lane: usize, snap: &LaneSnapshot) {
         assert!(lane < self.lanes, "lane {lane} out of range");
         assert_eq!(
@@ -582,8 +619,7 @@ impl BatchedSim {
             "snapshot is from a different compiled tape"
         );
         assert_eq!(
-            snap.mode,
-            self.mode(),
+            snap.mode, self.modes[lane],
             "snapshot is from a different tracking mode"
         );
         let w = self.lanes;
@@ -653,14 +689,10 @@ impl BatchedSim {
     }
 
     fn run_width<const W: usize>(&mut self, n: u64) {
-        match self.mode() {
-            TrackMode::Off => backend::run_engine(&mut BatchedEngine::<W, false, false>(self), n),
-            TrackMode::Conservative => {
-                backend::run_engine(&mut BatchedEngine::<W, true, false>(self), n);
-            }
-            TrackMode::Precise => {
-                backend::run_engine(&mut BatchedEngine::<W, true, true>(self), n);
-            }
+        if self.tracked() {
+            backend::run_engine(&mut BatchedEngine::<W, true>(self), n);
+        } else {
+            backend::run_engine(&mut BatchedEngine::<W, false>(self), n);
         }
     }
 
@@ -683,10 +715,10 @@ impl BatchedSim {
     }
 
     fn dispatch_mode<const W: usize>(&mut self, record: bool) {
-        match self.mode() {
-            TrackMode::Off => self.exec::<W, false, false>(record),
-            TrackMode::Conservative => self.exec::<W, true, false>(record),
-            TrackMode::Precise => self.exec::<W, true, true>(record),
+        if self.tracked() {
+            self.exec::<W, true>(record);
+        } else {
+            self.exec::<W, false>(record);
         }
     }
 
@@ -789,7 +821,7 @@ impl BatchedSim {
     /// accept/reject per lane from settled operands, then runs the output
     /// release checks, without re-executing the tape.
     fn record_settled_violations(&mut self) {
-        if self.mode() == TrackMode::Off {
+        if !self.tracked() {
             return;
         }
         self.refresh_room();
@@ -867,8 +899,9 @@ impl BatchedSim {
 
     /// The batched dispatch loop: one opcode match per same-op run, each
     /// arm looping its instructions and lanes. `TRACK` turns label
-    /// propagation on and `PRECISE` selects the mux-aware rule; the
-    /// caller has refreshed the per-lane room scratch.
+    /// propagation on; each lane's mode picks its `Mux` label rule from a
+    /// mask loaded once per pass. The caller has refreshed the per-lane
+    /// room scratch.
     ///
     /// Value halves are addressed as `[u64; W]` lane chunks and labels as
     /// `[u8; W]` level chunks (`as_chunks_mut`): one bounds check per
@@ -878,9 +911,10 @@ impl BatchedSim {
     /// 64 — the destination's high half is all-zero by invariant (see the
     /// [module docs](self)).
     #[allow(clippy::too_many_lines)]
-    fn exec<const W: usize, const TRACK: bool, const PRECISE: bool>(&mut self, record: bool) {
+    fn exec<const W: usize, const TRACK: bool>(&mut self, record: bool) {
         let BatchedSim {
             program,
+            modes,
             values_lo,
             values_hi,
             lab_conf,
@@ -908,6 +942,10 @@ impl BatchedSim {
         let (conf_ch, _) = lab_conf.as_chunks_mut::<W>();
         let (integ_ch, _) = lab_integ.as_chunks_mut::<W>();
         let tag8 = |v: u64| Label::from(SecurityTag::from_bits(v as u8));
+        let mut precise = [false; W];
+        for (p, &m) in precise.iter_mut().zip(modes.iter()) {
+            *p = m == TrackMode::Precise;
+        }
         for &(op, start, end) in &program.runs {
             let (s, e) = (start as usize, end as usize);
             // `copy_labels`/`join_labels`: the unary and binary label
@@ -1156,16 +1194,18 @@ impl BatchedSim {
                             let ic = integ_ch[c];
                             let cd = &mut conf_ch[d];
                             let id = &mut integ_ch[d];
+                            // Both rules, then a per-lane select: Precise
+                            // takes the selected arm's label, Conservative
+                            // joins both arms.
                             for l in 0..W {
-                                let (csel, isel) = if PRECISE {
-                                    if sel[l] & 1 == 1 {
-                                        (cb[l], ib[l])
-                                    } else {
-                                        (cc[l], ic[l])
-                                    }
+                                let taken = sel[l] & 1 == 1;
+                                let (cp, ip) = if taken {
+                                    (cb[l], ib[l])
                                 } else {
-                                    (cb[l].max(cc[l]), ib[l].min(ic[l]))
+                                    (cc[l], ic[l])
                                 };
+                                let (cj, ij) = (cb[l].max(cc[l]), ib[l].min(ic[l]));
+                                let (csel, isel) = if precise[l] { (cp, ip) } else { (cj, ij) };
                                 cd[l] = ca[l].max(csel);
                                 id[l] = ia[l].min(isel);
                             }

@@ -235,7 +235,7 @@ mod tests {
             program.rebuild_downgrade_index();
         }
         let runs = program.runs.len();
-        let sim = BatchedSim::from_program(Arc::new(program), TrackMode::Precise, 1);
+        let sim = BatchedSim::from_program(Arc::new(program), vec![TrackMode::Precise]);
         (sim, runs)
     }
 

@@ -7,11 +7,14 @@
 //! alone: settled values and labels of
 //! every output, the full recorded violation stream (order included),
 //! the truncation flag, and final register and memory state — in all
-//! three tracking modes, with the optimizer passes off and on. Lanes are
-//! deliberately given *different* stimuli (values, labels, and therefore
-//! violation patterns) to prove they don't bleed into each other. The
-//! violation cap, including a cap raised mid-run, truncates every lane's
-//! stream exactly where the oracle's is truncated.
+//! three tracking modes, with the optimizer passes off and on, and in
+//! mixed batches whose lanes alternate `Conservative` and `Precise` (each
+//! lane against an oracle in that lane's mode). Lanes are deliberately
+//! given *different* stimuli (values, labels, and therefore violation
+//! patterns) to prove they don't bleed into each other. The violation
+//! cap, including a cap raised mid-run, truncates every lane's stream
+//! exactly where the oracle's is truncated. A lane checkpointed from a
+//! mixed batch resumes bit-identically in a batch of its own mode.
 
 use hdl::{Design, ModuleBuilder, Sig};
 use ifc_lattice::Label;
@@ -194,6 +197,21 @@ fn drive_single(
     observed
 }
 
+/// Sets every lane's inputs for one stimulus step.
+fn set_step(sim: &mut BatchedSim, stimuli: &[Vec<([u8; 4], [u8; 4])>], step: usize) {
+    for (lane, stim) in stimuli.iter().enumerate() {
+        let (values, label_idx) = &stim[step];
+        for i in 0..4 {
+            sim.set(lane, &format!("in{i}"), u128::from(values[i]));
+            sim.set_label(
+                lane,
+                &format!("in{i}"),
+                LABELS[label_idx[i] as usize % LABELS.len()],
+            );
+        }
+    }
+}
+
 /// Drives all lanes of a batched backend, each with its own stimulus,
 /// recording the same per-step observations per lane.
 fn drive_batched(
@@ -205,17 +223,7 @@ fn drive_batched(
     let stimuli: Vec<_> = (0..lanes).map(|l| lane_stimulus(recipe, l)).collect();
     let mut observed = vec![Vec::new(); lanes];
     for step in 0..recipe.stimulus.len() {
-        for (lane, stim) in stimuli.iter().enumerate() {
-            let (values, label_idx) = &stim[step];
-            for i in 0..4 {
-                sim.set(lane, &format!("in{i}"), u128::from(values[i]));
-                sim.set_label(
-                    lane,
-                    &format!("in{i}"),
-                    LABELS[label_idx[i] as usize % LABELS.len()],
-                );
-            }
-        }
+        set_step(sim, &stimuli, step);
         for (lane, obs) in observed.iter_mut().enumerate() {
             for name in outputs {
                 obs.push((sim.peek(lane, name), sim.peek_label(lane, name)));
@@ -226,21 +234,35 @@ fn drive_batched(
     observed
 }
 
-/// The full cross-check for one (mode, optimizer config, lane width):
-/// every batched lane against a fresh interpreter driven with that
-/// lane's stimulus.
+/// Lane modes alternating `Conservative` (even lanes) and `Precise`.
+fn alternating(lanes: usize) -> Vec<TrackMode> {
+    (0..lanes)
+        .map(|l| {
+            if l % 2 == 0 {
+                TrackMode::Conservative
+            } else {
+                TrackMode::Precise
+            }
+        })
+        .collect()
+}
+
+/// The full cross-check for one (lane modes, optimizer config): every
+/// batched lane against a fresh interpreter in that lane's mode, driven
+/// with that lane's stimulus.
 fn check_lanes(
     recipe: &Recipe,
     outputs: &[String],
     netlist: &hdl::Netlist,
-    mode: TrackMode,
+    modes: &[TrackMode],
     opt: &OptConfig,
-    lanes: usize,
 ) -> Result<(), TestCaseError> {
-    let mut batched = BatchedSim::with_tracking_opt(netlist.clone(), mode, lanes, opt);
+    let mut batched =
+        BatchedSim::with_tracking_opt(netlist.clone(), modes[0], 1, opt).with_lane_modes(modes);
     let batched_obs = drive_batched(&mut batched, recipe, outputs);
 
     for (lane, lane_obs) in batched_obs.iter().enumerate() {
+        let mode = modes[lane];
         let stim = lane_stimulus(recipe, lane);
         let mut interp = Simulator::with_tracking(netlist.clone(), mode);
         let interp_obs = drive_single(&mut interp, &stim, outputs);
@@ -353,18 +375,18 @@ proptest! {
     fn batched_lanes_match_interpreter(recipe in arb_recipe()) {
         let (design, outputs) = build(&recipe);
         let netlist = design.lower().expect("random designs are acyclic");
-        for mode in [TrackMode::Off, TrackMode::Conservative, TrackMode::Precise] {
-            for opt in [OptConfig::none(), OptConfig::all()] {
-                check_lanes(&recipe, &outputs, &netlist, mode, &opt, 4)?;
+        for opt in [OptConfig::none(), OptConfig::all()] {
+            for mode in [TrackMode::Off, TrackMode::Conservative, TrackMode::Precise] {
+                check_lanes(&recipe, &outputs, &netlist, &[mode; 4], &opt)?;
             }
+            check_lanes(&recipe, &outputs, &netlist, &alternating(4), &opt)?;
         }
     }
 }
 
-#[test]
-fn every_lane_width_matches_interpreter() {
-    // One representative recipe across every supported lane width.
-    let recipe = Recipe {
+/// One representative recipe.
+fn representative() -> Recipe {
+    Recipe {
         ops: vec![(0, 0, 1), (3, 1, 2), (11, 2, 3), (10, 0, 3), (7, 4, 0)],
         guard_pairs: vec![(1, 2, true), (3, 0, false)],
         stimulus: vec![
@@ -373,17 +395,106 @@ fn every_lane_width_matches_interpreter() {
             ([0x01, 0x80, 0x7e, 0xe7], [3, 0, 1, 0]),
         ],
         downgrades: (2, 3, 5, 1),
-    };
+    }
+}
+
+#[test]
+fn every_lane_width_matches_interpreter() {
+    // One representative recipe across every supported lane width, with
+    // uniform batches in every mode and, from two lanes up, mixed ones.
+    let recipe = representative();
     let (design, outputs) = build(&recipe);
     let netlist = design.lower().expect("lowers");
-    for mode in [TrackMode::Off, TrackMode::Conservative, TrackMode::Precise] {
-        for opt in [OptConfig::none(), OptConfig::all()] {
-            for lanes in SUPPORTED_LANES {
-                check_lanes(&recipe, &outputs, &netlist, mode, &opt, lanes)
+    for opt in [OptConfig::none(), OptConfig::all()] {
+        for lanes in SUPPORTED_LANES {
+            for mode in [TrackMode::Off, TrackMode::Conservative, TrackMode::Precise] {
+                check_lanes(&recipe, &outputs, &netlist, &vec![mode; lanes], &opt)
                     .expect("lane width cross-check");
+            }
+            if lanes >= 2 {
+                check_lanes(&recipe, &outputs, &netlist, &alternating(lanes), &opt)
+                    .expect("mixed batch cross-check");
             }
         }
     }
+}
+
+/// A Precise lane checkpointed out of a mixed batch resumes in a Precise
+/// batch and continues exactly like the lane it left: same values and
+/// labels every cycle, same violation stream.
+#[test]
+fn precise_lane_of_a_mixed_batch_resumes_in_a_precise_batch() {
+    const STEPS: usize = 12;
+    const SNAP_AT: usize = 5;
+    let recipe = representative();
+    let (design, outputs) = build(&recipe);
+    let net = design.lower().expect("lowers");
+    let modes = alternating(4);
+    let stimuli: Vec<Vec<_>> = (0..4)
+        .map(|l| {
+            let stim = lane_stimulus(&recipe, l);
+            (0..STEPS).map(|k| stim[k % stim.len()]).collect()
+        })
+        .collect();
+    let mut mixed =
+        BatchedSim::with_tracking(net, TrackMode::Conservative, 1).with_lane_modes(&modes);
+    for step in 0..SNAP_AT {
+        set_step(&mut mixed, &stimuli, step);
+        mixed.tick();
+    }
+    let snap = mixed.lane_snapshot(3);
+    assert_eq!(snap.mode(), TrackMode::Precise);
+    // Bring the target to the same cycle so new violation stamps agree.
+    let mut precise = mixed.with_mode(TrackMode::Precise, 2);
+    precise.run(SNAP_AT as u64);
+    precise.restore_lane(1, &snap);
+    for step in SNAP_AT..STEPS {
+        set_step(&mut mixed, &stimuli, step);
+        set_step(
+            &mut precise,
+            &[stimuli[0].clone(), stimuli[3].clone()],
+            step,
+        );
+        for name in &outputs {
+            assert_eq!(
+                mixed.peek(3, name),
+                precise.peek(1, name),
+                "{name} at step {step}"
+            );
+            assert_eq!(
+                mixed.peek_label(3, name),
+                precise.peek_label(1, name),
+                "{name} label at step {step}"
+            );
+        }
+        mixed.tick();
+        precise.tick();
+    }
+    assert!(
+        !mixed.violations(3).is_empty(),
+        "the stimulus raises violations"
+    );
+    assert_eq!(mixed.violations(3), precise.violations(1));
+}
+
+#[test]
+#[should_panic(expected = "different tracking mode")]
+fn restoring_a_precise_lane_into_a_conservative_lane_panics() {
+    let (design, _) = build(&representative());
+    let net = design.lower().expect("lowers");
+    let mut mixed =
+        BatchedSim::with_tracking(net, TrackMode::Conservative, 1).with_lane_modes(&alternating(2));
+    let snap = mixed.lane_snapshot(1);
+    mixed.restore_lane(0, &snap);
+}
+
+#[test]
+#[should_panic(expected = "all-Off or all-tracked")]
+fn mixing_off_with_tracked_lanes_panics() {
+    let (design, _) = build(&representative());
+    let net = design.lower().expect("lowers");
+    let _ = BatchedSim::with_tracking(net, TrackMode::Off, 1)
+        .with_lane_modes(&[TrackMode::Off, TrackMode::Precise]);
 }
 
 #[test]

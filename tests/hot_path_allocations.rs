@@ -129,18 +129,26 @@ fn tick_and_eval_do_not_allocate() {
 #[test]
 fn batched_tick_and_eval_do_not_allocate() {
     let _guard = serial();
-    // Every supported lane width (W=1 is the single-session replay
-    // engine) in every tracking mode; the batched prototype shares one
+    // Every supported lane width in every tracking mode, and from two
+    // lanes up a mixed batch alternating Conservative and Precise (W=2
+    // is the fuzz replay engine); the batched prototype shares one
     // compiled program across widths.
     let net = protected().lower().expect("accelerator lowers");
-    for mode in [TrackMode::Off, TrackMode::Conservative, TrackMode::Precise] {
-        let prototype = BatchedSim::with_tracking(net.clone(), mode, 1);
-        for lanes in SUPPORTED_LANES {
-            let mut batched = prototype.with_lanes(lanes);
+    let prototype = BatchedSim::with_tracking(net, TrackMode::Precise, 1);
+    for lanes in SUPPORTED_LANES {
+        let mixed: Vec<TrackMode> = [TrackMode::Conservative, TrackMode::Precise]
+            .into_iter()
+            .cycle()
+            .take(lanes)
+            .collect();
+        let uniform = [TrackMode::Off, TrackMode::Conservative, TrackMode::Precise]
+            .map(|mode| vec![mode; lanes]);
+        for modes in uniform.iter().chain((lanes >= 2).then_some(&mixed)) {
+            let mut batched = prototype.with_lane_modes(modes);
             assert_eq!(
                 measure_lanes(&mut batched),
                 0,
-                "BatchedSim allocated in the hot path ({mode:?}, {lanes} lanes)"
+                "BatchedSim allocated in the hot path ({modes:?})"
             );
         }
     }
