@@ -25,8 +25,27 @@
 //!   confidentiality and integrity levels. The label join — the hot
 //!   operation of conservative tracking, run for every binary
 //!   instruction — is then a lanewise byte `max` (confidentiality) and
-//!   byte `min` (integrity), which vectorize; a `[Label; W]` layout
-//!   would pay scalar struct-field arithmetic per lane instead.
+//!   byte `min` (integrity); a `[Label; W]` layout would pay scalar
+//!   struct-field arithmetic per lane instead.
+//!
+//! The layout alone does not make the lane loops vector code. On the
+//! baseline x86-64 target (SSE2, no `target-cpu`) two rules do, and the
+//! executor keeps both:
+//!
+//! 1. **Per-block operand loads.** Each lane loop copies the operand
+//!    chunks it reads inside its own block; no `[u64; W]` copy is shared
+//!    between the low-half and the high-half block. LLVM keeps a shared
+//!    copy as scalars on the stack, which turns a two-half kernel such as
+//!    `Slice` or `Cat` into spilling scalar code instead of
+//!    `psrlq`/`psllq`/`por`.
+//! 2. **Byte-lane label rules.** Joins and selects go through three
+//!    helpers over `[u8; W]` chunks — lanewise max, min and mask-select.
+//!    A plain byte loop vectorises only at W = 16 (`pmaxub`/`pminub`); at
+//!    W = 2, 4 and 8 it compiled to a per-byte `cmov` and store, so there
+//!    the helpers run SWAR on one `u64` with a guard-bit compare (exact
+//!    because raw levels stay below `0x80`). The `Mux` label rule is
+//!    branch-free: a taken mask from `sel & 1` and a per-pass Precise
+//!    mask select between the two rules.
 //!
 //! Lanes are fully independent sessions over one design: each lane has
 //! its own input values and labels, register and memory state, and its
@@ -40,7 +59,7 @@
 //! The tracking mode is a per-lane property: a tracked batch may mix
 //! `Conservative` and `Precise` lanes (they differ only in the `Mux`
 //! label rule, which the executor computes both ways and selects per
-//! lane), while `Off` is batch-wide — a batch is all-`Off` or
+//! lane with a mask), while `Off` is batch-wide — a batch is all-`Off` or
 //! all-tracked. The fuzz replay uses this to run one input under both
 //! tracked modes in a single two-lane pass
 //! ([`with_lane_modes`](BatchedSim::with_lane_modes)).
@@ -58,7 +77,7 @@
 use std::sync::Arc;
 
 use hdl::{mask, Netlist, NodeId, Value};
-use ifc_lattice::{Conf, Integ, Label, SecurityTag};
+use ifc_lattice::{Conf, Integ, Label, SecurityTag, MAX_LEVEL};
 
 use crate::backend::{self, RunEngine};
 use crate::opt::{self, OptConfig, OptStats};
@@ -91,6 +110,104 @@ fn join64(lo: u64, hi: u64) -> Value {
 #[inline]
 fn label_of(conf: u8, integ: u8) -> Label {
     Label::new(Conf::new(conf), Integ::new(integ))
+}
+
+// Byte-lane label rules over one `[u8; W]` level chunk (rule 2 of the
+// module docs). At W ∈ {2, 4, 8} the chunk is packed into one `u64` and
+// compared SWAR-style; at W = 16 the plain loops vectorise, and at W = 1
+// SWAR measured no faster than one scalar compare.
+
+// The guard-bit compare in `ge_bytes` is exact only while every raw
+// level leaves the top bit of its byte clear.
+const _: () = assert!(MAX_LEVEL < 0x80);
+
+/// Whether `W`-lane label chunks take the SWAR path.
+const fn swar_lanes<const W: usize>() -> bool {
+    W > 1 && W <= 8
+}
+
+/// The guard bit of every byte of a packed chunk.
+const GUARD: u64 = 0x8080_8080_8080_8080;
+
+#[inline]
+fn pack<const W: usize>(x: [u8; W]) -> u64 {
+    let mut b = [0u8; 8];
+    b[..W].copy_from_slice(&x);
+    u64::from_le_bytes(b)
+}
+
+#[inline]
+fn unpack<const W: usize>(v: u64) -> [u8; W] {
+    let mut out = [0u8; W];
+    out.copy_from_slice(&v.to_le_bytes()[..W]);
+    out
+}
+
+/// `0xff` in every byte where `x ≥ y`, else `0x00`, for bytes below
+/// `0x80`: `(x | 0x80) − y` cannot borrow out of a byte, and keeps the
+/// guard bit exactly when `x ≥ y`.
+#[inline]
+fn ge_bytes(x: u64, y: u64) -> u64 {
+    ((((x | GUARD) - y) & GUARD) >> 7) * 0xff
+}
+
+/// Lanewise byte max: the confidentiality join.
+#[inline]
+fn lanes_max<const W: usize>(a: [u8; W], b: [u8; W]) -> [u8; W] {
+    if swar_lanes::<W>() {
+        let (x, y) = (pack(a), pack(b));
+        let ge = ge_bytes(x, y);
+        unpack((x & ge) | (y & !ge))
+    } else {
+        let mut out = a;
+        for l in 0..W {
+            out[l] = a[l].max(b[l]);
+        }
+        out
+    }
+}
+
+/// Lanewise byte min: the integrity join.
+#[inline]
+fn lanes_min<const W: usize>(a: [u8; W], b: [u8; W]) -> [u8; W] {
+    if swar_lanes::<W>() {
+        let (x, y) = (pack(a), pack(b));
+        let ge = ge_bytes(x, y);
+        unpack((y & ge) | (x & !ge))
+    } else {
+        let mut out = a;
+        for l in 0..W {
+            out[l] = a[l].min(b[l]);
+        }
+        out
+    }
+}
+
+/// Lanewise select: `a` where the mask byte is `0xff`, `b` where it is
+/// `0x00`.
+#[inline]
+fn lanes_select<const W: usize>(mask: [u8; W], a: [u8; W], b: [u8; W]) -> [u8; W] {
+    if swar_lanes::<W>() {
+        let m = pack(mask);
+        unpack((pack(a) & m) | (pack(b) & !m))
+    } else {
+        let mut out = a;
+        for l in 0..W {
+            out[l] = (a[l] & mask[l]) | (b[l] & !mask[l]);
+        }
+        out
+    }
+}
+
+/// The select mask of a chunk of `Mux` selectors: `0xff` where bit 0 is
+/// set.
+#[inline]
+fn taken_bytes<const W: usize>(sel: [u64; W]) -> [u8; W] {
+    let mut out = [0u8; W];
+    for l in 0..W {
+        out[l] = (sel[l] as u8 & 1).wrapping_neg();
+    }
+    out
 }
 
 /// Lane-batched simulation backend: W independent sessions advanced in
@@ -750,6 +867,8 @@ impl BatchedSim {
         let (shi_ch, _) = reg_scratch_hi.as_chunks_mut::<W>();
         let (sconf_ch, _) = reg_scratch_conf.as_chunks_mut::<W>();
         let (sinteg_ch, _) = reg_scratch_integ.as_chunks_mut::<W>();
+        // A register no wider than 64 bits skips its high half in both
+        // phases: its slot and its scratch keep the all-zero high half.
         for (i, r) in program.regs.iter().enumerate() {
             let src = r.src as usize;
             let (ml, mh) = (lo64(r.mask), hi64(r.mask));
@@ -758,10 +877,12 @@ impl BatchedSim {
             for l in 0..W {
                 sc[l] = sv[l] & ml;
             }
-            let svh = hi_ch[src];
-            let sch = &mut shi_ch[i];
-            for l in 0..W {
-                sch[l] = svh[l] & mh;
+            if mh != 0 {
+                let svh = hi_ch[src];
+                let sch = &mut shi_ch[i];
+                for l in 0..W {
+                    sch[l] = svh[l] & mh;
+                }
             }
             if TRACK {
                 sconf_ch[i] = conf_ch[src];
@@ -791,24 +912,23 @@ impl BatchedSim {
             if TRACK {
                 let (mconf_ch, _) = mem_lab_conf[mem].as_chunks_mut::<W>();
                 let (minteg_ch, _) = mem_lab_integ[mem].as_chunks_mut::<W>();
-                let en_c = conf_ch[wp.en as usize];
-                let en_i = integ_ch[wp.en as usize];
-                let ad_c = conf_ch[wp.addr as usize];
-                let ad_i = integ_ch[wp.addr as usize];
-                let da_c = conf_ch[wp.data as usize];
-                let da_i = integ_ch[wp.data as usize];
+                let (en_s, ad_s, da_s) = (wp.en as usize, wp.addr as usize, wp.data as usize);
+                let jc = lanes_max(lanes_max(conf_ch[da_s], conf_ch[ad_s]), conf_ch[en_s]);
+                let ji = lanes_min(lanes_min(integ_ch[da_s], integ_ch[ad_s]), integ_ch[en_s]);
                 for l in 0..W {
                     if en[l] & 1 == 1 {
                         let cell = wrap(addr[l]);
-                        mconf_ch[cell][l] = da_c[l].max(ad_c[l]).max(en_c[l]);
-                        minteg_ch[cell][l] = da_i[l].min(ad_i[l]).min(en_i[l]);
+                        mconf_ch[cell][l] = jc[l];
+                        minteg_ch[cell][l] = ji[l];
                     }
                 }
             }
         }
         for (i, r) in program.regs.iter().enumerate() {
             lo_ch[r.dst as usize] = slo_ch[i];
-            hi_ch[r.dst as usize] = shi_ch[i];
+            if hi64(r.mask) != 0 {
+                hi_ch[r.dst as usize] = shi_ch[i];
+            }
             if TRACK {
                 conf_ch[r.dst as usize] = sconf_ch[i];
                 integ_ch[r.dst as usize] = sinteg_ch[i];
@@ -905,11 +1025,14 @@ impl BatchedSim {
     ///
     /// Value halves are addressed as `[u64; W]` lane chunks and labels as
     /// `[u8; W]` level chunks (`as_chunks_mut`): one bounds check per
-    /// operand component instead of per lane, and the lane loops run over
-    /// fixed-size arrays the compiler vectorises. The high value half of
-    /// an instruction is skipped when its result mask has no bits above
-    /// 64 — the destination's high half is all-zero by invariant (see the
-    /// [module docs](self)).
+    /// operand component instead of per lane. The high value half of an
+    /// instruction is skipped when its result mask has no bits above 64 —
+    /// the destination's high half is all-zero by invariant (see the
+    /// [module docs](self)). The lane loops keep the module docs' two
+    /// codegen rules: per-block operand loads, and label rules through
+    /// the byte-lane helpers. The tape is SSA — a destination never
+    /// aliases its own operand — so a block may reload an operand after
+    /// an earlier block wrote the destination.
     #[allow(clippy::too_many_lines)]
     fn exec<const W: usize, const TRACK: bool>(&mut self, record: bool) {
         let BatchedSim {
@@ -942,9 +1065,10 @@ impl BatchedSim {
         let (conf_ch, _) = lab_conf.as_chunks_mut::<W>();
         let (integ_ch, _) = lab_integ.as_chunks_mut::<W>();
         let tag8 = |v: u64| Label::from(SecurityTag::from_bits(v as u8));
-        let mut precise = [false; W];
+        // `0xff` for Precise lanes: the `Mux` label rule's lane mask.
+        let mut precise = [0u8; W];
         for (p, &m) in precise.iter_mut().zip(modes.iter()) {
-            *p = m == TrackMode::Precise;
+            *p = u8::from(m == TrackMode::Precise).wrapping_neg();
         }
         for &(op, start, end) in &program.runs {
             let (s, e) = (start as usize, end as usize);
@@ -966,18 +1090,8 @@ impl BatchedSim {
             macro_rules! join_labels {
                 ($a:expr, $b:expr, $d:expr) => {
                     if TRACK {
-                        let ca = conf_ch[$a];
-                        let cb = conf_ch[$b];
-                        let cd = &mut conf_ch[$d];
-                        for l in 0..W {
-                            cd[l] = ca[l].max(cb[l]);
-                        }
-                        let ia = integ_ch[$a];
-                        let ib = integ_ch[$b];
-                        let id = &mut integ_ch[$d];
-                        for l in 0..W {
-                            id[l] = ia[l].min(ib[l]);
-                        }
+                        conf_ch[$d] = lanes_max(conf_ch[$a], conf_ch[$b]);
+                        integ_ch[$d] = lanes_min(integ_ch[$a], integ_ch[$b]);
                     }
                 };
             }
@@ -1080,6 +1194,37 @@ impl BatchedSim {
                     }
                 }};
             }
+            // Two-half add/sub: the high block recomputes the low half's
+            // carry (borrow) from its own operand copies.
+            macro_rules! addsub {
+                ($wrapping:ident, $overflowing:ident) => {{
+                    for i in s..e {
+                        let a = col_a[i] as usize;
+                        let b = col_b[i] as usize;
+                        let d = col_dst[i] as usize;
+                        let m = col_mask[i];
+                        let (ml, mh) = (lo64(m), hi64(m));
+                        let sa = lo_ch[a];
+                        let sb = lo_ch[b];
+                        let dst = &mut lo_ch[d];
+                        for l in 0..W {
+                            dst[l] = sa[l].$wrapping(sb[l]) & ml;
+                        }
+                        if mh != 0 {
+                            let sal = lo_ch[a];
+                            let sbl = lo_ch[b];
+                            let sah = hi_ch[a];
+                            let sbh = hi_ch[b];
+                            let dst = &mut hi_ch[d];
+                            for l in 0..W {
+                                let carry = u64::from(sal[l].$overflowing(sbl[l]).1);
+                                dst[l] = sah[l].$wrapping(sbh[l]).$wrapping(carry) & mh;
+                            }
+                        }
+                        join_labels!(a, b, d);
+                    }
+                }};
+            }
             match op {
                 Op::Not => bitwise1!(|va| !va),
                 Op::ReduceOr => {
@@ -1127,34 +1272,8 @@ impl BatchedSim {
                 Op::And => bitwise2!(|va, vb| va & vb),
                 Op::Or => bitwise2!(|va, vb| va | vb),
                 Op::Xor => bitwise2!(|va, vb| va ^ vb),
-                Op::Add | Op::Sub => {
-                    for i in s..e {
-                        let a = col_a[i] as usize;
-                        let b = col_b[i] as usize;
-                        let d = col_dst[i] as usize;
-                        let m = col_mask[i];
-                        let (ml, mh) = (lo64(m), hi64(m));
-                        let sal = lo_ch[a];
-                        let sbl = lo_ch[b];
-                        let sah = hi_ch[a];
-                        let sbh = hi_ch[b];
-                        for l in 0..W {
-                            if op == Op::Add {
-                                let (lo, carry) = sal[l].overflowing_add(sbl[l]);
-                                lo_ch[d][l] = lo & ml;
-                                hi_ch[d][l] =
-                                    sah[l].wrapping_add(sbh[l]).wrapping_add(u64::from(carry)) & mh;
-                            } else {
-                                let (lo, borrow) = sal[l].overflowing_sub(sbl[l]);
-                                lo_ch[d][l] = lo & ml;
-                                hi_ch[d][l] =
-                                    sah[l].wrapping_sub(sbh[l]).wrapping_sub(u64::from(borrow))
-                                        & mh;
-                            }
-                        }
-                        join_labels!(a, b, d);
-                    }
-                }
+                Op::Add => addsub!(wrapping_add, overflowing_add),
+                Op::Sub => addsub!(wrapping_sub, overflowing_sub),
                 Op::Eq => cmp2!(|al, ah, bl, bh| al == bl && ah == bh),
                 Op::Ne => cmp2!(|al, ah, bl, bh| al != bl || ah != bh),
                 Op::Lt => cmp2!(|al, ah, bl, bh| ah < bh || (ah == bh && al < bl)),
@@ -1171,44 +1290,36 @@ impl BatchedSim {
                         let m = col_mask[i];
                         let (ml, mh) = (lo64(m), hi64(m));
                         let sel = lo_ch[a];
-                        let vbl = lo_ch[b];
-                        let vcl = lo_ch[c];
+                        let vb = lo_ch[b];
+                        let vc = lo_ch[c];
                         let dst = &mut lo_ch[d];
                         for l in 0..W {
-                            dst[l] = (if sel[l] & 1 == 1 { vbl[l] } else { vcl[l] }) & ml;
+                            let take = (sel[l] & 1).wrapping_neg();
+                            dst[l] = ((vb[l] & take) | (vc[l] & !take)) & ml;
                         }
                         if mh != 0 {
-                            let vbh = hi_ch[b];
-                            let vch = hi_ch[c];
+                            let sel = lo_ch[a];
+                            let vb = hi_ch[b];
+                            let vc = hi_ch[c];
                             let dst = &mut hi_ch[d];
                             for l in 0..W {
-                                dst[l] = (if sel[l] & 1 == 1 { vbh[l] } else { vch[l] }) & mh;
+                                let take = (sel[l] & 1).wrapping_neg();
+                                dst[l] = ((vb[l] & take) | (vc[l] & !take)) & mh;
                             }
                         }
                         if TRACK {
-                            let ca = conf_ch[a];
-                            let cb = conf_ch[b];
-                            let cc = conf_ch[c];
-                            let ia = integ_ch[a];
-                            let ib = integ_ch[b];
-                            let ic = integ_ch[c];
-                            let cd = &mut conf_ch[d];
-                            let id = &mut integ_ch[d];
                             // Both rules, then a per-lane select: Precise
                             // takes the selected arm's label, Conservative
                             // joins both arms.
-                            for l in 0..W {
-                                let taken = sel[l] & 1 == 1;
-                                let (cp, ip) = if taken {
-                                    (cb[l], ib[l])
-                                } else {
-                                    (cc[l], ic[l])
-                                };
-                                let (cj, ij) = (cb[l].max(cc[l]), ib[l].min(ic[l]));
-                                let (csel, isel) = if precise[l] { (cp, ip) } else { (cj, ij) };
-                                cd[l] = ca[l].max(csel);
-                                id[l] = ia[l].min(isel);
-                            }
+                            let taken = taken_bytes(lo_ch[a]);
+                            let (cb, cc) = (conf_ch[b], conf_ch[c]);
+                            let arm = lanes_select(taken, cb, cc);
+                            let both = lanes_max(cb, cc);
+                            conf_ch[d] = lanes_max(conf_ch[a], lanes_select(precise, arm, both));
+                            let (ib, ic) = (integ_ch[b], integ_ch[c]);
+                            let arm = lanes_select(taken, ib, ic);
+                            let both = lanes_min(ib, ic);
+                            integ_ch[d] = lanes_min(integ_ch[a], lanes_select(precise, arm, both));
                         }
                     }
                 }
@@ -1222,31 +1333,35 @@ impl BatchedSim {
                         let sh = col_b[i];
                         let m = col_mask[i];
                         let (ml, mh) = (lo64(m), hi64(m));
-                        let sal = lo_ch[a];
-                        let sah = hi_ch[a];
                         if sh == 0 {
+                            let sal = lo_ch[a];
                             let dst = &mut lo_ch[d];
                             for l in 0..W {
                                 dst[l] = sal[l] & ml;
                             }
                             if mh != 0 {
+                                let sah = hi_ch[a];
                                 let dst = &mut hi_ch[d];
                                 for l in 0..W {
                                     dst[l] = sah[l] & mh;
                                 }
                             }
                         } else if sh < 64 {
+                            let sal = lo_ch[a];
+                            let sah = hi_ch[a];
                             let dst = &mut lo_ch[d];
                             for l in 0..W {
                                 dst[l] = ((sal[l] >> sh) | (sah[l] << (64 - sh))) & ml;
                             }
                             if mh != 0 {
+                                let sah = hi_ch[a];
                                 let dst = &mut hi_ch[d];
                                 for l in 0..W {
                                     dst[l] = (sah[l] >> sh) & mh;
                                 }
                             }
                         } else {
+                            let sah = hi_ch[a];
                             let dst = &mut lo_ch[d];
                             for l in 0..W {
                                 dst[l] = (sah[l] >> (sh - 64)) & ml;
@@ -1264,38 +1379,46 @@ impl BatchedSim {
                         let sh = col_c[i];
                         let m = col_mask[i];
                         let (ml, mh) = (lo64(m), hi64(m));
-                        let sal = lo_ch[a];
-                        let sbl = lo_ch[b];
-                        let sah = hi_ch[a];
-                        let sbh = hi_ch[b];
                         if sh == 0 {
+                            let sal = lo_ch[a];
+                            let sbl = lo_ch[b];
                             let dst = &mut lo_ch[d];
                             for l in 0..W {
                                 dst[l] = (sal[l] | sbl[l]) & ml;
                             }
                             if mh != 0 {
+                                let sah = hi_ch[a];
+                                let sbh = hi_ch[b];
                                 let dst = &mut hi_ch[d];
                                 for l in 0..W {
                                     dst[l] = (sah[l] | sbh[l]) & mh;
                                 }
                             }
                         } else if sh < 64 {
+                            let sal = lo_ch[a];
+                            let sbl = lo_ch[b];
                             let dst = &mut lo_ch[d];
                             for l in 0..W {
                                 dst[l] = ((sal[l] << sh) | sbl[l]) & ml;
                             }
                             if mh != 0 {
+                                let sal = lo_ch[a];
+                                let sah = hi_ch[a];
+                                let sbh = hi_ch[b];
                                 let dst = &mut hi_ch[d];
                                 for l in 0..W {
                                     dst[l] = ((sah[l] << sh) | (sal[l] >> (64 - sh)) | sbh[l]) & mh;
                                 }
                             }
                         } else {
+                            let sbl = lo_ch[b];
                             let dst = &mut lo_ch[d];
                             for l in 0..W {
                                 dst[l] = sbl[l] & ml;
                             }
                             if mh != 0 {
+                                let sal = lo_ch[a];
+                                let sbh = hi_ch[b];
                                 let dst = &mut hi_ch[d];
                                 for l in 0..W {
                                     dst[l] = ((sal[l] << (sh - 64)) | sbh[l]) & mh;
@@ -1344,14 +1467,14 @@ impl BatchedSim {
                         if TRACK {
                             let (mconf_ch, _) = mem_lab_conf[b].as_chunks::<W>();
                             let (minteg_ch, _) = mem_lab_integ[b].as_chunks::<W>();
-                            let ca = conf_ch[a];
-                            let ia = integ_ch[a];
-                            let cd = &mut conf_ch[d];
-                            let id = &mut integ_ch[d];
+                            let mut cell_conf = [0u8; W];
+                            let mut cell_integ = [0u8; W];
                             for l in 0..W {
-                                cd[l] = mconf_ch[addrs[l]][l].max(ca[l]);
-                                id[l] = minteg_ch[addrs[l]][l].min(ia[l]);
+                                cell_conf[l] = mconf_ch[addrs[l]][l];
+                                cell_integ[l] = minteg_ch[addrs[l]][l];
                             }
+                            conf_ch[d] = lanes_max(cell_conf, conf_ch[a]);
+                            integ_ch[d] = lanes_min(cell_integ, integ_ch[a]);
                         }
                     }
                 }
@@ -1364,12 +1487,9 @@ impl BatchedSim {
                         let (ml, mh) = (lo64(m), hi64(m));
                         let to = Label::from(SecurityTag::from_bits(col_aux[i] as u8));
                         let sal = lo_ch[a];
-                        let sbl = lo_ch[b];
-                        {
-                            let dst = &mut lo_ch[d];
-                            for l in 0..W {
-                                dst[l] = sal[l] & ml;
-                            }
+                        let dst = &mut lo_ch[d];
+                        for l in 0..W {
+                            dst[l] = sal[l] & ml;
                         }
                         if mh != 0 {
                             let sah = hi_ch[a];
@@ -1379,6 +1499,7 @@ impl BatchedSim {
                             }
                         }
                         if TRACK {
+                            let sbl = lo_ch[b];
                             let ca = conf_ch[a];
                             let ia = integ_ch[a];
                             let cd = &mut conf_ch[d];
@@ -1451,5 +1572,53 @@ impl BatchedSim {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every lane sees every (level, level) pair and both select masks;
+    /// the helpers must agree with the lattice's joins and a plain pick.
+    fn check_lane_rules<const W: usize>() {
+        for p in 0..256usize {
+            let pair = |l: usize| {
+                let k = (p + 37 * l) % 256;
+                ((k / 16) as u8, (k % 16) as u8)
+            };
+            let x: [u8; W] = std::array::from_fn(|l| pair(l).0);
+            let y: [u8; W] = std::array::from_fn(|l| pair(l).1);
+            let (max, min) = (lanes_max(x, y), lanes_min(x, y));
+            for l in 0..W {
+                let (cx, cy) = (Conf::new(x[l]), Conf::new(y[l]));
+                let (ix, iy) = (Integ::new(x[l]), Integ::new(y[l]));
+                assert_eq!(max[l], cx.join(cy).raw(), "W={W} max {x:?} {y:?}");
+                assert_eq!(min[l], ix.join(iy).raw(), "W={W} min {x:?} {y:?}");
+            }
+            for k in 0..2 {
+                let mask: [u8; W] =
+                    std::array::from_fn(|l| if (l + k) % 2 == 0 { 0xff } else { 0 });
+                let picked = lanes_select(mask, x, y);
+                for l in 0..W {
+                    let want = if mask[l] == 0xff { x[l] } else { y[l] };
+                    assert_eq!(picked[l], want, "W={W} select {mask:?} {x:?} {y:?}");
+                }
+            }
+        }
+        let sel: [u64; W] = std::array::from_fn(|l| (l as u64 * 0x9e37_79b9) ^ (l as u64 & 1));
+        let taken = taken_bytes(sel);
+        for l in 0..W {
+            assert_eq!(taken[l], if sel[l] & 1 == 1 { 0xff } else { 0 });
+        }
+    }
+
+    #[test]
+    fn byte_lane_rules_match_the_lattice_at_every_width() {
+        check_lane_rules::<1>();
+        check_lane_rules::<2>();
+        check_lane_rules::<4>();
+        check_lane_rules::<8>();
+        check_lane_rules::<16>();
     }
 }

@@ -11,12 +11,15 @@
 //! mixed batches whose lanes alternate `Conservative` and `Precise` (each
 //! lane against an oracle in that lane's mode). Lanes are deliberately
 //! given *different* stimuli (values, labels, and therefore violation
-//! patterns) to prove they don't bleed into each other. The violation
+//! patterns) to prove they don't bleed into each other. Designs carry
+//! nodes up to 128 bits, so the executor's two-half kernels (every
+//! `Slice` and `Cat` shift class, carries across bit 64, wide compares,
+//! muxes and registers) meet the oracle at every lane width. The violation
 //! cap, including a cap raised mid-run, truncates every lane's stream
 //! exactly where the oracle's is truncated. A lane checkpointed from a
 //! mixed batch resumes bit-identically in a batch of its own mode.
 
-use hdl::{Design, ModuleBuilder, Sig};
+use hdl::{Design, ModuleBuilder, Node, Sig, MAX_WIDTH};
 use ifc_lattice::Label;
 use proptest::prelude::*;
 use sim::{BatchedSim, OptConfig, Simulator, TrackMode, SUPPORTED_LANES};
@@ -53,8 +56,8 @@ fn arb_recipe() -> impl Strategy<Value = Recipe> {
 }
 
 /// Builds a labelled design from a recipe: four 8-bit inputs, a derived
-/// signal pool, guarded registers and a memory, downgrade nodes, and a
-/// mix of open and labelled outputs.
+/// signal pool of nodes up to 128 bits wide, guarded registers and a
+/// memory, downgrade nodes, and a mix of open and labelled outputs.
 fn build(recipe: &Recipe) -> (Design, Vec<String>) {
     let mut m = ModuleBuilder::new("fuzz_lanes");
     let inputs: Vec<Sig> = (0..4).map(|i| m.input(&format!("in{i}"), 8)).collect();
@@ -63,41 +66,64 @@ fn build(recipe: &Recipe) -> (Design, Vec<String>) {
     for &(op, ai, bi) in &recipe.ops {
         let a = pool[ai as usize % pool.len()];
         let b = pool[bi as usize % pool.len()];
-        let (a, b) = if a.width() == b.width() {
+        // `Slice` and `Cat` take operands of any width; the other
+        // binary ops need equal widths and fall back to `a` twice.
+        let (ea, eb) = if a.width() == b.width() {
             (a, b)
         } else {
             (a, a)
         };
         let node = match op % 12 {
-            0 => m.and(a, b),
-            1 => m.or(a, b),
-            2 => m.xor(a, b),
-            3 => m.add(a, b),
-            4 => m.sub(a, b),
-            5 => m.eq(a, b),
-            6 => m.lt(a, b),
+            0 => m.and(ea, eb),
+            1 => m.or(ea, eb),
+            2 => m.xor(ea, eb),
+            3 => m.add(ea, eb),
+            4 => m.sub(ea, eb),
+            5 => m.eq(ea, eb),
+            6 => m.lt(ea, eb),
             7 => {
+                // The shift is `bi` modulo the width, so every shift
+                // class (0, 1–63, 64, >64) is reachable on a wide operand.
                 if a.width() > 1 {
-                    m.slice(a, a.width() - 1, a.width() / 2)
+                    m.slice(a, a.width() - 1, u16::from(bi) % a.width())
                 } else {
                     m.not(a)
                 }
             }
             8 => m.reduce_xor(a),
             9 => m.reduce_and(a),
-            10 => m.cat(a, b),
+            10 => {
+                if a.width() + b.width() <= MAX_WIDTH {
+                    m.cat(a, b)
+                } else {
+                    m.not(a)
+                }
+            }
             _ => {
-                let sel = m.reduce_or(a);
-                m.mux(sel, a, b)
+                // Parity, not `reduce_or`: wide operands are almost never
+                // zero, and both arms must be taken.
+                let sel = m.reduce_xor(ea);
+                m.mux(sel, ea, eb)
             }
         };
-        if node.width() <= 64 {
-            pool.push(node);
-        }
+        pool.push(node);
     }
+    // Every derived node is observed through a top-labelled output (never
+    // a violation), and the widest one also through a register: the clock
+    // edge's high-half path.
+    let mut outputs = Vec::new();
+    for (k, &sig) in pool.iter().enumerate().skip(4) {
+        let name = format!("p{k}");
+        m.output_labeled(&name, sig, Label::SECRET_UNTRUSTED);
+        outputs.push(name);
+    }
+    let widest = *pool.iter().max_by_key(|s| s.width()).expect("pool");
+    let rw = m.reg("rw", widest.width(), 0);
+    m.connect(rw, widest);
+    m.output_labeled("rw_out", rw, Label::SECRET_UNTRUSTED);
+    outputs.push("rw_out".into());
 
     let mem = m.mem("scratch", 8, 8, vec![1, 2, 3]);
-    let mut outputs = Vec::new();
     for (gi, &(si, vi, use_else)) in recipe.guard_pairs.iter().enumerate() {
         let guard_src = pool[si as usize % pool.len()];
         let guard = if guard_src.width() == 1 {
@@ -290,8 +316,8 @@ fn check_lanes(
         prop_assert_eq!(interp.cycle(), batched.cycle());
         // Final architectural state: registers (named, so they survive
         // every optimizer pass) and the memory.
-        for gi in 0..recipe.guard_pairs.len() {
-            let name = format!("r{gi}");
+        let regs = (0..recipe.guard_pairs.len()).map(|gi| format!("r{gi}"));
+        for name in regs.chain(["rw".to_string()]) {
             prop_assert_eq!(interp.peek(&name), batched.peek(lane, &name));
             prop_assert_eq!(interp.peek_label(&name), batched.peek_label(lane, &name));
         }
@@ -398,22 +424,81 @@ fn representative() -> Recipe {
     }
 }
 
+/// A recipe whose pool reaches 128 bits: every `Slice` shift class and
+/// both `Cat` classes on wide operands (see
+/// `wide_recipe_covers_every_shift_class`), wide add/sub carries and
+/// borrows across bit 64, compares, reductions, a mux and downgrades.
+fn wide() -> Recipe {
+    Recipe {
+        ops: vec![
+            (10, 0, 1),   // p4 = {in0, in1}: 16 bits
+            (10, 4, 4),   // p5: 32 bits
+            (10, 5, 5),   // p6: 64 bits
+            (10, 6, 6),   // p7: 128 bits, Cat shift 64
+            (10, 6, 2),   // p8: 72 bits, Cat shift 8
+            (7, 7, 0),    // p9 = p7[127:0], Slice shift 0
+            (7, 7, 30),   // p10 = p7[127:30], shift 30
+            (7, 7, 64),   // p11 = p7[127:64], shift 64
+            (7, 7, 100),  // p12 = p7[127:100], shift 100
+            (10, 12, 8),  // p13 = {p12, p8}: 100 bits, Cat shift 72
+            (10, 11, 12), // p14 = {p11, p12}: 92 bits, Cat shift 28
+            (3, 7, 9),    // p15 = p7 + p9
+            (4, 7, 15),   // p16 = p7 - p15
+            (6, 15, 16),  // p17 = p15 < p16
+            (5, 15, 16),  // p18 = p15 == p16
+            (11, 15, 16), // p19 = ^p15 ? p15 : p16
+            (8, 7, 0),    // p20 = ^p7
+            (9, 7, 0),    // p21 = &p7
+            (2, 15, 9),   // p22 = p15 ^ p9
+        ],
+        downgrades: (7, 3, 10, 1),
+        ..representative()
+    }
+}
+
+#[test]
+fn wide_recipe_covers_every_shift_class() {
+    let (design, _) = build(&wide());
+    let net = design.lower().expect("lowers");
+    let widths = net.node_widths();
+    let (mut slices, mut cats) = (Vec::new(), Vec::new());
+    for id in net.node_ids() {
+        match *net.node(id) {
+            Node::Slice { a, lo, .. } if widths[a.index()] > 64 => slices.push(lo),
+            Node::Cat { lo, .. } if widths[id.index()] > 64 => cats.push(widths[lo.index()]),
+            _ => {}
+        }
+    }
+    assert!(slices.contains(&0), "Slice shift 0: {slices:?}");
+    assert!(
+        slices.iter().any(|s| (1..64).contains(s)),
+        "Slice shift 1-63"
+    );
+    assert!(slices.contains(&64), "Slice shift 64");
+    assert!(slices.iter().any(|&s| s > 64), "Slice shift > 64");
+    assert!(cats.iter().any(|s| (1..64).contains(s)), "Cat shift 1-63");
+    assert!(cats.contains(&64), "Cat shift 64");
+    assert!(cats.iter().any(|&s| s > 64), "Cat shift > 64");
+}
+
 #[test]
 fn every_lane_width_matches_interpreter() {
-    // One representative recipe across every supported lane width, with
-    // uniform batches in every mode and, from two lanes up, mixed ones.
-    let recipe = representative();
-    let (design, outputs) = build(&recipe);
-    let netlist = design.lower().expect("lowers");
-    for opt in [OptConfig::none(), OptConfig::all()] {
-        for lanes in SUPPORTED_LANES {
-            for mode in [TrackMode::Off, TrackMode::Conservative, TrackMode::Precise] {
-                check_lanes(&recipe, &outputs, &netlist, &vec![mode; lanes], &opt)
-                    .expect("lane width cross-check");
-            }
-            if lanes >= 2 {
-                check_lanes(&recipe, &outputs, &netlist, &alternating(lanes), &opt)
-                    .expect("mixed batch cross-check");
+    // Two fixed recipes, one of them wide, across every supported lane
+    // width, with uniform batches in every mode and, from two lanes up,
+    // mixed ones.
+    for recipe in [representative(), wide()] {
+        let (design, outputs) = build(&recipe);
+        let netlist = design.lower().expect("lowers");
+        for opt in [OptConfig::none(), OptConfig::all()] {
+            for lanes in SUPPORTED_LANES {
+                for mode in [TrackMode::Off, TrackMode::Conservative, TrackMode::Precise] {
+                    check_lanes(&recipe, &outputs, &netlist, &vec![mode; lanes], &opt)
+                        .expect("lane width cross-check");
+                }
+                if lanes >= 2 {
+                    check_lanes(&recipe, &outputs, &netlist, &alternating(lanes), &opt)
+                        .expect("mixed batch cross-check");
+                }
             }
         }
     }
