@@ -18,27 +18,29 @@
 //!   multi-tenant churn);
 //! * the drain is clean: every admitted job has an outcome, every block
 //!   verifies against the software oracle, queues and lanes end empty;
-//! * no scheduling quantum ran at W=8 — the width the tuner's
-//!   `SEED_BLOCKS_PER_SEC`, recorded by `width_probe` on the 2-core
-//!   host, puts below W=4, which the width tuner must structurally
-//!   avoid until this host's own measurements say otherwise (they
-//!   can't: a width is only measured once selected).
+//! * wider engines are faster: for every adjacent pair `(w, 2w)` of
+//!   [`SUPPORTED_LANES`], one fully loaded `2w`-lane engine sustains at
+//!   least [`WIDTH_FLOOR`]× the blocks/s of a `w`-lane one, as the median
+//!   of [`WIDTH_REPS`] interleaved paired ratios. This is the premise of
+//!   the farm's width rule (pack the widest width the load fills); a
+//!   dip at any width breaks the rule and fails the guard.
 //!
-//! Writes the measured snapshot to `BENCH_farm.json` (CI uploads it as
-//! an artifact).
+//! Writes the measured snapshot, with the per-width engine rates, to
+//! `BENCH_farm.json` (CI uploads it as an artifact).
 //!
 //! Usage: `cargo run --release -p bench --bin farm_guard [BENCH_farm.json]`
 
 use std::process::ExitCode;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use accel::fleet::mix;
+use accel::batch::BatchedDriver;
+use accel::fleet::{mix, run_lane_sessions};
 use accel::{protected, supervisor_label, user_label};
 use farm::baseline::run_static;
 use farm::{Farm, FarmConfig, FarmReport, JobSpec, TenantSpec};
 use ifc_lattice::Label;
-use sim::TrackMode;
+use sim::{BatchedSim, OptConfig, TrackMode, SUPPORTED_LANES};
 use telemetry::Json;
 
 /// Farm throughput must beat the static baseline by at least this much.
@@ -62,11 +64,25 @@ const BATCH_BLOCKS: usize = 32;
 /// Paired repetitions of the batching check (after one warm-up pair).
 const BATCH_REPS: usize = 5;
 
+/// A `2w`-lane engine's blocks/s over a `w`-lane one's must not drop
+/// below this.
+const WIDTH_FLOOR: f64 = 1.0;
+
+/// Blocks each lane streams per width-check run: long enough that key
+/// load and pipeline drain wash out and that one run spans the shared
+/// host's short speed swings (at 256 a quarter of the W=16/W=8 pairs
+/// read below 1.0 on a 2-vCPU host; at 1024, one in twenty).
+const WIDTH_BLOCKS: usize = 1024;
+
+/// Rounds of the width check (after one warm-up round); each round runs
+/// every width once.
+const WIDTH_REPS: usize = 7;
+
 /// Mean inter-arrival gap of the Poisson process. Small against total
 /// work so the measurement is dominated by scheduling, not by waiting
 /// for the workload script — and fast enough that the backlog outruns
-/// the workers' ramp, giving the tuner a ≥16-deep queue to justify the
-/// wide packing while the engines are still narrow.
+/// the workers' ramp, giving the farm a ≥16-deep queue to fill the wide
+/// packing while the engines are still narrow.
 const ARRIVAL_MEAN_MS: f64 = 0.2;
 
 /// One tenant's traffic pattern in the churn mix.
@@ -80,13 +96,12 @@ struct TenantLoad {
 /// Four tenants, job sizes spanning 64–1024 blocks (a 16x spread, the
 /// heavy-tailed mix real churn produces: bulk re-encryption jobs next
 /// to packet-sized ones). Every job spans several scheduling quanta, so
-/// the width tuner sees real queue depth at its decision points. The
+/// the scheduler sees real queue depth at its decision points. The
 /// disparity is what static packing handles worst — a widest-fit batch
 /// holding one 1024-block job idles every other lane for ~94% of the
 /// batch once its short jobs drain — while the farm's refill keeps
 /// those lanes fed. 56 jobs keep the shared backlog above 16 through
-/// the ramp, deep enough for the tuner to earn the measured-fastest
-/// W=16 packing.
+/// the ramp, deep enough to fill the fastest, W=16, packing.
 fn tenant_loads() -> Vec<TenantLoad> {
     vec![
         TenantLoad {
@@ -228,6 +243,61 @@ fn batching_ratio(net: &hdl::Netlist, seed: u64) -> f64 {
     median((0..BATCH_REPS).map(|_| pair()).collect())
 }
 
+/// Blocks/s of one fully loaded `width`-lane engine, each lane streaming
+/// [`WIDTH_BLOCKS`] blocks of its own session through
+/// [`run_lane_sessions`]; every ciphertext is checked against the
+/// software AES oracle.
+fn engine_rate(proto: &BatchedSim, width: usize) -> f64 {
+    let users: Vec<Label> = (0..width).map(|l| user_label(l % 4)).collect();
+    let seeds: Vec<u64> = (0..width).map(|l| 0xbeef ^ l as u64).collect();
+    let mut driver = BatchedDriver::from_batched(proto.with_lanes(width));
+    let start = Instant::now();
+    let stats = run_lane_sessions(&mut driver, WIDTH_BLOCKS, &users, &seeds);
+    let rate = (width * WIDTH_BLOCKS) as f64 / start.elapsed().as_secs_f64();
+    assert!(
+        stats.iter().all(|s| s.verified == WIDTH_BLOCKS),
+        "W={width}: a ciphertext failed to verify: {stats:?}"
+    );
+    rate
+}
+
+/// The width check, precise tracking on the farm's tape: one warm-up
+/// round, then [`WIDTH_REPS`] rounds that each run every supported
+/// width once (ascending and descending in turn, so drift within a
+/// round favours neither side of a pair). Returns each width's rates
+/// and, per adjacent pair `(w, 2w)`, the median of the rounds' paired
+/// ratios.
+fn width_check(net: &hdl::Netlist) -> (Vec<Vec<f64>>, Vec<f64>) {
+    let proto =
+        BatchedSim::with_tracking_opt(net.clone(), TrackMode::Precise, 1, &OptConfig::all());
+    for &w in &SUPPORTED_LANES {
+        engine_rate(&proto, w);
+    }
+    let mut rates = vec![Vec::with_capacity(WIDTH_REPS); SUPPORTED_LANES.len()];
+    for rep in 0..WIDTH_REPS {
+        let mut order: Vec<usize> = (0..SUPPORTED_LANES.len()).collect();
+        if rep % 2 == 1 {
+            order.reverse();
+        }
+        for i in order {
+            rates[i].push(engine_rate(&proto, SUPPORTED_LANES[i]));
+        }
+    }
+    let ratios = rates
+        .windows(2)
+        .map(|pair| {
+            median(
+                pair[1]
+                    .iter()
+                    .zip(&pair[0])
+                    .map(|(hi, lo)| hi / lo)
+                    .collect(),
+            )
+        })
+        .collect();
+    (rates, ratios)
+}
+
 fn main() -> ExitCode {
     let out_path = std::env::args()
         .nth(1)
@@ -311,15 +381,43 @@ fn main() -> ExitCode {
             m.queue_depth, m.active_jobs
         ));
     }
-    for &(w, q) in &m.width_quanta {
-        if w == 8 && q > 0 {
+    let (width_rates, width_ratios) = width_check(&net);
+    for (pair, ratio) in SUPPORTED_LANES.windows(2).zip(&width_ratios) {
+        if *ratio < WIDTH_FLOOR {
             failures.push(format!(
-                "{q} quanta ran at W=8, which SEED_BLOCKS_PER_SEC (recorded by width_probe \
-                 on the 2-core host) puts below W=4"
+                "median paired W={}/W={} engine ratio {ratio:.2}x is below the \
+                 {WIDTH_FLOOR}x floor: the wider engine is slower, so packing the widest \
+                 width the load fills no longer pays",
+                pair[1], pair[0]
             ));
         }
     }
 
+    // Per width: its rates' median and range, and (from W=2 on) the
+    // median paired ratio over the next narrower width.
+    let width_json = SUPPORTED_LANES
+        .iter()
+        .zip(&width_rates)
+        .enumerate()
+        .map(|(i, (&w, rates))| {
+            let mut fields = vec![
+                ("width", Json::U64(w as u64)),
+                ("median_blocks_per_sec", Json::F64(median(rates.clone()))),
+                (
+                    "min_blocks_per_sec",
+                    Json::F64(rates.iter().copied().fold(f64::INFINITY, f64::min)),
+                ),
+                (
+                    "max_blocks_per_sec",
+                    Json::F64(rates.iter().copied().fold(0.0, f64::max)),
+                ),
+            ];
+            if let Some(j) = i.checked_sub(1) {
+                fields.push(("median_paired_ratio", Json::F64(width_ratios[j])));
+            }
+            Json::obj(fields)
+        })
+        .collect();
     let json = Json::obj(vec![
         ("seed", Json::U64(seed)),
         (
@@ -338,6 +436,15 @@ fn main() -> ExitCode {
         ("floor", Json::F64(SPEEDUP_FLOOR)),
         ("batching_ratio", Json::F64(batching)),
         ("batching_floor", Json::F64(BATCHING_FLOOR)),
+        (
+            "width_check",
+            Json::obj(vec![
+                ("blocks_per_lane", Json::U64(WIDTH_BLOCKS as u64)),
+                ("reps", Json::U64(WIDTH_REPS as u64)),
+                ("floor", Json::F64(WIDTH_FLOOR)),
+                ("widths", Json::Arr(width_json)),
+            ]),
+        ),
         ("metrics", m.to_json()),
     ]);
     if let Err(e) = std::fs::write(&out_path, json.render() + "\n") {
@@ -357,6 +464,12 @@ fn main() -> ExitCode {
         "repacks {} | steals {} | stall_rate {:.4} | widths {:?}",
         m.repacks, m.steals, m.stall_rate, m.width_quanta
     );
+    for (i, (&w, r)) in SUPPORTED_LANES.iter().zip(&width_rates).enumerate() {
+        let next = width_ratios.get(i).map_or(String::new(), |ratio| {
+            format!(" | W={}/W={w} {ratio:.2}x (floor {WIDTH_FLOOR}x)", 2 * w)
+        });
+        println!("engine W={w}: {:.0} blocks/s{next}", median(r.clone()));
+    }
     if failures.is_empty() {
         println!("farm_guard: OK ({out_path} written)");
         ExitCode::SUCCESS

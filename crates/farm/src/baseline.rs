@@ -59,11 +59,9 @@ impl StaticReport {
 /// batches with the width clamped for worker coverage.
 ///
 /// Plain widest-fit packs 8 sessions into one 8-wide batch, which on a
-/// 2-core host leaves the second worker idle *and* runs the measurably
-/// slower W=8 batch shape (`crate::tuner`'s `SEED_BLOCKS_PER_SEC`,
-/// recorded by `width_probe` on the 2-core host, puts W=8 below W=4).
-/// Capping the width at `ceil(sessions / workers)`, rounded up to a
-/// supported width, splits the same sessions into enough batches to
+/// 2-core host pins the whole load to one worker while the second sits
+/// idle. Capping the width at `ceil(sessions / workers)`, rounded up to
+/// a supported width, splits the same sessions into enough batches to
 /// keep every worker busy: 8 sessions on 2 cores become two concurrent
 /// 4-wide batches.
 fn plan_batches(sessions: usize, workers: usize) -> Vec<(usize, usize)> {
@@ -153,7 +151,7 @@ mod tests {
 
     #[test]
     fn plan_batches_clamps_width_to_worker_coverage() {
-        // The W=8 cliff: 8 sessions on 2 workers must split into two
+        // Worker coverage: 8 sessions on 2 workers must split into two
         // 4-wide batches, not one 8-wide batch that idles a core.
         assert_eq!(plan_batches(8, 2), vec![(0, 4), (4, 4)]);
         // 4 sessions on 2 workers: two 2-wide batches keep both busy.

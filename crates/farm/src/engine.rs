@@ -161,7 +161,7 @@ pub(crate) struct LaneEngine {
     pub(crate) busy_lane_cycles: u64,
     /// Lane-cycles spent empty.
     pub(crate) idle_lane_cycles: u64,
-    /// Blocks completed on this engine (tuner measurements).
+    /// Blocks completed on this engine (the quantum trace span's count).
     pub(crate) blocks_harvested: u64,
     /// Telemetry hooks; `None` costs one branch per cycle.
     tel: Option<EngineTel>,

@@ -24,18 +24,14 @@
 //! * **Dynamic lane re-packing** ([`service`], [`engine`]): each worker
 //!   drives one lane-batched engine and *refills* lanes the moment a job
 //!   completes, instead of waiting for the whole batch. Between
-//!   scheduling quanta the worker compares its batch width against what
-//!   the throughput model ([`tuner::WidthTuner`]) recommends for the
-//!   current load and — when they disagree — checkpoints every live lane
+//!   scheduling quanta the worker compares its batch width against the
+//!   widest supported width its load (running plus queued jobs) fills
+//!   and — when they disagree — checkpoints every live lane
 //!   ([`sim::LaneSnapshot`]), rebuilds the engine at the new width on the
-//!   same compiled tape, and restores the sessions mid-flight.
-//! * **Measured width selection** ([`tuner`]): the width chosen per batch
-//!   comes from per-width blocks/s estimates seeded from the tuner's
-//!   `SEED_BLOCKS_PER_SEC`, recorded by `width_probe` on the 2-core
-//!   host, and refined online (EWMA) from this host's observed quanta.
-//!   The estimates are why the farm avoids the W=8 batched-throughput
-//!   cliff: eight waiting jobs pack into two four-wide batches, never
-//!   one eight-wide one, unless this host actually measures W=8 faster.
+//!   same compiled tape, and restores the sessions mid-flight. The rule
+//!   rests on one measured premise: a fully loaded engine sustains more
+//!   blocks/s at every doubling of its width, which the `farm_guard`
+//!   benchmark gate checks pair by pair.
 //!
 //! [`Farm::metrics`] snapshots the whole service as plain data (and JSON)
 //! for the benchmark guards: per-tenant counters, queue depth, stall
@@ -47,9 +43,7 @@ pub mod metrics;
 mod queue;
 mod service;
 mod tenant;
-pub mod tuner;
 
 pub use metrics::{FarmMetrics, TenantMetrics};
 pub use service::{Farm, FarmConfig, FarmReport};
 pub use tenant::{AdmissionError, JobOutcome, JobSpec, TenantId, TenantSpec};
-pub use tuner::WidthTuner;

@@ -75,10 +75,6 @@ pub struct FarmMetrics {
     /// Scheduling quanta executed per lane width — the lane-occupancy
     /// histogram, `(width, quanta)` per supported width.
     pub width_quanta: Vec<(usize, u64)>,
-    /// The width tuner's effective blocks/s estimate per supported
-    /// width at snapshot time (seeds refined by this run's online
-    /// measurements) — what re-packing decisions were based on.
-    pub width_estimates: Vec<(usize, f64)>,
     /// Per-tenant counters, in registration order.
     pub tenants: Vec<TenantMetrics>,
 }
@@ -93,12 +89,6 @@ impl FarmMetrics {
             Json::obj(vec![
                 ("width", Json::U64(w as u64)),
                 ("quanta", Json::U64(q)),
-            ])
-        });
-        let estimates = self.width_estimates.iter().map(|&(w, e)| {
-            Json::obj(vec![
-                ("width", Json::U64(w as u64)),
-                ("blocks_per_sec_estimate", Json::F64(e)),
             ])
         });
         let tenants = self.tenants.iter().map(|t| {
@@ -128,7 +118,6 @@ impl FarmMetrics {
             ("repacks", Json::U64(self.repacks)),
             ("steals", Json::U64(self.steals)),
             ("width_quanta", Json::Arr(widths.collect())),
-            ("width_estimates", Json::Arr(estimates.collect())),
             ("tenants", Json::Arr(tenants.collect())),
         ])
     }
@@ -153,7 +142,6 @@ mod tests {
             repacks: 2,
             steals: 1,
             width_quanta: vec![(1, 0), (4, 5)],
-            width_estimates: vec![(1, 15000.0), (4, 25000.5)],
             tenants: vec![TenantMetrics {
                 name: "a\"b".into(),
                 submitted: 1,
@@ -174,11 +162,6 @@ mod tests {
         let widths = json.field("width_quanta", Json::as_arr).unwrap();
         assert_eq!(widths[1].field("width", Json::as_u64), Ok(4));
         assert_eq!(widths[1].field("quanta", Json::as_u64), Ok(5));
-        let estimates = json.field("width_estimates", Json::as_arr).unwrap();
-        assert_eq!(
-            estimates[1].field("blocks_per_sec_estimate", Json::as_f64),
-            Ok(25000.5)
-        );
     }
 
     #[test]
@@ -207,7 +190,6 @@ mod tests {
             repacks: 0,
             steals: 0,
             width_quanta: vec![(1, 0)],
-            width_estimates: vec![(1, f64::NEG_INFINITY)],
             tenants: vec![TenantMetrics {
                 name: "t".into(),
                 submitted: 0,

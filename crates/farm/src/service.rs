@@ -12,7 +12,6 @@ use crate::engine::{EngineTel, LaneEngine};
 use crate::metrics::{rate, FarmMetrics, TenantMetrics};
 use crate::queue::WorkQueues;
 use crate::tenant::{AdmissionError, Job, JobOutcome, JobSpec, TenantEntry, TenantId, TenantSpec};
-use crate::tuner::WidthTuner;
 
 use accel::MASTER_KEY_SLOT;
 use ifc_lattice::Label;
@@ -68,7 +67,6 @@ struct Shared {
     /// Engine prototype: compiled once, re-striped per batch.
     proto: BatchedSim,
     queues: WorkQueues,
-    tuner: Mutex<WidthTuner>,
     tenants: Arc<Mutex<Vec<Arc<TenantEntry>>>>,
     outcomes: Mutex<Vec<JobOutcome>>,
     /// Armed observability instruments; `None` = telemetry off.
@@ -147,7 +145,6 @@ impl Farm {
         let shared = Arc::new(Shared {
             proto,
             queues: WorkQueues::new(workers, config.queue_capacity),
-            tuner: Mutex::new(WidthTuner::new()),
             tenants: Arc::new(Mutex::new(Vec::new())),
             tel,
             flight_signals,
@@ -537,11 +534,26 @@ fn record_outcomes(shared: &Shared, completed: &mut Vec<JobOutcome>) {
         .append(completed);
 }
 
-/// The width the tuner wants for the current load, floored by the lanes
-/// already occupied (running sessions are never evicted, only moved).
-fn desired_width(shared: &Shared, active: usize, queued: usize) -> usize {
-    let tuner = shared.tuner.lock().expect("tuner poisoned");
-    tuner.choose(active + queued).max(tuner.cover(active))
+/// The engine width for the current load: the widest supported width
+/// the `active + queued` jobs fill, floored by the narrowest one that
+/// holds the `active` sessions (running sessions are never evicted,
+/// only moved). A wider engine sustains more blocks/s at every width
+/// (`farm_guard` checks each adjacent pair), so the widest filled width
+/// is the fastest one the load can use.
+fn desired_width(active: usize, queued: usize) -> usize {
+    let load = (active + queued).max(1);
+    let filled = SUPPORTED_LANES
+        .iter()
+        .rev()
+        .copied()
+        .find(|&w| w <= load)
+        .expect("width 1 always fits");
+    let holds = SUPPORTED_LANES
+        .iter()
+        .copied()
+        .find(|&w| w >= active)
+        .unwrap_or(SUPPORTED_LANES[SUPPORTED_LANES.len() - 1]);
+    filled.max(holds)
 }
 
 fn worker_loop(worker: usize, shared: &Shared) {
@@ -570,9 +582,9 @@ fn worker_loop(worker: usize, shared: &Shared) {
 }
 
 /// Runs one engine lifetime: seed it with a job, keep lanes full, and
-/// re-pack whenever the tuner disagrees with the current width.
+/// re-pack whenever the load calls for a different width.
 fn run_batch(worker: usize, shared: &Shared, first: Job) {
-    let mut width = desired_width(shared, 1, shared.queues.len());
+    let mut width = desired_width(1, shared.queues.len());
     let mut engine = make_engine(shared, width, worker);
     engine.start_job(0, first);
     refill(&mut engine, shared, worker);
@@ -594,8 +606,6 @@ fn run_batch(worker: usize, shared: &Shared, first: Job) {
             }
         }
 
-        // Flush utilisation and feed the tuner this quantum's measured
-        // rate at the current width.
         let counters = engine.take_counters();
         shared
             .stall_cycles
@@ -607,20 +617,6 @@ fn run_batch(worker: usize, shared: &Shared, first: Job) {
             .idle_lane_cycles
             .fetch_add(counters.idle_lane_cycles, Ordering::Relaxed);
         shared.width_quanta[width_index(width)].fetch_add(1, Ordering::Relaxed);
-        // Feed the tuner only quanta that ran fully packed: the seeds
-        // are full-occupancy steady-state rates, and a half-empty wide
-        // engine measures the *load*, not the width (empty lanes still
-        // cost cycles) — folding those in would drag every width's
-        // estimate down through the drift factor during ramp-up and
-        // drain phases.
-        let elapsed = quantum_started.elapsed().as_secs_f64();
-        if counters.blocks > 0 && counters.idle_lane_cycles == 0 && elapsed > 0.0 {
-            shared
-                .tuner
-                .lock()
-                .expect("tuner poisoned")
-                .record(width, counters.blocks as f64 / elapsed);
-        }
         if let (Some(tel), Some(start)) = (&shared.tel, span_started) {
             tel.tracer.complete(
                 tid,
@@ -636,7 +632,7 @@ fn run_batch(worker: usize, shared: &Shared, first: Job) {
             if tel.config.metrics {
                 tel.registry
                     .histogram("farm_quantum_us", QUANTUM_US_BOUNDS)
-                    .observe(elapsed * 1e6);
+                    .observe(quantum_started.elapsed().as_secs_f64() * 1e6);
             }
         }
         record_outcomes(shared, &mut completed);
@@ -649,33 +645,26 @@ fn run_batch(worker: usize, shared: &Shared, first: Job) {
             return;
         }
 
-        // Re-pack when the tuner prefers a different width for the
-        // current load. Growing without queued work would only add empty
-        // lanes (a wider interpreted batch costs more per cycle), so it
-        // waits for demand.
+        // Re-pack when the current load calls for a different width.
+        // Growing without queued work would only add empty lanes (a
+        // wider batch costs more per cycle), so it waits for demand.
         let queued = shared.queues.len();
-        let desired = desired_width(shared, active, queued);
-        let repack = desired < width || (desired > width && queued > 0);
-        if std::env::var_os("FARM_DEBUG").is_some() {
-            let t = shared.tuner.lock().expect("tuner poisoned");
-            eprintln!(
-                "w={worker} width={width} active={active} queued={queued} desired={desired} repack={repack} est=[{:.0},{:.0},{:.0},{:.0},{:.0}]",
-                t.estimate(1), t.estimate(2), t.estimate(4), t.estimate(8), t.estimate(16)
-            );
-        }
-        if repack {
+        let desired = desired_width(active, queued);
+        if desired < width || (desired > width && queued > 0) {
             let repack_started = shared.tel.as_ref().map(|tel| tel.tracer.now_us());
             engine.quiesce(&mut completed);
             engine.flush_flight();
             let sessions = engine.dismantle();
+            // The old engine goes before the new one is built, so peak
+            // memory holds one engine, not two.
+            drop(engine);
             // Completions during the quiesce may have freed lanes.
-            let desired = desired_width(shared, sessions.len(), shared.queues.len());
+            let desired = desired_width(sessions.len(), shared.queues.len());
             let moved = sessions.len() as u64;
-            let mut next = make_engine(shared, desired, worker);
+            engine = make_engine(shared, desired, worker);
             for (lane, (job, snap)) in sessions.into_iter().enumerate() {
-                next.adopt(lane, job, &snap);
+                engine.adopt(lane, job, &snap);
             }
-            engine = next;
             if let (Some(tel), Some(start)) = (&shared.tel, repack_started) {
                 tel.tracer.complete(
                     tid,
@@ -748,13 +737,36 @@ fn snapshot(shared: &Shared) -> FarmMetrics {
             .zip(&shared.width_quanta)
             .map(|(&w, q)| (w, q.load(Ordering::Relaxed)))
             .collect(),
-        width_estimates: {
-            let tuner = shared.tuner.lock().expect("tuner poisoned");
-            SUPPORTED_LANES
-                .iter()
-                .map(|&w| (w, tuner.estimate(w)))
-                .collect()
-        },
         tenants,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn desired_width_packs_the_widest_width_the_load_fills() {
+        let widest = SUPPORTED_LANES[SUPPORTED_LANES.len() - 1];
+        for active in 0..=widest {
+            for queued in 0..=64 {
+                let load = active + queued;
+                let w = desired_width(active, queued);
+                let at = format!("active {active}, queued {queued} -> {w}");
+                assert!(SUPPORTED_LANES.contains(&w), "unsupported width: {at}");
+                assert!(w >= active, "evicts a running session: {at}");
+                assert!(
+                    SUPPORTED_LANES.iter().all(|&s| s > load || s <= w),
+                    "a filled width is wider: {at}"
+                );
+                assert!(
+                    w <= load.max(1) || SUPPORTED_LANES.iter().all(|&s| s >= w || s < active),
+                    "wider than both the load and the running sessions need: {at}"
+                );
+                if load >= widest {
+                    assert_eq!(w, widest, "{at}");
+                }
+            }
+        }
     }
 }

@@ -1,12 +1,12 @@
-//! Dynamic re-packing: sessions survive width changes mid-flight, and
-//! the width tuner keeps the scheduler off the measured W=8 cliff.
+//! Dynamic re-packing: sessions survive width changes mid-flight, in
+//! both directions.
 
 use std::time::Duration;
 
 use accel::{protected, user_label};
-use farm::{Farm, FarmConfig, JobSpec, TenantSpec, WidthTuner};
+use farm::{Farm, FarmConfig, JobSpec, TenantSpec};
 use hdl::Netlist;
-use sim::{TrackMode, SUPPORTED_LANES};
+use sim::TrackMode;
 
 fn accel_net() -> Netlist {
     protected().lower().expect("protected design lowers")
@@ -23,7 +23,8 @@ fn spec(blocks: usize, seed: u64) -> JobSpec {
 }
 
 /// Force re-packing: one worker, a long job admitted alone (narrow
-/// batch), then a burst of work arriving behind it (tuner wants wider).
+/// batch), then a burst of work arriving behind it (the load fills a
+/// wider one).
 /// Every job — including the one that was checkpointed and moved —
 /// completes and verifies.
 #[test]
@@ -44,8 +45,8 @@ fn repack_preserves_sessions_and_verifies() {
     // The long job lands first and starts alone on a narrow engine.
     farm.submit_blocking(t, spec(60, 1), Duration::from_secs(60))
         .expect("long job admitted");
-    // The burst arrives while it runs; the tuner now prefers W=4 for
-    // the deeper load, so the worker must grow — checkpointing the
+    // The burst arrives while it runs; the deeper load now fills W=4,
+    // so the worker must grow — checkpointing the
     // long job's lane and restoring it in the wider engine.
     for seed in 2..8u64 {
         farm.submit_blocking(t, spec(6, seed), Duration::from_secs(60))
@@ -79,28 +80,14 @@ fn repack_preserves_sessions_and_verifies() {
     assert!(widths_used >= 2, "re-packing changed the engine width");
 }
 
-/// The scheduler never runs a quantum at a width whose live throughput
-/// estimate is below W=4's while at least four jobs were available —
-/// the W=8 cliff stays structurally unreachable with the seeded
-/// estimates (interpreted W=8 measures slower than W=4 on the
-/// benchmark host).
+/// Shrinking: one worker, eight long jobs and eight short ones. Once
+/// the short jobs finish, eight sessions remain and nothing is queued,
+/// so the engine re-packs down to the widest width those eight fill —
+/// W=8 — moving every long session into it.
 #[test]
-fn width_selection_respects_measured_estimates() {
-    let tuner = WidthTuner::new();
-    for load in 1..=64 {
-        let w = tuner.choose(load);
-        assert!(SUPPORTED_LANES.contains(&w));
-        assert!(
-            tuner.estimate(w) >= tuner.estimate(4) || load < 4,
-            "load {load} chose width {w}, below the W=4 estimate"
-        );
-        assert_ne!(w, 8, "seeded estimates must keep W=8 unselected");
-    }
-
-    // And end-to-end: a farm fed 8+ concurrent jobs never runs an
-    // 8-wide quantum.
+fn engine_shrinks_to_the_width_its_remaining_load_fills() {
     let config = FarmConfig {
-        workers: 2,
+        workers: 1,
         repack_quantum: 16,
         queue_capacity: 32,
         mode: TrackMode::Precise,
@@ -108,26 +95,36 @@ fn width_selection_respects_measured_estimates() {
     };
     let farm = Farm::start(&accel_net(), config);
     let t = farm.register_tenant(TenantSpec {
-        name: "wide".into(),
+        name: "mixed".into(),
         label: user_label(0),
     });
-    for seed in 0..10u64 {
-        farm.submit_blocking(t, spec(8, seed), Duration::from_secs(60))
+    for seed in 0..16u64 {
+        let blocks = if seed % 2 == 0 { 48 } else { 2 };
+        farm.submit_blocking(t, spec(blocks, seed), Duration::from_secs(60))
             .expect("admitted");
     }
     let report = farm.drain();
+
+    assert_eq!(report.outcomes.len(), 16, "all jobs complete");
+    assert!(
+        report
+            .outcomes
+            .iter()
+            .all(|o| o.verified == o.responses && o.rejections == 0 && o.violations == 0),
+        "every stream verifies across the re-pack: {:?}",
+        report.outcomes
+    );
+    assert!(report.metrics.repacks > 0, "{:?}", report.metrics);
     let eight_wide = report
         .metrics
         .width_quanta
         .iter()
         .find(|(w, _)| *w == 8)
         .map_or(0, |(_, q)| *q);
-    assert_eq!(
-        eight_wide, 0,
-        "no quantum may run at the measured-slower W=8 \
+    assert!(
+        eight_wide > 0,
+        "the eight long jobs must run at W=8 once the short ones finish \
          (histogram: {:?})",
         report.metrics.width_quanta
-    );
-    assert_eq!(report.outcomes.len(), 10);
-    assert!(report.outcomes.iter().all(|o| o.verified == o.responses));
+    )
 }
