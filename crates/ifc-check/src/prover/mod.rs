@@ -15,11 +15,16 @@
 //! otherwise unconstrained, which is noninterference modulo delimited
 //! release and keeps the AES datapath out of the solver's cone.
 //!
-//! `UNSAT` proves noninterference up to the unrolling bound (and
-//! unboundedly when the 1-induction step also closes). `SAT` yields a
-//! model that is decoded into a pair of concrete per-cycle port
-//! programs and replayed on the reference interpreter, so every
-//! reported leak ships with executable evidence.
+//! The search goes depth by depth, as bounded model checkers do: each
+//! unrolled cycle's difference is solved as soon as it is encoded, on
+//! one incremental solver per observable, so a leak at cycle 1 costs
+//! two cycles of formula, not `k`. `UNSAT` at every depth proves
+//! noninterference up to the unrolling bound (and unboundedly when the
+//! 1-induction step also closes). `SAT` yields a model that is decoded
+//! into a pair of concrete per-cycle port programs and replayed on the
+//! reference interpreter, so every reported leak ships with executable
+//! evidence; the first model the interpreter confirms ends the search,
+//! which makes its cycle the earliest at which the observable leaks.
 
 pub mod aig;
 pub mod encode;
@@ -31,7 +36,7 @@ use telemetry::Json;
 
 use aig::{is_neg, node_of, Aig, Lit};
 use encode::{Encoder, Observable, COPY_A, COPY_B};
-use sat::{slit, SolveResult, Solver, SolverStats};
+use sat::{slit, SLit, SolveResult, Solver, SolverStats};
 
 pub use encode::{observables, taint_fixpoint, InputClass, ObsKind, ProveEnv};
 pub use witness::ReplayOutcome;
@@ -82,7 +87,9 @@ pub struct PortProgram {
 /// A decoded, replayed counterexample.
 #[derive(Debug, Clone)]
 pub struct Counterexample {
-    /// Earliest cycle on which the observable differs in the model.
+    /// The depth the model was found at: the observable differs on this
+    /// cycle. Depths are searched shallowest first, and each earlier one
+    /// was UNSAT or gave a model the oracle did not confirm.
     pub cycle: u32,
     /// The two port programs (rail A, rail B) that exhibit the leak.
     pub programs: [PortProgram; 2],
@@ -143,6 +150,12 @@ pub struct ObsResult {
     pub kind: ObsKind,
     /// The verdict.
     pub verdict: Verdict,
+    /// Cycles unrolled when the verdict was decided: 0 for a structural
+    /// proof, `k` once every depth was searched, fewer when a confirmed
+    /// counterexample or a spent budget ended the search early.
+    pub depth: u32,
+    /// This observable's own solver work, the induction step included.
+    pub stats: SolverStats,
 }
 
 /// The whole run: one verdict per observable plus aggregate solver
@@ -184,6 +197,8 @@ impl ProveReport {
                 ("name", Json::Str(r.name.clone())),
                 ("kind", Json::Str(r.kind.key().into())),
                 ("verdict", Json::Str(r.verdict.key().into())),
+                ("depth", Json::U64(u64::from(r.depth))),
+                ("stats", stats_json(&r.stats)),
             ];
             match &r.verdict {
                 Verdict::Proved { k, inductive } => {
@@ -212,26 +227,27 @@ impl ProveReport {
             }
             Json::obj(fields)
         });
-        let s = &self.stats;
         Json::obj(vec![
             ("design", Json::Str(self.design.clone())),
             ("k", Json::U64(u64::from(self.k))),
             ("all_proved", Json::Bool(self.all_proved())),
             ("results", Json::Arr(results.collect())),
-            (
-                "stats",
-                Json::obj(vec![
-                    ("vars", Json::U64(s.vars)),
-                    ("clauses", Json::U64(s.clauses)),
-                    ("learnt", Json::U64(s.learnt)),
-                    ("conflicts", Json::U64(s.conflicts)),
-                    ("decisions", Json::U64(s.decisions)),
-                    ("propagations", Json::U64(s.propagations)),
-                    ("restarts", Json::U64(s.restarts)),
-                ]),
-            ),
+            ("stats", stats_json(&self.stats)),
         ])
     }
+}
+
+/// Solver counters as a JSON object.
+fn stats_json(s: &SolverStats) -> Json {
+    Json::obj(vec![
+        ("vars", Json::U64(s.vars)),
+        ("clauses", Json::U64(s.clauses)),
+        ("learnt", Json::U64(s.learnt)),
+        ("conflicts", Json::U64(s.conflicts)),
+        ("decisions", Json::U64(s.decisions)),
+        ("propagations", Json::U64(s.propagations)),
+        ("restarts", Json::U64(s.restarts)),
+    ])
 }
 
 /// A port program as JSON: per cycle, an array of `[port, value]` drives.
@@ -248,60 +264,80 @@ fn program_json(program: &PortProgram) -> Json {
     )
 }
 
-/// Marks an AIG node outside the encoded cone in the [`tseitin`] map.
+/// Marks an AIG node outside every encoded cone in [`Cnf::map`].
 const UNMAPPED: u32 = u32::MAX;
 
-/// Tseitin-encodes the cone of `miter` into `solver`, returning the
-/// AIG-node → SAT-variable map, indexed by node ([`UNMAPPED`] outside
-/// the cone). `miter` must not be constant.
-fn tseitin(aig: &Aig, miter: Lit, solver: &mut Solver) -> Vec<u32> {
-    let mut map = vec![UNMAPPED; aig.len()];
-    // At most one variable per node; three clauses, seven literals, per
-    // AND plus the two units (constant node and miter).
-    solver.reserve(aig.len(), 3 * aig.len() + 2, 7 * aig.len() + 2);
-    let mut stack = vec![node_of(miter)];
-    while let Some(&n) = stack.last() {
-        if map[n as usize] != UNMAPPED {
-            stack.pop();
-            continue;
-        }
-        if n == 0 {
+/// The SAT side of one query: a solver holding the Tseitin clauses of
+/// every cone encoded so far, and the map that lets a later cone reuse
+/// the variables of an earlier one.
+#[derive(Default)]
+struct Cnf {
+    solver: Solver,
+    /// AIG node → solver variable, indexed by node ([`UNMAPPED`] outside
+    /// every encoded cone).
+    map: Vec<u32>,
+}
+
+impl Cnf {
+    /// Tseitin-encodes the part of `root`'s cone not yet in the solver
+    /// and returns `root`'s solver literal.
+    fn encode(&mut self, aig: &Aig, root: Lit) -> SLit {
+        // At most one variable per new node; three clauses, seven
+        // literals, per AND plus the constant node's unit.
+        let fresh = aig.len() - self.map.len();
+        self.map.resize(aig.len(), UNMAPPED);
+        self.solver.reserve(fresh, 3 * fresh + 1, 7 * fresh + 1);
+        let (map, solver) = (&mut self.map, &mut self.solver);
+        let mut stack = vec![node_of(root)];
+        while let Some(&n) = stack.last() {
+            if map[n as usize] != UNMAPPED {
+                stack.pop();
+                continue;
+            }
+            if n == 0 {
+                let v = solver.new_var();
+                solver.add_clause(&[slit(v, false)]);
+                map[0] = v;
+                stack.pop();
+                continue;
+            }
+            if aig.is_input(n) {
+                map[n as usize] = solver.new_var();
+                stack.pop();
+                continue;
+            }
+            let (a, b) = aig.and_operands(n).expect("non-input node is an AND");
+            let (na, nb) = (node_of(a), node_of(b));
+            let (va, vb) = (map[na as usize], map[nb as usize]);
+            if va == UNMAPPED || vb == UNMAPPED {
+                if va == UNMAPPED {
+                    stack.push(na);
+                }
+                if vb == UNMAPPED {
+                    stack.push(nb);
+                }
+                continue;
+            }
             let v = solver.new_var();
-            solver.add_clause(&[slit(v, false)]);
-            map[0] = v;
+            let la = slit(va, is_neg(a));
+            let lb = slit(vb, is_neg(b));
+            let ln = slit(v, false);
+            solver.add_clause(&[sat::neg(ln), la]);
+            solver.add_clause(&[sat::neg(ln), lb]);
+            solver.add_clause(&[ln, sat::neg(la), sat::neg(lb)]);
+            map[n as usize] = v;
             stack.pop();
-            continue;
         }
-        if aig.is_input(n) {
-            map[n as usize] = solver.new_var();
-            stack.pop();
-            continue;
-        }
-        let (a, b) = aig.and_operands(n).expect("non-input node is an AND");
-        let (na, nb) = (node_of(a), node_of(b));
-        let (va, vb) = (map[na as usize], map[nb as usize]);
-        if va == UNMAPPED || vb == UNMAPPED {
-            if va == UNMAPPED {
-                stack.push(na);
-            }
-            if vb == UNMAPPED {
-                stack.push(nb);
-            }
-            continue;
-        }
-        let v = solver.new_var();
-        let la = slit(va, is_neg(a));
-        let lb = slit(vb, is_neg(b));
-        let ln = slit(v, false);
-        solver.add_clause(&[sat::neg(ln), la]);
-        solver.add_clause(&[sat::neg(ln), lb]);
-        solver.add_clause(&[ln, sat::neg(la), sat::neg(lb)]);
-        map[n as usize] = v;
-        stack.pop();
+        slit(map[node_of(root) as usize], is_neg(root))
     }
-    let m = slit(map[node_of(miter) as usize], is_neg(miter));
-    solver.add_clause(&[m]);
-    map
+
+    /// The last `Sat` answer as a value per AIG input node; inputs
+    /// outside every encoded cone read false.
+    fn model(&self, node: u32) -> bool {
+        self.map
+            .get(node as usize)
+            .is_some_and(|&v| v != UNMAPPED && self.solver.value(v))
+    }
 }
 
 /// Decodes the two rails' driven input values for cycles `0..=last`
@@ -363,10 +399,11 @@ fn induction_closes(
     if miter == aig::TRUE {
         return false;
     }
-    let mut solver = Solver::new();
-    tseitin(&enc.aig, miter, &mut solver);
-    let out = solver.solve(opts.max_conflicts);
-    stats.absorb(solver.stats());
+    let mut cnf = Cnf::default();
+    let m = cnf.encode(&enc.aig, miter);
+    cnf.solver.add_clause(&[m]);
+    let out = cnf.solver.solve(opts.max_conflicts);
+    stats.absorb(cnf.solver.stats());
     matches!(out, SolveResult::Unsat)
 }
 
@@ -382,15 +419,19 @@ pub fn prove(net: &Netlist, env: &ProveEnv, opts: &ProveOptions) -> ProveReport 
     let mut results = Vec::with_capacity(obs_list.len());
     let mut stats = SolverStats::default();
     for obs in &obs_list {
-        let verdict = if !node_taint[obs.node.index()] {
-            Verdict::ProvedStructural
+        let mut own = SolverStats::default();
+        let (verdict, depth) = if !node_taint[obs.node.index()] {
+            (Verdict::ProvedStructural, 0)
         } else {
-            prove_one(net, env, obs, opts, &mut stats)
+            prove_one(net, env, obs, opts, &mut own)
         };
+        stats.absorb(&own);
         results.push(ObsResult {
             name: obs.name.clone(),
             kind: obs.kind,
             verdict,
+            depth,
+            stats: own,
         });
     }
     ProveReport {
@@ -408,72 +449,109 @@ pub fn prove_annotated(net: &Netlist, opts: &ProveOptions) -> ProveReport {
     prove(net, &ProveEnv::from_annotations(net), opts)
 }
 
+/// Searches one observable depth by depth, returning the verdict and
+/// the cycles unrolled to reach it.
+///
+/// Cycle `c`'s difference is solved as soon as it is encoded, on one
+/// solver that keeps every shallower depth's clauses and learnt facts;
+/// a depth that comes back UNSAT is asserted clean for the deeper ones.
+/// The first counterexample the oracle confirms ends the search, so its
+/// cycle is the earliest at which the observable can leak. A model the
+/// oracle rejects is kept, and reported only if no deeper depth yields a
+/// confirmed one. The node and conflict budgets cover all depths
+/// together.
 fn prove_one(
     net: &Netlist,
     env: &ProveEnv,
     obs: &Observable,
     opts: &ProveOptions,
     stats: &mut SolverStats,
-) -> Verdict {
+) -> (Verdict, u32) {
     let mut enc = Encoder::new(net, env.clone(), opts.max_nodes, false);
-    let mut diffs = Vec::with_capacity(opts.k as usize);
-    let mut miter = aig::FALSE;
+    let mut cnf = Cnf::default();
+    let mut unconfirmed: Option<Box<Counterexample>> = None;
+    // The budget that ran out, and at which depth.
+    let mut spent = None;
     for cycle in 0..opts.k {
         let d = enc.obs_diff(cycle, obs);
-        diffs.push(d);
-        miter = enc.aig.or(miter, d);
-    }
-    if enc.aig.overflowed() {
-        return Verdict::Unknown {
-            reason: format!("AIG node budget ({}) exhausted", opts.max_nodes),
-        };
-    }
-    if miter == aig::FALSE {
-        // The two rails folded to the same circuit: proof by hashing.
-        let inductive = opts.induction && induction_closes(net, env, obs, opts, stats);
-        return Verdict::Proved {
-            k: opts.k,
-            inductive,
-        };
-    }
-    let mut solver = Solver::new();
-    let map = tseitin(&enc.aig, miter, &mut solver);
-    let out = solver.solve(opts.max_conflicts);
-    stats.absorb(solver.stats());
-    match out {
-        SolveResult::Unsat => {
-            let inductive = opts.induction && induction_closes(net, env, obs, opts, stats);
-            Verdict::Proved {
-                k: opts.k,
-                inductive,
+        if enc.aig.overflowed() {
+            let reason = format!("AIG node budget ({}) exhausted", opts.max_nodes);
+            spent = Some((reason, cycle + 1));
+            break;
+        }
+        if d == aig::FALSE {
+            // The two rails fold to the same value: clean by hashing.
+            continue;
+        }
+        let lit = cnf.encode(&enc.aig, d);
+        let budget = opts
+            .max_conflicts
+            .saturating_sub(cnf.solver.stats().conflicts);
+        match cnf.solver.solve_assuming(lit, budget) {
+            SolveResult::Unsat => {
+                cnf.solver.add_clause(&[sat::neg(lit)]);
+            }
+            SolveResult::Budget => {
+                let reason = format!("conflict budget ({}) exhausted", opts.max_conflicts);
+                spent = Some((reason, cycle + 1));
+                break;
+            }
+            SolveResult::Sat => {
+                let cex = counterexample(&enc, net, obs, opts, &cnf, cycle);
+                if cex.confirmed || !opts.oracle_replay {
+                    stats.absorb(cnf.solver.stats());
+                    return (Verdict::Counterexample(cex), cycle + 1);
+                }
+                unconfirmed.get_or_insert(cex);
             }
         }
-        SolveResult::Budget => Verdict::Unknown {
-            reason: format!("conflict budget ({}) exhausted", opts.max_conflicts),
-        },
-        SolveResult::Sat => {
-            let model = move |n: u32| {
-                let v = map[n as usize];
-                v != UNMAPPED && solver.value(v)
-            };
-            let mut memo = vec![None; enc.aig.len()];
-            let cycle = diffs
-                .iter()
-                .position(|&d| enc.aig.eval_lit(d, &model, &mut memo))
-                .unwrap_or(diffs.len().saturating_sub(1)) as u32;
-            let programs = decode_programs(&enc, net, &model, &mut memo, cycle);
-            let (confirmed, observed) = if opts.oracle_replay {
-                let outcome = witness::replay(net, obs, &programs);
-                (outcome.confirmed, outcome.observed)
-            } else {
-                (false, [0, 0])
-            };
-            Verdict::Counterexample(Box::new(Counterexample {
-                cycle,
-                programs,
-                confirmed,
-                observed,
-            }))
+    }
+    stats.absorb(cnf.solver.stats());
+    match (unconfirmed, spent) {
+        // A model the oracle rejected is still better evidence than
+        // `Unknown`.
+        (Some(cex), spent) => (
+            Verdict::Counterexample(cex),
+            spent.map_or(opts.k, |(_, depth)| depth),
+        ),
+        (None, Some((reason, depth))) => (Verdict::Unknown { reason }, depth),
+        (None, None) => {
+            let inductive = opts.induction && induction_closes(net, env, obs, opts, stats);
+            (
+                Verdict::Proved {
+                    k: opts.k,
+                    inductive,
+                },
+                opts.k,
+            )
         }
     }
+}
+
+/// Decodes the solver's model of depth `cycle` into a counterexample
+/// over cycles `0..=cycle`, and replays it on the oracle when `opts`
+/// asks for that.
+fn counterexample(
+    enc: &Encoder<'_>,
+    net: &Netlist,
+    obs: &Observable,
+    opts: &ProveOptions,
+    cnf: &Cnf,
+    cycle: u32,
+) -> Box<Counterexample> {
+    let model = |n: u32| cnf.model(n);
+    let mut memo = vec![None; enc.aig.len()];
+    let programs = decode_programs(enc, net, &model, &mut memo, cycle);
+    let (confirmed, observed) = if opts.oracle_replay {
+        let outcome = witness::replay(net, obs, &programs);
+        (outcome.confirmed, outcome.observed)
+    } else {
+        (false, [0, 0])
+    };
+    Box::new(Counterexample {
+        cycle,
+        programs,
+        confirmed,
+        observed,
+    })
 }

@@ -259,22 +259,21 @@ impl Solver {
         }
     }
 
-    /// Reserves exact room for `vars` more variables and `clauses` more
-    /// clauses of `lits` literals in all, so a caller that knows its
-    /// formula's size up front skips the doubling reallocations (and the
-    /// heap holes they leave behind).
+    /// Reserves room for `vars` more variables and `clauses` more clauses
+    /// of `lits` literals in all, so a caller that knows (a bound on) its
+    /// formula's growth up front skips most doubling reallocations.
     pub(crate) fn reserve(&mut self, vars: usize, clauses: usize, lits: usize) {
-        self.assign.reserve_exact(vars);
-        self.level.reserve_exact(vars);
-        self.reason.reserve_exact(vars);
-        self.activity.reserve_exact(vars);
-        self.phase.reserve_exact(vars);
-        self.seen.reserve_exact(vars);
-        self.watches.lists.reserve_exact(2 * vars);
-        self.heap.heap.reserve_exact(vars);
-        self.heap.pos.reserve_exact(vars);
-        self.trail.reserve_exact(vars);
-        self.arena.reserve_exact(clauses + lits);
+        self.assign.reserve(vars);
+        self.level.reserve(vars);
+        self.reason.reserve(vars);
+        self.activity.reserve(vars);
+        self.phase.reserve(vars);
+        self.seen.reserve(vars);
+        self.watches.lists.reserve(2 * vars);
+        self.heap.heap.reserve(vars);
+        self.heap.pos.reserve(vars);
+        self.trail.reserve(vars);
+        self.arena.reserve(clauses + lits);
     }
 
     /// A fresh variable.
@@ -302,13 +301,14 @@ impl Solver {
         }
     }
 
-    /// Adds a clause. Returns `false` if the formula became trivially
-    /// unsatisfiable (empty clause or conflicting units at level 0).
+    /// Adds a clause, discarding the last model. Returns `false` if the
+    /// formula became trivially unsatisfiable (empty clause or
+    /// conflicting units at level 0).
     pub fn add_clause(&mut self, lits: &[SLit]) -> bool {
         if self.unsat {
             return false;
         }
-        debug_assert!(self.trail_lim.is_empty(), "clauses are added at level 0");
+        self.cancel_until(0);
         // Dedup and drop clauses satisfied or falsified at level 0.
         let mut c = std::mem::take(&mut self.scratch);
         c.clear();
@@ -529,6 +529,20 @@ impl Solver {
     /// Runs the search. `max_conflicts` bounds the work; exceeding it
     /// yields [`SolveResult::Budget`].
     pub fn solve(&mut self, max_conflicts: u64) -> SolveResult {
+        self.search(None, max_conflicts)
+    }
+
+    /// Runs the search with `assumption` held true. `Unsat` then says the
+    /// clauses imply its negation; unlike a unit clause, the assumption
+    /// binds this call only, so the same instance can go on to be asked
+    /// about another literal. Learnt clauses follow from the clauses
+    /// alone and are kept for later calls.
+    pub fn solve_assuming(&mut self, assumption: SLit, max_conflicts: u64) -> SolveResult {
+        self.search(Some(assumption), max_conflicts)
+    }
+
+    fn search(&mut self, assumption: Option<SLit>, max_conflicts: u64) -> SolveResult {
+        self.cancel_until(0);
         if self.unsat {
             return SolveResult::Unsat;
         }
@@ -540,6 +554,7 @@ impl Solver {
                 self.stats.conflicts += 1;
                 conflicts_since_restart += 1;
                 if self.trail_lim.is_empty() {
+                    self.unsat = true;
                     return SolveResult::Unsat;
                 }
                 if self.stats.conflicts - budget_start >= max_conflicts {
@@ -564,6 +579,18 @@ impl Solver {
                     self.cancel_until(0);
                     continue;
                 }
+                // The assumption is the level-1 decision; once a level-0
+                // fact makes it true it needs no level of its own.
+                let pending =
+                    assumption.filter(|&a| self.trail_lim.is_empty() && self.lit_value(a) != 1);
+                if let Some(a) = pending {
+                    if self.lit_value(a) == 0 {
+                        return SolveResult::Unsat;
+                    }
+                    self.trail_lim.push(self.trail.len() as u32);
+                    self.enqueue(a, u32::MAX);
+                    continue;
+                }
                 if !self.decide() {
                     return SolveResult::Sat;
                 }
@@ -571,7 +598,8 @@ impl Solver {
         }
     }
 
-    /// The model value of a variable after [`SolveResult::Sat`].
+    /// The model value of a variable after [`SolveResult::Sat`], until
+    /// the next [`Solver::add_clause`] or search.
     #[must_use]
     pub fn value(&self, var: u32) -> bool {
         self.assign[var as usize] == 1

@@ -113,9 +113,49 @@ fn registered_leak_reports_the_right_cycle() {
         panic!("expected counterexample");
     };
     assert!(cex.confirmed);
-    // The register delays the secret by one cycle; cycle 0 cannot differ.
-    assert!(cex.cycle >= 1);
+    // The register delays the secret by one cycle; cycle 0 cannot differ,
+    // and depths are searched shallowest first, so the search stops at 1.
+    assert_eq!(cex.cycle, 1);
+    assert_eq!(report.results[0].depth, 2);
     assert_eq!(cex.programs[0].cycles.len() as u32, cex.cycle + 1);
+}
+
+#[test]
+fn unconfirmed_model_is_kept_while_deeper_depths_are_searched() {
+    // Cycle 0 shows `declassify(s) ^ s`, always zero in a real run; the
+    // encoding frees the released value, so that depth has only models
+    // the oracle rejects. Cycle 1 shows the secret itself, registered.
+    let mut m = ModuleBuilder::new("havoc_then_leak");
+    let s = m.input("s", 4);
+    m.set_label(s, Label::SECRET_TRUSTED);
+    let principal = m.tag_lit(Label::PUBLIC_TRUSTED);
+    let rel = m.declassify(s, Label::PUBLIC_TRUSTED, principal);
+    let masked = m.xor(rel, s);
+    let started = m.reg("started", 1, 0);
+    let one = m.lit(1, 1);
+    m.connect(started, one);
+    let held = m.reg("held", 4, 0);
+    m.connect(held, s);
+    let out = m.mux(started, held, masked);
+    m.output("out", out);
+    let net = lower(&m.finish());
+
+    // At k=1 the rejected model is all there is: reported, unconfirmed.
+    let report = prove_annotated(&net, &opts(1));
+    let Verdict::Counterexample(cex) = &report.results[0].verdict else {
+        panic!("expected the cycle-0 model");
+    };
+    assert!(!cex.confirmed, "no real run differs on cycle 0");
+    assert_eq!((cex.cycle, report.results[0].depth), (0, 1));
+
+    // At k=4 the search goes past it and stops at the real leak.
+    let report = prove_annotated(&net, &opts(4));
+    let Verdict::Counterexample(cex) = &report.results[0].verdict else {
+        panic!("expected the cycle-1 leak");
+    };
+    assert!(cex.confirmed, "the registered secret leaks on cycle 1");
+    assert_eq!((cex.cycle, report.results[0].depth), (1, 2));
+    assert_eq!(cex.programs[0].cycles.len(), 2);
 }
 
 #[test]
@@ -254,4 +294,41 @@ fn report_json_round_trips_the_verdict_keys() {
     assert!(json.contains("\"verdict\":\"counterexample\""));
     assert!(json.contains("\"confirmed\":true"));
     assert!(json.contains("\"stats\":{\"vars\":"));
+    // Each row carries its own depth and solver work.
+    assert!(json.contains("\"verdict\":\"counterexample\",\"depth\":1,\"stats\":{\"vars\":"));
+}
+
+#[test]
+fn per_observable_stats_add_up_to_the_report_total() {
+    let mut m = ModuleBuilder::new("two_outputs");
+    let s = m.input("s", 4);
+    m.set_label(s, Label::SECRET_TRUSTED);
+    let p = m.input("p", 4);
+    m.set_label(p, Label::PUBLIC_TRUSTED);
+    let r = m.reg("r", 4, 0);
+    m.connect(r, s);
+    m.output("late", r);
+    m.output("public", p);
+    let masked = m.xor(s, s);
+    m.output("masked", masked);
+    let net = lower(&m.finish());
+    let mut o = opts(3);
+    o.induction = true;
+    let report = prove_annotated(&net, &o);
+    let mut sum = ifc_check::prover::sat::SolverStats::default();
+    for r in &report.results {
+        sum.absorb(&r.stats);
+    }
+    assert_eq!(sum, report.stats);
+    let depth = |name: &str| {
+        let r = report
+            .results
+            .iter()
+            .find(|r| r.name == name)
+            .expect("observable");
+        (r.verdict.key(), r.depth)
+    };
+    assert_eq!(depth("late"), ("counterexample", 2));
+    assert_eq!(depth("public"), ("proved-structural", 0));
+    assert_eq!(depth("masked"), ("proved", 3));
 }
