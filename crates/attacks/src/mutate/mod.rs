@@ -17,7 +17,7 @@
 //!    the intact design, now succeeds.
 //!
 //! A mutant surviving all three stages is a hole in the enforcement and
-//! fails the build (`mutation_guard` in CI). The **control arm** runs the
+//! fails the build (the `mutation` guard in CI). The **control arm** runs the
 //! same catalogue against the unprotected evaluation of each mutant
 //! (labels stripped, tracking off): there the only detection left is
 //! functional testing, and every class is expected to show at least one

@@ -31,22 +31,14 @@ const EXPERIMENTS: [(&str, fn()); 12] = [
 
 fn main() -> ExitCode {
     let names: Vec<String> = std::env::args().skip(1).collect();
-    let mut selected: Vec<fn()> = Vec::new();
-    for name in &names {
-        let Some(&(_, run)) = EXPERIMENTS.iter().find(|(n, _)| n == name) else {
-            let valid: Vec<&str> = EXPERIMENTS.iter().map(|&(n, _)| n).collect();
-            eprintln!(
-                "unknown experiment `{name}`; valid names: {}",
-                valid.join(" ")
-            );
+    let selected = match bench::select(&EXPERIMENTS, &names) {
+        Ok(selected) => selected,
+        Err(e) => {
+            eprintln!("experiments: {e}");
             return ExitCode::from(2);
-        };
-        selected.push(run);
-    }
-    if names.is_empty() {
-        selected = EXPERIMENTS.iter().map(|&(_, run)| run).collect();
-    }
-    for (i, run) in selected.into_iter().enumerate() {
+        }
+    };
+    for (i, (_, run)) in selected.into_iter().enumerate() {
         if i > 0 {
             println!();
         }

@@ -1,6 +1,6 @@
 //! Human-readable digest of a telemetry artifact set.
 //!
-//! Reads the files `obs_guard` writes (`OBS_TRACE.json`,
+//! Reads the files the `obs` guard writes (`OBS_TRACE.json`,
 //! `OBS_AUDIT.json`, `OBS_METRICS.json`, `OBS_FLIGHT.vcd`) from a
 //! directory and prints what a reviewer wants to know before opening the
 //! trace in Perfetto: event counts by name and track, the audit trail
@@ -151,7 +151,7 @@ fn main() -> ExitCode {
     }
     if seen == 0 {
         eprintln!(
-            "obs_report: no telemetry artifacts in {} — run obs_guard first",
+            "obs_report: no telemetry artifacts in {} — run `guards obs` first",
             dir.display()
         );
         return ExitCode::FAILURE;

@@ -1,7 +1,7 @@
 //! Static-packing baseline for the farm benchmarks.
 //!
-//! The one static batch runner, and the comparison point `farm_guard`
-//! measures against. All jobs are known up front, partitioned once by
+//! The one static batch runner, and the comparison point the `farm`
+//! guard measures against. All jobs are known up front, partitioned once by
 //! `plan_batches` (widest fit, clamped to worker coverage), and each
 //! batch runs to completion with **no refill** — when a short job
 //! finishes next to a long one, its lane idles until the whole batch

@@ -30,8 +30,8 @@
 //!   ([`sim::LaneSnapshot`]), rebuilds the engine at the new width on the
 //!   same compiled tape, and restores the sessions mid-flight. The rule
 //!   rests on one measured premise: a fully loaded engine sustains more
-//!   blocks/s at every doubling of its width, which the `farm_guard`
-//!   benchmark gate checks pair by pair.
+//!   blocks/s at every doubling of its width, which the `farm` guard
+//!   checks pair by pair.
 //!
 //! [`Farm::metrics`] snapshots the whole service as plain data (and JSON)
 //! for the benchmark guards: per-tenant counters, queue depth, stall

@@ -1,6 +1,6 @@
 //! Plain-data metrics snapshots and their JSON rendering through the
 //! workspace codec ([`telemetry::Json`]). The shape is consumed by the
-//! `farm_guard` benchmark gate and uploaded as a CI artifact.
+//! `farm` guard and uploaded as a CI artifact.
 
 use telemetry::Json;
 

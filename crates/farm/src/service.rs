@@ -538,7 +538,7 @@ fn record_outcomes(shared: &Shared, completed: &mut Vec<JobOutcome>) {
 /// the `active + queued` jobs fill, floored by the narrowest one that
 /// holds the `active` sessions (running sessions are never evicted,
 /// only moved). A wider engine sustains more blocks/s at every width
-/// (`farm_guard` checks each adjacent pair), so the widest filled width
+/// (the `farm` guard checks each adjacent pair), so the widest filled width
 /// is the fastest one the load can use.
 fn desired_width(active: usize, queued: usize) -> usize {
     let load = (active + queued).max(1);

@@ -80,7 +80,7 @@ impl CampaignResult {
         self.failures.is_empty()
     }
 
-    /// The report fragment the guard binary embeds, with the seed first
+    /// The report fragment the `fuzz` guard embeds, with the seed first
     /// so a failure reproduces from the artifact alone.
     #[must_use]
     pub fn to_json(&self) -> Json {

@@ -20,7 +20,7 @@
 //! mutation ([`campaign`]); failures shrink to minimal witnesses
 //! ([`shrink()`]); minimized witnesses live in the checked-in corpus and
 //! replay as a deterministic regression gate ([`corpus`], exercised by
-//! the `fuzz_guard` benchmark binary and CI job).
+//! the `fuzz` guard of the `guards` benchmark binary in CI).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,7 +2,7 @@
 //! minimized witness in `corpus/` must replay to its filename's
 //! expectation (`bad-*` still fails fuzz invariant 1, everything else
 //! holds both invariants), and two replays must agree bit-for-bit on the
-//! coverage map — the property the CI `fuzz-guard` job builds on.
+//! coverage map — the property the `fuzz` CI guard builds on.
 
 use std::path::{Path, PathBuf};
 

@@ -1,5 +1,5 @@
 //! Integration test for the mutation campaign (the full release-mode sweep
-//! with the 0-survivors gate lives in the `mutation_guard` bench binary;
+//! with the 0-survivors gate is the `mutation` guard of the `guards` binary;
 //! this file keeps the debug-build checks fast by sampling the pipeline).
 
 use accel::driver::AccelDriver;
