@@ -6,10 +6,11 @@
 //! seed by [`mix`] and [`block_from`], with every ciphertext checked
 //! against the software AES oracle.
 //!
-//! [`run_session`] runs a session on one [`AccelDriver`] (the
-//! interpreting oracle), and [`run_lane_sessions`] runs one session per
-//! lane of a [`BatchedDriver`]; per-lane results match the oracle's
-//! exactly. Packing sessions onto lane batches across worker threads is
+//! [`run_lane_sessions`] runs one session per lane of a [`Driver`]: on a
+//! one-lane [`AccelDriver`](crate::driver::AccelDriver) that is the
+//! interpreting oracle, and every lane of a
+//! [`BatchedDriver`](crate::batch::BatchedDriver) must match it exactly.
+//! Packing sessions onto lane batches across worker threads is
 //! `farm::baseline::run_static`'s job (static packing) and the farm's
 //! (refill and re-packing).
 
@@ -17,8 +18,7 @@ use aes_core::Aes;
 use ifc_lattice::Label;
 use sim::RuntimeViolation;
 
-use crate::batch::{BatchedDriver, LaneAction};
-use crate::driver::{AccelDriver, Request};
+use crate::driver::{Driver, LaneAction, LanePorts, Request};
 
 /// Stream index reserved for deriving a session's key from its seed
 /// (ASCII `"KEYS"`; request blocks use their small submission indices,
@@ -67,72 +67,66 @@ pub fn block_from(seed: u64, i: u64) -> [u8; 16] {
     b
 }
 
-/// Runs one session's workload on an existing driver: load a key, submit
-/// `blocks` encryptions under `user`, drain, and verify every ciphertext
-/// against the software oracle.
-pub fn run_session(
-    driver: &mut AccelDriver,
+/// Streams `blocks` encryptions per lane — lane `l`'s plaintexts derived
+/// from `seeds[l]`, submitted under `users[l]` from key slot 0 — offering
+/// each lane its next block every cycle until every block is in, and
+/// calls `after_cycle` after each cycle.
+///
+/// # Panics
+///
+/// Panics if the pipeline refuses input for 10 000 consecutive cycles.
+pub(crate) fn submit_streams<E: LanePorts>(
+    driver: &mut Driver<E>,
     blocks: usize,
-    user: Label,
-    seed: u64,
-) -> SessionStats {
-    let key = block_from(seed, KEY_DERIVE_INDEX);
-    driver.load_key(0, key, user);
-    for i in 0..blocks {
-        driver.submit(&Request {
-            block: block_from(seed, i as u64),
-            key_slot: 0,
-            user,
-        });
-    }
-    driver.drain(10_000);
-
-    let oracle = Aes::new(&key).expect("16-byte key");
-    let verified = driver
-        .responses
-        .iter()
-        .enumerate()
-        .filter(|(i, r)| oracle.encrypt_block(block_from(seed, *i as u64)) == r.block)
-        .count();
-    SessionStats {
-        responses: driver.responses.len(),
-        rejections: driver.rejections.len(),
-        violations: driver.violations().len(),
-        cycles: driver.cycle(),
-        verified,
-        first_violation: driver.violations().first().map(RuntimeViolation::cycle),
-    }
-}
-
-/// Lane action for a session's `next`-th block of `blocks`: submit it
-/// (the plaintext stream derived from `seed` exactly as [`run_session`]
-/// derives it), or idle once every block is in.
-#[must_use]
-pub(crate) fn submit_next(next: usize, blocks: usize, seed: u64, user: Label) -> LaneAction {
-    if next < blocks {
-        LaneAction::Submit {
-            req: Request {
-                block: block_from(seed, next as u64),
-                key_slot: 0,
-                user,
-            },
-            decrypt: false,
+    users: &[Label],
+    seeds: &[u64],
+    mut after_cycle: impl FnMut(&mut Driver<E>),
+) {
+    let lanes = driver.lanes();
+    let mut next = vec![0usize; lanes];
+    let mut actions = vec![LaneAction::Idle; lanes];
+    let mut accepted = vec![false; lanes];
+    let mut stalled = 0u32;
+    while next.iter().any(|&n| n < blocks) {
+        for l in 0..lanes {
+            actions[l] = if next[l] < blocks {
+                LaneAction::Submit {
+                    req: Request {
+                        block: block_from(seeds[l], next[l] as u64),
+                        key_slot: 0,
+                        user: users[l],
+                    },
+                    decrypt: false,
+                }
+            } else {
+                LaneAction::Idle
+            };
         }
-    } else {
-        LaneAction::Idle
+        driver.step(&actions, &mut accepted);
+        after_cycle(driver);
+        let mut any = false;
+        for l in 0..lanes {
+            if accepted[l] {
+                next[l] += 1;
+                any = true;
+            }
+        }
+        stalled = if any { 0 } else { stalled + 1 };
+        assert!(stalled < 10_000, "pipeline refused input for 10000 cycles");
     }
 }
 
-/// Runs one batch's workload: the same key-load / submit / drain / verify
-/// sequence as [`run_session`], with lane `l` deriving its key and
-/// plaintext stream from `seeds[l]` exactly as a single session would.
+/// Runs one session per lane: load a key, submit `blocks` encryptions
+/// under `users[l]`, drain, and verify every ciphertext against the
+/// software oracle, lane `l` deriving its key and plaintext stream from
+/// `seeds[l]`.
 ///
 /// # Panics
 ///
 /// Panics if `users` and `seeds` do not hold one entry per lane, or the
 /// pipeline refuses input for 10 000 consecutive cycles.
-pub fn run_lane_sessions(
-    driver: &mut BatchedDriver,
+pub fn run_lane_sessions<E: LanePorts>(
+    driver: &mut Driver<E>,
     blocks: usize,
     users: &[Label],
     seeds: &[u64],
@@ -145,26 +139,7 @@ pub fn run_lane_sessions(
         .map(|&s| block_from(s, KEY_DERIVE_INDEX))
         .collect();
     driver.load_keys(0, &keys, users);
-
-    let mut next = vec![0usize; lanes];
-    let mut actions = vec![LaneAction::Idle; lanes];
-    let mut accepted = vec![false; lanes];
-    let mut stalled = 0u32;
-    while next.iter().any(|&n| n < blocks) {
-        for l in 0..lanes {
-            actions[l] = submit_next(next[l], blocks, seeds[l], users[l]);
-        }
-        driver.step(&actions, &mut accepted);
-        let mut any = false;
-        for l in 0..lanes {
-            if accepted[l] {
-                next[l] += 1;
-                any = true;
-            }
-        }
-        stalled = if any { 0 } else { stalled + 1 };
-        assert!(stalled < 10_000, "pipeline refused input for 10000 cycles");
-    }
+    submit_streams(driver, blocks, users, seeds, |_| {});
     driver.drain(10_000);
 
     (0..lanes)
@@ -190,16 +165,18 @@ pub fn run_lane_sessions(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchedDriver;
     use crate::build::protected;
+    use crate::driver::AccelDriver;
     use crate::params::user_label;
     use hdl::Netlist;
     use sim::{BatchedSim, OptConfig, TrackMode};
 
     /// Runs `lanes` sessions on one `lanes`-wide batched driver compiled
     /// with `opt`, lane `i` under `user_label(i % 4)` and seed
-    /// `mix(seed ^ i << 8)`, and asserts every lane's stats equal
-    /// [`run_session`]'s on a fresh oracle driver with that user and seed
-    /// — cycle counts included — and that every ciphertext verifies.
+    /// `mix(seed ^ i << 8)`, and asserts every lane's stats equal those
+    /// of a fresh one-lane oracle driver with that user and seed — cycle
+    /// counts included — and that every ciphertext verifies.
     fn assert_lanes_match_oracle(
         net: &Netlist,
         mode: TrackMode,
@@ -213,7 +190,7 @@ mod tests {
         let oracle: Vec<SessionStats> = (0..lanes)
             .map(|i| {
                 let mut driver = AccelDriver::from_netlist(net.clone(), mode);
-                run_session(&mut driver, blocks, users[i], seeds[i])
+                run_lane_sessions(&mut driver, blocks, &users[i..=i], &seeds[i..=i])[0]
             })
             .collect();
         let mut driver = BatchedDriver::from_batched(BatchedSim::with_tracking_opt(

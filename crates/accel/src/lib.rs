@@ -20,10 +20,13 @@
 //! annotations, which the static checker (`ifc-check`) floods with
 //! exactly the label errors of Fig. 6.
 //!
-//! The [`driver`] module wraps the simulated designs in a transaction-level
-//! API (load keys, submit requests, observe responses with cycle stamps)
-//! used by the attack library, the integration tests, and the benchmark
-//! harness.
+//! The [`driver`] module wraps the simulated designs in one
+//! transaction-level driver (load keys, submit requests, observe
+//! responses with cycle stamps), generic over the simulation engine: a
+//! one-lane [`driver::AccelDriver`] on the interpreting oracle, or a
+//! W-lane [`batch::BatchedDriver`] on the tape engine. The attack
+//! library, the integration tests, the farm and the benchmark harness
+//! all drive the accelerator through it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

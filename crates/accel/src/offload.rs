@@ -35,7 +35,7 @@ pub fn ctr_apply(
     message: &[u8],
 ) -> Vec<u8> {
     let blocks = message.len().div_ceil(16);
-    let first = drv.responses.len();
+    let first = drv.responses[0].len();
     let mut counter = u128::from_be_bytes(iv);
     for _ in 0..blocks {
         drv.submit(&Request {
@@ -46,7 +46,7 @@ pub fn ctr_apply(
         counter = counter.wrapping_add(1);
     }
     drv.drain(blocks as u64 + 200);
-    let keystream = &drv.responses[first..];
+    let keystream = &drv.responses[0][first..];
     assert_eq!(
         keystream.len(),
         blocks,
@@ -84,14 +84,14 @@ pub fn cbc_encrypt(
         for i in 0..16 {
             x[i] = b[i] ^ prev[i];
         }
-        let first = drv.responses.len();
+        let first = drv.responses[0].len();
         drv.submit(&Request {
             block: x,
             key_slot: slot,
             user,
         });
         drv.drain(200);
-        let ct = drv.responses[first].block;
+        let ct = drv.responses[0][first].block;
         out.push(ct);
         prev = ct;
     }
@@ -148,11 +148,11 @@ pub fn cbc_encrypt_interleaved(drv: &mut AccelDriver, streams: &[CbcStream]) -> 
             drv.idle_cycle();
         }
         // Collect completions — responses arrive in submission order.
-        while completed < drv.responses.len() {
+        while completed < drv.responses[0].len() {
             let s = in_flight
                 .pop_front()
                 .expect("completion without submission");
-            let resp = drv.responses[completed].block;
+            let resp = drv.responses[0][completed].block;
             prev[s] = resp;
             out[s].push(resp);
             next_block[s] += 1;
@@ -219,7 +219,7 @@ mod tests {
         for (s, ((_, _, iv), blocks)) in streams.iter().enumerate() {
             assert_eq!(out[s], cbc_reference(keys[s], *iv, blocks), "stream {s}");
         }
-        assert!(drv.violations().is_empty(), "{:?}", drv.violations());
+        assert!(drv.violations(0).is_empty(), "{:?}", drv.violations(0));
     }
 
     #[test]

@@ -23,9 +23,9 @@ fn protected_decrypts_one_block_correctly() {
         user: alice,
     });
     drv.drain(100);
-    assert_eq!(drv.responses.len(), 1);
-    assert_eq!(drv.responses[0].block, pt);
-    assert!(drv.violations().is_empty(), "{:?}", drv.violations());
+    assert_eq!(drv.responses[0].len(), 1);
+    assert_eq!(drv.responses[0][0].block, pt);
+    assert!(drv.violations(0).is_empty(), "{:?}", drv.violations(0));
 }
 
 #[test]
@@ -42,7 +42,7 @@ fn baseline_decrypts_too() {
         user: alice,
     });
     drv.drain(100);
-    assert_eq!(drv.responses[0].block, pt);
+    assert_eq!(drv.responses[0][0].block, pt);
 }
 
 #[test]
@@ -56,7 +56,7 @@ fn decrypt_latency_matches_encrypt() {
         user: alice,
     });
     drv.drain(100);
-    let r = drv.responses[0];
+    let r = drv.responses[0][0];
     assert_eq!(r.completed - r.submitted, PIPELINE_DEPTH as u64);
 }
 
@@ -115,9 +115,9 @@ fn interleaved_enc_dec_streams_are_correct() {
         }
     }
     drv.drain(200);
-    let got: Vec<[u8; 16]> = drv.responses.iter().map(|r| r.block).collect();
+    let got: Vec<[u8; 16]> = drv.responses[0].iter().map(|r| r.block).collect();
     assert_eq!(got, expected);
-    assert!(drv.violations().is_empty(), "{:?}", drv.violations());
+    assert!(drv.violations(0).is_empty(), "{:?}", drv.violations(0));
 }
 
 #[test]
@@ -133,14 +133,14 @@ fn hardware_round_trip_without_software_reference() {
         user: alice,
     });
     drv.drain(100);
-    let ct = drv.responses[0].block;
+    let ct = drv.responses[0][0].block;
     drv.submit_decrypt(&Request {
         block: ct,
         key_slot: 0,
         user: alice,
     });
     drv.drain(100);
-    assert_eq!(drv.responses[1].block, pt);
+    assert_eq!(drv.responses[0][1].block, pt);
 }
 
 #[test]
@@ -155,7 +155,7 @@ fn master_key_decrypt_follows_the_same_nm_rule() {
         user: supervisor_label(),
     });
     drv.drain(100);
-    assert_eq!(drv.responses[0].block, [0x77u8; 16]);
+    assert_eq!(drv.responses[0][0].block, [0x77u8; 16]);
 
     let mut drv = AccelDriver::new(Protection::Full);
     drv.submit_decrypt(&Request {
@@ -164,8 +164,8 @@ fn master_key_decrypt_follows_the_same_nm_rule() {
         user: user_label(0),
     });
     drv.drain(100);
-    assert!(drv.responses.is_empty(), "Eve must not unseal");
-    assert_eq!(drv.rejections.len(), 1);
+    assert!(drv.responses[0].is_empty(), "Eve must not unseal");
+    assert_eq!(drv.rejections[0].len(), 1);
 }
 
 #[test]
@@ -184,5 +184,5 @@ fn rekeying_refreshes_the_decrypt_key() {
         user: alice,
     });
     drv.drain(100);
-    assert_eq!(drv.responses[0].block, pt);
+    assert_eq!(drv.responses[0][0].block, pt);
 }

@@ -25,8 +25,11 @@ fn baseline_encrypts_one_block_correctly() {
         user: alice,
     });
     drv.drain(2 * PIPELINE_DEPTH as u64 + 10);
-    assert_eq!(drv.responses.len(), 1);
-    assert_eq!(drv.responses[0].block, Aes::new_128(key).encrypt_block(pt));
+    assert_eq!(drv.responses[0].len(), 1);
+    assert_eq!(
+        drv.responses[0][0].block,
+        Aes::new_128(key).encrypt_block(pt)
+    );
 }
 
 #[test]
@@ -42,9 +45,12 @@ fn protected_encrypts_one_block_correctly() {
         user: alice,
     });
     drv.drain(2 * PIPELINE_DEPTH as u64 + 10);
-    assert_eq!(drv.responses.len(), 1);
-    assert_eq!(drv.responses[0].block, Aes::new_128(key).encrypt_block(pt));
-    assert!(drv.violations().is_empty(), "{:?}", drv.violations());
+    assert_eq!(drv.responses[0].len(), 1);
+    assert_eq!(
+        drv.responses[0][0].block,
+        Aes::new_128(key).encrypt_block(pt)
+    );
+    assert!(drv.violations(0).is_empty(), "{:?}", drv.violations(0));
 }
 
 #[test]
@@ -58,7 +64,7 @@ fn pipeline_latency_is_thirty_cycles() {
         user: alice,
     });
     drv.drain(100);
-    let r = drv.responses[0];
+    let r = drv.responses[0][0];
     assert_eq!(
         r.completed - r.submitted,
         PIPELINE_DEPTH as u64,
@@ -82,9 +88,9 @@ fn pipeline_sustains_one_block_per_cycle() {
         }));
     }
     drv.drain(200);
-    assert_eq!(drv.responses.len(), n as usize);
+    assert_eq!(drv.responses[0].len(), n as usize);
     // Back-to-back completions: one per cycle.
-    for pair in drv.responses.windows(2) {
+    for pair in drv.responses[0].windows(2) {
         assert_eq!(pair[1].completed - pair[0].completed, 1);
     }
 }
@@ -123,9 +129,9 @@ fn multi_user_interleaving_gives_correct_results() {
         }
     }
     drv.drain(200);
-    let got: Vec<[u8; 16]> = drv.responses.iter().map(|r| r.block).collect();
+    let got: Vec<[u8; 16]> = drv.responses[0].iter().map(|r| r.block).collect();
     assert_eq!(got, expected);
-    assert!(drv.violations().is_empty(), "{:?}", drv.violations());
+    assert!(drv.violations(0).is_empty(), "{:?}", drv.violations(0));
 }
 
 #[test]
@@ -171,7 +177,7 @@ fn baseline_and_protected_agree_on_ciphertexts() {
             user: alice,
         });
         drv.drain(100);
-        outs.push(drv.responses[0].block);
+        outs.push(drv.responses[0][0].block);
     }
     assert_eq!(outs[0], outs[1]);
     assert_eq!(outs[0], Aes::new_128(key).encrypt_block(pt));

@@ -2,7 +2,7 @@
 //! the intact protected netlist must lint clean at error severity, and
 //! the known-bad variants must not.
 
-use ifc_check::dataflow::{run_static_passes, LintConfig, Severity};
+use ifc_check::dataflow::{run_static_passes, LintConfig, ObservedPlane, Severity};
 
 fn errors(report: &ifc_check::LintReport) -> Vec<String> {
     report
@@ -47,6 +47,22 @@ fn crosscheck_holds_on_seeded_sessions_across_all_track_modes() {
         Vec::<String>::new(),
         "static bound plane must dominate every observed runtime tag"
     );
+    // What the campaign observed, so a campaign that drove nothing
+    // cannot pass: its session count and a digest of the observed plane.
+    assert_eq!(outcome.sessions, 17);
+    assert_eq!(plane_digest(&outcome.observed), 0x6c1c_f453_2d32_aad0);
+}
+
+/// FNV-1a over every observed node and memory label's raw levels.
+fn plane_digest(plane: &ObservedPlane) -> u64 {
+    plane
+        .nodes
+        .iter()
+        .chain(&plane.mems)
+        .flat_map(|l| [l.conf.raw(), l.integ.raw()])
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
 }
 
 #[test]

@@ -103,7 +103,7 @@ pub fn encrypts_correctly(design: &Design) -> Result<(), String> {
     });
     drv.drain(100);
     let expected = Aes::new_128(key).encrypt_block(pt);
-    match drv.responses.first() {
+    match drv.responses[0].first() {
         None => Err("no response within 100 cycles".into()),
         Some(r) if r.block == expected => Ok(()),
         Some(r) => Err(format!(

@@ -6,7 +6,7 @@
 //! `mechanism-drop` class of the mutation campaign (`crate::mutate`), so
 //! there is exactly one mutant catalogue and one outcome type. The old
 //! standalone `LesionOutcome` enum is gone — [`lesion_study`] now returns
-//! the campaign's [`MutantOutcome`](crate::mutate::MutantOutcome) rows.
+//! the campaign's [`MutantOutcome`] rows.
 
 use accel::{protected, protected_with, Mechanisms};
 use hdl::Design;

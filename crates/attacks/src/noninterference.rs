@@ -78,7 +78,7 @@ pub fn eve_trace_on(design: &hdl::Design, secret: u8) -> EveTrace {
             trace.in_ready.push((t, ready));
         }
     }
-    for r in &drv.responses {
+    for r in &drv.responses[0] {
         if r.user == eve {
             trace.responses.push((r.completed - start, r.block));
         }

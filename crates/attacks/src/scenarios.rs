@@ -138,7 +138,7 @@ pub fn timing_channel_on(design: &Design) -> AttackResult {
             }
             drv.idle_cycle();
         }
-        drv.responses
+        drv.responses[0]
             .iter()
             .find(|r| r.user == eve)
             .map(|r| r.completed - r.submitted)
@@ -188,7 +188,7 @@ pub fn scratchpad_overrun_on(design: &Design) -> AttackResult {
     });
     drv.drain(100);
     let expected = Aes::new_128(ALICE_KEY).encrypt_block(pt);
-    let got = drv.responses.first().map(|r| r.block);
+    let got = drv.responses[0].first().map(|r| r.block);
     let outcome = if got == Some(expected) {
         AttackOutcome::Blocked
     } else {
@@ -339,7 +339,7 @@ pub fn master_key_misuse_as_on(design: &Design, user: ifc_lattice::Label) -> Att
         user: eve,
     });
     drv.drain(100);
-    let got = drv.responses.first().map(|r| r.block);
+    let got = drv.responses[0].first().map(|r| r.block);
     let oracle = master_key_encrypt(pt);
     let outcome = if got == Some(oracle) {
         AttackOutcome::Succeeded
@@ -353,7 +353,7 @@ pub fn master_key_misuse_as_on(design: &Design, user: ifc_lattice::Label) -> Att
             Some(_) => "Eve obtained a master-key ciphertext".into(),
             None => format!(
                 "release refused ({} nonmalleable rejection(s) recorded)",
-                drv.rejections.len()
+                drv.rejections[0].len()
             ),
         },
     }
@@ -371,7 +371,7 @@ pub fn supervisor_master_key_use(protection: Protection) -> AttackResult {
         user: supervisor_label(),
     });
     drv.drain(100);
-    let ok = drv.responses.first().map(|r| r.block) == Some(master_key_encrypt(pt));
+    let ok = drv.responses[0].first().map(|r| r.block) == Some(master_key_encrypt(pt));
     AttackResult {
         name: "supervisor master-key use (legitimate)",
         outcome: if ok {

@@ -40,7 +40,7 @@ pub fn trojan_exfiltration() -> AttackResult {
         user: alice,
     });
     drv.drain(100);
-    let functional = drv.responses[0].block == Aes::new_128(ALICE_KEY).encrypt_block(pt);
+    let functional = drv.responses[0][0].block == Aes::new_128(ALICE_KEY).encrypt_block(pt);
 
     // Eve arms the Trojan (selecting Alice's key slot so the round key of
     // interest enters the key pipeline), then samples the side channel.

@@ -134,9 +134,9 @@ fn throughput_op(protection: Protection, blocks: u64, decrypt: bool) -> Throughp
         }
     }
     drv.drain(blocks + 4 * PIPELINE_DEPTH as u64);
-    let last = drv.responses.last().expect("stream completed").completed;
+    let last = drv.responses[0].last().expect("stream completed").completed;
     let cycles = last - start;
-    let latency = drv.responses[0].completed - drv.responses[0].submitted;
+    let latency = drv.responses[0][0].completed - drv.responses[0][0].submitted;
     let bpc = blocks as f64 / cycles as f64;
     ThroughputResult {
         blocks,
@@ -267,7 +267,7 @@ pub fn fig8() -> Vec<Fig8Sample> {
             mixed_pipeline: mixed,
             stalled_cycles: stalled,
             peak_buffer,
-            completed: drv.responses.len(),
+            completed: drv.responses[0].len(),
         }
     };
     vec![run(false), run(true)]
@@ -429,7 +429,7 @@ pub fn buffer_depth_sweep(depths: &[usize]) -> Vec<BufferDepthSample> {
             BufferDepthSample {
                 depth,
                 drops: drv.drop_count(),
-                completed: drv.responses.len(),
+                completed: drv.responses[0].len(),
             }
         })
         .collect()
@@ -480,8 +480,8 @@ pub fn tracking_ablation() -> Vec<TrackingSample> {
             drv.drain(300);
             TrackingSample {
                 mode,
-                completed: drv.responses.len(),
-                violations: drv.violations().len(),
+                completed: drv.responses[0].len(),
+                violations: drv.violations(0).len(),
             }
         })
         .collect()
@@ -515,6 +515,6 @@ fn sharing_run(total_blocks: u64, period: u64, coarse: bool) -> f64 {
         since_switch += 1;
     }
     drv.drain(4 * PIPELINE_DEPTH as u64 + 8);
-    let last = drv.responses.last().expect("completed").completed;
+    let last = drv.responses[0].last().expect("completed").completed;
     total_blocks as f64 / (last - start) as f64
 }

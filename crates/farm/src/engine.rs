@@ -16,8 +16,8 @@
 
 use std::sync::{Arc, Mutex};
 
-use accel::batch::{BatchedDriver, LaneAction};
-use accel::driver::{Request, Response};
+use accel::batch::BatchedDriver;
+use accel::driver::{LaneAction, Request, Response};
 use accel::fleet::{block_from, KEY_DERIVE_INDEX};
 use aes_core::Aes;
 use sim::{BatchedSim, LaneSnapshot, RuntimeViolation};

@@ -17,11 +17,11 @@
 //!   to the front door so a malicious tenant cannot burn pool cycles.
 //!   Queues are bounded; a full queue pushes back with
 //!   [`AdmissionError::QueueFull`] instead of buffering unboundedly.
-//! * **Work stealing** ([`queue`]): admitted jobs land in per-worker
+//! * **Work stealing** (`queue`): admitted jobs land in per-worker
 //!   sharded deques. A worker drains its own shard LIFO and steals the
 //!   oldest jobs from its neighbours when empty, so a burst aimed at one
 //!   shard spreads across the pool.
-//! * **Dynamic lane re-packing** ([`service`], [`engine`]): each worker
+//! * **Dynamic lane re-packing** (`service`, `engine`): each worker
 //!   drives one lane-batched engine and *refills* lanes the moment a job
 //!   completes, instead of waiting for the whole batch. Between
 //!   scheduling quanta the worker compares its batch width against the

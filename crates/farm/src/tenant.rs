@@ -30,7 +30,8 @@ pub struct TenantSpec {
 }
 
 /// One encrypt/decrypt job: a deterministic stream of blocks against one
-/// key slot, exactly [`accel::fleet::run_session`]'s workload shape.
+/// key slot, exactly one lane's workload in
+/// [`accel::fleet::run_lane_sessions`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobSpec {
     /// Scratchpad key slot (0..=3; slot 3 is the master key and

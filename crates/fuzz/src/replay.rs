@@ -20,8 +20,8 @@
 
 use std::collections::VecDeque;
 
-use accel::batch::{BatchedDriver, LaneAction};
-use accel::driver::{debug_port_admits, Request};
+use accel::batch::BatchedDriver;
+use accel::driver::{debug_port_admits, LaneAction, Request};
 use accel::{master_key_encrypt, supervisor_label, user_label, MASTER_KEY_SLOT};
 use ifc_lattice::Label;
 use sim::{BatchedSim, RuntimeViolation, TrackMode};

@@ -85,12 +85,12 @@ fn oracle_replay(net: &hdl::Netlist, mode: TrackMode, programs: &[TenantProgram]
         }
     }
     let mut budget = 2_000u32;
-    while driver.in_flight() > 0 && budget > 0 {
+    while driver.in_flight(0) > 0 && budget > 0 {
         driver.idle_cycle();
         budget -= 1;
     }
-    let drained = driver.in_flight() == 0;
-    for resp in &driver.responses {
+    let drained = driver.in_flight(0) == 0;
+    for resp in &driver.responses[0] {
         if resp.user == supervisor_label() {
             continue;
         }
@@ -107,9 +107,9 @@ fn oracle_replay(net: &hdl::Netlist, mode: TrackMode, programs: &[TenantProgram]
     ModeReplay {
         mode,
         leaks,
-        violations: driver.violations().to_vec(),
-        responses: driver.responses.len(),
-        rejections: driver.rejections.len(),
+        violations: driver.violations(0).to_vec(),
+        responses: driver.responses[0].len(),
+        rejections: driver.rejections[0].len(),
         stalled_submits,
         drained,
     }

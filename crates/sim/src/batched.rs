@@ -211,8 +211,8 @@ fn taken_bytes<const W: usize>(sel: [u64; W]) -> [u8; W] {
 }
 
 /// Lane-batched simulation backend: W independent sessions advanced in
-/// lock-step by one pass over the shared instruction tape. See the
-/// [module docs](self).
+/// lock-step by one pass over the shared instruction tape (the `batched`
+/// module's source docs describe the lane-striped layout).
 #[derive(Debug, Clone)]
 pub struct BatchedSim {
     program: Arc<Program>,

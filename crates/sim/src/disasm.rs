@@ -247,7 +247,7 @@ fn parse_value(line: usize, key: &str, val: &str) -> Result<Value, ParseError> {
 /// Parses a listing produced by the disassembler back into a tape.
 ///
 /// Empty lines and `;` comments are skipped. Accepts exactly the
-/// grammar [`render`] emits (see module docs); the reconstructed tape is
+/// grammar `render` emits (see module docs); the reconstructed tape is
 /// column-for-column identical to the one that was rendered.
 ///
 /// # Errors

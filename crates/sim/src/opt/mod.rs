@@ -1,31 +1,31 @@
 //! Tape optimizer passes.
 //!
-//! The passes rewrite a compiled [`Program`](crate::program::Program)
+//! The passes rewrite a compiled `Program`
 //! between lowering and execution. Every pass preserves the *observable*
 //! semantics of the tape — settled values and labels of ports and named
 //! nodes, final register and memory state, and the full recorded
 //! violation stream — in every tracking mode; the differential suites pin
 //! each pass individually against the interpreter oracle.
 //!
-//! * **Constant folding** ([`fold`]): an instruction whose operands are
+//! * **Constant folding** (`fold`): an instruction whose operands are
 //!   all tied to literals is evaluated once at compile time and its
 //!   result baked into the slot's initial value. Sound under label
 //!   tracking because constant slots carry `(⊥,⊤)` forever, so the folded
 //!   instruction's label join is `(⊥,⊤)` — exactly the destination slot's
 //!   initial label. Downgrade gates and memory reads never fold.
-//! * **Common-subexpression elimination** ([`cse`]): two instructions
+//! * **Common-subexpression elimination** (`cse`): two instructions
 //!   with identical opcode and (transitively remapped) operands compute
 //!   identical values *and* identical labels, so the duplicate is dropped
 //!   and every later reference redirected to the surviving slot.
 //!   Downgrade gates never merge (each records its own violations under
 //!   its own node id).
-//! * **Dead-node elimination** ([`dce`]): instructions whose results can
+//! * **Dead-node elimination** (`dce`): instructions whose results can
 //!   never be observed — not reachable from an output port, a named node,
 //!   a register, a memory write port, a dynamic release-label signal, or
 //!   a downgrade gate — are removed. The eliminated slots keep their
 //!   initial values; peeking an *unnamed, unobserved* node by raw id is
 //!   the one API whose result this pass leaves unspecified.
-//! * **Run scheduling** ([`schedule`]): reorders the tape (respecting
+//! * **Run scheduling** (`schedule`): reorders the tape (respecting
 //!   data dependencies) to cluster same-opcode instructions into long
 //!   runs, so the executors' run-level dispatch pays one opcode branch
 //!   per run instead of per instruction. Reordering is windowed —

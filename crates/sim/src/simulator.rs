@@ -254,6 +254,11 @@ impl Simulator {
     /// `(P,T)`).
     pub fn set_label(&mut self, name: &str, label: Label) {
         let id = self.resolve_input(name);
+        self.set_node_label(id, label);
+    }
+
+    /// Sets the runtime label accompanying an input by node id.
+    pub fn set_node_label(&mut self, id: NodeId, label: Label) {
         self.input_labels.insert(id, label);
         self.clean = false;
     }

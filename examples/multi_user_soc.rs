@@ -47,10 +47,10 @@ fn main() {
     }
     drv.drain(400);
 
-    let got: Vec<[u8; 16]> = drv.responses.iter().map(|r| r.block).collect();
+    let got: Vec<[u8; 16]> = drv.responses[0].iter().map(|r| r.block).collect();
     assert_eq!(got, expected, "every tenant got exactly its own keystream");
-    let first = drv.responses.first().expect("responses");
-    let last = drv.responses.last().expect("responses");
+    let first = drv.responses[0].first().expect("responses");
+    let last = drv.responses[0].last().expect("responses");
     let total = 3 * blocks_per_tenant;
     let span = last.completed - first.submitted;
     println!(
@@ -69,24 +69,24 @@ fn main() {
     drv.drain(100);
     println!(
         "supervisor sealed a blob under the master key: {:02x?}",
-        drv.responses.last().expect("sealed").block
+        drv.responses[0].last().expect("sealed").block
     );
 
     // --- a tenant trying the same thing ----------------------------------------
-    let before = drv.rejections.len();
+    let before = drv.rejections[0].len();
     drv.submit(&Request {
         block: sealed,
         key_slot: MASTER_KEY_SLOT,
         user: user_label(0),
     });
     drv.drain(100);
-    assert_eq!(drv.rejections.len(), before + 1);
+    assert_eq!(drv.rejections[0].len(), before + 1);
     println!(
         "tenant web-frontend tried the master key: release refused by the \
          nonmalleable declassification check ✓"
     );
     assert!(
-        drv.violations().iter().any(|v| matches!(
+        drv.violations(0).iter().any(|v| matches!(
             v,
             secure_aes_ifc::sim::RuntimeViolation::DowngradeRejected { .. }
         )),

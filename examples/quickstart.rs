@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         user: alice,
     });
     drv.drain(100);
-    let response = drv.responses[0];
+    let response = drv.responses[0][0];
     println!(
         "encrypted one block in {} cycles: {:02x?}",
         response.completed - response.submitted,

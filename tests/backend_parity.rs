@@ -10,14 +10,18 @@
 //!   every cycle, then the complete violation streams.
 //! * **Transaction-level**: the same request schedule (including
 //!   master-key misuse that the release check refuses), configuration
-//!   writes and a debug read through [`AccelDriver`] and a one-lane
+//!   writes, a debug read, decryptions and a receiver outage that fills
+//!   the output holding buffer through [`AccelDriver`] and a one-lane
 //!   [`BatchedDriver`] must yield identical responses, rejections,
-//!   violations, cycle counts, and configuration and debug-port state.
+//!   violations, cycle counts, configuration and debug-port state, and
+//!   buffer, drop and rejection counters.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use secure_aes_ifc::accel::batch::{BatchedDriver, LaneAction};
-use secure_aes_ifc::accel::driver::{debug_port_admits, AccelDriver, Request};
+use secure_aes_ifc::accel::batch::BatchedDriver;
+use secure_aes_ifc::accel::driver::{
+    debug_port_admits, AccelDriver, Driver, LaneAction, LanePorts, Request,
+};
 use secure_aes_ifc::accel::engine::iterative_engine;
 use secure_aes_ifc::accel::{protected, supervisor_label, user_label, MASTER_KEY_SLOT};
 use secure_aes_ifc::hdl::Netlist;
@@ -130,6 +134,61 @@ fn schedule(seed: u64) -> ([u8; 16], Vec<Request>) {
     (key, reqs)
 }
 
+/// Decrypts the first three ciphertexts, then has Alice stream while
+/// Eve's blocks sit mid-pipeline and the receiver is blocked for 40
+/// cycles: Alice's stall requests are denied, so completions divert to
+/// the output holding buffer until it overflows. Returns, per cycle,
+/// whether a submit was refused and the `outbuf.count`, `drop_count`
+/// and `nm_reject_count` counters.
+fn decrypt_and_backpressure<E: LanePorts>(d: &mut Driver<E>, eve_key: [u8; 16]) -> Vec<[u16; 4]> {
+    let (alice, eve) = (user_label(1), user_label(0));
+    let decrypts: Vec<Request> = d.responses[0]
+        .iter()
+        .take(3)
+        .map(|r| Request {
+            block: r.block,
+            key_slot: 0,
+            user: alice,
+        })
+        .collect();
+    for req in &decrypts {
+        d.submit_decrypt(req);
+    }
+    d.drain(500);
+    d.load_key(1, eve_key, eve);
+    let mut trace = Vec::new();
+    let start = d.cycle();
+    while d.cycle() - start < 140 {
+        let t = d.cycle() - start;
+        d.set_receiver_ready(!(20..60).contains(&t));
+        let (user, key_slot) = if (24..=48).contains(&t) && t.is_multiple_of(4) {
+            (eve, 1)
+        } else {
+            (alice, 0)
+        };
+        let req = Request {
+            block: [t as u8; 16],
+            key_slot,
+            user,
+        };
+        let refused = t < 90 && !d.try_submit(&req);
+        if t >= 90 {
+            d.idle_cycle();
+        }
+        trace.push([
+            u16::from(refused),
+            d.buffer_occupancy(),
+            d.drop_count(),
+            d.nm_reject_count(),
+        ]);
+    }
+    // Overflowed blocks never emit, so their requests stay in flight:
+    // idle out the rest instead of draining.
+    d.set_receiver_ready(true);
+    d.idle(80);
+    trace
+}
+
 #[test]
 fn accelerator_transactions_agree_across_backends() {
     let net = protected().lower().expect("accelerator lowers");
@@ -198,15 +257,24 @@ fn accelerator_transactions_agree_across_backends() {
         }
         assert!(!debug_port_admits(b.sim().netlist(), alice));
 
-        assert_eq!(a.responses, b.responses[0], "{mode:?}");
-        assert_eq!(a.rejections, b.rejections[0], "{mode:?}");
-        assert_eq!(a.violations(), b.violations(0), "{mode:?}");
+        let eve_key = [0xE5; 16];
+        let trace = decrypt_and_backpressure(&mut a, eve_key);
+        assert_eq!(trace, decrypt_and_backpressure(&mut b, eve_key), "{mode:?}");
+        // The outage must actually stall the pipeline, fill the holding
+        // buffer and overflow it.
+        assert!(trace.iter().any(|c| c[0] == 1), "expected refused submits");
+        assert!(trace.iter().any(|c| c[1] == 16), "expected a full buffer");
+        assert!(trace.last().is_some_and(|c| c[2] > 0), "expected drops");
+
+        assert_eq!(a.responses[0], b.responses[0], "{mode:?}");
+        assert_eq!(a.rejections[0], b.rejections[0], "{mode:?}");
+        assert_eq!(a.violations(0), b.violations(0), "{mode:?}");
         assert_eq!(a.cycle(), b.cycle(), "{mode:?}");
         // The schedule includes master-key misuse, so in tracking modes
         // the release check must actually have fired — this test isn't
         // comparing two empty streams.
         if mode != TrackMode::Off {
-            assert!(!a.rejections.is_empty(), "expected refused requests");
+            assert!(!a.rejections[0].is_empty(), "expected refused requests");
         }
     }
 }

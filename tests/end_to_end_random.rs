@@ -27,9 +27,9 @@ fn random_streams_match_the_reference() {
         }
         drv.drain(200);
         let expected: Vec<[u8; 16]> = blocks.iter().map(|&b| aes.encrypt_block(b)).collect();
-        let got: Vec<[u8; 16]> = drv.responses.iter().map(|r| r.block).collect();
+        let got: Vec<[u8; 16]> = drv.responses[0].iter().map(|r| r.block).collect();
         assert_eq!(got, expected, "trial {trial}");
-        assert!(drv.violations().is_empty(), "{:?}", drv.violations());
+        assert!(drv.violations(0).is_empty(), "{:?}", drv.violations(0));
     }
 }
 
@@ -56,8 +56,8 @@ fn random_interleavings_preserve_isolation() {
         expected.push((users[who], ciphers[who].encrypt_block(block)));
     }
     drv.drain(300);
-    assert_eq!(drv.responses.len(), expected.len());
-    for (resp, (user, ct)) in drv.responses.iter().zip(&expected) {
+    assert_eq!(drv.responses[0].len(), expected.len());
+    for (resp, (user, ct)) in drv.responses[0].iter().zip(&expected) {
         assert_eq!(resp.user, *user);
         assert_eq!(resp.block, *ct);
     }

@@ -45,7 +45,7 @@ fn output_tags_identify_the_owner() {
         user: alice,
     });
     drv.drain(2 * PIPELINE_DEPTH as u64);
-    assert_eq!(drv.responses[0].tag, SecurityTag::from(alice));
+    assert_eq!(drv.responses[0][0].tag, SecurityTag::from(alice));
 }
 
 #[test]
@@ -65,7 +65,7 @@ fn intermediate_results_stay_unreleased() {
     assert_eq!(drv.sim_mut().peek("out_block"), 0);
     let label = drv.sim_mut().peek_label("pipe.data11");
     assert_eq!(label, alice, "mid-pipeline data carries Alice's label");
-    assert!(drv.violations().is_empty());
+    assert!(drv.violations(0).is_empty());
 }
 
 #[test]

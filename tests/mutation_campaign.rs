@@ -3,7 +3,7 @@
 //! this file keeps the debug-build checks fast by sampling the pipeline).
 
 use accel::driver::AccelDriver;
-use accel::fleet::{mix, run_session};
+use accel::fleet::{mix, run_lane_sessions};
 use secure_aes_ifc::attacks::mutate::{
     enumerate, run_mutant, CampaignConfig, KillStage, MutationClass,
 };
@@ -169,7 +169,8 @@ fn runtime_kill_cycle_matches_the_oracle() {
         .filter_map(|i| {
             let mut driver = AccelDriver::from_netlist(net.clone(), TrackMode::Precise);
             let seed = mix(cfg.seed ^ (i as u64) << 8);
-            run_session(&mut driver, 4, accel::user_label(i % 4), seed).first_violation
+            run_lane_sessions(&mut driver, 4, &[accel::user_label(i % 4)], &[seed])[0]
+                .first_violation
         })
         .min();
     assert!(oracle_first.is_some(), "the oracle sees the fault too");
