@@ -56,13 +56,15 @@ pub struct Response {
     pub user: Label,
 }
 
-/// A request refused at release time by the nonmalleable-declassification
-/// check (e.g. master-key misuse).
+/// A request that produced no ciphertext: refused at release time by the
+/// nonmalleable-declassification check (e.g. master-key misuse; see
+/// [`Driver::rejections`]), or dropped by the full output holding buffer
+/// (see [`Driver::dropped`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rejection {
-    /// Cycle at which the refusal happened.
+    /// Cycle at which the refusal or drop happened.
     pub cycle: u64,
-    /// The refused request's user.
+    /// The request's user.
     pub user: Label,
 }
 
@@ -169,6 +171,21 @@ struct Ports {
     cfg_wr_tag: NodeId,
     dbg_sel: NodeId,
     out_ready: NodeId,
+    /// The output holding buffer, on designs that have one.
+    outbuf: Option<OutBuf>,
+}
+
+/// The protected design's output holding buffer. When it is full, the
+/// block leaving the pipeline is dropped and never emitted; the hardware
+/// counts it in `drop_count`.
+#[derive(Debug, Clone, Copy)]
+struct OutBuf {
+    /// Entries the buffer holds.
+    depth: usize,
+    /// The occupancy register, `outbuf.count`.
+    count: NodeId,
+    /// The `drop_count` output.
+    drops: NodeId,
 }
 
 impl Ports {
@@ -207,7 +224,22 @@ impl Ports {
             cfg_wr_tag: inp("cfg_wr_tag"),
             dbg_sel: inp("dbg_sel"),
             out_ready: inp("out_ready"),
+            outbuf: OutBuf::resolve(net),
         }
+    }
+}
+
+impl OutBuf {
+    fn resolve(net: &Netlist) -> Option<OutBuf> {
+        let depth = net.mems.iter().find(|m| m.name == "outbuf.data")?.depth;
+        let count = net
+            .node_ids()
+            .find(|&id| net.name_of(id) == Some("outbuf.count"))?;
+        Some(OutBuf {
+            depth,
+            count,
+            drops: net.output("drop_count")?,
+        })
     }
 }
 
@@ -270,6 +302,11 @@ pub struct Driver<E> {
     pub responses: Vec<Vec<Response>>,
     /// Per-lane requests refused by the release check.
     pub rejections: Vec<Vec<Rejection>>,
+    /// Per-lane requests whose blocks the full output holding buffer
+    /// dropped, one per step of the hardware's `drop_count`.
+    pub dropped: Vec<Vec<Rejection>>,
+    /// Per lane, `drop_count` as last read.
+    drops_seen: Vec<Value>,
     receiver_ready: bool,
 }
 
@@ -357,6 +394,8 @@ impl<E: LanePorts> Driver<E> {
             pending: vec![VecDeque::new(); lanes],
             responses: vec![Vec::new(); lanes],
             rejections: vec![Vec::new(); lanes],
+            dropped: vec![Vec::new(); lanes],
+            drops_seen: vec![0; lanes],
             receiver_ready: true,
         }
     }
@@ -501,6 +540,9 @@ impl<E: LanePorts> Driver<E> {
     fn finish_cycle(&mut self) {
         let p = self.ports;
         for lane in 0..self.lanes() {
+            if let Some(outbuf) = p.outbuf {
+                self.settle_drop(lane, outbuf);
+            }
             if self.sim.peek_node(lane, p.out_emit) != 1 {
                 continue;
             }
@@ -526,6 +568,36 @@ impl<E: LanePorts> Driver<E> {
             }
         }
         self.sim.tick();
+    }
+
+    /// Retires the request of a block the holding buffer dropped last
+    /// cycle, so later responses keep their own requests' stamps.
+    ///
+    /// A block is dropped when it leaves the pipeline into a full buffer:
+    /// its request is the oldest one not buffered, just behind the
+    /// `depth` buffered ones. `drop_count` is a register, so the drop
+    /// shows one cycle later, by when the buffer holds `outbuf.count`
+    /// requests — one fewer if it also emitted in the drop's cycle. A
+    /// drop needs `depth + 1` requests in flight, and the emission takes
+    /// at most one of them, so with fewer than `depth` left none can have
+    /// happened and the counter is not read.
+    fn settle_drop(&mut self, lane: usize, outbuf: OutBuf) {
+        if self.pending[lane].len() < outbuf.depth {
+            return;
+        }
+        let drops = self.sim.peek_node(lane, outbuf.drops);
+        if drops == self.drops_seen[lane] {
+            return;
+        }
+        self.drops_seen[lane] = drops;
+        let behind_buffer = self.sim.peek_node(lane, outbuf.count) as usize;
+        let lost = self.pending[lane]
+            .remove(behind_buffer)
+            .expect("a dropped block had a request behind the full buffer");
+        self.dropped[lane].push(Rejection {
+            cycle: self.sim.cycle() - 1,
+            user: lost.user,
+        });
     }
 
     /// Advances one cycle with an independent port action per lane — the

@@ -75,3 +75,51 @@ fn baseline_design_has_no_secret_timing_findings() {
         "{report}"
     );
 }
+
+#[test]
+fn checker_output_is_pinned_on_the_shipped_designs() {
+    // One FNV-1a digest per design over everything `check` and `infer`
+    // report: the report's rendering, warnings and downgrade lists, and
+    // every inferred node and memory label. A faster checker must not
+    // change one byte of it.
+    let digests = [
+        accel::protected(),
+        accel::trojaned(accel::Protection::Full),
+        accel::baseline(),
+        accel::baseline_annotated(),
+    ]
+    .map(|design| checker_digest(&design));
+    assert_eq!(
+        digests,
+        [
+            0xfba1_7c1e_0d93_0947,
+            0x11fd_9e5a_a0a8_7c21,
+            0xafc5_b00c_f805_6f3a,
+            0xa12d_c46c_de66_f3b9,
+        ],
+        "{digests:#x?}"
+    );
+}
+
+fn checker_digest(design: &hdl::Design) -> u64 {
+    let report = ifc_check::check(design);
+    let inference = ifc_check::infer(design);
+    let mut text = report.to_string();
+    for w in &report.warnings {
+        text += w;
+    }
+    for id in report
+        .static_downgrades
+        .iter()
+        .chain(&report.runtime_checked_downgrades)
+    {
+        text += &format!("{id:?};");
+    }
+    text += "|";
+    for label in inference.node_labels.iter().chain(&inference.mem_labels) {
+        text += &format!("{label};");
+    }
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}

@@ -12,7 +12,7 @@ use std::collections::{HashSet, VecDeque};
 use hdl::{Action, Design, Netlist, Node, NodeId};
 use ifc_lattice::Label;
 
-use crate::ctx::{refine_source, GuardCtx};
+use crate::ctx::{refine_source, DesignIndex, GuardCtx};
 use crate::infer::Inference;
 
 /// A blame predicate: does this label component violate the sink?
@@ -45,14 +45,15 @@ impl Offence {
 /// Walks backwards from `start` to an offending annotated leaf, returning
 /// the chain of *named* nodes from source to `start`.
 pub(crate) fn blame_path(
-    design: &Design,
+    index: &DesignIndex<'_>,
     inference: &Inference,
     start: NodeId,
     offence: &Offence,
 ) -> Vec<NodeId> {
+    let design = index.design;
     let mut path = Vec::new();
     let mut visited = HashSet::new();
-    walk(design, inference, start, offence, &mut visited, &mut path);
+    walk(index, inference, start, offence, &mut visited, &mut path);
     path.reverse();
     path.retain(|&id| design.name_of(id).is_some());
     path.dedup();
@@ -114,7 +115,7 @@ pub fn runtime_blame(net: &Netlist, node: NodeId) -> String {
 }
 
 fn walk(
-    design: &Design,
+    index: &DesignIndex<'_>,
     inference: &Inference,
     node: NodeId,
     offence: &Offence,
@@ -124,6 +125,7 @@ fn walk(
     if !visited.insert(node) {
         return false;
     }
+    let design = index.design;
     if !offence.matches(design, inference, node) {
         return false;
     }
@@ -139,21 +141,11 @@ fn walk(
         Node::Const { .. } | Node::Input { .. } => false,
         Node::Wire { .. } | Node::Reg { .. } => {
             // Follow the driving statements: the source value or a guard.
-            let stmts: Vec<(NodeId, Vec<NodeId>)> = design
-                .stmts()
-                .iter()
-                .filter_map(|s| match s.action {
-                    Action::Connect { dst, src } if dst == node => {
-                        Some((src, s.guards.iter().map(|g| g.cond).collect()))
-                    }
-                    _ => None,
-                })
-                .collect();
-            stmts.into_iter().any(|(src, guards)| {
-                walk(design, inference, src, offence, visited, path)
+            index.drivers(node).any(|(guards, src)| {
+                walk(index, inference, src, offence, visited, path)
                     || guards
-                        .into_iter()
-                        .any(|g| walk(design, inference, g, offence, visited, path))
+                        .iter()
+                        .any(|g| walk(index, inference, g.cond, offence, visited, path))
             })
         }
         Node::MemRead { mem, addr } => {
@@ -173,19 +165,19 @@ fn walk(
                     _ => None,
                 })
                 .collect();
-            walk(design, inference, addr, offence, visited, path)
+            walk(index, inference, addr, offence, visited, path)
                 || writes.into_iter().any(|(data, waddr, guards)| {
-                    walk(design, inference, data, offence, visited, path)
-                        || walk(design, inference, waddr, offence, visited, path)
+                    walk(index, inference, data, offence, visited, path)
+                        || walk(index, inference, waddr, offence, visited, path)
                         || guards
                             .into_iter()
-                            .any(|g| walk(design, inference, g, offence, visited, path))
+                            .any(|g| walk(index, inference, g, offence, visited, path))
                 })
         }
         other => {
             let ops: Vec<NodeId> = other.operands().collect();
             ops.into_iter()
-                .any(|op| walk(design, inference, op, offence, visited, path))
+                .any(|op| walk(index, inference, op, offence, visited, path))
         }
     };
     if !found {
@@ -215,7 +207,7 @@ mod tests {
         let design = m.finish();
         let inference = infer(&design);
         let offence = Offence::Confidentiality(Label::PUBLIC_UNTRUSTED);
-        let path = blame_path(&design, &inference, out.id(), &offence);
+        let path = blame_path(&DesignIndex::new(&design), &inference, out.id(), &offence);
         let names: Vec<&str> = path.iter().filter_map(|&id| design.name_of(id)).collect();
         assert_eq!(names, vec!["key", "stage1", "stage2", "out"]);
     }
@@ -233,7 +225,7 @@ mod tests {
         let design = m.finish();
         let inference = infer(&design);
         let offence = Offence::Confidentiality(Label::PUBLIC_UNTRUSTED);
-        let path = blame_path(&design, &inference, valid.id(), &offence);
+        let path = blame_path(&DesignIndex::new(&design), &inference, valid.id(), &offence);
         let names: Vec<&str> = path.iter().filter_map(|&id| design.name_of(id)).collect();
         assert_eq!(names, vec!["key", "valid"]);
     }
@@ -274,6 +266,6 @@ mod tests {
         let design = m.finish();
         let inference = infer(&design);
         let offence = Offence::Confidentiality(Label::PUBLIC_UNTRUSTED);
-        assert!(blame_path(&design, &inference, r.id(), &offence).is_empty());
+        assert!(blame_path(&DesignIndex::new(&design), &inference, r.id(), &offence).is_empty());
     }
 }

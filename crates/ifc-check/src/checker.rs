@@ -1,15 +1,16 @@
 //! The per-statement flow checker.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
+use hdl::hash::FixedMap;
 use hdl::{Action, Design, Guard, Node, NodeId, Stmt};
 use ifc_lattice::{Label, SecurityTag};
 
 use crate::alabel::AbstractLabel;
 use crate::blame::{blame_path, render_path, Offence};
-use crate::ctx::{refine_sink, refine_source, GuardCtx, SinkLabel};
+use crate::ctx::{refine_sink, refine_source, DesignIndex, GuardCtx, SinkLabel};
 use crate::dataflow::Lattice;
-use crate::infer::{infer, Inference};
+use crate::infer::{infer_indexed, Inference};
 use crate::report::{CheckReport, Violation, ViolationKind};
 
 /// A failed flow check: the human-readable reason plus the offence used
@@ -23,122 +24,177 @@ struct FlowError {
 /// annotations. See the crate docs for the covered properties.
 #[must_use]
 pub fn check(design: &Design) -> CheckReport {
-    let inference = infer(design);
+    let index = DesignIndex::new(design);
+    let inference = infer_indexed(&index);
     let mut report = CheckReport {
         warnings: inference.warnings.clone(),
         ..CheckReport::default()
     };
 
-    let mut scopes: HashMap<&[Guard], GuardScope> = HashMap::new();
-    for (stmt_idx, stmt) in design.stmts().iter().enumerate() {
-        let scope = scopes
-            .entry(&stmt.guards)
-            .or_insert_with(|| GuardScope::new(design, &inference, &stmt.guards));
-        check_stmt(design, &inference, stmt_idx, stmt, scope, &mut report);
+    // Statements with the same guard list share one guard scope. Each
+    // scope's statements are checked together, so one node-indexed memo
+    // serves every scope in turn; violations are put back in statement
+    // order afterwards.
+    let stmts = design.stmts();
+    let mut scope_of: FixedMap<&[Guard], usize> = FixedMap::default();
+    let mut order: Vec<(usize, usize)> = stmts
+        .iter()
+        .enumerate()
+        .map(|(i, stmt)| {
+            let next = scope_of.len();
+            (*scope_of.entry(&stmt.guards).or_insert(next), i)
+        })
+        .collect();
+    order.sort_unstable();
+    let mut memo = Memo::new(design.node_count());
+    let mut violations = Vec::new();
+    for group in order.chunk_by(|a, b| a.0 == b.0) {
+        let scope = GuardScope::new(&index, &inference, &stmts[group[0].1].guards, &mut memo);
+        for &(_, stmt_idx) in group {
+            let stmt = &stmts[stmt_idx];
+            if let Some(v) = check_stmt(&index, &inference, stmt_idx, stmt, &scope, &mut memo) {
+                violations.push((stmt_idx, v));
+            }
+        }
+        memo.clear();
     }
-    check_outputs(design, &inference, &mut report);
+    violations.sort_unstable_by_key(|&(stmt_idx, _)| stmt_idx);
+    report
+        .violations
+        .extend(violations.into_iter().map(|(_, v)| v));
+    check_outputs(&index, &inference, &mut report);
     check_downgrades(design, &inference, &mut report);
     report
 }
 
-/// Everything a statement's check derives from its guard list alone —
-/// the guard context, the pc label and the `source_label` memo — shared
-/// by every statement with the same guards.
+/// What a statement's check derives from its guard list alone — the
+/// guard context and the pc label — shared by every statement with the
+/// same guards.
 struct GuardScope {
     ctx: GuardCtx,
     pc: AbstractLabel,
-    memo: HashMap<NodeId, AbstractLabel>,
 }
 
 impl GuardScope {
-    fn new(design: &Design, inference: &Inference, guards: &[Guard]) -> GuardScope {
-        let ctx = GuardCtx::from_guards(design, guards);
-        let mut memo = HashMap::new();
+    fn new(
+        index: &DesignIndex<'_>,
+        inference: &Inference,
+        guards: &[Guard],
+        memo: &mut Memo,
+    ) -> GuardScope {
+        let ctx = GuardCtx::from_guards(index.design, guards);
         let mut pc = AbstractLabel::bottom();
         for g in guards {
-            pc = pc.join(&source_label(design, inference, g.cond, &ctx, &mut memo));
+            pc = pc.join(&source_label(index, inference, g.cond, &ctx, memo));
         }
-        GuardScope { ctx, pc, memo }
+        GuardScope { ctx, pc }
+    }
+}
+
+/// The [`source_label`] memo of one guard scope, indexed by node; cleared
+/// between scopes.
+struct Memo {
+    labels: Vec<Option<AbstractLabel>>,
+    filled: Vec<NodeId>,
+}
+
+impl Memo {
+    fn new(nodes: usize) -> Memo {
+        Memo {
+            labels: vec![None; nodes],
+            filled: Vec::new(),
+        }
+    }
+
+    fn get(&self, node: NodeId) -> Option<&AbstractLabel> {
+        self.labels[node.index()].as_ref()
+    }
+
+    fn insert(&mut self, node: NodeId, label: AbstractLabel) {
+        self.labels[node.index()] = Some(label);
+        self.filled.push(node);
+    }
+
+    fn clear(&mut self) {
+        for node in self.filled.drain(..) {
+            self.labels[node.index()] = None;
+        }
     }
 }
 
 fn check_stmt(
-    design: &Design,
+    index: &DesignIndex<'_>,
     inference: &Inference,
     stmt_idx: usize,
     stmt: &Stmt,
-    scope: &mut GuardScope,
-    report: &mut CheckReport,
-) {
-    let (ctx, pc, memo) = (&scope.ctx, &scope.pc, &mut scope.memo);
+    scope: &GuardScope,
+    memo: &mut Memo,
+) -> Option<Violation> {
+    let design = index.design;
+    let (ctx, pc) = (&scope.ctx, &scope.pc);
 
     match stmt.action {
         Action::Connect { dst, src } => {
-            let Some(annotation) = design.label_of(dst) else {
-                return;
-            };
-            let eff = source_label(design, inference, src, ctx, memo).join(pc);
+            let annotation = design.label_of(dst)?;
+            let eff = source_label(index, inference, src, ctx, memo).join(pc);
             let sink = refine_sink(annotation, ctx);
-            if let Err(err) = flow_ok(design, &eff, &sink, ctx) {
-                // The offending label may arrive through the value or
-                // through a guard (implicit flow).
-                let mut path = blame_path(design, inference, src, &err.offence);
-                if path.is_empty() {
-                    for g in &stmt.guards {
-                        path = blame_path(design, inference, g.cond, &err.offence);
-                        if !path.is_empty() {
-                            break;
-                        }
+            let err = flow_ok(index, &eff, &sink, ctx).err()?;
+            // The offending label may arrive through the value or
+            // through a guard (implicit flow).
+            let mut path = blame_path(index, inference, src, &err.offence);
+            if path.is_empty() {
+                for g in &stmt.guards {
+                    path = blame_path(index, inference, g.cond, &err.offence);
+                    if !path.is_empty() {
+                        break;
                     }
                 }
-                let (reason, via) = (err.reason, render_path(design, &path));
-                report.violations.push(Violation {
-                    message: format!(
-                        "stmt #{stmt_idx}: cannot connect {} (label {eff}) to {} (label {annotation}): {reason}{via}",
-                        design.describe(src),
-                        design.describe(dst),
-                    ),
-                    kind: ViolationKind::Flow {
-                        stmt: stmt_idx,
-                        dst,
-                        src,
-                        inferred: eff,
-                        required: annotation.to_string(),
-                    },
-                });
             }
+            let (reason, via) = (err.reason, render_path(design, &path));
+            Some(Violation {
+                message: format!(
+                    "stmt #{stmt_idx}: cannot connect {} (label {eff}) to {} (label {annotation}): {reason}{via}",
+                    design.describe(src),
+                    design.describe(dst),
+                ),
+                kind: ViolationKind::Flow {
+                    stmt: stmt_idx,
+                    dst,
+                    src,
+                    inferred: eff,
+                    required: annotation.to_string(),
+                },
+            })
         }
         Action::MemWrite { mem, addr, data } => {
             let info = &design.mems()[mem.index()];
-            let Some(annotation) = crate::ctx::resolve_mem_label(design, mem, addr) else {
-                return;
-            };
-            let eff = source_label(design, inference, data, ctx, memo)
-                .join(&source_label(design, inference, addr, ctx, memo))
+            let annotation = index.resolve_mem_label(mem, addr)?;
+            let eff = source_label(index, inference, data, ctx, memo)
+                .join(&source_label(index, inference, addr, ctx, memo))
                 .join(pc);
             let sink = refine_sink(&annotation, ctx);
-            if let Err(err) = flow_ok(design, &eff, &sink, ctx) {
-                let path = blame_path(design, inference, data, &err.offence);
-                let (reason, via) = (err.reason, render_path(design, &path));
-                report.violations.push(Violation {
-                    message: format!(
-                        "stmt #{stmt_idx}: cannot write {} (label {eff}) into memory {} (label {annotation}): {reason}{via}",
-                        design.describe(data),
-                        info.name,
-                    ),
-                    kind: ViolationKind::MemWrite {
-                        stmt: stmt_idx,
-                        mem: info.name.clone(),
-                        inferred: eff,
-                        required: annotation.to_string(),
-                    },
-                });
-            }
+            let err = flow_ok(index, &eff, &sink, ctx).err()?;
+            let path = blame_path(index, inference, data, &err.offence);
+            let (reason, via) = (err.reason, render_path(design, &path));
+            Some(Violation {
+                message: format!(
+                    "stmt #{stmt_idx}: cannot write {} (label {eff}) into memory {} (label {annotation}): {reason}{via}",
+                    design.describe(data),
+                    info.name,
+                ),
+                kind: ViolationKind::MemWrite {
+                    stmt: stmt_idx,
+                    mem: info.name.clone(),
+                    inferred: eff,
+                    required: annotation.to_string(),
+                },
+            })
         }
     }
 }
 
-fn check_outputs(design: &Design, inference: &Inference, report: &mut CheckReport) {
+fn check_outputs(index: &DesignIndex<'_>, inference: &Inference, report: &mut CheckReport) {
+    let design = index.design;
     let ctx = GuardCtx::default();
     for port in design.outputs() {
         // A port released at exactly the driving node's declared label is
@@ -159,8 +215,8 @@ fn check_outputs(design: &Design, inference: &Inference, report: &mut CheckRepor
                 )
             }
         };
-        if let Err(err) = flow_ok(design, &inferred, &sink, &ctx) {
-            let path = blame_path(design, inference, port.node, &err.offence);
+        if let Err(err) = flow_ok(index, &inferred, &sink, &ctx) {
+            let path = blame_path(index, inference, port.node, &err.offence);
             let (reason, via) = (err.reason, render_path(design, &path));
             report.violations.push(Violation {
                 message: format!(
@@ -230,15 +286,16 @@ fn check_downgrades(design: &Design, inference: &Inference, report: &mut CheckRe
 /// context. Annotated nodes use their (refined) annotation; unannotated
 /// state uses the global inference; operators recurse.
 fn source_label(
-    design: &Design,
+    index: &DesignIndex<'_>,
     inference: &Inference,
     node: NodeId,
     ctx: &GuardCtx,
-    memo: &mut HashMap<NodeId, AbstractLabel>,
+    memo: &mut Memo,
 ) -> AbstractLabel {
-    if let Some(hit) = memo.get(&node) {
+    if let Some(hit) = memo.get(node) {
         return hit.clone();
     }
+    let design = index.design;
     let result = if let Some(expr) = design.label_of(node) {
         refine_source(design, expr, ctx)
     } else {
@@ -247,23 +304,23 @@ fn source_label(
             Node::Wire { .. } => {
                 // Follow simple aliases context-sensitively; fall back to
                 // the global inference for multiply-driven wires.
-                match crate::ctx::wire_alias(design, node) {
-                    Some(src) => source_label(design, inference, src, ctx, memo),
+                match index.wire_alias(node) {
+                    Some(src) => source_label(index, inference, src, ctx, memo),
                     None => inference.label(node).clone(),
                 }
             }
             Node::Input { .. } | Node::Reg { .. } => inference.label(node).clone(),
             Node::MemRead { mem, addr } => {
-                let mem_part = match crate::ctx::resolve_mem_label(design, *mem, *addr) {
+                let mem_part = match index.resolve_mem_label(*mem, *addr) {
                     Some(expr) => refine_source(design, &expr, ctx),
                     None => inference.mem_labels[mem.index()].clone(),
                 };
-                mem_part.join(&source_label(design, inference, *addr, ctx, memo))
+                mem_part.join(&source_label(index, inference, *addr, ctx, memo))
             }
             other => {
                 let mut acc = AbstractLabel::bottom();
                 for op in other.operands() {
-                    acc = acc.join(&source_label(design, inference, op, ctx, memo));
+                    acc = acc.join(&source_label(index, inference, op, ctx, memo));
                 }
                 acc
             }
@@ -276,11 +333,12 @@ fn source_label(
 /// Decides whether an abstract source label may flow into a sink in a
 /// given guard context, discharging runtime tags.
 fn flow_ok(
-    design: &Design,
+    index: &DesignIndex<'_>,
     eff: &AbstractLabel,
     sink: &SinkLabel,
     ctx: &GuardCtx,
 ) -> Result<(), FlowError> {
+    let design = index.design;
     match sink {
         SinkLabel::Static(cap) => {
             if !eff.base.flows_to(*cap) {
@@ -299,8 +357,8 @@ fn flow_ok(
             if *cap == Label::SECRET_UNTRUSTED {
                 return Ok(());
             }
-            for &t in &eff.tags {
-                if !ctx.permits_tag_to_static(design, t, *cap) {
+            for t in &eff.tags {
+                if !ctx.permits_tag_to_static(index, t, *cap) {
                     return Err(FlowError {
                         reason: format!(
                             "runtime tag {} not checked against {} (missing TagLeq guard)",
@@ -315,7 +373,7 @@ fn flow_ok(
         }
         SinkLabel::Tag(t_sink) => {
             if eff.base != Label::PUBLIC_TRUSTED
-                && !ctx.permits_static_to_tag(design, eff.base, *t_sink)
+                && !ctx.permits_static_to_tag(index, eff.base, *t_sink)
             {
                 return Err(FlowError {
                     reason: format!(
@@ -326,10 +384,10 @@ fn flow_ok(
                     offence: Offence::Confidentiality(Label::PUBLIC_TRUSTED),
                 });
             }
-            for &t in &eff.tags {
+            for t in &eff.tags {
                 let ok = t == *t_sink
-                    || ctx.permits_tag_flow(design, t, *t_sink)
-                    || tag_connected(design, t, *t_sink);
+                    || ctx.permits_tag_flow(index, t, *t_sink)
+                    || tag_connected(index, t, *t_sink);
                 if !ok {
                     return Err(FlowError {
                         reason: format!(
@@ -349,13 +407,10 @@ fn flow_ok(
 /// Whether the sink tag register is (somewhere in the design) driven by
 /// the source tag — i.e. data and tag propagate together, as in the
 /// paper's Fig. 7 pipeline.
-fn tag_connected(design: &Design, src_tag: NodeId, sink_tag: NodeId) -> bool {
-    design.stmts().iter().any(|s| match s.action {
-        Action::Connect { dst, src } if dst == sink_tag => {
-            let mut visited = HashSet::new();
-            cone_contains(design, src, src_tag, &mut visited)
-        }
-        _ => false,
+fn tag_connected(index: &DesignIndex<'_>, src_tag: NodeId, sink_tag: NodeId) -> bool {
+    index.drivers(sink_tag).any(|(_, src)| {
+        let mut visited = HashSet::new();
+        cone_contains(index, src, src_tag, &mut visited)
     })
 }
 
@@ -363,7 +418,7 @@ fn tag_connected(design: &Design, src_tag: NodeId, sink_tag: NodeId) -> bool {
 /// `want`. Wires are traversed through their drivers; registers terminate
 /// the search (other than by identity).
 fn cone_contains(
-    design: &Design,
+    index: &DesignIndex<'_>,
     node: NodeId,
     want: NodeId,
     visited: &mut HashSet<NodeId>,
@@ -374,24 +429,17 @@ fn cone_contains(
     if !visited.insert(node) {
         return false;
     }
-    match design.node(node) {
+    match index.design.node(node) {
         Node::Reg { .. } | Node::Input { .. } | Node::Const { .. } => false,
         Node::Wire { default, .. } => {
-            if let Some(d) = default {
-                if cone_contains(design, *d, want, visited) {
-                    return true;
-                }
-            }
-            design.stmts().iter().any(|s| match s.action {
-                Action::Connect { dst, src } if dst == node => {
-                    cone_contains(design, src, want, visited)
-                }
-                _ => false,
-            })
+            default.is_some_and(|d| cone_contains(index, d, want, visited))
+                || index
+                    .drivers(node)
+                    .any(|(_, src)| cone_contains(index, src, want, visited))
         }
         other => other
             .operands()
-            .any(|op| cone_contains(design, op, want, visited)),
+            .any(|op| cone_contains(index, op, want, visited)),
     }
 }
 

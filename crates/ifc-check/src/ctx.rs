@@ -1,9 +1,117 @@
-//! Guard-context extraction: value bindings and runtime-check permissions.
+//! Guard-context extraction: value bindings and runtime-check permissions;
+//! and the per-design index of drivers and memory reads behind them.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 
-use hdl::{BinOp, Design, Guard, LabelExpr, Node, NodeId, UnOp};
+use hdl::hash::FixedMap;
+use hdl::{Action, BinOp, Design, Guard, LabelExpr, MemId, Node, NodeId, UnOp};
 use ifc_lattice::{Label, SecurityTag};
+
+/// Lookups over one design that would otherwise each rescan it: every
+/// node's `connect` drivers, and the first read of every (memory,
+/// address) pair. Built once per [`check`](crate::check) or
+/// [`infer`](crate::infer) call, in time linear in the design.
+pub(crate) struct DesignIndex<'d> {
+    /// The indexed design.
+    pub design: &'d Design,
+    /// `connects[start[i]..start[i + 1]]` are the indices of the `connect`
+    /// statements driving node `i`, in statement order.
+    start: Vec<u32>,
+    connects: Vec<u32>,
+    /// The first `MemRead` node, in node order, of each memory at each
+    /// address node.
+    first_read: FixedMap<(MemId, NodeId), NodeId>,
+}
+
+impl<'d> DesignIndex<'d> {
+    /// Indexes `design`.
+    pub fn new(design: &'d Design) -> DesignIndex<'d> {
+        let n = design.node_count();
+        let stmts = design.stmts();
+        let dst = |i: usize| match stmts[i].action {
+            Action::Connect { dst, .. } => Some(dst.index()),
+            Action::MemWrite { .. } => None,
+        };
+        // Counting sort: count each node's drivers, turn the counts into
+        // range ends, then fill backwards so each range is in statement
+        // order and `start[i]` ends as the start of node `i`'s range.
+        let mut start = vec![0u32; n + 1];
+        for i in 0..stmts.len() {
+            if let Some(d) = dst(i) {
+                start[d] += 1;
+            }
+        }
+        for i in 1..=n {
+            start[i] += start[i - 1];
+        }
+        let mut connects = vec![0; start[n] as usize];
+        for i in (0..stmts.len()).rev() {
+            if let Some(d) = dst(i) {
+                start[d] -= 1;
+                connects[start[d] as usize] = i as u32;
+            }
+        }
+        let mut first_read = FixedMap::default();
+        for id in design.node_ids() {
+            if let Node::MemRead { mem, addr } = *design.node(id) {
+                first_read.entry((mem, addr)).or_insert(id);
+            }
+        }
+        DesignIndex {
+            design,
+            start,
+            connects,
+            first_read,
+        }
+    }
+
+    /// The guards and source of every `connect` driving `node`, in
+    /// statement order.
+    pub fn drivers(&self, node: NodeId) -> impl Iterator<Item = (&'d [Guard], NodeId)> + '_ {
+        let range = self.start[node.index()] as usize..self.start[node.index() + 1] as usize;
+        self.connects[range].iter().map(|&i| {
+            let stmt = &self.design.stmts()[i as usize];
+            let Action::Connect { src, .. } = stmt.action else {
+                unreachable!("only connects are indexed")
+            };
+            (stmt.guards.as_slice(), src)
+        })
+    }
+
+    /// If `node` is a wire driven by exactly one unconditional connect
+    /// (and no conditional ones), the driver; otherwise `None`.
+    pub fn wire_alias(&self, node: NodeId) -> Option<NodeId> {
+        if !matches!(self.design.node(node), Node::Wire { .. }) {
+            return None;
+        }
+        let mut drivers = self.drivers(node);
+        match (drivers.next(), drivers.next()) {
+            (Some(([], src)), None) => Some(src),
+            _ => None,
+        }
+    }
+
+    /// Resolves a memory's label annotation for an access at `addr`.
+    ///
+    /// Tagged storage (the Fig. 5 scratchpad) is annotated with
+    /// `FromTag(tag_read)` where `tag_read` is *one* read of the parallel
+    /// tag array. Semantically the label of cell `i` is `tag_array[i]`, so
+    /// an access at a different address must be paired with the tag-array
+    /// read at *its own* address: if the design contains
+    /// `MemRead(tag_mem, addr)` for this access's address node, the
+    /// annotation is rewritten to refer to it.
+    pub fn resolve_mem_label(&self, mem: MemId, addr: NodeId) -> Option<Cow<'d, LabelExpr>> {
+        let expr = self.design.mems()[mem.index()].label.as_ref()?;
+        let LabelExpr::FromTag(t) = expr else {
+            return Some(Cow::Borrowed(expr));
+        };
+        let Node::MemRead { mem: tag_mem, .. } = *self.design.node(*t) else {
+            return Some(Cow::Borrowed(expr));
+        };
+        let correlated = self.first_read.get(&(tag_mem, addr)).copied();
+        Some(Cow::Owned(LabelExpr::FromTag(correlated.unwrap_or(*t))))
+    }
+}
 
 /// Facts established by a statement's guard conjunction.
 ///
@@ -18,7 +126,7 @@ use ifc_lattice::{Label, SecurityTag};
 #[derive(Debug, Clone, Default)]
 pub struct GuardCtx {
     /// Signals with a known constant value inside the guard.
-    pub bindings: HashMap<NodeId, u128>,
+    pub bindings: FixedMap<NodeId, u128>,
     /// `TagLeq(a, b)` facts known true inside the guard.
     pub perms: Vec<(NodeId, NodeId)>,
 }
@@ -103,19 +211,20 @@ impl GuardCtx {
     /// Whether the guard establishes `tag(src) ⊑ tag(dst)` at runtime,
     /// treating constant tag nodes by value.
     #[must_use]
-    pub fn permits_tag_flow(&self, design: &Design, src: NodeId, dst: NodeId) -> bool {
+    pub fn permits_tag_flow(&self, index: &DesignIndex<'_>, src: NodeId, dst: NodeId) -> bool {
         self.perms
             .iter()
-            .any(|&(a, b)| tag_matches(design, a, src) && tag_matches(design, b, dst))
+            .any(|&(a, b)| tag_matches(index, a, src) && tag_matches(index, b, dst))
     }
 
     /// Whether the guard establishes `tag(src) ⊑ L` for a static sink
     /// label: a `TagLeq(src, k)` fact where `k` is a constant whose decoded
     /// label flows to `L`.
     #[must_use]
-    pub fn permits_tag_to_static(&self, design: &Design, src: NodeId, sink: Label) -> bool {
+    pub fn permits_tag_to_static(&self, index: &DesignIndex<'_>, src: NodeId, sink: Label) -> bool {
         self.perms.iter().any(|&(a, b)| {
-            tag_matches(design, a, src) && const_tag(design, b).is_some_and(|l| l.flows_to(sink))
+            tag_matches(index, a, src)
+                && const_tag(index.design, b).is_some_and(|l| l.flows_to(sink))
         })
     }
 
@@ -123,73 +232,31 @@ impl GuardCtx {
     /// label: a `TagLeq(k, dst)` fact where `k` is a constant whose decoded
     /// label dominates `L`.
     #[must_use]
-    pub fn permits_static_to_tag(&self, design: &Design, source: Label, dst: NodeId) -> bool {
+    pub fn permits_static_to_tag(
+        &self,
+        index: &DesignIndex<'_>,
+        source: Label,
+        dst: NodeId,
+    ) -> bool {
         self.perms.iter().any(|&(a, b)| {
-            tag_matches(design, b, dst) && const_tag(design, a).is_some_and(|l| source.flows_to(l))
+            tag_matches(index, b, dst)
+                && const_tag(index.design, a).is_some_and(|l| source.flows_to(l))
         })
     }
 }
 
 /// Whether guard operand `a` denotes the same tag as `want` — directly, or
 /// through a wire alias.
-fn tag_matches(design: &Design, a: NodeId, want: NodeId) -> bool {
+fn tag_matches(index: &DesignIndex<'_>, a: NodeId, want: NodeId) -> bool {
     if a == want {
         return true;
     }
     // Follow single-source wire aliases in both directions, one level deep
     // on each side (enough for the builder idioms used by the accelerator).
-    wire_alias(design, a) == Some(want)
-        || wire_alias(design, want) == Some(a)
-        || matches!(
-            (wire_alias(design, a), wire_alias(design, want)),
-            (Some(x), Some(y)) if x == y
-        )
-}
-
-/// If `node` is a wire driven by exactly one unconditional connect (and no
-/// conditional ones), the driver; otherwise `None`.
-pub(crate) fn wire_alias(design: &Design, node: NodeId) -> Option<NodeId> {
-    if !matches!(design.node(node), Node::Wire { .. }) {
-        return None;
-    }
-    let mut unconditional = None;
-    for s in design.stmts() {
-        if let hdl::Action::Connect { dst, src } = s.action {
-            if dst == node {
-                if !s.guards.is_empty() || unconditional.is_some() {
-                    return None;
-                }
-                unconditional = Some(src);
-            }
-        }
-    }
-    unconditional
-}
-
-/// Resolves a memory's label annotation for an access at `addr`.
-///
-/// Tagged storage (the Fig. 5 scratchpad) is annotated with
-/// `FromTag(tag_read)` where `tag_read` is *one* read of the parallel tag
-/// array. Semantically the label of cell `i` is `tag_array[i]`, so an
-/// access at a different address must be paired with the tag-array read at
-/// *its own* address: if the design contains `MemRead(tag_mem, addr)` for
-/// this access's address node, the annotation is rewritten to refer to it.
-pub fn resolve_mem_label(design: &Design, mem: hdl::MemId, addr: NodeId) -> Option<LabelExpr> {
-    let expr = design.mems()[mem.index()].label.clone()?;
-    let LabelExpr::FromTag(t) = &expr else {
-        return Some(expr);
-    };
-    let Node::MemRead { mem: tag_mem, .. } = design.node(*t) else {
-        return Some(expr);
-    };
-    let tag_mem = *tag_mem;
-    let correlated = design.node_ids().find(|&id| {
-        matches!(
-            design.node(id),
-            Node::MemRead { mem: m2, addr: a2 } if *m2 == tag_mem && *a2 == addr
-        )
-    });
-    Some(LabelExpr::FromTag(correlated.unwrap_or(*t)))
+    let (alias_a, alias_want) = (index.wire_alias(a), index.wire_alias(want));
+    alias_a == Some(want)
+        || alias_want == Some(a)
+        || matches!((alias_a, alias_want), (Some(x), Some(y)) if x == y)
 }
 
 /// Decodes a constant 8-bit node as a security label.
@@ -292,8 +359,9 @@ mod tests {
         m.when(ok, |m| m.connect(w, a));
         let d = m.finish();
         let ctx = GuardCtx::from_guards(&d, &d.stmts()[1].guards);
-        assert!(ctx.permits_tag_flow(&d, a.id(), b.id()));
-        assert!(!ctx.permits_tag_flow(&d, b.id(), a.id()));
+        let index = DesignIndex::new(&d);
+        assert!(ctx.permits_tag_flow(&index, a.id(), b.id()));
+        assert!(!ctx.permits_tag_flow(&index, b.id(), a.id()));
     }
 
     #[test]
@@ -308,8 +376,13 @@ mod tests {
         m.when(ok, |m| m.connect(w, a));
         let d = m.finish();
         let ctx = GuardCtx::from_guards(&d, &d.stmts()[1].guards);
-        assert!(ctx.permits_tag_to_static(&d, a.id(), secret));
-        assert!(!ctx.permits_tag_to_static(&d, a.id(), Label::new(Conf::PUBLIC, Integ::new(3))));
+        let index = DesignIndex::new(&d);
+        assert!(ctx.permits_tag_to_static(&index, a.id(), secret));
+        assert!(!ctx.permits_tag_to_static(
+            &index,
+            a.id(),
+            Label::new(Conf::PUBLIC, Integ::new(3))
+        ));
     }
 
     #[test]

@@ -643,7 +643,7 @@ fn dead_logic_pass(
 
     // Unconstrained wires — statement-level, so only with the design.
     if let Some(d) = design {
-        for id in crate::infer::unconstrained_wires(d) {
+        for id in crate::infer::unconstrained_wires(&crate::ctx::DesignIndex::new(d)) {
             emit(
                 report,
                 cfg,

@@ -1,10 +1,10 @@
 //! Global label inference: a monotone fixpoint over the design, run on
 //! the shared dataflow engine.
 
-use hdl::{Action, Design, Node, NodeId};
+use hdl::{Design, Guard, Node, NodeId};
 
 use crate::alabel::AbstractLabel;
-use crate::ctx::{refine_source, resolve_mem_label, GuardCtx};
+use crate::ctx::{refine_source, DesignIndex, GuardCtx};
 use crate::dataflow::{fixpoint, Facts, Graph, Lattice, Slot, Transfer};
 
 /// The result of label inference.
@@ -42,7 +42,7 @@ struct LabelFlow<'d> {
     /// The contract of each annotated node; `None` where it is inferred.
     contracts: Vec<Option<AbstractLabel>>,
     /// Per `MemRead` of a labelled memory: the annotation resolved for its
-    /// address (see [`resolve_mem_label`]), computed once.
+    /// address (see [`DesignIndex::resolve_mem_label`]), computed once.
     read_labels: Vec<Option<AbstractLabel>>,
 }
 
@@ -73,6 +73,12 @@ impl Transfer for LabelFlow<'_> {
 /// them — this is what propagates timing dependences into handshake
 /// signals.
 pub fn infer(design: &Design) -> Inference {
+    infer_indexed(&DesignIndex::new(design))
+}
+
+/// [`infer`] over an already built index of the design.
+pub(crate) fn infer_indexed(index: &DesignIndex<'_>) -> Inference {
+    let design = index.design;
     let n = design.node_count();
     let empty_ctx = GuardCtx::default();
     let mut warnings = Vec::new();
@@ -92,7 +98,8 @@ pub fn infer(design: &Design) -> Inference {
             ));
         }
         if let Node::MemRead { mem, addr } = *design.node(id) {
-            flow.read_labels[id.index()] = resolve_mem_label(design, mem, addr)
+            flow.read_labels[id.index()] = index
+                .resolve_mem_label(mem, addr)
                 .map(|expr| refine_source(design, &expr, &empty_ctx));
         }
     }
@@ -100,7 +107,7 @@ pub fn infer(design: &Design) -> Inference {
     // Unconstrained wires: collect the whole set in one pass — the
     // diagnostic is most useful complete, whereas lowering bails at the
     // first offender.
-    let unconstrained = unconstrained_wires(design);
+    let unconstrained = unconstrained_wires(index);
     for &id in &unconstrained {
         warnings.push(format!(
             "wire {} is not driven in every cycle and has no default; \
@@ -123,24 +130,20 @@ pub fn infer(design: &Design) -> Inference {
 /// one pass, in node order — unlike lowering, which stops at the first
 /// offender (`LowerError::PartiallyDrivenWire`). Shared by [`infer`] and
 /// the dead-logic lint pass.
-pub(crate) fn unconstrained_wires(design: &Design) -> Vec<NodeId> {
-    let mut connects: std::collections::HashMap<NodeId, Vec<Vec<hdl::Guard>>> =
-        std::collections::HashMap::new();
-    for stmt in design.stmts() {
-        if let Action::Connect { dst, .. } = stmt.action {
-            connects.entry(dst).or_default().push(stmt.guards.clone());
-        }
-    }
-    let mut unconstrained = Vec::new();
-    for id in design.node_ids() {
-        if let Node::Wire { default: None, .. } = design.node(id) {
-            let guards = connects.remove(&id).unwrap_or_default();
-            if !wire_fully_driven(&guards) {
-                unconstrained.push(id);
+pub(crate) fn unconstrained_wires(index: &DesignIndex<'_>) -> Vec<NodeId> {
+    let design = index.design;
+    let mut guards = Vec::new();
+    design
+        .node_ids()
+        .filter(|&id| {
+            if !matches!(design.node(id), Node::Wire { default: None, .. }) {
+                return false;
             }
-        }
-    }
-    unconstrained
+            guards.clear();
+            guards.extend(index.drivers(id).map(|(g, _)| g));
+            !wire_fully_driven(&mut guards)
+        })
+        .collect()
 }
 
 /// Whether a defaultless wire's guard sequences cover every cycle —
@@ -148,20 +151,18 @@ pub(crate) fn unconstrained_wires(design: &Design) -> Vec<NodeId> {
 /// whose guards differ only in a complementary final literal merge into
 /// their shared prefix (the `when_else` pattern), and the sequence is
 /// covering iff an unconditional driver exists before (or instead of)
-/// every conditional one.
-fn wire_fully_driven(guards: &[Vec<hdl::Guard>]) -> bool {
-    let mut seqs: Vec<Vec<hdl::Guard>> = guards.to_vec();
+/// every conditional one. Merges in place.
+fn wire_fully_driven(seqs: &mut Vec<&[Guard]>) -> bool {
     let mut i = 0;
     while i + 1 < seqs.len() {
-        let (ga, gb) = (&seqs[i], &seqs[i + 1]);
+        let (ga, gb) = (seqs[i], seqs[i + 1]);
         let mergeable = !ga.is_empty()
             && ga.len() == gb.len()
             && ga[..ga.len() - 1] == gb[..gb.len() - 1]
             && ga[ga.len() - 1].cond == gb[gb.len() - 1].cond
             && ga[ga.len() - 1].polarity != gb[gb.len() - 1].polarity;
         if mergeable {
-            let prefix = ga[..ga.len() - 1].to_vec();
-            seqs[i] = prefix;
+            seqs[i] = &ga[..ga.len() - 1];
             seqs.remove(i + 1);
             i = i.saturating_sub(1);
         } else {
@@ -169,7 +170,7 @@ fn wire_fully_driven(guards: &[Vec<hdl::Guard>]) -> bool {
         }
     }
     let mut covered = false;
-    for seq in &seqs {
+    for seq in seqs.iter() {
         if seq.is_empty() {
             covered = true;
         } else if !covered {

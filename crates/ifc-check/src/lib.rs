@@ -53,7 +53,7 @@ pub mod policy;
 pub mod prover;
 mod report;
 
-pub use alabel::AbstractLabel;
+pub use alabel::{AbstractLabel, TagSet};
 pub use blame::runtime_blame;
 pub use checker::check;
 pub use dataflow::{

@@ -12,9 +12,10 @@
 //!   master-key misuse that the release check refuses), configuration
 //!   writes, a debug read, decryptions and a receiver outage that fills
 //!   the output holding buffer through [`AccelDriver`] and a one-lane
-//!   [`BatchedDriver`] must yield identical responses, rejections,
+//!   [`BatchedDriver`] must yield identical responses, rejections, drops,
 //!   violations, cycle counts, configuration and debug-port state, and
-//!   buffer, drop and rejection counters.
+//!   buffer, drop and rejection counters; after the outage both drain,
+//!   each response paired with its own request.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,6 +25,7 @@ use secure_aes_ifc::accel::driver::{
 };
 use secure_aes_ifc::accel::engine::iterative_engine;
 use secure_aes_ifc::accel::{protected, supervisor_label, user_label, MASTER_KEY_SLOT};
+use secure_aes_ifc::aes_core::Aes;
 use secure_aes_ifc::hdl::Netlist;
 use secure_aes_ifc::ifc_lattice::Label;
 use secure_aes_ifc::sim::{BatchedSim, Simulator, TrackMode};
@@ -137,10 +139,16 @@ fn schedule(seed: u64) -> ([u8; 16], Vec<Request>) {
 /// Decrypts the first three ciphertexts, then has Alice stream while
 /// Eve's blocks sit mid-pipeline and the receiver is blocked for 40
 /// cycles: Alice's stall requests are denied, so completions divert to
-/// the output holding buffer until it overflows. Returns, per cycle,
-/// whether a submit was refused and the `outbuf.count`, `drop_count`
-/// and `nm_reject_count` counters.
-fn decrypt_and_backpressure<E: LanePorts>(d: &mut Driver<E>, eve_key: [u8; 16]) -> Vec<[u16; 4]> {
+/// the output holding buffer until it overflows. Then drains: every
+/// accepted request must end as its own response (its ciphertext under
+/// its user's key, its submit cycle and user) or as a drop, one per step
+/// of `drop_count`. Returns, per cycle, whether a submit was refused and
+/// the `outbuf.count`, `drop_count` and `nm_reject_count` counters.
+fn decrypt_and_backpressure<E: LanePorts>(
+    d: &mut Driver<E>,
+    alice_key: [u8; 16],
+    eve_key: [u8; 16],
+) -> Vec<[u16; 4]> {
     let (alice, eve) = (user_label(1), user_label(0));
     let decrypts: Vec<Request> = d.responses[0]
         .iter()
@@ -157,7 +165,9 @@ fn decrypt_and_backpressure<E: LanePorts>(d: &mut Driver<E>, eve_key: [u8; 16]) 
     d.drain(500);
     d.load_key(1, eve_key, eve);
     let mut trace = Vec::new();
+    let mut sent = Vec::new();
     let start = d.cycle();
+    let (responded, rejected) = (d.responses[0].len(), d.rejections[0].len());
     while d.cycle() - start < 140 {
         let t = d.cycle() - start;
         d.set_receiver_ready(!(20..60).contains(&t));
@@ -171,7 +181,11 @@ fn decrypt_and_backpressure<E: LanePorts>(d: &mut Driver<E>, eve_key: [u8; 16]) 
             key_slot,
             user,
         };
+        let submitted = d.cycle();
         let refused = t < 90 && !d.try_submit(&req);
+        if t < 90 && !refused {
+            sent.push((submitted, req));
+        }
         if t >= 90 {
             d.idle_cycle();
         }
@@ -182,10 +196,34 @@ fn decrypt_and_backpressure<E: LanePorts>(d: &mut Driver<E>, eve_key: [u8; 16]) 
             d.nm_reject_count(),
         ]);
     }
-    // Overflowed blocks never emit, so their requests stay in flight:
-    // idle out the rest instead of draining.
     d.set_receiver_ready(true);
-    d.idle(80);
+    d.drain(500);
+    let drops = usize::from(d.drop_count());
+
+    let cipher = |user: Label| Aes::new_128(if user == eve { eve_key } else { alice_key });
+    let responses = &d.responses[0][responded..];
+    for r in responses {
+        let (_, req) = sent
+            .iter()
+            .find(|(submitted, _)| *submitted == r.submitted)
+            .expect("a response to an accepted request");
+        assert_eq!(r.user, req.user, "submitted at {}", r.submitted);
+        assert_eq!(
+            r.block,
+            cipher(req.user).encrypt_block(req.block),
+            "submitted at {}",
+            r.submitted
+        );
+    }
+    assert_eq!(d.rejections[0].len(), rejected, "no release refusals");
+    assert_eq!(d.dropped[0].len(), drops, "one drop per drop_count step");
+    let unanswered: Vec<Label> = sent
+        .iter()
+        .filter(|(submitted, _)| responses.iter().all(|r| r.submitted != *submitted))
+        .map(|(_, req)| req.user)
+        .collect();
+    let dropped: Vec<Label> = d.dropped[0].iter().map(|x| x.user).collect();
+    assert_eq!(unanswered, dropped, "every unanswered request was dropped");
     trace
 }
 
@@ -258,8 +296,12 @@ fn accelerator_transactions_agree_across_backends() {
         assert!(!debug_port_admits(b.sim().netlist(), alice));
 
         let eve_key = [0xE5; 16];
-        let trace = decrypt_and_backpressure(&mut a, eve_key);
-        assert_eq!(trace, decrypt_and_backpressure(&mut b, eve_key), "{mode:?}");
+        let trace = decrypt_and_backpressure(&mut a, key, eve_key);
+        assert_eq!(
+            trace,
+            decrypt_and_backpressure(&mut b, key, eve_key),
+            "{mode:?}"
+        );
         // The outage must actually stall the pipeline, fill the holding
         // buffer and overflow it.
         assert!(trace.iter().any(|c| c[0] == 1), "expected refused submits");
@@ -268,6 +310,7 @@ fn accelerator_transactions_agree_across_backends() {
 
         assert_eq!(a.responses[0], b.responses[0], "{mode:?}");
         assert_eq!(a.rejections[0], b.rejections[0], "{mode:?}");
+        assert_eq!(a.dropped[0], b.dropped[0], "{mode:?}");
         assert_eq!(a.violations(0), b.violations(0), "{mode:?}");
         assert_eq!(a.cycle(), b.cycle(), "{mode:?}");
         // The schedule includes master-key misuse, so in tracking modes

@@ -1,4 +1,5 @@
-//! Proof that the simulation hot path performs zero heap allocations.
+//! Proof that the simulation hot path performs zero heap allocations,
+//! and that the static checker stays within its allocation bound.
 //!
 //! A counting global allocator wraps the system allocator; after a
 //! warm-up pass (first-touch interning of input stimulus, lazy table
@@ -6,7 +7,9 @@
 //! full protected accelerator must allocate nothing — on the interpreting
 //! reference simulator and on every lane width of the tape engine.
 //! (Recording a violation does allocate; the workload here is
-//! violation-free, which the test asserts.)
+//! violation-free, which the test asserts.) One `ifc_check::check` of
+//! the same design must allocate fewer than [`CHECK_ALLOCATION_BOUND`]
+//! times.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -152,4 +155,23 @@ fn batched_tick_and_eval_do_not_allocate() {
             );
         }
     }
+}
+
+/// Heap allocations one `ifc_check::check(&protected())` may make; it
+/// makes 344. The bound leaves room for small changes, while a tag set
+/// rebuilt on every label join or clone would make tens of thousands.
+const CHECK_ALLOCATION_BOUND: usize = 1_000;
+
+#[test]
+fn static_check_allocates_within_its_bound() {
+    let _guard = serial();
+    let design = protected();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let report = secure_aes_ifc::ifc_check::check(&design);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert!(report.is_secure(), "{report}");
+    assert!(
+        allocations < CHECK_ALLOCATION_BOUND,
+        "check(protected) made {allocations} allocations (bound {CHECK_ALLOCATION_BOUND})"
+    );
 }
