@@ -5,8 +5,9 @@
 //! directory and prints what a reviewer wants to know before opening the
 //! trace in Perfetto: event counts by name and track, the audit trail
 //! grouped by kind and tenant, flight-dump shape, and the headline
-//! metrics. Files that are absent are skipped with a note, so the tool
-//! works on partial sets.
+//! farm metrics. Files that are absent are skipped with a note, and a
+//! file that does not parse is reported as unreadable, so the tool works
+//! on partial or damaged sets.
 //!
 //! Usage: `cargo run -p bench --bin obs_report [DIR]`
 
@@ -14,7 +15,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
 
-use telemetry::{AuditLog, MetricsSnapshot, Trace};
+use telemetry::{AuditLog, Json, Trace};
 
 /// One artifact: file name plus the renderer for its contents.
 type ReportJob = (&'static str, fn(&str));
@@ -92,17 +93,54 @@ fn report_audit(text: &str) {
     }
 }
 
+/// The digest of a `FarmMetrics` JSON document: the farm-wide
+/// headline, the width-quanta histogram, and one line per tenant.
+fn metrics_digest(text: &str) -> Result<Vec<String>, String> {
+    let m = Json::parse(text)?;
+    let mut lines = vec![format!(
+        "{} blocks, {:.0} blocks/s, stall rate {:.4}, {} repacks, {} steals",
+        m.field("blocks_total", Json::as_u64)?,
+        m.field("blocks_per_sec", Json::as_f64)?,
+        m.field("stall_rate", Json::as_f64)?,
+        m.field("repacks", Json::as_u64)?,
+        m.field("steals", Json::as_u64)?,
+    )];
+    let widths = m
+        .field("width_quanta", Json::as_arr)?
+        .iter()
+        .map(|w| {
+            Ok(format!(
+                "w{} {}",
+                w.field("width", Json::as_u64)?,
+                w.field("quanta", Json::as_u64)?
+            ))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    lines.push(format!("  width quanta: {}", widths.join(", ")));
+    for t in m.field("tenants", Json::as_arr)? {
+        let count = |key| t.field(key, Json::as_u64);
+        lines.push(format!(
+            "  tenant {}: {} submitted, {} admission-rejected, {} queue-rejected, \
+             {} completed, {} blocks, {} verified, {} violations, {} hw-rejected",
+            t.field("name", Json::as_str)?,
+            count("submitted")?,
+            count("admission_rejected")?,
+            count("queue_rejected")?,
+            count("completed")?,
+            count("blocks")?,
+            count("verified")?,
+            count("violations")?,
+            count("hw_rejections")?,
+        ));
+    }
+    Ok(lines)
+}
+
 fn report_metrics(text: &str) {
-    match MetricsSnapshot::from_json(text) {
-        Ok(snap) => {
-            for (name, v) in &snap.counters {
-                println!("  {name} = {v}");
-            }
-            for (name, v) in &snap.gauges {
-                println!("  {name} = {v}");
-            }
-            for (name, h) in &snap.histograms {
-                println!("  {name}: {} observations, sum {:.1}", h.count, h.sum);
+    match metrics_digest(text) {
+        Ok(lines) => {
+            for line in lines {
+                println!("{line}");
             }
         }
         Err(e) => println!("unreadable metrics: {e}"),
@@ -157,4 +195,77 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use farm::{FarmMetrics, TenantMetrics};
+
+    fn rendered_metrics() -> String {
+        FarmMetrics {
+            elapsed_secs: 0.5,
+            blocks_total: 64,
+            blocks_per_sec: 128.0,
+            queue_depth: 0,
+            active_jobs: 0,
+            stall_cycles: 3,
+            busy_lane_cycles: 300,
+            idle_lane_cycles: 12,
+            stall_rate: 0.01,
+            repacks: 2,
+            steals: 1,
+            width_quanta: vec![(1, 4), (4, 9)],
+            tenants: vec![TenantMetrics {
+                name: "bulk".into(),
+                submitted: 2,
+                admission_rejected: 1,
+                queue_rejected: 0,
+                completed: 2,
+                blocks: 64,
+                verified: 64,
+                violations: 0,
+                hw_rejections: 0,
+                blocks_per_sec: 128.0,
+            }],
+        }
+        .to_json()
+        .render()
+    }
+
+    #[test]
+    fn metrics_digest_reads_the_farm_metrics_record() {
+        let lines = metrics_digest(&rendered_metrics()).expect("a rendered record digests");
+        assert_eq!(
+            lines[0],
+            "64 blocks, 128 blocks/s, stall rate 0.0100, 2 repacks, 1 steals"
+        );
+        assert_eq!(lines[1], "  width quanta: w1 4, w4 9");
+        assert!(lines[2].starts_with("  tenant bulk: 2 submitted, 1 admission-rejected"));
+    }
+
+    #[test]
+    fn bad_metrics_files_are_unreadable_not_fatal() {
+        let full = rendered_metrics();
+        for cut in 0..full.len() {
+            assert!(
+                metrics_digest(&full[..cut]).is_err(),
+                "truncated at {cut} digests"
+            );
+        }
+        // Arbitrary bytes from a fixed xorshift walk, decoded lossily.
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..256 {
+            let bytes: Vec<u8> = (0..64)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x.to_le_bytes()[0]
+                })
+                .collect();
+            assert!(metrics_digest(&String::from_utf8_lossy(&bytes)).is_err());
+        }
+        assert!(metrics_digest("{\"blocks_total\": \"many\"}").is_err());
+    }
 }

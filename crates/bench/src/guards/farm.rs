@@ -249,7 +249,7 @@ pub fn run(seed: u64) -> Outcome {
     // isn't measuring first-touch costs.
     let _ = run_static(&net, TrackMode::Precise, &static_specs);
     let loads = tenant_loads();
-    let _ = run_churn(&net, None, &loads, &[], &jobs);
+    let _ = run_churn(&net, false, &loads, &[], &jobs);
 
     // Interleave the two sides rep by rep and gate on their paired ratio.
     let mut last: Option<FarmReport> = None;
@@ -259,7 +259,7 @@ pub fn run(seed: u64) -> Outcome {
             sreport.all_verified(),
             "static baseline produced a bad ciphertext"
         );
-        let freport = run_churn(&net, None, &loads, &[], &jobs);
+        let freport = run_churn(&net, false, &loads, &[], &jobs);
         let rates = (freport.metrics.blocks_per_sec, sreport.blocks_per_sec());
         last = Some(freport);
         rates

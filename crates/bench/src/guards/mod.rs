@@ -17,7 +17,6 @@ use std::time::Duration;
 
 use ::farm::{Farm, FarmConfig, FarmReport, JobSpec, TenantSpec};
 use ifc_lattice::Label;
-use telemetry::TelemetryConfig;
 
 pub mod farm;
 pub mod fuzz;
@@ -81,10 +80,10 @@ type Load = (&'static str, Label, usize, usize);
 /// non-blocking front door, which must refuse it, then submits `jobs`
 /// (tenant index, spec, gap slept before it) through the blocking one,
 /// and drains. The farm tracks precisely on one worker per hardware
-/// thread, with telemetry armed by `telemetry`.
+/// thread, with telemetry armed when `telemetry` is set.
 fn run_churn(
     net: &hdl::Netlist,
-    telemetry: Option<TelemetryConfig>,
+    telemetry: bool,
     loads: &[Load],
     refused: &[(usize, JobSpec)],
     jobs: &[(usize, JobSpec, Duration)],

@@ -14,20 +14,23 @@
 //!   engine cycle, and netlist-node attribution — plus a tag-plane
 //!   flight-recorder VCD for the offending lane that `sim::parse_vcd`
 //!   accepts;
+//! * the armed churn's drained `FarmMetrics` counts every block the
+//!   churn admitted, and renders to JSON that its own codec re-parses;
 //! * a paired on/off throughput comparison shows the disabled hot path
 //!   costs nothing: telemetry-off must not run slower than telemetry-on
 //!   beyond measurement noise.
 //!
 //! Reports the observed artifacts (`OBS_TRACE.json`, `OBS_AUDIT.json`,
-//! `OBS_METRICS.json`, `OBS_METRICS.prom`, `OBS_FLIGHT.vcd`,
-//! `OBS_GUARD.json`); CI uploads them and `obs_report` digests them.
+//! `OBS_METRICS.json` — the clean churn's `FarmMetrics` —,
+//! `OBS_FLIGHT.vcd`, `OBS_GUARD.json`); CI uploads them and `obs_report`
+//! digests them.
 
 use std::time::Duration;
 
 use accel::{protected, user_label, MASTER_KEY_SLOT};
 use attacks::mutate::{enumerate, run_mutant, CampaignConfig, KillStage};
-use farm::{FarmReport, JobSpec};
-use telemetry::{AuditKind, Json, TelemetryBundle, TelemetryConfig, Trace};
+use farm::{FarmMetrics, FarmReport, JobSpec};
+use telemetry::{AuditKind, Json, TelemetryBundle, Trace};
 
 use super::{paired, run_churn, Load, Outcome};
 
@@ -53,7 +56,7 @@ fn tenant_loads() -> [Load; 3] {
 /// Runs the churn (optionally with a label spoof and a master-slot grab
 /// per tenant injected, both of which admission must refuse) and
 /// returns the drained report.
-fn churn(net: &hdl::Netlist, tel: Option<TelemetryConfig>, attacks: bool) -> FarmReport {
+fn churn(net: &hdl::Netlist, tel: bool, attacks: bool) -> FarmReport {
     let loads = tenant_loads();
     let mut refused = Vec::new();
     let mut jobs = Vec::new();
@@ -89,8 +92,8 @@ fn churn(net: &hdl::Netlist, tel: Option<TelemetryConfig>, attacks: bool) -> Far
     run_churn(net, tel, &loads, &refused, &jobs)
 }
 
-/// Checks the clean-churn bundle: trace codec + shape, admission audit
-/// attribution, metrics presence.
+/// Checks the clean-churn bundle: trace codec + shape and admission
+/// audit attribution.
 fn check_clean_bundle(bundle: &TelemetryBundle, jobs: usize, failures: &mut Vec<String>) {
     let problems = bundle.trace.validate();
     if !problems.is_empty() {
@@ -144,14 +147,23 @@ fn check_clean_bundle(bundle: &TelemetryBundle, jobs: usize, failures: &mut Vec<
             ));
         }
     }
+}
 
-    if !bundle
-        .metrics
-        .counters
+/// Checks the clean churn's metrics record: every admitted block is
+/// counted, and the rendered `OBS_METRICS.json` survives its codec.
+fn check_metrics(metrics: &FarmMetrics, rendered: &str, failures: &mut Vec<String>) {
+    let admitted: usize = tenant_loads()
         .iter()
-        .any(|(k, v)| k == "farm_blocks_total" && *v > 0)
-    {
-        failures.push("metrics registry has no farm_blocks_total".into());
+        .map(|&(_, _, jobs, blocks)| jobs * blocks)
+        .sum();
+    if metrics.blocks_total != admitted as u64 {
+        failures.push(format!(
+            "FarmMetrics counts {} blocks, the churn admitted {admitted}",
+            metrics.blocks_total
+        ));
+    }
+    if let Err(e) = Json::parse(rendered) {
+        failures.push(format!("OBS_METRICS.json does not re-parse: {e}"));
     }
 }
 
@@ -226,10 +238,11 @@ pub fn run(seed: u64) -> Outcome {
 
     // 1. Clean churn, everything armed, admission attacks injected.
     println!("obs: clean churn with telemetry armed…");
-    let bundle = churn(&net, Some(TelemetryConfig::default()), true)
-        .telemetry
-        .expect("armed farm attaches a bundle");
+    let report = churn(&net, true, true);
+    let bundle = report.telemetry.expect("armed farm attaches a bundle");
     check_clean_bundle(&bundle, total_jobs, &mut failures);
+    let metrics_json = report.metrics.to_json().render() + "\n";
+    check_metrics(&report.metrics, &metrics_json, &mut failures);
 
     // 2. A runtime-killed mutant from the security catalogue: the same
     // farm over the faulted netlist must attribute every violation and
@@ -249,7 +262,7 @@ pub fn run(seed: u64) -> Outcome {
         .apply(&base)
         .lower()
         .expect("runtime-killed mutant lowers");
-    let mutant_bundle = churn(&mutant_net, Some(TelemetryConfig::default()), false)
+    let mutant_bundle = churn(&mutant_net, true, false)
         .telemetry
         .expect("armed farm attaches a bundle");
     let flight_vcd = check_mutant_bundle(&mutant_bundle, &mut failures);
@@ -257,8 +270,8 @@ pub fn run(seed: u64) -> Outcome {
     // 3. Paired overhead check: telemetry-off must not be the slow side.
     println!("obs: paired on/off throughput ({REPS} reps)…");
     let (off_bps, on_bps, off_on) = paired(REPS, || {
-        let on = churn(&net, Some(TelemetryConfig::default()), false);
-        let off = churn(&net, None, false);
+        let on = churn(&net, true, false);
+        let off = churn(&net, false, false);
         (off.metrics.blocks_per_sec, on.metrics.blocks_per_sec)
     });
     println!("obs: telemetry on {on_bps:.0} blocks/s | off {off_bps:.0} | off/on {off_on:.2}x");
@@ -273,8 +286,7 @@ pub fn run(seed: u64) -> Outcome {
     let reports = vec![
         ("OBS_TRACE.json".into(), bundle.trace.to_chrome_json()),
         ("OBS_AUDIT.json".into(), mutant_bundle.audit.to_json()),
-        ("OBS_METRICS.json".into(), bundle.metrics.to_json()),
-        ("OBS_METRICS.prom".into(), bundle.metrics.to_prometheus()),
+        ("OBS_METRICS.json".into(), metrics_json),
         (
             "OBS_FLIGHT.vcd".into(),
             flight_vcd.unwrap_or_else(|| "$comment no dump captured $end\n".into()),

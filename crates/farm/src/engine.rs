@@ -120,12 +120,12 @@ impl ActiveJob {
 
 /// The telemetry an engine carries when the farm runs with observability
 /// on: the shared tracer/audit handles, this worker's trace thread id,
-/// and (optionally) a tag-plane flight recorder sampling every cycle.
+/// and a tag-plane flight recorder sampling every cycle.
 #[derive(Debug)]
 pub(crate) struct EngineTel {
     pub(crate) tracer: Tracer,
     pub(crate) audit: AuditSink,
-    pub(crate) flight: Option<FlightRecorder>,
+    pub(crate) flight: FlightRecorder,
     /// Trace thread id (1 + worker index; 0 is the front door).
     pub(crate) tid: u64,
     /// The farm's tenant registry, for name attribution on the audit
@@ -381,9 +381,7 @@ impl LaneEngine {
     /// flight-dump trigger on the offending lane).
     fn observe(&mut self) {
         let Some(tel) = self.tel.as_mut() else { return };
-        if let Some(flight) = tel.flight.as_mut() {
-            flight.sample(self.driver.sim_mut());
-        }
+        tel.flight.sample(self.driver.sim_mut());
         for lane in 0..self.lanes.len() {
             let vios = self.driver.violations(lane);
             if vios.len() <= self.vio_seen[lane] {
@@ -427,9 +425,7 @@ impl LaneEngine {
                     source,
                     detail: detail.clone(),
                 });
-                if let Some(flight) = tel.flight.as_mut() {
-                    flight.trigger(lane, v.cycle(), &detail);
-                }
+                tel.flight.trigger(lane, v.cycle(), &detail);
             }
         }
     }
@@ -438,8 +434,8 @@ impl LaneEngine {
     /// engine is dropped or dismantled, so a violation caught within
     /// `post_roll` cycles of the end still produces its VCD.
     pub(crate) fn flush_flight(&mut self) {
-        if let Some(flight) = self.tel.as_mut().and_then(|t| t.flight.as_mut()) {
-            flight.flush();
+        if let Some(tel) = self.tel.as_mut() {
+            tel.flight.flush();
         }
     }
 

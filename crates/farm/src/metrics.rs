@@ -1,6 +1,8 @@
 //! Plain-data metrics snapshots and their JSON rendering through the
-//! workspace codec ([`telemetry::Json`]). The shape is consumed by the
-//! `farm` guard and uploaded as a CI artifact.
+//! workspace codec ([`telemetry::Json`]) — the farm's one metrics
+//! record, counted at the source whether telemetry is armed or not. The
+//! `farm` and `obs` guards write it (`BENCH_farm.json`,
+//! `OBS_METRICS.json`) and `obs_report` digests it.
 
 use telemetry::Json;
 

@@ -15,19 +15,10 @@ use crate::tenant::{AdmissionError, Job, JobOutcome, JobSpec, TenantEntry, Tenan
 
 use accel::MASTER_KEY_SLOT;
 use ifc_lattice::Label;
-use telemetry::{
-    arg, AuditEvent, AuditKind, FlightRecorder, SignalDef, Telemetry, TelemetryBundle,
-    TelemetryConfig,
-};
+use telemetry::{arg, AuditEvent, AuditKind, SignalDef, Telemetry, TelemetryBundle};
 
 /// Trace thread id of the admission front door (workers are `1 + w`).
 const FRONT_DOOR_TID: u64 = 0;
-
-/// Bucket bounds (microseconds) for the scheduling-quantum duration
-/// histogram.
-const QUANTUM_US_BOUNDS: &[f64] = &[
-    50.0, 100.0, 250.0, 500.0, 1_000.0, 2_500.0, 5_000.0, 10_000.0, 25_000.0, 100_000.0,
-];
 
 /// How long an idle worker sleeps between queue polls.
 const IDLE_POLL: Duration = Duration::from_micros(200);
@@ -44,10 +35,12 @@ pub struct FarmConfig {
     pub queue_capacity: usize,
     /// Cycles per scheduling quantum — the re-pack decision cadence.
     pub repack_quantum: u64,
-    /// Observability: `None` (the default) arms nothing and keeps the
-    /// hot path at a single branch; `Some` arms the configured
-    /// instruments and attaches the bundle to the drain report.
-    pub telemetry: Option<TelemetryConfig>,
+    /// Observability: `false` (the default) arms nothing and keeps the
+    /// hot path at a single branch; `true` arms the tracer, the audit
+    /// trail and the flight recorder together and attaches their bundle
+    /// to the drain report. Counters are kept either way, in
+    /// [`FarmReport::metrics`].
+    pub telemetry: bool,
 }
 
 impl Default for FarmConfig {
@@ -57,7 +50,7 @@ impl Default for FarmConfig {
             workers: 0,
             queue_capacity: 64,
             repack_quantum: 64,
-            telemetry: None,
+            telemetry: false,
         }
     }
 }
@@ -71,7 +64,8 @@ struct Shared {
     outcomes: Mutex<Vec<JobOutcome>>,
     /// Armed observability instruments; `None` = telemetry off.
     tel: Option<Telemetry>,
-    /// Flight-recorder signal set, resolved once against the netlist.
+    /// Flight-recorder signal set (every port of the design under
+    /// test), resolved once against the netlist when telemetry is armed.
     flight_signals: Vec<SignalDef>,
     /// Jobs admitted but not yet completed (queued or on a lane).
     active_jobs: AtomicUsize,
@@ -137,10 +131,11 @@ impl Farm {
             config.workers
         };
         let proto = BatchedSim::with_tracking_opt(net.clone(), config.mode, 1, &OptConfig::all());
-        let tel = config.telemetry.clone().map(Telemetry::new);
-        let flight_signals = match &config.telemetry {
-            Some(tc) if tc.flight => resolve_flight_signals(net, &tc.flight_signals),
-            _ => Vec::new(),
+        let tel = config.telemetry.then(Telemetry::arm);
+        let flight_signals = if config.telemetry {
+            port_signals(net)
+        } else {
+            Vec::new()
         };
         let shared = Arc::new(Shared {
             proto,
@@ -328,9 +323,6 @@ impl Farm {
                 tel.tracer
                     .thread_name(worker_tid(w), &format!("worker-{w}"));
             }
-            if tel.config.metrics {
-                feed_registry(tel, &metrics);
-            }
             tel.bundle()
         });
         FarmReport {
@@ -365,74 +357,17 @@ fn audit_admission(shared: &Shared, tenant: TenantId, name: &str, err: &Admissio
     );
 }
 
-/// Loads the final counters into the metrics registry at drain time, so
-/// the bundle's registry snapshot mirrors [`FarmMetrics`] under stable
-/// Prometheus-style names. Called once per farm lifetime.
-fn feed_registry(tel: &Telemetry, m: &FarmMetrics) {
-    let reg = &tel.registry;
-    reg.counter("farm_blocks_total").add(m.blocks_total);
-    reg.counter("farm_repacks_total").add(m.repacks);
-    reg.counter("farm_steals_total").add(m.steals);
-    reg.counter("farm_stall_cycles_total").add(m.stall_cycles);
-    reg.counter("farm_busy_lane_cycles_total")
-        .add(m.busy_lane_cycles);
-    reg.counter("farm_idle_lane_cycles_total")
-        .add(m.idle_lane_cycles);
-    reg.gauge("farm_blocks_per_sec").set(m.blocks_per_sec);
-    reg.gauge("farm_stall_rate").set(m.stall_rate);
-    reg.gauge("farm_elapsed_secs").set(m.elapsed_secs);
-    for (w, q) in &m.width_quanta {
-        reg.counter(&format!("farm_width_quanta_w{w}_total"))
-            .add(*q);
-    }
-    for (i, t) in m.tenants.iter().enumerate() {
-        let c = |field: &str| reg.counter(&format!("farm_tenant_{i}_{field}_total"));
-        c("submitted").add(t.submitted);
-        c("admission_rejected").add(t.admission_rejected);
-        c("queue_rejected").add(t.queue_rejected);
-        c("completed").add(t.completed);
-        c("blocks").add(t.blocks);
-        c("verified").add(t.verified);
-        c("violations").add(t.violations);
-        c("hw_rejections").add(t.hw_rejections);
-    }
-}
-
-/// Resolves the flight-recorder signal set against the netlist: the
-/// configured names, or — when none are configured — every input and
-/// output port of the design under test.
-///
-/// # Panics
-///
-/// Panics if a configured name matches no port or named node (same
-/// contract as [`sim::VcdRecorder`]).
-fn resolve_flight_signals(net: &Netlist, names: &[String]) -> Vec<SignalDef> {
-    let mut defs = Vec::new();
-    let mut add = |name: &str, node| {
-        defs.push(SignalDef {
+/// The flight recorder's signal set: every input and output port of
+/// the design under test.
+fn port_signals(net: &Netlist) -> Vec<SignalDef> {
+    net.input_ports()
+        .chain(net.output_ports())
+        .map(|(name, node)| SignalDef {
             name: name.to_owned(),
             node,
             width: sim::width_of(net, node),
-        });
-    };
-    if names.is_empty() {
-        for (name, node) in net.input_ports() {
-            add(name, node);
-        }
-        for (name, node) in net.output_ports() {
-            add(name, node);
-        }
-    } else {
-        for name in names {
-            let node = net
-                .output(name)
-                .or_else(|| net.input(name))
-                .or_else(|| net.node_ids().find(|&id| net.name_of(id) == Some(name)))
-                .unwrap_or_else(|| panic!("no flight signal named {name:?}"));
-            add(name, node);
-        }
-    }
-    defs
+        })
+        .collect()
 }
 
 /// The admission-time IFC policy: the job's claimed principal must be
@@ -471,15 +406,7 @@ fn make_engine(shared: &Shared, width: usize, worker: usize) -> LaneEngine {
     let tel = shared.tel.as_ref().map(|tel| EngineTel {
         tracer: tel.tracer.clone(),
         audit: tel.audit.clone(),
-        flight: tel.flight.enabled().then(|| {
-            FlightRecorder::new(
-                shared.flight_signals.clone(),
-                width,
-                tel.config.flight_depth,
-                tel.config.flight_post_roll,
-                tel.flight.clone(),
-            )
-        }),
+        flight: tel.flight_recorder(shared.flight_signals.clone(), width),
         tid: worker_tid(worker),
         tenants: Arc::clone(&shared.tenants),
     });
@@ -593,7 +520,6 @@ fn run_batch(worker: usize, shared: &Shared, first: Job) {
 
     loop {
         // One scheduling quantum.
-        let quantum_started = Instant::now();
         let span_started = shared.tel.as_ref().map(|tel| tel.tracer.now_us());
         for _ in 0..shared.quantum {
             let before = completed.len();
@@ -629,11 +555,6 @@ fn run_batch(worker: usize, shared: &Shared, first: Job) {
                     arg("stall_cycles", counters.stall_cycles),
                 ],
             );
-            if tel.config.metrics {
-                tel.registry
-                    .histogram("farm_quantum_us", QUANTUM_US_BOUNDS)
-                    .observe(quantum_started.elapsed().as_secs_f64() * 1e6);
-            }
         }
         record_outcomes(shared, &mut completed);
 

@@ -20,7 +20,7 @@ fn test_config() -> FarmConfig {
         workers: 2,
         queue_capacity: 32,
         repack_quantum: 32,
-        telemetry: None,
+        telemetry: false,
     }
 }
 

@@ -34,7 +34,7 @@ fn repack_preserves_sessions_and_verifies() {
         repack_quantum: 16,
         queue_capacity: 32,
         mode: TrackMode::Precise,
-        telemetry: None,
+        telemetry: false,
     };
     let farm = Farm::start(&accel_net(), config);
     let t = farm.register_tenant(TenantSpec {
@@ -91,7 +91,7 @@ fn engine_shrinks_to_the_width_its_remaining_load_fills() {
         repack_quantum: 16,
         queue_capacity: 32,
         mode: TrackMode::Precise,
-        telemetry: None,
+        telemetry: false,
     };
     let farm = Farm::start(&accel_net(), config);
     let t = farm.register_tenant(TenantSpec {

@@ -1,7 +1,7 @@
-//! End-to-end telemetry tests: a farm churn with every instrument armed
-//! produces a well-formed Chrome trace, an attributed audit trail, and a
-//! populated metrics registry — and a farm with telemetry off attaches
-//! nothing.
+//! End-to-end telemetry tests: a farm churn with telemetry armed
+//! produces a well-formed Chrome trace that agrees with the farm's
+//! metrics record and an attributed audit trail — and a farm with
+//! telemetry off attaches nothing.
 
 use std::time::Duration;
 
@@ -9,13 +9,13 @@ use accel::{protected, supervisor_label, user_label};
 use farm::{Farm, FarmConfig, JobSpec, TenantSpec};
 use hdl::Netlist;
 use sim::TrackMode;
-use telemetry::{AuditKind, TelemetryConfig, Trace};
+use telemetry::{Arg, AuditKind, Trace};
 
 fn accel_net() -> Netlist {
     protected().lower().expect("protected design lowers")
 }
 
-fn config(telemetry: Option<TelemetryConfig>) -> FarmConfig {
+fn config(telemetry: bool) -> FarmConfig {
     FarmConfig {
         mode: TrackMode::Precise,
         workers: 2,
@@ -37,7 +37,7 @@ fn spec(label: ifc_lattice::Label, blocks: usize, seed: u64) -> JobSpec {
 
 #[test]
 fn armed_churn_produces_trace_audit_and_metrics() {
-    let farm = Farm::start(&accel_net(), config(Some(TelemetryConfig::default())));
+    let farm = Farm::start(&accel_net(), config(true));
     let alice = farm.register_tenant(TenantSpec {
         name: "alice".into(),
         label: user_label(0),
@@ -89,30 +89,32 @@ fn armed_churn_produces_trace_audit_and_metrics() {
     assert_eq!(rejects[0].event.tenant_name.as_deref(), Some("mallory"));
     assert!(rejects[0].event.detail.contains("label"));
 
-    // The registry mirrors the final metrics under stable names.
-    let counters: std::collections::BTreeMap<_, _> =
-        bundle.metrics.counters.iter().cloned().collect();
-    assert_eq!(
-        counters.get("farm_blocks_total"),
-        Some(&report.metrics.blocks_total)
-    );
-    assert_eq!(
-        counters.get("farm_tenant_1_admission_rejected_total"),
-        Some(&1)
-    );
-    assert!(
-        bundle
-            .metrics
-            .histograms
-            .iter()
-            .any(|(name, h)| name == "farm_quantum_us" && h.count > 0),
-        "quantum durations recorded"
-    );
+    // The trace and the metrics record agree: one quantum span per
+    // counted quantum, at the width it was counted under.
+    let mut traced: Vec<(usize, u64)> = report
+        .metrics
+        .width_quanta
+        .iter()
+        .map(|&(w, _)| (w, 0))
+        .collect();
+    for e in bundle.trace.events.iter().filter(|e| e.name == "quantum") {
+        let width = e.args.iter().find_map(|(k, v)| match (k.as_str(), v) {
+            ("width", Arg::U64(w)) => Some(*w as usize),
+            _ => None,
+        });
+        let slot = traced
+            .iter_mut()
+            .find(|(w, _)| Some(*w) == width)
+            .unwrap_or_else(|| panic!("quantum span at an unsupported width: {e:?}"));
+        slot.1 += 1;
+    }
+    assert_eq!(traced, report.metrics.width_quanta);
+    assert_eq!(report.metrics.tenants[1].admission_rejected, 1);
 }
 
 #[test]
 fn disarmed_farm_attaches_nothing() {
-    let farm = Farm::start(&accel_net(), config(None));
+    let farm = Farm::start(&accel_net(), config(false));
     let t = farm.register_tenant(TenantSpec {
         name: "t".into(),
         label: user_label(0),

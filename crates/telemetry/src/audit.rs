@@ -101,39 +101,26 @@ struct AuditInner {
     evicted: AtomicU64,
 }
 
-/// Cloneable audit-trail handle; disabled it is a `None` and recording
-/// is a no-op.
-#[derive(Debug, Clone, Default)]
+/// Cloneable audit-trail handle; clones share one ring.
+#[derive(Debug, Clone)]
 pub struct AuditSink {
-    inner: Option<Arc<AuditInner>>,
+    inner: Arc<AuditInner>,
 }
 
 impl AuditSink {
-    /// A disabled sink.
-    #[must_use]
-    pub fn off() -> AuditSink {
-        AuditSink { inner: None }
-    }
-
-    /// An enabled sink holding at most `cap` records, with its clock
-    /// anchored at `epoch`.
+    /// A sink holding at most `cap` records, with its clock anchored at
+    /// `epoch`.
     #[must_use]
     pub fn new(epoch: Instant, cap: usize) -> AuditSink {
         AuditSink {
-            inner: Some(Arc::new(AuditInner {
+            inner: Arc::new(AuditInner {
                 epoch,
                 ring: Mutex::new(VecDeque::new()),
                 cap: cap.max(1),
                 seq: AtomicU64::new(0),
                 evicted: AtomicU64::new(0),
-            })),
+            }),
         }
-    }
-
-    /// Whether records are kept.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// Stamps and stores an event; the oldest record is evicted at the
@@ -143,7 +130,7 @@ impl AuditSink {
     ///
     /// Panics if the ring mutex is poisoned.
     pub fn record(&self, event: AuditEvent) {
-        let Some(inner) = &self.inner else { return };
+        let inner = &self.inner;
         let record = AuditRecord {
             seq: inner.seq.fetch_add(1, Ordering::Relaxed),
             ts_us: u64::try_from(inner.epoch.elapsed().as_micros()).unwrap_or(u64::MAX),
@@ -164,9 +151,7 @@ impl AuditSink {
     /// Panics if the ring mutex is poisoned.
     #[must_use]
     pub fn drain(&self) -> AuditLog {
-        let Some(inner) = &self.inner else {
-            return AuditLog::default();
-        };
+        let inner = &self.inner;
         AuditLog {
             records: inner
                 .ring
@@ -315,13 +300,6 @@ mod tests {
             source: Some("out_block [via aes_out ← rk10]".into()),
             detail: detail.into(),
         }
-    }
-
-    #[test]
-    fn off_sink_records_nothing() {
-        let sink = AuditSink::off();
-        sink.record(event("x"));
-        assert!(sink.drain().records.is_empty());
     }
 
     #[test]

@@ -44,14 +44,13 @@ pub struct FlightDump {
     pub vcd: String,
 }
 
-/// Bounded, shared collection of [`FlightDump`]s. Disabled it drops
-/// everything.
-#[derive(Debug, Clone, Default)]
+/// Bounded, shared collection of [`FlightDump`]s.
+#[derive(Debug, Clone)]
 pub struct FlightSink {
-    inner: Option<Arc<Mutex<SinkState>>>,
+    inner: Arc<Mutex<SinkState>>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct SinkState {
     dumps: Vec<FlightDump>,
     max: usize,
@@ -59,30 +58,18 @@ struct SinkState {
 }
 
 impl FlightSink {
-    /// A disabled sink.
-    #[must_use]
-    pub fn off() -> FlightSink {
-        FlightSink { inner: None }
-    }
-
-    /// An enabled sink keeping at most `max` dumps (later dumps beyond
-    /// the cap are counted and dropped — the *first* violations are the
+    /// A sink keeping at most `max` dumps (later dumps beyond the cap
+    /// are counted and dropped — the *first* violations are the
     /// interesting ones).
     #[must_use]
     pub fn new(max: usize) -> FlightSink {
         FlightSink {
-            inner: Some(Arc::new(Mutex::new(SinkState {
+            inner: Arc::new(Mutex::new(SinkState {
                 dumps: Vec::new(),
                 max: max.max(1),
                 dropped: 0,
-            }))),
+            })),
         }
-    }
-
-    /// Whether dumps are kept.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// Stores a dump (or counts it as dropped at the cap).
@@ -91,8 +78,7 @@ impl FlightSink {
     ///
     /// Panics if the sink mutex is poisoned.
     pub fn push(&self, dump: FlightDump) {
-        let Some(inner) = &self.inner else { return };
-        let mut st = inner.lock().expect("flight sink poisoned");
+        let mut st = self.inner.lock().expect("flight sink poisoned");
         if st.dumps.len() < st.max {
             st.dumps.push(dump);
         } else {
@@ -107,10 +93,7 @@ impl FlightSink {
     /// Panics if the sink mutex is poisoned.
     #[must_use]
     pub fn drain(&self) -> (Vec<FlightDump>, u64) {
-        let Some(inner) = &self.inner else {
-            return (Vec::new(), 0);
-        };
-        let mut st = inner.lock().expect("flight sink poisoned");
+        let mut st = self.inner.lock().expect("flight sink poisoned");
         (std::mem::take(&mut st.dumps), st.dropped)
     }
 }
@@ -220,7 +203,7 @@ impl FlightRecorder {
     /// Arms a dump of `lane`'s ring after the post-roll elapses. A lane
     /// with a dump already armed keeps the earlier trigger.
     pub fn trigger(&mut self, lane: usize, trigger_cycle: u64, reason: &str) {
-        if !self.sink.enabled() || self.pending.iter().any(|p| p.lane == lane) {
+        if self.pending.iter().any(|p| p.lane == lane) {
             return;
         }
         self.pending.push(Pending {

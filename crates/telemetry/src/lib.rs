@@ -1,9 +1,8 @@
 //! Unified observability for the accelerator farm and the simulation
-//! backends: trace spans, a security audit trail, a tag-plane flight
-//! recorder, and a metrics registry — one crate, one epoch, zero cost
-//! when off.
+//! backends: trace spans, a security audit trail, and a tag-plane flight
+//! recorder — one crate, one epoch, zero cost when off.
 //!
-//! Four instruments share a wall-clock epoch and drain into one
+//! Three instruments share a wall-clock epoch and drain into one
 //! [`TelemetryBundle`]:
 //!
 //! * [`trace::Tracer`] — lock-cheap structured spans and instants over
@@ -18,12 +17,12 @@
 //! * [`flight::FlightRecorder`] — per-lane last-K-cycles rings of
 //!   selected signals' values *and* security labels; a violation dumps
 //!   the offending lane as a VCD with parallel `__label` traces.
-//! * [`metrics::Registry`] — counters, gauges, and histograms with
-//!   snapshot/delta semantics and JSON + Prometheus text exposition.
 //!
-//! Everything is off by default: the disabled form of each handle is a
-//! `None` behind a cheap null check, so a farm run with telemetry off
-//! pays nothing on the hot path.
+//! A [`Telemetry`] arms all three together; there is no per-instrument
+//! switch. Off is the caller's `Option<Telemetry>` being `None`, so a
+//! farm run with telemetry off pays one branch on the hot path. Counters
+//! are not kept here: the farm counts them at the source, in its own
+//! metrics record.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +30,6 @@
 pub mod audit;
 pub mod flight;
 pub mod json;
-pub mod metrics;
 pub mod trace;
 
 use std::time::Instant;
@@ -39,98 +37,58 @@ use std::time::Instant;
 pub use audit::{AuditEvent, AuditKind, AuditLog, AuditRecord, AuditSink};
 pub use flight::{FlightDump, FlightRecorder, FlightSink, SignalDef};
 pub use json::Json;
-pub use metrics::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 pub use trace::{arg, Arg, Trace, TraceEvent, Tracer, TRACE_PID};
 
-/// Which instruments are armed, and their bounds.
-#[derive(Debug, Clone)]
-pub struct TelemetryConfig {
-    /// Record trace spans/instants.
-    pub trace: bool,
-    /// Per-shard trace event cap (events beyond it are counted, not
-    /// kept).
-    pub trace_capacity: usize,
-    /// Record security audit events.
-    pub audit: bool,
-    /// Audit ring bound.
-    pub audit_capacity: usize,
-    /// Arm the tag-plane flight recorder.
-    pub flight: bool,
-    /// Signals the flight recorder samples; empty means every port of
-    /// the design under test.
-    pub flight_signals: Vec<String>,
-    /// Samples kept per lane.
-    pub flight_depth: usize,
-    /// Extra cycles sampled after a trigger before dumping.
-    pub flight_post_roll: usize,
-    /// Most dumps kept per run.
-    pub flight_max_dumps: usize,
-    /// Feed the metrics registry.
-    pub metrics: bool,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> TelemetryConfig {
-        TelemetryConfig {
-            trace: true,
-            trace_capacity: 1 << 16,
-            audit: true,
-            audit_capacity: 4096,
-            flight: true,
-            flight_signals: Vec::new(),
-            flight_depth: 64,
-            flight_post_roll: 8,
-            flight_max_dumps: 4,
-            metrics: true,
-        }
-    }
-}
+/// Trace buffers: one shard per plausible worker keeps contention
+/// negligible without a thread registry.
+const TRACE_SHARDS: usize = 16;
+/// Per-shard trace event cap (events beyond it are counted, not kept).
+const TRACE_CAPACITY: usize = 1 << 16;
+/// Audit ring bound.
+const AUDIT_CAPACITY: usize = 4096;
+/// Flight samples kept per lane.
+const FLIGHT_DEPTH: usize = 64;
+/// Extra cycles the flight recorder samples after a trigger before
+/// dumping.
+const FLIGHT_POST_ROLL: usize = 8;
+/// Most flight dumps kept per run.
+const FLIGHT_MAX_DUMPS: usize = 4;
 
 /// One run's armed instruments, sharing a wall-clock epoch. Cloneable;
 /// clones share the underlying sinks.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
-    /// Span/instant tracer (off unless configured).
+    /// Span/instant tracer.
     pub tracer: Tracer,
-    /// Security audit trail (off unless configured).
+    /// Security audit trail.
     pub audit: AuditSink,
-    /// Metrics registry (always usable; fed only when configured).
-    pub registry: Registry,
-    /// Where flight dumps land (off unless configured).
+    /// Where flight dumps land.
     pub flight: FlightSink,
-    /// The configuration this was built from.
-    pub config: TelemetryConfig,
 }
 
 impl Telemetry {
-    /// Arms the configured instruments against a fresh epoch.
+    /// Arms every instrument against a fresh epoch.
     #[must_use]
-    pub fn new(config: TelemetryConfig) -> Telemetry {
+    pub fn arm() -> Telemetry {
         let epoch = Instant::now();
-        let tracer = if config.trace {
-            // One shard per plausible worker keeps contention negligible
-            // without a thread registry.
-            Tracer::new(epoch, 16, config.trace_capacity)
-        } else {
-            Tracer::off()
-        };
-        let audit = if config.audit {
-            AuditSink::new(epoch, config.audit_capacity)
-        } else {
-            AuditSink::off()
-        };
-        let flight = if config.flight {
-            FlightSink::new(config.flight_max_dumps)
-        } else {
-            FlightSink::off()
-        };
         Telemetry {
-            tracer,
-            audit,
-            registry: Registry::default(),
-            flight,
-            config,
+            tracer: Tracer::new(epoch, TRACE_SHARDS, TRACE_CAPACITY),
+            audit: AuditSink::new(epoch, AUDIT_CAPACITY),
+            flight: FlightSink::new(FLIGHT_MAX_DUMPS),
         }
+    }
+
+    /// A flight recorder over `lanes` lanes sampling `signals`, dumping
+    /// into this run's sink.
+    #[must_use]
+    pub fn flight_recorder(&self, signals: Vec<SignalDef>, lanes: usize) -> FlightRecorder {
+        FlightRecorder::new(
+            signals,
+            lanes,
+            FLIGHT_DEPTH,
+            FLIGHT_POST_ROLL,
+            self.flight.clone(),
+        )
     }
 
     /// Drains every instrument into one bundle.
@@ -142,7 +100,6 @@ impl Telemetry {
             audit: self.audit.drain(),
             flight,
             flight_dropped,
-            metrics: self.registry.snapshot(),
         }
     }
 }
@@ -158,8 +115,6 @@ pub struct TelemetryBundle {
     pub flight: Vec<FlightDump>,
     /// Dumps dropped at the flight sink's cap.
     pub flight_dropped: u64,
-    /// Metrics at drain time.
-    pub metrics: MetricsSnapshot,
 }
 
 #[cfg(test)]
@@ -167,44 +122,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_config_arms_everything() {
-        let tel = Telemetry::new(TelemetryConfig::default());
-        assert!(tel.tracer.enabled());
-        assert!(tel.audit.enabled());
-        assert!(tel.flight.enabled());
-    }
-
-    #[test]
-    fn disabled_config_is_inert() {
-        let tel = Telemetry::new(TelemetryConfig {
-            trace: false,
-            audit: false,
-            flight: false,
-            metrics: false,
-            ..TelemetryConfig::default()
-        });
-        assert!(!tel.tracer.enabled());
-        tel.tracer.instant(0, "x", "cat", vec![]);
-        tel.audit.record(AuditEvent::default());
-        let bundle = tel.bundle();
-        assert!(bundle.trace.events.is_empty());
-        assert!(bundle.audit.records.is_empty());
-        assert!(bundle.flight.is_empty());
-    }
-
-    #[test]
     fn bundle_collects_all_instruments() {
-        let tel = Telemetry::new(TelemetryConfig::default());
+        let tel = Telemetry::arm();
         tel.tracer.instant(1, "hello", "test", vec![]);
         tel.audit.record(AuditEvent {
             kind: Some(AuditKind::AdmissionRejected),
             detail: "spoof".into(),
             ..AuditEvent::default()
         });
-        tel.registry.counter("jobs_total").inc();
         let bundle = tel.bundle();
         assert_eq!(bundle.trace.events.len(), 1);
         assert_eq!(bundle.audit.records.len(), 1);
-        assert_eq!(bundle.metrics.counters, vec![("jobs_total".into(), 1)]);
+        assert!(bundle.flight.is_empty());
+        assert_eq!(bundle.flight_dropped, 0);
     }
 }

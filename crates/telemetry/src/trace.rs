@@ -1,11 +1,10 @@
 //! Lock-cheap structured event/span tracing with a Chrome trace-event
 //! JSON codec (loadable in Perfetto / `chrome://tracing`).
 //!
-//! The tracer is a cloneable handle: disabled it is a `None` and every
-//! call is a branch on a null pointer — the hot path pays nothing.
-//! Enabled, events append to one of several sharded `Mutex<Vec<_>>`
-//! buffers selected by thread id, so farm workers almost never contend
-//! on the same lock. Every event carries a wall-clock timestamp (µs
+//! The tracer is a cloneable handle; a run without tracing holds none.
+//! Events append to one of several sharded `Mutex<Vec<_>>` buffers
+//! selected by thread id, so farm workers almost never contend on the
+//! same lock. Every event carries a wall-clock timestamp (µs
 //! since the tracer's epoch, the Chrome `ts` field) and — by convention,
 //! as the `cycle` argument — the engine-cycle timestamp of the simulated
 //! hardware it describes.
@@ -100,49 +99,34 @@ struct TracerInner {
 }
 
 /// Cloneable tracing handle. See the module docs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Tracer {
-    inner: Option<Arc<TracerInner>>,
+    inner: Arc<TracerInner>,
 }
 
 impl Tracer {
-    /// A disabled tracer: every emission is a no-op.
-    #[must_use]
-    pub fn off() -> Tracer {
-        Tracer { inner: None }
-    }
-
-    /// An enabled tracer with `shards` buffers of at most `cap` events
-    /// each, with its epoch anchored at `epoch`.
+    /// A tracer with `shards` buffers of at most `cap` events each, with
+    /// its epoch anchored at `epoch`.
     #[must_use]
     pub fn new(epoch: Instant, shards: usize, cap: usize) -> Tracer {
         Tracer {
-            inner: Some(Arc::new(TracerInner {
+            inner: Arc::new(TracerInner {
                 epoch,
                 shards: (0..shards.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
                 cap,
                 dropped: AtomicU64::new(0),
-            })),
+            }),
         }
     }
 
-    /// Whether emissions are recorded. Callers with non-trivial argument
-    /// construction should gate on this.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Microseconds since the tracer's epoch (0 when disabled).
+    /// Microseconds since the tracer's epoch.
     #[must_use]
     pub fn now_us(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |inner| {
-            u64::try_from(inner.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
-        })
+        u64::try_from(self.inner.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 
     fn push(&self, event: TraceEvent) {
-        let Some(inner) = &self.inner else { return };
+        let inner = &self.inner;
         let shard = &inner.shards[(event.tid as usize) % inner.shards.len()];
         let mut buf = shard.lock().expect("trace shard poisoned");
         if buf.len() < inner.cap {
@@ -154,9 +138,6 @@ impl Tracer {
 
     /// Emits an instant event.
     pub fn instant(&self, tid: u64, name: &str, cat: &str, args: Vec<(String, Arg)>) {
-        if !self.enabled() {
-            return;
-        }
         self.push(TraceEvent {
             name: name.to_owned(),
             cat: cat.to_owned(),
@@ -179,9 +160,6 @@ impl Tracer {
         start_us: u64,
         args: Vec<(String, Arg)>,
     ) {
-        if !self.enabled() {
-            return;
-        }
         let now = self.now_us();
         self.push(TraceEvent {
             name: name.to_owned(),
@@ -210,9 +188,6 @@ impl Tracer {
         args: Vec<(String, Arg)>,
     ) {
         assert!(matches!(ph, 'b' | 'n' | 'e'), "async phase must be b/n/e");
-        if !self.enabled() {
-            return;
-        }
         self.push(TraceEvent {
             name: name.to_owned(),
             cat: cat.to_owned(),
@@ -227,9 +202,6 @@ impl Tracer {
 
     /// Emits a thread-name metadata event.
     pub fn thread_name(&self, tid: u64, name: &str) {
-        if !self.enabled() {
-            return;
-        }
         self.push(TraceEvent {
             name: "thread_name".to_owned(),
             cat: "__metadata".to_owned(),
@@ -244,24 +216,21 @@ impl Tracer {
 
     /// Collects every recorded event, sorted by timestamp (stable, so
     /// same-timestamp events keep shard order). The buffers are left
-    /// empty; an off tracer drains to an empty trace.
+    /// empty.
     ///
     /// # Panics
     ///
     /// Panics if a trace shard mutex is poisoned.
     #[must_use]
     pub fn drain(&self) -> Trace {
-        let Some(inner) = &self.inner else {
-            return Trace::default();
-        };
         let mut events = Vec::new();
-        for shard in &inner.shards {
+        for shard in &self.inner.shards {
             events.append(&mut shard.lock().expect("trace shard poisoned"));
         }
         events.sort_by_key(|e| e.ts_us);
         Trace {
             events,
-            dropped: inner.dropped.load(Ordering::Relaxed),
+            dropped: self.inner.dropped.load(Ordering::Relaxed),
         }
     }
 }
@@ -473,14 +442,6 @@ mod tests {
 
     fn tracer() -> Tracer {
         Tracer::new(Instant::now(), 4, 1024)
-    }
-
-    #[test]
-    fn off_tracer_is_empty() {
-        let t = Tracer::off();
-        t.instant(0, "x", "c", vec![]);
-        assert!(!t.enabled());
-        assert!(t.drain().events.is_empty());
     }
 
     #[test]

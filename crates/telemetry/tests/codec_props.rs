@@ -11,9 +11,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use telemetry::{
-    Arg, AuditEvent, AuditKind, AuditLog, AuditRecord, Json, MetricsSnapshot, Trace, TraceEvent,
-};
+use telemetry::{Arg, AuditEvent, AuditKind, AuditLog, AuditRecord, Json, Trace, TraceEvent};
 
 fn arb_char() -> impl Strategy<Value = char> {
     prop_oneof![
@@ -87,6 +85,14 @@ fn mutated(doc: &str, edits: &[(usize, u8, u8)]) -> String {
 fn chrome_parse_is_total(text: &str) {
     if let Ok(trace) = Trace::from_chrome_json(text) {
         let _ = trace.validate();
+    }
+}
+
+/// Parses `text` as an audit log; an accepted log must render without
+/// panicking, to a document that parses again.
+fn audit_parse_is_total(text: &str) {
+    if let Ok(log) = AuditLog::from_json(text) {
+        assert!(AuditLog::from_json(&log.to_json()).is_ok(), "{log:?}");
     }
 }
 
@@ -242,28 +248,6 @@ proptest! {
         prop_assert_eq!(back, v);
     }
 
-    /// Metrics snapshots round-trip: counter values u64-exact, histogram
-    /// bucket counts preserved, name order stable.
-    #[test]
-    fn metrics_snapshot_round_trips(
-        counters in vec((arb_string(), any::<u64>()), 0..6),
-        gauges in vec((arb_string(), arb_finite_f64()), 0..6),
-    ) {
-        // The registry keys snapshots by BTreeMap order; emulate that so
-        // equality compares like with like after dedup.
-        let mut cmap = std::collections::BTreeMap::new();
-        for (k, v) in counters { cmap.insert(k, v); }
-        let mut gmap = std::collections::BTreeMap::new();
-        for (k, v) in gauges { gmap.insert(k, v); }
-        let snap = MetricsSnapshot {
-            counters: cmap.into_iter().collect(),
-            gauges: gmap.into_iter().collect(),
-            histograms: vec![],
-        };
-        let back = MetricsSnapshot::from_json(&snap.to_json()).expect("rendered snapshot parses");
-        prop_assert_eq!(back, snap);
-    }
-
     /// The parser is total on arbitrary text: any byte soup (decoded
     /// lossily, as a corpus or report file would be) yields `Ok` or
     /// `Err`, never a panic, and whatever it accepts re-renders to a
@@ -288,5 +272,20 @@ proptest! {
         edits in vec((any::<usize>(), any::<u8>(), arb_json_byte()), 1..8),
     ) {
         chrome_parse_is_total(&mutated(&trace.to_chrome_json(), &edits));
+    }
+
+    /// `AuditLog::from_json` — what `obs_report` runs on the audit file
+    /// it reads from disk — is total on the same two kinds of input.
+    #[test]
+    fn audit_log_parse_never_panics_on_arbitrary_bytes(bytes in vec(arb_json_byte(), 0..96)) {
+        audit_parse_is_total(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn audit_log_parse_never_panics_on_mutated_logs(
+        log in arb_audit_log(),
+        edits in vec((any::<usize>(), any::<u8>(), arb_json_byte()), 1..8),
+    ) {
+        audit_parse_is_total(&mutated(&log.to_json(), &edits));
     }
 }
