@@ -123,3 +123,41 @@ fn checker_digest(design: &hdl::Design) -> u64 {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
 }
+
+/// The protected netlist with one wire re-driven into a zero-latency
+/// loop: the first wire (in node order) that some gate reads is
+/// re-driven from the first such gate, so `wire → gate → wire` closes a
+/// cycle through real logic (a loop of wires alone would have no
+/// resolved driver).
+fn protected_with_comb_loop() -> hdl::Netlist {
+    let mut net = accel::protected().lower().expect("protected design lowers");
+    let (wire, gate) = net
+        .node_ids()
+        .filter(|&id| matches!(net.node(id), hdl::Node::Wire { .. }))
+        .find_map(|wire| {
+            let gate = net.node_ids().find(|&g| {
+                !matches!(net.node(g), hdl::Node::Wire { .. })
+                    && net.node(g).operands().any(|op| op == wire)
+            })?;
+            Some((wire, gate))
+        })
+        .expect("protected has a wire read by a gate");
+    net.wire_driver[wire.index()] = Some(gate);
+    net
+}
+
+#[test]
+fn comb_cycle_report_is_pinned() {
+    // The cycle witness plus every other pass's findings: the label
+    // planes and liveness keep running on a cyclic graph.
+    let net = protected_with_comb_loop();
+    let report = run_static_passes(None, &net, &LintConfig::new());
+    assert_eq!(
+        report.to_string(),
+        "aes_accel_protected: 4 pass(es), 1 error(s), 0 warning(s), 1 info\n  \
+         [error] comb-cycle at ctl.advance: combinational cycle: \
+         ctl.advance -> n9635 -> ctl.advance\n  \
+         [info] dead-logic at pipe.dec29: 68 node(s) unreachable from any output \
+         port: pipe.dec29\n"
+    );
+}

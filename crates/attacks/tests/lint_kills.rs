@@ -71,3 +71,28 @@ fn ablated_control_netlist_lints_quiet() {
         "{report}"
     );
 }
+
+#[test]
+fn mutant_lint_reports_are_pinned() {
+    // Every catalogued mutant linted exactly as the mutation pipeline's
+    // first stage does (with its design), folded into one FNV-1a digest
+    // of the mutant ids and report texts: the broken-guard designs are
+    // what exercise the stall-guard and downgrade audits' failure paths.
+    let base = accel::protected();
+    let mut text = String::new();
+    for m in enumerate(&base, 2019) {
+        let design = m.apply(&base);
+        text += &m.id();
+        text += "\n";
+        match design.lower() {
+            Ok(net) => {
+                text += &run_static_passes(Some(&design), &net, &LintConfig::new()).to_string()
+            }
+            Err(e) => text += &format!("{e:?}\n"),
+        }
+    }
+    let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!(digest, 0xfa5b_8958_f259_69e0, "{digest:#x}");
+}

@@ -6,8 +6,11 @@
 //! trace in Perfetto: event counts by name and track, the audit trail
 //! grouped by kind and tenant, flight-dump shape, and the headline
 //! farm metrics. Files that are absent are skipped with a note, and a
-//! file that does not parse is reported as unreadable, so the tool works
-//! on partial or damaged sets.
+//! file that does not parse is reported as unreadable, so the tool
+//! digests partial or damaged sets.
+//!
+//! Exits 0 when at least one artifact was read and every one read
+//! parsed, and 1 when none was found or any read one is unreadable.
 //!
 //! Usage: `cargo run -p bench --bin obs_report [DIR]`
 
@@ -17,14 +20,15 @@ use std::process::ExitCode;
 
 use telemetry::{AuditLog, Json, Trace};
 
-/// One artifact: file name plus the renderer for its contents.
-type ReportJob = (&'static str, fn(&str));
+/// One artifact: file name plus the renderer for its contents, which
+/// returns whether they parsed.
+type ReportJob = (&'static str, fn(&str) -> bool);
 
 fn section(title: &str) {
     println!("\n== {title} ==");
 }
 
-fn report_trace(text: &str) {
+fn report_trace(text: &str) -> bool {
     match Trace::from_chrome_json(text) {
         Ok(trace) => {
             let problems = trace.validate();
@@ -52,12 +56,16 @@ fn report_trace(text: &str) {
                 .map(|(tid, n)| format!("tid {tid}: {n}"))
                 .collect();
             println!("  tracks: {}", tracks.join(", "));
+            true
         }
-        Err(e) => println!("unreadable trace: {e}"),
+        Err(e) => {
+            println!("unreadable trace: {e}");
+            false
+        }
     }
 }
 
-fn report_audit(text: &str) {
+fn report_audit(text: &str) -> bool {
     match AuditLog::from_json(text) {
         Ok(log) => {
             println!("{} records, {} evicted", log.records.len(), log.evicted);
@@ -88,8 +96,12 @@ fn report_audit(text: &str) {
                     first.seq, first.ts_us, first.event.detail
                 );
             }
+            true
         }
-        Err(e) => println!("unreadable audit log: {e}"),
+        Err(e) => {
+            println!("unreadable audit log: {e}");
+            false
+        }
     }
 }
 
@@ -136,18 +148,22 @@ fn metrics_digest(text: &str) -> Result<Vec<String>, String> {
     Ok(lines)
 }
 
-fn report_metrics(text: &str) {
+fn report_metrics(text: &str) -> bool {
     match metrics_digest(text) {
         Ok(lines) => {
             for line in lines {
                 println!("{line}");
             }
+            true
         }
-        Err(e) => println!("unreadable metrics: {e}"),
+        Err(e) => {
+            println!("unreadable metrics: {e}");
+            false
+        }
     }
 }
 
-fn report_flight(text: &str) {
+fn report_flight(text: &str) -> bool {
     match sim::parse_vcd(text) {
         Ok(doc) => {
             println!(
@@ -162,39 +178,60 @@ fn report_flight(text: &str) {
                 .filter(|(name, _, _)| name.ends_with("__label"))
                 .count();
             println!("  {labels} tag-plane (__label) traces");
+            true
         }
-        Err(e) => println!("unreadable VCD: {e}"),
+        Err(e) => {
+            println!("unreadable VCD: {e}");
+            false
+        }
     }
 }
 
-fn main() -> ExitCode {
-    let dir = std::env::args().nth(1).unwrap_or_else(|| ".".to_string());
-    let dir = Path::new(&dir);
+/// Digests every artifact in `dir`; returns how many were read and how
+/// many of those were unreadable.
+fn report_dir(dir: &Path) -> (usize, usize) {
     let jobs: [ReportJob; 4] = [
         ("OBS_TRACE.json", report_trace),
         ("OBS_AUDIT.json", report_audit),
         ("OBS_METRICS.json", report_metrics),
         ("OBS_FLIGHT.vcd", report_flight),
     ];
-    let mut seen = 0;
+    let (mut read, mut unreadable) = (0, 0);
     for (name, render) in jobs {
         section(name);
         match std::fs::read_to_string(dir.join(name)) {
             Ok(text) => {
-                seen += 1;
-                render(&text);
+                read += 1;
+                if !render(&text) {
+                    unreadable += 1;
+                }
             }
             Err(e) => println!("(skipped: {e})"),
         }
     }
-    if seen == 0 {
-        eprintln!(
-            "obs_report: no telemetry artifacts in {} — run `guards obs` first",
-            dir.display()
-        );
-        return ExitCode::FAILURE;
+    (read, unreadable)
+}
+
+fn main() -> ExitCode {
+    let dir = std::env::args().nth(1).unwrap_or_else(|| ".".to_string());
+    let dir = Path::new(&dir);
+    match report_dir(dir) {
+        (0, _) => {
+            eprintln!(
+                "obs_report: no telemetry artifacts in {} — run `guards obs` first",
+                dir.display()
+            );
+            ExitCode::FAILURE
+        }
+        (_, 0) => ExitCode::SUCCESS,
+        (_, unreadable) => {
+            eprintln!(
+                "obs_report: {unreadable} telemetry artifact(s) in {} do not parse",
+                dir.display()
+            );
+            ExitCode::FAILURE
+        }
     }
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

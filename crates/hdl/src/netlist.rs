@@ -134,9 +134,9 @@ impl Netlist {
     /// The combinational dependencies of a node: the edges the
     /// topological order respects. Registers, inputs and constants have
     /// none; a wire depends on its resolved driver; every other node on
-    /// its operands, in operand order.
-    #[must_use]
-    pub fn comb_dependencies(&self, id: NodeId) -> Vec<NodeId> {
+    /// its operands, in operand order. Allocation-free (see
+    /// [`crate::topo::comb_dependencies`]).
+    pub fn comb_dependencies(&self, id: NodeId) -> impl Iterator<Item = NodeId> {
         crate::topo::comb_dependencies(&self.nodes, &self.wire_driver, id)
     }
 

@@ -204,24 +204,45 @@ pub enum Node {
 impl Node {
     /// Returns the node ids this node reads combinationally.
     pub fn operands(&self) -> impl Iterator<Item = NodeId> + '_ {
-        let ids: [Option<NodeId>; 3] = match *self {
-            Node::Input { .. } | Node::Const { .. } | Node::Reg { .. } => [None; 3],
-            Node::Wire { default, .. } => [default, None, None],
-            Node::MemRead { addr, .. } => [Some(addr), None, None],
-            Node::Unary { a, .. } => [Some(a), None, None],
-            Node::Binary { a, b, .. } => [Some(a), Some(b), None],
-            Node::Mux { sel, t, f } => [Some(sel), Some(t), Some(f)],
-            Node::Slice { a, .. } => [Some(a), None, None],
-            Node::Cat { hi, lo } => [Some(hi), Some(lo), None],
-            Node::Declassify {
-                data, principal, ..
+        let (ids, len) = self.operand_array();
+        ids.into_iter().take(len)
+    }
+
+    /// The operands as a fixed array and a count (the first `len`
+    /// entries, in operand order): the form both [`Node::operands`] and
+    /// [`crate::topo::comb_dependencies`] iterate, so neither allocates.
+    /// A count, not `Option` slots, keeps the iteration a bounded loop
+    /// the optimiser unrolls.
+    pub(crate) fn operand_array(&self) -> ([NodeId; 3], usize) {
+        match *self {
+            Node::Input { .. } | Node::Const { .. } | Node::Reg { .. } => at_most_one(None),
+            Node::Wire { default, .. } => at_most_one(default),
+            Node::MemRead { addr: a, .. } | Node::Unary { a, .. } | Node::Slice { a, .. } => {
+                ([a, NONE, NONE], 1)
+            }
+            Node::Binary { a, b, .. }
+            | Node::Cat { hi: a, lo: b }
+            | Node::Declassify {
+                data: a,
+                principal: b,
+                ..
             }
             | Node::Endorse {
-                data, principal, ..
-            } => [Some(data), Some(principal), None],
-        };
-        ids.into_iter().flatten()
+                data: a,
+                principal: b,
+                ..
+            } => ([a, b, NONE], 2),
+            Node::Mux { sel, t, f } => ([sel, t, f], 3),
+        }
     }
+}
+
+/// Fills the unused entries of an operand array; never read.
+const NONE: NodeId = NodeId(u32::MAX);
+
+/// The [`Node::operand_array`] of a node with at most one operand.
+pub(crate) fn at_most_one(id: Option<NodeId>) -> ([NodeId; 3], usize) {
+    id.map_or(([NONE; 3], 0), |a| ([a, NONE, NONE], 1))
 }
 
 #[cfg(test)]

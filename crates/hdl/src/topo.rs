@@ -8,28 +8,37 @@
 //! property the compiled simulator's tape layout and the lint reports
 //! both rely on.
 
-use crate::node::{Node, NodeId};
+use crate::node::{at_most_one, Node, NodeId};
 
 /// The combinational dependencies of a node, matching the edges the
 /// topological sort follows: registers, inputs and constants are
 /// sequential/primary cut points with no dependencies; a wire reads its
 /// resolved driver; every other node reads its operands in operand order.
+///
+/// The iterator walks a fixed three-slot array (the form of
+/// [`Node::operands`]) and allocates nothing, so graph builders and cone
+/// walks can call it once per node.
 pub fn comb_dependencies(
     nodes: &[Node],
     wire_driver: &[Option<NodeId>],
     id: NodeId,
-) -> Vec<NodeId> {
-    match &nodes[id.index()] {
-        Node::Reg { .. } | Node::Input { .. } | Node::Const { .. } => Vec::new(),
-        Node::Wire { .. } => wire_driver[id.index()].into_iter().collect(),
-        other => other.operands().collect(),
-    }
+) -> impl Iterator<Item = NodeId> {
+    let (ids, len) = match &nodes[id.index()] {
+        Node::Reg { .. } | Node::Input { .. } | Node::Const { .. } => at_most_one(None),
+        Node::Wire { .. } => at_most_one(wire_driver[id.index()]),
+        other => other.operand_array(),
+    };
+    ids.into_iter().take(len)
 }
 
 /// Topologically sorts the combinational graph with deterministic
 /// tie-breaking (ascending node id). Registers are cut points (their
 /// value is state, not a combinational function), wires read their
 /// resolved driver.
+///
+/// One depth-first stack serves every root (it is empty again when a
+/// root's walk ends), so a sort makes a handful of allocations whatever
+/// the node count.
 ///
 /// # Errors
 ///
@@ -50,13 +59,14 @@ pub fn toposort(
     let mut order = Vec::with_capacity(nodes.len());
     // The chain of grey (in-progress) nodes, outermost first; when a grey
     // node is re-reached, its suffix is the cycle witness.
-    let mut grey_path: Vec<NodeId> = Vec::new();
+    let mut grey_path: Vec<NodeId> = Vec::with_capacity(nodes.len());
     // Iterative DFS to avoid stack overflow on deep pipelines.
+    let mut stack: Vec<(u32, bool)> = Vec::with_capacity(nodes.len());
     for start in 0..nodes.len() {
         if marks[start] != Mark::White {
             continue;
         }
-        let mut stack: Vec<(u32, bool)> = vec![(start as u32, false)];
+        stack.push((start as u32, false));
         while let Some((n, children_done)) = stack.pop() {
             let ni = n as usize;
             if children_done {
@@ -81,26 +91,10 @@ pub fn toposort(
             marks[ni] = Mark::Grey;
             grey_path.push(NodeId(n));
             stack.push((n, true));
-            let mut visit = |child: NodeId| match marks[child.index()] {
-                Mark::White => stack.push((child.0, false)),
-                Mark::Grey => {
-                    // Will be reported when popped; push a sentinel revisit.
-                    stack.push((child.0, false));
-                }
-                Mark::Black => {}
-            };
-            match &nodes[ni] {
-                // Registers are sequential: no combinational dependency.
-                Node::Reg { .. } | Node::Input { .. } | Node::Const { .. } => {}
-                Node::Wire { .. } => {
-                    if let Some(driver) = wire_driver[ni] {
-                        visit(driver);
-                    }
-                }
-                other => {
-                    for op in other.operands() {
-                        visit(op);
-                    }
+            for dep in comb_dependencies(nodes, wire_driver, NodeId(n)) {
+                // A grey child is pushed too: popping it reports the cycle.
+                if marks[dep.index()] != Mark::Black {
+                    stack.push((dep.0, false));
                 }
             }
         }
@@ -142,7 +136,7 @@ mod tests {
         // Every adjacent pair is a real dependency edge.
         for pair in witness.windows(2) {
             assert!(
-                comb_dependencies(&nodes, &wire_driver, pair[0]).contains(&pair[1]),
+                comb_dependencies(&nodes, &wire_driver, pair[0]).any(|d| d == pair[1]),
                 "{:?} does not depend on {:?}",
                 pair[0],
                 pair[1]

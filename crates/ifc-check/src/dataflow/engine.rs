@@ -9,7 +9,7 @@
 //! reachability). The worklist is seeded in the graph's order and drained
 //! FIFO, so the same graph always produces the same fixpoint trajectory.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use hdl::{Action, Design, Netlist, Node, NodeId};
 use ifc_lattice::Label;
@@ -113,10 +113,13 @@ struct Adjacency {
 }
 
 impl Adjacency {
-    fn new(slots: usize, edges: impl Iterator<Item = (usize, usize)> + Clone) -> Adjacency {
+    /// Counting sort of `edges` by first endpoint: one pass counts each
+    /// slot's edges, one places them, so each slot keeps its edges in
+    /// the given order.
+    fn new(slots: usize, edges: impl Iterator<Item = (u32, u32)> + Clone) -> Adjacency {
         let mut start = vec![0; slots + 1];
         for (from, _) in edges.clone() {
-            start[from + 1] += 1;
+            start[from as usize + 1] += 1;
         }
         for i in 0..slots {
             start[i + 1] += start[i];
@@ -124,8 +127,9 @@ impl Adjacency {
         let mut next = start.clone();
         let mut to = vec![0; start[slots]];
         for (from, t) in edges {
-            to[next[from]] = t;
-            next[from] += 1;
+            let at = &mut next[from as usize];
+            to[*at] = t as usize;
+            *at += 1;
         }
         Adjacency { start, to }
     }
@@ -135,25 +139,44 @@ impl Adjacency {
     }
 }
 
+/// The edge list one IR walk collects for [`Graph::new`]: `(from, to)`
+/// slot-index pairs, `to`'s fact reading `from`'s, packed to `u32` and
+/// sized up front so the walk neither reallocates nor converts slots
+/// again in the sorting passes.
+struct EdgeList {
+    nodes: usize,
+    edges: Vec<(u32, u32)>,
+}
+
+impl EdgeList {
+    fn with_capacity(nodes: usize, capacity: usize) -> EdgeList {
+        EdgeList {
+            nodes,
+            edges: Vec::with_capacity(capacity),
+        }
+    }
+
+    fn push(&mut self, from: Slot, to: Slot) {
+        let index = |slot| u32::try_from(slot_index(self.nodes, slot)).expect("slot fits u32");
+        let edge = (index(from), index(to));
+        self.edges.push(edge);
+    }
+}
+
 impl Graph {
-    /// A graph over `nodes` nodes and `mems` memories whose `(from, to)`
-    /// edges say that `to`'s fact reads `from`'s, seeded in `order` and
-    /// then the memories.
-    fn new(
-        nodes: usize,
-        mems: usize,
-        order: impl Iterator<Item = NodeId>,
-        edges: &[(Slot, Slot)],
-    ) -> Graph {
-        let pair = |&(f, t): &(Slot, Slot)| (slot_index(nodes, f), slot_index(nodes, t));
+    /// A graph over `nodes` nodes and `mems` memories with the given
+    /// edges, seeded in `order` and then the memories. Both adjacency
+    /// arrays keep the edges' order within each slot, which fixes the
+    /// fixpoint's trajectory.
+    fn new(mems: usize, order: impl Iterator<Item = NodeId>, edges: &EdgeList) -> Graph {
+        let nodes = edges.nodes;
+        let slots = nodes + mems;
+        let edges = edges.edges.iter().copied();
         Graph {
             nodes,
-            seed: order
-                .map(NodeId::index)
-                .chain(nodes..nodes + mems)
-                .collect(),
-            inputs: Adjacency::new(nodes + mems, edges.iter().map(pair).map(|(f, t)| (t, f))),
-            dependents: Adjacency::new(nodes + mems, edges.iter().map(pair)),
+            seed: order.map(NodeId::index).chain(nodes..slots).collect(),
+            inputs: Adjacency::new(slots, edges.clone().map(|(f, t)| (t, f))),
+            dependents: Adjacency::new(slots, edges),
         }
     }
 
@@ -161,6 +184,12 @@ impl Graph {
     /// memories).
     pub(crate) fn inputs_of(&self, idx: usize) -> &[usize] {
         self.inputs.of(idx)
+    }
+
+    /// The slots that read the slot at index `idx` (nodes first, then
+    /// memories).
+    pub(crate) fn dependents_of(&self, idx: usize) -> &[usize] {
+        self.dependents.of(idx)
     }
 
     /// The join of the facts of every slot with an edge into `slot`.
@@ -180,24 +209,26 @@ impl Graph {
     /// topological order, so one sweep settles the acyclic core.
     #[must_use]
     pub fn of_netlist(net: &Netlist) -> Graph {
-        let mut edges = Vec::new();
+        let n = net.node_count();
+        // Lowered netlists average well under two edges per node.
+        let mut edges = EdgeList::with_capacity(n, 2 * n + 3 * net.write_ports.len());
         for id in net.node_ids() {
             for dep in net.comb_dependencies(id) {
-                edges.push((Slot::Node(dep), Slot::Node(id)));
+                edges.push(Slot::Node(dep), Slot::Node(id));
             }
             if let Node::MemRead { mem, .. } = *net.node(id) {
-                edges.push((Slot::Mem(mem.index()), Slot::Node(id)));
+                edges.push(Slot::Mem(mem.index()), Slot::Node(id));
             }
             if let Some(next) = net.reg_next[id.index()] {
-                edges.push((Slot::Node(next), Slot::Node(id)));
+                edges.push(Slot::Node(next), Slot::Node(id));
             }
         }
         for wp in &net.write_ports {
             for src in [wp.data, wp.addr, wp.en] {
-                edges.push((Slot::Node(src), Slot::Mem(wp.mem.index())));
+                edges.push(Slot::Node(src), Slot::Mem(wp.mem.index()));
             }
         }
-        Graph::new(net.node_count(), net.mems.len(), net.topo_order(), &edges)
+        Graph::new(net.mems.len(), net.topo_order(), &edges)
     }
 
     /// The design graph: every node's operands (a wire's default
@@ -206,14 +237,15 @@ impl Graph {
     /// and guard conditions → the written memory. Seeded in node order.
     #[must_use]
     pub fn of_design(design: &Design) -> Graph {
-        let mut edges = Vec::new();
+        let n = design.node_count();
+        let mut edges = EdgeList::with_capacity(n, 2 * (n + design.stmts().len()));
         for id in design.node_ids() {
             let node = design.node(id);
             for op in node.operands() {
-                edges.push((Slot::Node(op), Slot::Node(id)));
+                edges.push(Slot::Node(op), Slot::Node(id));
             }
             if let Node::MemRead { mem, .. } = *node {
-                edges.push((Slot::Mem(mem.index()), Slot::Node(id)));
+                edges.push(Slot::Mem(mem.index()), Slot::Node(id));
             }
         }
         for stmt in design.stmts() {
@@ -225,15 +257,10 @@ impl Graph {
             };
             let guards = stmt.guards.iter().map(|g| g.cond);
             for src in srcs.into_iter().flatten().chain(guards) {
-                edges.push((Slot::Node(src), to));
+                edges.push(Slot::Node(src), to);
             }
         }
-        Graph::new(
-            design.node_count(),
-            design.mems().len(),
-            design.node_ids(),
-            &edges,
-        )
+        Graph::new(design.mems().len(), design.node_ids(), &edges)
     }
 }
 
@@ -286,24 +313,6 @@ pub fn fixpoint<T: Transfer>(graph: &Graph, transfer: &T) -> Facts<T::Fact> {
         }
     }
     facts
-}
-
-/// The combinational backward cone of `start`: every node index reachable
-/// from it through combinational dependency edges (wire drivers and
-/// operands), `start` included. The walk stops at the sequential/stateful
-/// frontier — registers, inputs, constants and memory reads contribute
-/// themselves but nothing behind them.
-#[must_use]
-pub fn comb_cone(net: &Netlist, start: NodeId) -> HashSet<usize> {
-    let mut cone = HashSet::new();
-    let mut stack = vec![start];
-    while let Some(id) = stack.pop() {
-        if !cone.insert(id.index()) {
-            continue;
-        }
-        stack.extend(net.comb_dependencies(id));
-    }
-    cone
 }
 
 #[cfg(test)]

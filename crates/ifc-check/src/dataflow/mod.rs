@@ -12,10 +12,11 @@
 
 pub mod engine;
 pub mod findings;
+mod index;
 pub mod passes;
 pub mod planes;
 
-pub use engine::{comb_cone, fixpoint, Facts, Graph, Lattice, Slot, Transfer};
+pub use engine::{fixpoint, Facts, Graph, Lattice, Slot, Transfer};
 pub use findings::{Finding, LintReport, Severity};
 pub use passes::{
     crosscheck_findings, crosscheck_report, prove_findings, run_static_passes, LintConfig,

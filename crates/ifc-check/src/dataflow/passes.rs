@@ -6,14 +6,15 @@
 //! [`crosscheck_findings`] over an [`ObservedPlane`] that a simulation
 //! harness folds its per-node runtime labels into.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use hdl::{BinOp, Design, LabelExpr, Netlist, Node, NodeId};
 use ifc_lattice::{Conf, Label, SecurityTag};
 
-use super::engine::{comb_cone, Facts, Graph};
+use super::engine::Facts;
 use super::findings::{Finding, LintReport, Severity};
-use super::planes::{bound_plane, label_plane};
+use super::index::{Marks, NetIndex};
+use super::planes::{bound_facts, bound_plane, release_facts};
 use crate::prover;
 
 /// The five lint passes, with stable kebab-case keys.
@@ -162,13 +163,14 @@ pub fn run_static_passes(design: Option<&Design>, net: &Netlist, cfg: &LintConfi
 
     // The worklist fixpoint converges on cyclic graphs too, so the label
     // planes (and the passes built on them) stay meaningful even when
-    // pass 1 fired. Both planes and the liveness scan share one graph.
-    let graph = Graph::of_netlist(net);
-    let bound = label_plane(&graph, net, false);
+    // pass 1 fired. Both planes, the liveness scan and every cone walk
+    // share one index, built here and dropped with the call.
+    let mut index = NetIndex::new(net);
+    let bound = bound_facts(&index.graph, net);
 
-    secret_timing_pass(net, &bound, cfg, &mut report);
-    downgrade_audit_pass(net, &bound, cfg, &mut report);
-    dead_logic_pass(design, net, &graph, cfg, &mut report);
+    secret_timing_pass(&mut index, &bound, cfg, &mut report);
+    downgrade_audit_pass(&mut index, &bound, cfg, &mut report);
+    dead_logic_pass(design, &mut index, cfg, &mut report);
 
     report
 }
@@ -177,89 +179,121 @@ pub fn run_static_passes(design: Option<&Design>, net: &Netlist, cfg: &LintConfi
 // Pass 2: secret-timing lint
 // ---------------------------------------------------------------------------
 
-/// The multiplexer selects that decide whether `reg` updates or holds:
-/// the sels of every mux on a path from the register's next-value
-/// expression back to the register itself (the lowered form of guarded
-/// `connect`s). Muxes whose arms never lead back to the register are
-/// datapath selection, not update gating, and are excluded.
-fn hold_gates(net: &Netlist, reg: NodeId) -> Vec<NodeId> {
-    fn reaches(net: &Netlist, x: NodeId, reg: NodeId, memo: &mut HashMap<usize, bool>) -> bool {
-        let x = net.resolve_driver(x);
-        if x == reg {
-            return true;
-        }
-        if let Some(&r) = memo.get(&x.index()) {
-            return r;
-        }
-        memo.insert(x.index(), false);
-        let r = if let Node::Mux { t, f, .. } = *net.node(x) {
-            reaches(net, t, reg, memo) || reaches(net, f, reg, memo)
-        } else {
-            false
-        };
-        memo.insert(x.index(), r);
-        r
-    }
-
-    let Some(next) = net.reg_next[reg.index()] else {
-        return Vec::new();
-    };
-    let mut memo = HashMap::new();
-    let mut gates = Vec::new();
-    let mut seen = HashSet::new();
-    let mut stack = vec![next];
-    while let Some(x) = stack.pop() {
-        let x = net.resolve_driver(x);
-        if !seen.insert(x.index()) {
-            continue;
-        }
-        if let Node::Mux { sel, t, f } = *net.node(x) {
-            if reaches(net, x, reg, &mut memo) {
-                gates.push(sel);
-                stack.push(t);
-                stack.push(f);
-            }
-        }
-    }
-    gates
+/// The multiplexer selects that decide whether each register updates or
+/// holds, as a node-indexed adjacency (`gates[start[r]..start[r + 1]]`
+/// for register `r`, empty for every other node): the sels of every mux
+/// on a path from the register's next-value expression back to the
+/// register itself (the lowered form of guarded `connect`s). Muxes whose
+/// arms never lead back to the register are datapath selection, not
+/// update gating, and are excluded.
+struct HoldGates {
+    start: Vec<usize>,
+    gates: Vec<NodeId>,
 }
 
-fn is_reg(net: &Netlist, id: NodeId) -> bool {
-    matches!(net.node(id), Node::Reg { .. })
+impl HoldGates {
+    fn new(net: &Netlist) -> HoldGates {
+        /// `reaches(x)` memo for one register: `known` holds the visited
+        /// nodes, `value` their answer (`false` while in progress, which
+        /// cuts cycles).
+        struct Memo {
+            known: Marks,
+            value: Vec<bool>,
+        }
+
+        fn reaches(net: &Netlist, x: NodeId, reg: NodeId, memo: &mut Memo) -> bool {
+            let x = net.resolve_driver(x);
+            if x == reg {
+                return true;
+            }
+            if !memo.known.insert(x.index()) {
+                return memo.value[x.index()];
+            }
+            memo.value[x.index()] = false;
+            let r = if let Node::Mux { t, f, .. } = *net.node(x) {
+                reaches(net, t, reg, memo) || reaches(net, f, reg, memo)
+            } else {
+                false
+            };
+            memo.value[x.index()] = r;
+            r
+        }
+
+        let n = net.node_count();
+        let mut memo = Memo {
+            known: Marks::new(n),
+            value: vec![false; n],
+        };
+        let mut seen = Marks::new(n);
+        let mut stack = Vec::new();
+        let mut start = Vec::with_capacity(n + 1);
+        let mut gates = Vec::new();
+        start.push(0);
+        for reg in net.node_ids() {
+            if let (Node::Reg { .. }, Some(next)) = (net.node(reg), net.reg_next[reg.index()]) {
+                memo.known.clear();
+                seen.clear();
+                stack.push(next);
+                while let Some(x) = stack.pop() {
+                    let x = net.resolve_driver(x);
+                    if !seen.insert(x.index()) {
+                        continue;
+                    }
+                    if let Node::Mux { sel, t, f } = *net.node(x) {
+                        if reaches(net, x, reg, &mut memo) {
+                            gates.push(sel);
+                            stack.push(t);
+                            stack.push(f);
+                        }
+                    }
+                }
+            }
+            start.push(gates.len());
+        }
+        HoldGates { start, gates }
+    }
+
+    fn of(&self, reg: NodeId) -> &[NodeId] {
+        &self.gates[self.start[reg.index()]..self.start[reg.index() + 1]]
+    }
 }
 
 fn secret_timing_pass(
-    net: &Netlist,
+    index: &mut NetIndex,
     bound: &Facts<Label>,
     cfg: &LintConfig,
     report: &mut LintReport,
 ) {
+    let net = index.net;
+    let hold = HoldGates::new(net);
+
     // (a) Control signals and stateful-memory addresses must have public
     // static confidentiality: a secret-dependent one modulates *when*
     // things happen, which is observable without reading any data port.
     // Combinational ROMs (memories with no write port) are exempt — a
     // same-cycle table lookup has no timing.
-    let written: HashSet<usize> = net.write_ports.iter().map(|wp| wp.mem.index()).collect();
+    let mut written = vec![false; net.mems.len()];
+    for wp in &net.write_ports {
+        written[wp.mem.index()] = true;
+    }
     let mut controls: BTreeMap<usize, (NodeId, &'static str)> = BTreeMap::new();
-    let mut control = |net: &Netlist, id: NodeId, role: &'static str| {
+    let mut control = |id: NodeId, role: &'static str| {
         let key = net.resolve_driver(id).index();
         controls.entry(key).or_insert((id, role));
     };
     for id in net.node_ids() {
-        if is_reg(net, id) {
-            for gate in hold_gates(net, id) {
-                control(net, gate, "register update gate");
-            }
+        for &gate in hold.of(id) {
+            control(gate, "register update gate");
         }
         if let Node::MemRead { mem, addr } = *net.node(id) {
-            if written.contains(&mem.index()) {
-                control(net, addr, "memory read address");
+            if written[mem.index()] {
+                control(addr, "memory read address");
             }
         }
     }
     for wp in &net.write_ports {
-        control(net, wp.en, "memory write enable");
-        control(net, wp.addr, "memory write address");
+        control(wp.en, "memory write enable");
+        control(wp.addr, "memory write address");
     }
     for &(id, role) in controls.values() {
         let fact = *bound.node(net.resolve_driver(id));
@@ -289,35 +323,37 @@ fn secret_timing_pass(
     // against a constant) re-opens the cross-user stall channel.
     let mut groups: BTreeMap<Vec<usize>, BTreeSet<usize>> = BTreeMap::new();
     for id in net.node_ids() {
-        if !is_reg(net, id) {
-            continue;
-        }
         let Some(LabelExpr::FromTag(tag)) = &net.labels[id.index()] else {
             continue;
         };
-        let gates: BTreeSet<usize> = hold_gates(net, id)
+        if hold.of(id).is_empty() {
+            continue;
+        }
+        let gates: BTreeSet<usize> = hold
+            .of(id)
             .iter()
             .map(|g| net.resolve_driver(*g).index())
             .collect();
-        if gates.is_empty() {
-            continue;
-        }
         groups
             .entry(gates.into_iter().collect())
             .or_default()
             .insert(net.resolve_driver(*tag).index());
     }
+    let mut cone: Vec<NodeId> = Vec::new();
+    let mut side_tags: [Vec<usize>; 2] = Default::default();
     for (gates, tags) in &groups {
         if tags.len() < 2 {
             continue;
         }
-        let mut cone: HashSet<usize> = HashSet::new();
-        for &g in gates {
-            cone.extend(comb_cone(net, NodeId::from_raw(g as u32)));
-        }
+        cone.clear();
+        let gate_ids = gates.iter().map(|&g| NodeId::from_raw(g as u32));
+        index.cone_any(gate_ids, |c| {
+            cone.push(c);
+            false
+        });
         if !cone
             .iter()
-            .any(|&i| matches!(net.nodes[i], Node::Input { .. }))
+            .any(|&c| matches!(net.node(c), Node::Input { .. }))
         {
             // The gate never consults the outside world, so it cannot be
             // a backpressure/stall decision.
@@ -325,17 +361,23 @@ fn secret_timing_pass(
         }
         let mut covered: BTreeSet<usize> = BTreeSet::new();
         for &c in &cone {
-            let Node::Binary { op, a, b } = net.nodes[c] else {
+            let Node::Binary { op, a, b } = *net.node(c) else {
                 continue;
             };
             if !matches!(op, BinOp::Ge | BinOp::Lt | BinOp::TagLeq) {
                 continue;
             }
-            let a_tags: BTreeSet<usize> = comb_cone(net, a).intersection_with(tags);
-            let b_tags: BTreeSet<usize> = comb_cone(net, b).intersection_with(tags);
-            if !a_tags.is_empty() && !b_tags.is_empty() {
-                covered.extend(a_tags);
-                covered.extend(b_tags);
+            for (side, operand) in side_tags.iter_mut().zip([a, b]) {
+                side.clear();
+                index.cone_any([operand], |x| {
+                    if tags.contains(&x.index()) {
+                        side.push(x.index());
+                    }
+                    false
+                });
+            }
+            if side_tags.iter().all(|side| !side.is_empty()) {
+                covered.extend(side_tags.iter().flatten());
             }
         }
         if covered != *tags {
@@ -359,49 +401,24 @@ fn secret_timing_pass(
     }
 }
 
-/// `comb_cone(...) ∩ tags` without materialising the full cone set twice.
-trait IntersectWith {
-    fn intersection_with(self, tags: &BTreeSet<usize>) -> BTreeSet<usize>;
-}
-
-impl IntersectWith for HashSet<usize> {
-    fn intersection_with(self, tags: &BTreeSet<usize>) -> BTreeSet<usize> {
-        self.into_iter().filter(|i| tags.contains(i)).collect()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Pass 3: declassify/endorse audit
 // ---------------------------------------------------------------------------
 
 fn downgrade_audit_pass(
-    net: &Netlist,
+    index: &mut NetIndex,
     bound: &Facts<Label>,
     cfg: &LintConfig,
     report: &mut LintReport,
 ) {
+    let net = index.net;
     let n = net.node_count();
-    let m = net.mems.len();
-
-    // Forward slot graph (nodes then memories), for reachability from a
-    // downgrade node to its consumers across registers and memories.
-    let mut fwd: Vec<Vec<usize>> = vec![Vec::new(); n + m];
-    for id in net.node_ids() {
-        for dep in net.comb_dependencies(id) {
-            fwd[dep.index()].push(id.index());
-        }
-        if let Node::MemRead { mem, .. } = *net.node(id) {
-            fwd[n + mem.index()].push(id.index());
-        }
-        if let Some(next) = net.reg_next[id.index()] {
-            fwd[next.index()].push(id.index());
-        }
-    }
-    for wp in &net.write_ports {
-        for src in [wp.data, wp.addr] {
-            fwd[src.index()].push(n + wp.mem.index());
-        }
-    }
+    // Per-downgrade sets: the downgrade's consumers, and the principal's
+    // combinational fanout.
+    let mut reach = Marks::new(n + net.mems.len());
+    let mut from_principal = Marks::new(n);
+    let mut gates: Vec<NodeId> = Vec::new();
+    let mut queue: VecDeque<usize> = VecDeque::new();
 
     for id in net.node_ids() {
         let (kind, data, to_tag, principal) = match *net.node(id) {
@@ -443,54 +460,59 @@ fn downgrade_audit_pass(
         // select/enable whose cone contains a comparison reading the
         // principal — the static shadow of the `TagLeq`-style check the
         // simulator evaluates before honouring the release.
-        let mut reach = vec![false; n + m];
-        let mut queue = VecDeque::from([id.index()]);
-        reach[id.index()] = true;
+        //
+        // Reachability from the downgrade to its consumers crosses
+        // registers and memories along the netlist graph's edges, except
+        // a write port's enable → memory edge: an enable decides whether
+        // a write happens, it does not carry the written value.
+        reach.clear();
+        reach.insert(id.index());
+        queue.push_back(id.index());
         while let Some(i) = queue.pop_front() {
-            for &d in &fwd[i] {
-                if !reach[d] {
-                    reach[d] = true;
+            for &d in index.graph.dependents_of(i) {
+                let carried = d < n
+                    || net.write_ports.iter().any(|wp| {
+                        wp.mem.index() == d - n && (wp.data.index() == i || wp.addr.index() == i)
+                    });
+                if carried && reach.insert(d) {
                     queue.push_back(d);
                 }
             }
         }
-        let mut guarded = false;
-        let mut gates: Vec<NodeId> = Vec::new();
+        gates.clear();
         for g in net.node_ids() {
             if let Node::Mux { sel, t, f } = *net.node(g) {
-                if (reach[t.index()] || reach[f.index()]) && !reach[sel.index()] {
+                if (reach.contains(t.index()) || reach.contains(f.index()))
+                    && !reach.contains(sel.index())
+                {
                     gates.push(sel);
                 }
             }
         }
         for wp in &net.write_ports {
-            if (reach[wp.data.index()] || reach[wp.addr.index()]) && !reach[wp.en.index()] {
+            if (reach.contains(wp.data.index()) || reach.contains(wp.addr.index()))
+                && !reach.contains(wp.en.index())
+            {
                 gates.push(wp.en);
             }
         }
-        for gate in gates {
-            let cone = comb_cone(net, gate);
-            for &c in &cone {
-                let Node::Binary { op, a, b } = net.nodes[c] else {
-                    continue;
+        // A comparison "reads the principal" when the principal is in its
+        // operand's backward cone, i.e. the operand is in the principal's
+        // combinational forward closure — computed once, then each gate
+        // cone is walked until the first such comparison.
+        let guarded = !gates.is_empty() && {
+            index.comb_fanout_closure(principal_root, &mut from_principal);
+            let from_principal = &from_principal;
+            index.cone_any(gates.iter().copied(), |c| {
+                let Node::Binary { op, a, b } = *net.node(c) else {
+                    return false;
                 };
-                if !matches!(
+                matches!(
                     op,
                     BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Ge | BinOp::TagLeq
-                ) {
-                    continue;
-                }
-                if comb_cone(net, a).contains(&principal_root.index())
-                    || comb_cone(net, b).contains(&principal_root.index())
-                {
-                    guarded = true;
-                    break;
-                }
-            }
-            if guarded {
-                break;
-            }
-        }
+                ) && (from_principal.contains(a.index()) || from_principal.contains(b.index()))
+            })
+        };
         if !guarded {
             emit(
                 report,
@@ -538,11 +560,11 @@ fn downgrade_audit_pass(
 
 fn dead_logic_pass(
     design: Option<&Design>,
-    net: &Netlist,
-    graph: &Graph,
+    index: &mut NetIndex,
     cfg: &LintConfig,
     report: &mut LintReport,
 ) {
+    let net = index.net;
     let n = net.node_count();
     let m = net.mems.len();
 
@@ -552,34 +574,32 @@ fn dead_logic_pass(
     // annotations is live — it decides labels).
     let mut live = vec![false; n + m];
     let mut queue: VecDeque<usize> = VecDeque::new();
-    let mark = |i: usize, live: &mut Vec<bool>, queue: &mut VecDeque<usize>| {
-        if !live[i] {
-            live[i] = true;
-            queue.push_back(i);
+    let mut deps: Vec<NodeId> = Vec::new();
+    // Marks slot `i` live, and the signals `label` reads.
+    let mut mark = |i: usize, label: Option<&LabelExpr>, queue: &mut VecDeque<usize>| {
+        deps.clear();
+        if let Some(expr) = label {
+            expr.dependencies(&mut deps);
         }
-    };
-    let label_deps = |expr: &LabelExpr| {
-        let mut deps = Vec::new();
-        expr.dependencies(&mut deps);
-        deps
+        for j in std::iter::once(i).chain(deps.iter().map(|d| d.index())) {
+            if !live[j] {
+                live[j] = true;
+                queue.push_back(j);
+            }
+        }
     };
     for port in &net.outputs {
-        mark(port.node.index(), &mut live, &mut queue);
-        for dep in port.label.iter().flat_map(label_deps) {
-            mark(dep.index(), &mut live, &mut queue);
-        }
+        mark(port.node.index(), port.label.as_ref(), &mut queue);
     }
     while let Some(i) = queue.pop_front() {
-        for &j in graph.inputs_of(i) {
-            mark(j, &mut live, &mut queue);
-        }
         let label = if i < n {
             &net.labels[i]
         } else {
             &net.mems[i - n].label
         };
-        for dep in label.iter().flat_map(label_deps) {
-            mark(dep.index(), &mut live, &mut queue);
+        mark(i, label.as_ref(), &mut queue);
+        for &j in index.graph.inputs_of(i) {
+            mark(j, None, &mut queue);
         }
     }
 
@@ -666,7 +686,7 @@ fn dead_logic_pass(
     // expression are dependent-label pass-throughs, already discharged by
     // the design-level checker's dependent-label rules.
     if any_labels {
-        let release = label_plane(graph, net, true);
+        let release = release_facts(index);
         for port in &net.outputs {
             if port.label.is_some() && port.label == net.labels[port.node.index()] {
                 continue;

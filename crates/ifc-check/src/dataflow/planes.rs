@@ -13,11 +13,13 @@
 //! ports).
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use hdl::{BinOp, LabelExpr, Netlist, Node, NodeId};
 use ifc_lattice::{Label, SecurityTag};
 
-use super::engine::{comb_cone, fixpoint, Facts, Graph, Slot, Transfer};
+use super::engine::{fixpoint, Facts, Graph, Slot, Transfer};
+use super::index::NetIndex;
 
 /// The label-propagation transfer function.
 ///
@@ -44,9 +46,10 @@ pub struct LabelBound<'n> {
     /// `false` → bound plane (downgrade = incoming ⊔ target);
     /// `true` → release plane (downgrade = target).
     pub optimistic: bool,
-    /// Tag-guarded mux arms, `(mux index, arm index) → refined label`.
-    /// Only consulted by the release plane; empty for the bound plane.
-    refine: HashMap<(usize, usize), Label>,
+    /// Tag-guarded mux arms: per mux index, the refined label of its
+    /// `t` and `f` arm. Only consulted by the release plane; empty for
+    /// the bound plane.
+    refine: Vec<[Option<Label>; 2]>,
 }
 
 impl Transfer for LabelBound<'_> {
@@ -75,13 +78,9 @@ impl Transfer for LabelBound<'_> {
                 }
             }
             Node::Mux { sel, t, f } => {
-                let arm = |x: NodeId| {
-                    self.refine
-                        .get(&(id.index(), x.index()))
-                        .copied()
-                        .unwrap_or(*facts.node(x))
-                };
-                facts.node(sel).join(arm(t)).join(arm(f))
+                let [rt, rf] = self.refine.get(id.index()).copied().unwrap_or_default();
+                let arm = |refined: Option<Label>, x: NodeId| refined.unwrap_or(*facts.node(x));
+                facts.node(sel).join(arm(rt, t)).join(arm(rf, f))
             }
             _ => graph.join_inputs(slot, facts),
         }
@@ -95,39 +94,57 @@ impl Transfer for LabelBound<'_> {
 /// label is refined down to it. This is exactly the guarded-admission
 /// idiom (`trusted = tag_leq(wr_tag, limit); when(trusted) { ... }`): the
 /// hardware already rejects anything above `limit`, and the release plane
-/// gets to assume that. The map is facts-independent, so it is computed
-/// once before the fixpoint.
-fn tag_guard_refinements(net: &Netlist) -> HashMap<(usize, usize), Label> {
-    let mut refine = HashMap::new();
+/// gets to assume that. The refinements are facts-independent, so they
+/// are computed once before the fixpoint.
+///
+/// Many muxes share a select (every arm of a guarded `when` block), so
+/// each select's cone is walked once and its `TagLeq(_, const)`
+/// comparisons — `(resolved tag, limit)` — are kept for the rest.
+fn tag_guard_refinements(index: &mut NetIndex) -> Vec<[Option<Label>; 2]> {
+    let net = index.net;
+    let mut refine = Vec::new();
+    let mut checks: Vec<(NodeId, Label)> = Vec::new();
+    let mut checks_of: HashMap<NodeId, Range<usize>> = HashMap::new();
     for id in net.node_ids() {
         let Node::Mux { sel, t, f } = *net.node(id) else {
             continue;
         };
-        for arm in [t, f] {
+        for (side, arm) in [t, f].into_iter().enumerate() {
             let src = net.resolve_driver(arm);
             let Some(LabelExpr::FromTag(tag)) = &net.labels[src.index()] else {
                 continue;
             };
             let tag = net.resolve_driver(*tag);
-            for &c in &comb_cone(net, sel) {
-                let Node::Binary {
-                    op: BinOp::TagLeq,
-                    a,
-                    b,
-                } = net.nodes[c]
-                else {
-                    continue;
-                };
-                if net.resolve_driver(a) != tag {
+            let range = checks_of
+                .entry(sel)
+                .or_insert_with(|| {
+                    let begin = checks.len();
+                    index.cone_any([sel], |c| {
+                        if let Node::Binary {
+                            op: BinOp::TagLeq,
+                            a,
+                            b,
+                        } = *net.node(c)
+                        {
+                            if let Node::Const { value, .. } = *net.node(net.resolve_driver(b)) {
+                                let limit = Label::from(SecurityTag::from_bits(value as u8));
+                                checks.push((net.resolve_driver(a), limit));
+                            }
+                        }
+                        false
+                    });
+                    begin..checks.len()
+                })
+                .clone();
+            for &(checked, limit) in &checks[range] {
+                if checked != tag {
                     continue;
                 }
-                if let Node::Const { value, .. } = *net.node(net.resolve_driver(b)) {
-                    let limit = Label::from(SecurityTag::from_bits(value as u8));
-                    refine
-                        .entry((id.index(), arm.index()))
-                        .and_modify(|l: &mut Label| *l = l.join(limit))
-                        .or_insert(limit);
+                if refine.is_empty() {
+                    refine = vec![[None; 2]; net.node_count()];
                 }
+                let slot: &mut Option<Label> = &mut refine[id.index()][side];
+                *slot = Some(slot.map_or(limit, |l| l.join(limit)));
             }
         }
     }
@@ -140,7 +157,7 @@ fn tag_guard_refinements(net: &Netlist) -> HashMap<(usize, usize), Label> {
 /// of the static/dynamic cross-check.
 #[must_use]
 pub fn bound_plane(net: &Netlist) -> Facts<Label> {
-    label_plane(&Graph::of_netlist(net), net, false)
+    bound_facts(&Graph::of_netlist(net), net)
 }
 
 /// The intended post-release labels (optimistic about downgrades, with
@@ -148,23 +165,30 @@ pub fn bound_plane(net: &Netlist) -> Facts<Label> {
 /// ports.
 #[must_use]
 pub fn release_plane(net: &Netlist) -> Facts<Label> {
-    label_plane(&Graph::of_netlist(net), net, true)
+    release_facts(&mut NetIndex::new(net))
 }
 
-/// [`bound_plane`] (`optimistic == false`) or [`release_plane`] over an
-/// already-built [`Graph::of_netlist`], so one lint run builds the graph
-/// once.
-pub(crate) fn label_plane(graph: &Graph, net: &Netlist, optimistic: bool) -> Facts<Label> {
-    let refine = if optimistic {
-        tag_guard_refinements(net)
-    } else {
-        HashMap::new()
-    };
+/// [`bound_plane`] over an already-built [`Graph::of_netlist`].
+pub(crate) fn bound_facts(graph: &Graph, net: &Netlist) -> Facts<Label> {
     fixpoint(
         graph,
         &LabelBound {
             net,
-            optimistic,
+            optimistic: false,
+            refine: Vec::new(),
+        },
+    )
+}
+
+/// [`release_plane`] over an already-built index, so one lint run builds
+/// the graph once.
+pub(crate) fn release_facts(index: &mut NetIndex) -> Facts<Label> {
+    let refine = tag_guard_refinements(index);
+    fixpoint(
+        &index.graph,
+        &LabelBound {
+            net: index.net,
+            optimistic: true,
             refine,
         },
     )

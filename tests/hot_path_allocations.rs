@@ -9,7 +9,8 @@
 //! (Recording a violation does allocate; the workload here is
 //! violation-free, which the test asserts.) One `ifc_check::check` of
 //! the same design must allocate fewer than [`CHECK_ALLOCATION_BOUND`]
-//! times.
+//! times, one lint run fewer than [`LINT_ALLOCATION_BOUND`], and one
+//! topological sort at most [`TOPOSORT_ALLOCATION_BOUND`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -173,5 +174,49 @@ fn static_check_allocates_within_its_bound() {
     assert!(
         allocations < CHECK_ALLOCATION_BOUND,
         "check(protected) made {allocations} allocations (bound {CHECK_ALLOCATION_BOUND})"
+    );
+}
+
+/// Heap allocations one `run_static_passes(Some(&protected), ..)` may
+/// make. A cone walk or a forward graph built from per-node sets would
+/// make tens of thousands; the shared netlist index keeps the run to the
+/// findings' strings and a fixed set of per-pass arrays.
+const LINT_ALLOCATION_BOUND: usize = 2_500;
+
+/// Heap allocations one `Netlist::toposort` may make: its mark, order,
+/// grey-path and stack arrays and a few stack regrowths, whatever the
+/// node count.
+const TOPOSORT_ALLOCATION_BOUND: usize = 16;
+
+#[test]
+fn static_lint_allocates_within_its_bound() {
+    use secure_aes_ifc::ifc_check::{run_static_passes, LintConfig};
+    let _guard = serial();
+    let design = protected();
+    let net = design.lower().expect("accelerator lowers");
+    let cfg = LintConfig::new();
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let report = run_static_passes(Some(&design), &net, &cfg);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        report.count_at(secure_aes_ifc::ifc_check::Severity::Error),
+        0,
+        "{report}"
+    );
+    assert!(
+        allocations < LINT_ALLOCATION_BOUND,
+        "run_static_passes(protected) made {allocations} allocations \
+         (bound {LINT_ALLOCATION_BOUND})"
+    );
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let order = net.toposort().expect("lowered netlist is acyclic");
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(order, net.topo);
+    assert!(
+        allocations <= TOPOSORT_ALLOCATION_BOUND,
+        "toposort(protected) made {allocations} allocations \
+         (bound {TOPOSORT_ALLOCATION_BOUND})"
     );
 }
