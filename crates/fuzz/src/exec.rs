@@ -222,7 +222,7 @@ pub fn run_generated(net: &Netlist, spec: &DesignSpec, programs: &[TenantProgram
     }
 
     // ---- Surface 2: the reference oracle replays tenant 0 ------------
-    let mut oracle = Simulator::with_tracking(net.clone(), TrackMode::Conservative);
+    let mut oracle = Simulator::borrowing(net, TrackMode::Conservative);
     for cycle in 0..total {
         let op = schedules
             .first()

@@ -90,7 +90,8 @@ fn one_shot(
     max_k: u32,
     opts: &ProveOptions,
 ) -> Vec<Answer> {
-    let mut enc = Encoder::new(net, env.clone(), opts.max_nodes, false);
+    let widths = net.node_widths();
+    let mut enc = Encoder::new(net, &widths, env, opts.max_nodes, false);
     let mut miter = aig::FALSE;
     (0..max_k)
         .map(|cycle| {

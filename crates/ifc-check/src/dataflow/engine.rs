@@ -165,19 +165,24 @@ impl EdgeList {
 
 impl Graph {
     /// A graph over `nodes` nodes and `mems` memories with the given
-    /// edges, seeded in `order` and then the memories. Both adjacency
-    /// arrays keep the edges' order within each slot, which fixes the
-    /// fixpoint's trajectory.
-    fn new(mems: usize, order: impl Iterator<Item = NodeId>, edges: &EdgeList) -> Graph {
+    /// edges and no seed yet. Both adjacency arrays keep the edges' order
+    /// within each slot, which (with the seed) fixes the fixpoint's
+    /// trajectory.
+    fn new(mems: usize, edges: &EdgeList) -> Graph {
         let nodes = edges.nodes;
         let slots = nodes + mems;
         let edges = edges.edges.iter().copied();
         Graph {
             nodes,
-            seed: order.map(NodeId::index).chain(nodes..slots).collect(),
+            seed: Vec::new(),
             inputs: Adjacency::new(slots, edges.clone().map(|(f, t)| (t, f))),
             dependents: Adjacency::new(slots, edges),
         }
+    }
+
+    /// The number of slots (nodes, then memories).
+    fn slots(&self) -> usize {
+        self.dependents.start.len() - 1
     }
 
     /// The slots the slot at index `idx` reads (nodes first, then
@@ -205,8 +210,10 @@ impl Graph {
 
     /// The netlist graph: combinational edges (a wire reads its resolved
     /// driver), register next-value edges, memory → read edges and write
-    /// port `data`/`addr`/`en` → memory edges. Seeded in the netlist's
-    /// topological order, so one sweep settles the acyclic core.
+    /// port `data`/`addr`/`en` → memory edges. Seeded in dependency
+    /// order, so each slot is first processed after the slots it reads
+    /// (short of a feedback loop) and every register after its
+    /// next-value node.
     #[must_use]
     pub fn of_netlist(net: &Netlist) -> Graph {
         let n = net.node_count();
@@ -228,7 +235,90 @@ impl Graph {
                 edges.push(Slot::Node(src), Slot::Mem(wp.mem.index()));
             }
         }
-        Graph::new(net.mems.len(), net.topo_order(), &edges)
+        let mut graph = Graph::new(net.mems.len(), &edges);
+        graph.seed = graph.dependency_order(net);
+        graph
+    }
+
+    /// The seed of a netlist graph: a depth-first postorder over the
+    /// slots each slot reads, from roots in the netlist's topological
+    /// order and then the memories, so a slot comes after everything it
+    /// reads except across a feedback loop. A register whose next-value
+    /// node is still being walked (the loop closes through the register)
+    /// waits and follows that node directly, so every register comes
+    /// after its next-value node; only the members of a register-only
+    /// loop cannot. Seeding registers in the plain topological order,
+    /// where they precede the logic they latch, processes each on bottom
+    /// facts and again, with its whole fanout, once that logic settles.
+    fn dependency_order(&self, net: &Netlist) -> Vec<usize> {
+        const WHITE: u8 = 0;
+        const GREY: u8 = 1;
+        const DONE: u8 = 2;
+        /// A register waiting for its next-value node to be placed.
+        const WAITING: u8 = 3;
+        const NONE: u32 = 0;
+        let slots = self.slots();
+        let next_of = |slot: usize| {
+            let next = net.reg_next.get(slot).copied().flatten()?;
+            (next.index() != slot).then_some(next.index())
+        };
+        let mut state = vec![WHITE; slots];
+        // The registers waiting on each slot, as singly linked lists of
+        // `register + 1`: `first[slot]`, then `link[register]`.
+        let (mut first, mut link) = (vec![NONE; slots], vec![NONE; slots]);
+        let mut order = Vec::with_capacity(slots);
+        let mut stack: Vec<(usize, usize)> = Vec::new();
+        let roots = net.topo_order().map(NodeId::index).chain(self.nodes..slots);
+        for root in roots {
+            let mut enter = root;
+            loop {
+                if state[enter] == WHITE {
+                    match next_of(enter) {
+                        Some(next) if matches!(state[next], GREY | WAITING) => {
+                            state[enter] = WAITING;
+                            link[enter] = first[next];
+                            first[next] = enter as u32 + 1;
+                        }
+                        _ => {
+                            state[enter] = GREY;
+                            stack.push((enter, 0));
+                        }
+                    }
+                }
+                let Some((slot, at)) = stack.last_mut() else {
+                    break;
+                };
+                let inputs = self.inputs.of(*slot);
+                while *at < inputs.len() && state[inputs[*at]] != WHITE {
+                    *at += 1;
+                }
+                if let Some(&input) = inputs.get(*at) {
+                    *at += 1;
+                    enter = input;
+                    continue;
+                }
+                let slot = *slot;
+                stack.pop();
+                state[slot] = DONE;
+                order.push(slot);
+                if first[slot] != NONE {
+                    // The registers waiting on `slot`, breadth-first, with
+                    // `order` itself as the queue.
+                    let mut placed = order.len() - 1;
+                    while placed < order.len() {
+                        let mut reg = first[order[placed]];
+                        while reg != NONE {
+                            let waiting = reg as usize - 1;
+                            state[waiting] = DONE;
+                            order.push(waiting);
+                            reg = link[waiting];
+                        }
+                        placed += 1;
+                    }
+                }
+            }
+        }
+        order
     }
 
     /// The design graph: every node's operands (a wire's default
@@ -260,7 +350,9 @@ impl Graph {
                 edges.push(Slot::Node(src), to);
             }
         }
-        Graph::new(design.mems().len(), design.node_ids(), &edges)
+        let mut graph = Graph::new(design.mems().len(), &edges);
+        graph.seed = (0..graph.slots()).collect();
+        graph
     }
 }
 
@@ -279,7 +371,7 @@ impl Graph {
 /// non-monotone transfer. Growth-only updates change each slot at most
 /// the lattice's height times, which is what bounds the loop.
 pub fn fixpoint<T: Transfer>(graph: &Graph, transfer: &T) -> Facts<T::Fact> {
-    let slots = graph.dependents.start.len() - 1;
+    let slots = graph.slots();
     let mut facts = Facts {
         nodes: vec![T::Fact::bottom(); graph.nodes],
         mems: vec![T::Fact::bottom(); slots - graph.nodes],
@@ -331,6 +423,65 @@ mod tests {
         fn transfer(&self, graph: &Graph, slot: Slot, facts: &Facts<bool>) -> bool {
             slot == Slot::Node(self.source) || graph.join_inputs(slot, facts)
         }
+    }
+
+    #[test]
+    fn registers_are_seeded_after_their_next_value_nodes() {
+        // A counter (its next value reads itself), a two-stage pipeline
+        // (the second stage latches the first register directly), a
+        // register that never changes and a two-register swap loop.
+        let mut m = ModuleBuilder::new("regs");
+        let x = m.input("x", 8);
+        let count = m.reg("count", 8, 0);
+        let one = m.lit(1, 8);
+        let inc = m.add(count, one);
+        m.connect(count, inc);
+        let s1 = m.reg("s1", 8, 0);
+        let s1_next = m.xor(x, count);
+        m.connect(s1, s1_next);
+        let s2 = m.reg("s2", 8, 0);
+        m.connect(s2, s1);
+        let held = m.reg("held", 8, 5);
+        let (p, q) = (m.reg("p", 8, 1), m.reg("q", 8, 2));
+        m.connect(p, q);
+        m.connect(q, p);
+        let sum = m.add(s2, held);
+        let out = m.xor(sum, p);
+        m.output("y", out);
+        let net = m.finish().lower().unwrap();
+
+        let graph = Graph::of_netlist(&net);
+        let mut sorted = graph.seed.clone();
+        sorted.sort_unstable();
+        assert!(
+            sorted.into_iter().eq(0..graph.slots()),
+            "every slot seeded once"
+        );
+        let pos = |id: NodeId| graph.seed.iter().position(|&i| i == id.index()).unwrap();
+        let swap_loop = [p.id(), q.id()];
+        let mut checked = 0;
+        for reg in net.node_ids() {
+            if !matches!(net.node(reg), Node::Reg { .. }) || swap_loop.contains(&reg) {
+                continue;
+            }
+            let Some(next) = net.reg_next[reg.index()].filter(|&nx| nx != reg) else {
+                continue;
+            };
+            assert!(
+                pos(next) < pos(reg),
+                "{:?} seeded before its next value",
+                net.name_of(reg)
+            );
+            checked += 1;
+        }
+        assert_eq!(checked, 3, "count, s1 and s2 each follow their next value");
+        // Off the counter's loop the order is a full dependency order: the
+        // pipeline's reader comes after its last stage.
+        assert!(pos(s2.id()) < pos(sum.id()));
+        // The plain topological order puts the counter before its next
+        // value.
+        let topo_pos = |id: NodeId| net.topo.iter().position(|&i| i == id).unwrap();
+        assert!(topo_pos(count.id()) < topo_pos(net.reg_next[count.id().index()].unwrap()));
     }
 
     #[test]

@@ -42,21 +42,43 @@ pub const fn is_neg(a: Lit) -> bool {
 /// Sentinel operand marking a free input node.
 const INPUT: Lit = u32::MAX;
 
-/// A little-endian bit vector of AIG literals.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Bv(pub Vec<Lit>);
+/// A little-endian bit vector of AIG literals: a handle to `width`
+/// consecutive literals in its graph's literal arena ([`Aig::bits`]).
+///
+/// Handles are `Copy` and compare as handles; copying one, or taking a
+/// prefix or an in-range slice of it, copies no literal. Operations that
+/// build a new vector append its literals to the arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bv {
+    start: u32,
+    len: u32,
+}
 
 impl Bv {
-    /// Width in bits.
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.0.len()
+    /// The `width` literals at `start` in the arena.
+    pub(super) fn at(start: u32, width: usize) -> Bv {
+        Bv {
+            start,
+            len: width as u32,
+        }
     }
 
-    /// The bit at `i`, or FALSE beyond the width (zero extension).
+    /// Where the literals start in the arena.
+    pub(super) fn start(self) -> u32 {
+        self.start
+    }
+
+    /// Width in bits.
     #[must_use]
-    pub fn bit(&self, i: usize) -> Lit {
-        self.0.get(i).copied().unwrap_or(FALSE)
+    pub fn width(self) -> usize {
+        self.len as usize
+    }
+
+    /// The `len` bits from bit `lo` on, which must lie within the width.
+    #[must_use]
+    pub(crate) fn slice(self, lo: usize, len: usize) -> Bv {
+        assert!(lo + len <= self.width(), "slice past the vector's width");
+        Bv::at(self.start + lo as u32, len)
     }
 }
 
@@ -68,6 +90,12 @@ pub struct Aig {
     /// Structural hash: the operand pair, packed `lo << 32 | hi`, to its
     /// node.
     cons: FixedMap<u64, u32>,
+    /// The literals of every [`Bv`] handed out, back to back.
+    lits: Vec<Lit>,
+    /// Every constant vector built so far, by `(value, width)`.
+    consts: FixedMap<(Value, u32), Bv>,
+    /// Reused output and per-level buffers of [`Aig::bv_select`].
+    select_buf: Vec<Lit>,
     node_limit: usize,
     overflowed: bool,
 }
@@ -79,6 +107,9 @@ impl Aig {
         Aig {
             nodes: vec![(0, 0)],
             cons: FixedMap::default(),
+            lits: Vec::new(),
+            consts: FixedMap::default(),
+            select_buf: Vec::new(),
             node_limit,
             overflowed: false,
         }
@@ -193,107 +224,173 @@ impl Aig {
 
     // ---- bit-vector helpers -----------------------------------------
 
-    /// A constant vector.
+    /// The literals of a vector, least significant first.
     #[must_use]
-    pub fn bv_const(&self, value: Value, width: usize) -> Bv {
-        Bv((0..width)
-            .map(|i| if (value >> i) & 1 == 1 { TRUE } else { FALSE })
-            .collect())
+    pub fn bits(&self, a: Bv) -> &[Lit] {
+        let start = a.start as usize;
+        &self.lits[start..start + a.width()]
+    }
+
+    /// The bit at `i`, or FALSE beyond the width (zero extension).
+    #[must_use]
+    pub fn bit(&self, a: Bv, i: usize) -> Lit {
+        if i < a.width() {
+            self.lits[a.start as usize + i]
+        } else {
+            FALSE
+        }
+    }
+
+    /// A new `width`-bit vector whose bit `i` is `f(self, i)`, computed
+    /// from bit 0 up. `f` may build nodes but no vector, so the bits land
+    /// back to back.
+    fn build(&mut self, width: usize, mut f: impl FnMut(&mut Aig, usize) -> Lit) -> Bv {
+        let start = u32::try_from(self.lits.len()).expect("literal arena fits u32 offsets");
+        for i in 0..width {
+            let lit = f(self, i);
+            self.lits.push(lit);
+        }
+        Bv::at(start, width)
+    }
+
+    /// A one-bit vector.
+    pub fn bv_bit(&mut self, lit: Lit) -> Bv {
+        self.build(1, |_, _| lit)
+    }
+
+    /// A constant vector. Each `(value, width)` is built once.
+    pub fn bv_const(&mut self, value: Value, width: usize) -> Bv {
+        let key = (value, width as u32);
+        if let Some(&bv) = self.consts.get(&key) {
+            return bv;
+        }
+        let bv = self.build(width, |_, i| const_bit(value, i));
+        self.consts.insert(key, bv);
+        bv
     }
 
     /// A vector of fresh variables.
     pub fn bv_var(&mut self, width: usize) -> Bv {
-        Bv((0..width).map(|_| self.var()).collect())
+        self.build(width, |g, _| g.var())
     }
 
-    /// Zero-extends or truncates to `width`.
-    #[must_use]
-    pub fn bv_resize(&self, a: &Bv, width: usize) -> Bv {
-        Bv((0..width).map(|i| a.bit(i)).collect())
+    /// Zero-extends or truncates to `width`. Truncating (or keeping the
+    /// width) returns a prefix of the same literals and copies nothing.
+    pub fn bv_resize(&mut self, a: Bv, width: usize) -> Bv {
+        if width <= a.width() {
+            return Bv::at(a.start, width);
+        }
+        self.build(width, |g, i| g.bit(a, i))
+    }
+
+    /// The `len` bits of `a` from bit `lo` on, zero-extended past its
+    /// width. An in-range extract copies nothing.
+    pub fn bv_extract(&mut self, a: Bv, lo: usize, len: usize) -> Bv {
+        if lo + len <= a.width() {
+            return a.slice(lo, len);
+        }
+        self.build(len, |g, i| g.bit(a, lo + i))
+    }
+
+    /// `lo` in the low bits and `hi` above it, `width` bits in all.
+    pub fn bv_concat(&mut self, hi: Bv, lo: Bv, width: usize) -> Bv {
+        let lw = lo.width();
+        self.build(width, |g, i| {
+            if i < lw {
+                g.bit(lo, i)
+            } else {
+                g.bit(hi, i - lw)
+            }
+        })
     }
 
     /// Bitwise map over two vectors at the width of the result.
-    fn bv_zip(&mut self, a: &Bv, b: &Bv, width: usize, f: fn(&mut Aig, Lit, Lit) -> Lit) -> Bv {
-        Bv((0..width).map(|i| f(self, a.bit(i), b.bit(i))).collect())
+    fn bv_zip(&mut self, a: Bv, b: Bv, width: usize, f: fn(&mut Aig, Lit, Lit) -> Lit) -> Bv {
+        self.build(width, |g, i| {
+            let (x, y) = (g.bit(a, i), g.bit(b, i));
+            f(g, x, y)
+        })
     }
 
     /// Bitwise AND at `width`.
-    pub fn bv_and(&mut self, a: &Bv, b: &Bv, width: usize) -> Bv {
+    pub fn bv_and(&mut self, a: Bv, b: Bv, width: usize) -> Bv {
         self.bv_zip(a, b, width, Aig::and)
     }
 
     /// Bitwise OR at `width`.
-    pub fn bv_or(&mut self, a: &Bv, b: &Bv, width: usize) -> Bv {
+    pub fn bv_or(&mut self, a: Bv, b: Bv, width: usize) -> Bv {
         self.bv_zip(a, b, width, Aig::or)
     }
 
     /// Bitwise XOR at `width`.
-    pub fn bv_xor(&mut self, a: &Bv, b: &Bv, width: usize) -> Bv {
+    pub fn bv_xor(&mut self, a: Bv, b: Bv, width: usize) -> Bv {
         self.bv_zip(a, b, width, Aig::xor)
     }
 
     /// Bitwise complement at `width`.
-    pub fn bv_not(&mut self, a: &Bv, width: usize) -> Bv {
-        Bv((0..width).map(|i| not(a.bit(i))).collect())
+    pub fn bv_not(&mut self, a: Bv, width: usize) -> Bv {
+        self.build(width, |g, i| not(g.bit(a, i)))
     }
 
     /// Per-bit mux at the widths of the arms (zero-extending the short
     /// one).
-    pub fn bv_mux(&mut self, s: Lit, t: &Bv, f: &Bv, width: usize) -> Bv {
-        Bv((0..width)
-            .map(|i| self.mux(s, t.bit(i), f.bit(i)))
-            .collect())
+    pub fn bv_mux(&mut self, s: Lit, t: Bv, f: Bv, width: usize) -> Bv {
+        // A constant select picks an arm without building a node.
+        match s {
+            TRUE => return self.bv_resize(t, width),
+            FALSE => return self.bv_resize(f, width),
+            _ => {}
+        }
+        self.build(width, |g, i| {
+            let (x, y) = (g.bit(t, i), g.bit(f, i));
+            g.mux(s, x, y)
+        })
+    }
+
+    /// Ripple-carry `a + b + carry_in` with `b`'s bits complemented when
+    /// `invert_b`, truncated to `width`.
+    fn ripple(&mut self, a: Bv, b: Bv, invert_b: bool, carry_in: Lit, width: usize) -> Bv {
+        let mut carry = carry_in;
+        self.build(width, |g, i| {
+            let x = g.bit(a, i);
+            let y = g.bit(b, i) ^ Lit::from(invert_b);
+            let xy = g.xor(x, y);
+            let sum = g.xor(xy, carry);
+            let gen = g.and(x, y);
+            let prop = g.and(xy, carry);
+            carry = g.or(gen, prop);
+            sum
+        })
     }
 
     /// Ripple-carry adder, result truncated to `width` (wrapping, as the
     /// simulator's `wrapping_add` + mask).
-    pub fn bv_add(&mut self, a: &Bv, b: &Bv, width: usize) -> Bv {
-        let mut carry = FALSE;
-        let mut out = Vec::with_capacity(width);
-        for i in 0..width {
-            let (x, y) = (a.bit(i), b.bit(i));
-            let xy = self.xor(x, y);
-            out.push(self.xor(xy, carry));
-            let g = self.and(x, y);
-            let p = self.and(xy, carry);
-            carry = self.or(g, p);
-        }
-        Bv(out)
+    pub fn bv_add(&mut self, a: Bv, b: Bv, width: usize) -> Bv {
+        self.ripple(a, b, false, FALSE, width)
     }
 
-    /// Ripple-borrow subtractor (`a - b`), truncated to `width`.
-    pub fn bv_sub(&mut self, a: &Bv, b: &Bv, width: usize) -> Bv {
-        let nb = self.bv_not(b, width);
-        // a + ~b + 1.
-        let mut carry = TRUE;
-        let mut out = Vec::with_capacity(width);
-        for i in 0..width {
-            let (x, y) = (a.bit(i), nb.bit(i));
-            let xy = self.xor(x, y);
-            out.push(self.xor(xy, carry));
-            let g = self.and(x, y);
-            let p = self.and(xy, carry);
-            carry = self.or(g, p);
-        }
-        Bv(out)
+    /// Ripple-borrow subtractor (`a - b` as `a + ~b + 1`), truncated to
+    /// `width`.
+    pub fn bv_sub(&mut self, a: Bv, b: Bv, width: usize) -> Bv {
+        self.ripple(a, b, true, TRUE, width)
     }
 
     /// `a == b` over `width` bits (zero-extended full-value equality).
-    pub fn bv_eq(&mut self, a: &Bv, b: &Bv, width: usize) -> Lit {
+    pub fn bv_eq(&mut self, a: Bv, b: Bv, width: usize) -> Lit {
         let mut acc = TRUE;
         for i in 0..width {
-            let e = self.eq_bit(a.bit(i), b.bit(i));
+            let e = self.eq_bit(self.bit(a, i), self.bit(b, i));
             acc = self.and(acc, e);
         }
         acc
     }
 
     /// Unsigned `a < b` over `width` bits.
-    pub fn bv_ult(&mut self, a: &Bv, b: &Bv, width: usize) -> Lit {
+    pub fn bv_ult(&mut self, a: Bv, b: Bv, width: usize) -> Lit {
         // MSB-first compare: lt = (¬a_i ∧ b_i) ∨ ((a_i == b_i) ∧ lt_below).
         let mut lt = FALSE;
         for i in 0..width {
-            let (x, y) = (a.bit(i), b.bit(i));
+            let (x, y) = (self.bit(a, i), self.bit(b, i));
             let here = self.and(not(x), y);
             let same = self.eq_bit(x, y);
             let below = self.and(same, lt);
@@ -303,72 +400,83 @@ impl Aig {
     }
 
     /// OR-reduce over `width` bits.
-    pub fn bv_reduce_or(&mut self, a: &Bv, width: usize) -> Lit {
+    pub fn bv_reduce_or(&mut self, a: Bv, width: usize) -> Lit {
         let mut acc = FALSE;
         for i in 0..width {
-            acc = self.or(acc, a.bit(i));
+            acc = self.or(acc, self.bit(a, i));
         }
         acc
     }
 
     /// AND-reduce over `width` bits.
-    pub fn bv_reduce_and(&mut self, a: &Bv, width: usize) -> Lit {
+    pub fn bv_reduce_and(&mut self, a: Bv, width: usize) -> Lit {
         let mut acc = TRUE;
         for i in 0..width {
-            acc = self.and(acc, a.bit(i));
+            acc = self.and(acc, self.bit(a, i));
         }
         acc
     }
 
     /// XOR-reduce (parity) over `width` bits.
-    pub fn bv_reduce_xor(&mut self, a: &Bv, width: usize) -> Lit {
+    pub fn bv_reduce_xor(&mut self, a: Bv, width: usize) -> Lit {
         let mut acc = FALSE;
         for i in 0..width {
-            acc = self.xor(acc, a.bit(i));
+            acc = self.xor(acc, self.bit(a, i));
         }
         acc
     }
 
     /// Binary mux tree: selects `entries[addr % entries.len()]` at
-    /// `width` bits. The tree has `2^addr_bits.len()` leaves, so callers
+    /// `width` bits. The tree has `2^addr.width()` leaves, so callers
     /// bound the address width.
-    pub fn bv_select(&mut self, entries: &[Bv], addr_bits: &[Lit], width: usize) -> Bv {
+    pub fn bv_select(&mut self, entries: &[Bv], addr: Bv, width: usize) -> Bv {
         assert!(!entries.is_empty(), "select over no entries");
-        let mut out = vec![FALSE; width];
-        let mut scratch = vec![vec![FALSE; width]; addr_bits.len().saturating_sub(1)];
-        self.select_into(entries, 0, 1, addr_bits, &mut out, &mut scratch);
-        Bv(out)
+        // One `width`-bit buffer for the result and one per level below
+        // the root.
+        let mut buf = std::mem::take(&mut self.select_buf);
+        buf.clear();
+        buf.resize(width * addr.width().max(1), FALSE);
+        let (out, scratch) = buf.split_at_mut(width);
+        self.select_into(entries, 0, 1, addr, out, scratch);
+        let bv = self.build(width, |_, i| out[i]);
+        self.select_buf = buf;
+        bv
     }
 
     /// The subtree of [`Aig::bv_select`] over the addresses `first,
     /// first + stride, …`, written into `out`. Splits on the low address
     /// bit — even subtree, then odd subtree, then the muxes bit by bit —
     /// so every `and` call, and so every node id, follows one fixed order.
-    /// `scratch` holds one `width`-bit buffer per level below this one.
+    /// `scratch` holds one `out`-sized buffer per level below this one.
     fn select_into(
         &mut self,
         entries: &[Bv],
         first: usize,
         stride: usize,
-        addr_bits: &[Lit],
+        addr: Bv,
         out: &mut [Lit],
-        scratch: &mut [Vec<Lit>],
+        scratch: &mut [Lit],
     ) {
-        let entry = |a: usize| &entries[a % entries.len()];
-        match addr_bits {
-            [] => {
+        let entry = |a: usize| entries[a % entries.len()];
+        match addr.width() {
+            0 => {
+                let e = entry(first);
                 for (i, o) in out.iter_mut().enumerate() {
-                    *o = entry(first).bit(i);
+                    *o = self.bit(e, i);
                 }
             }
-            &[s] => {
+            1 => {
+                let s = self.bit(addr, 0);
                 let (f, t) = (entry(first), entry(first + stride));
                 for (i, o) in out.iter_mut().enumerate() {
-                    *o = self.mux(s, t.bit(i), f.bit(i));
+                    let (x, y) = (self.bit(t, i), self.bit(f, i));
+                    *o = self.mux(s, x, y);
                 }
             }
-            &[s, ref rest @ ..] => {
-                let (t, below) = scratch.split_first_mut().expect("one buffer per level");
+            bits => {
+                let s = self.bit(addr, 0);
+                let rest = addr.slice(1, bits - 1);
+                let (t, below) = scratch.split_at_mut(out.len());
                 self.select_into(entries, first, stride * 2, rest, out, below);
                 self.select_into(entries, first + stride, stride * 2, rest, t, below);
                 for (o, &t) in out.iter_mut().zip(t.iter()) {
@@ -388,7 +496,22 @@ impl Aig {
         model: &dyn Fn(u32) -> bool,
         memo: &mut [Option<bool>],
     ) -> bool {
-        let mut stack = vec![node_of(lit)];
+        let root = node_of(lit);
+        if memo[root as usize].is_none() {
+            if root == 0 {
+                memo[0] = Some(true);
+            } else if self.is_input(root) {
+                memo[root as usize] = Some(model(root));
+            } else {
+                self.eval_cone(root, model, memo);
+            }
+        }
+        memo[root as usize].expect("evaluated") ^ is_neg(lit)
+    }
+
+    /// Fills `memo` for the AND node `root` and its unevaluated cone.
+    fn eval_cone(&self, root: u32, model: &dyn Fn(u32) -> bool, memo: &mut [Option<bool>]) {
+        let mut stack = vec![root];
         while let Some(&n) = stack.last() {
             if memo[n as usize].is_some() {
                 stack.pop();
@@ -423,24 +546,27 @@ impl Aig {
                 }
             }
         }
-        memo[node_of(lit) as usize].expect("evaluated") ^ is_neg(lit)
     }
 
     /// Evaluates a bit vector under a model into an integer value.
     #[must_use]
-    pub fn eval_bv(
-        &self,
-        bv: &Bv,
-        model: &dyn Fn(u32) -> bool,
-        memo: &mut [Option<bool>],
-    ) -> Value {
+    pub fn eval_bv(&self, bv: Bv, model: &dyn Fn(u32) -> bool, memo: &mut [Option<bool>]) -> Value {
         let mut v: Value = 0;
-        for (i, &lit) in bv.0.iter().enumerate() {
+        for (i, &lit) in self.bits(bv).iter().enumerate() {
             if self.eval_lit(lit, model, memo) {
                 v |= 1 << i;
             }
         }
         v
+    }
+}
+
+/// Bit `i` of a constant as a literal.
+fn const_bit(value: Value, i: usize) -> Lit {
+    if (value >> i) & 1 == 1 {
+        TRUE
+    } else {
+        FALSE
     }
 }
 
@@ -469,12 +595,12 @@ mod tests {
             let a = g.bv_const(x, w);
             let b = g.bv_const(y, w);
             let model = |_: u32| false;
-            let add = g.bv_add(&a, &b, w);
-            let sub = g.bv_sub(&a, &b, w);
-            let lt = g.bv_ult(&a, &b, w);
+            let add = g.bv_add(a, b, w);
+            let sub = g.bv_sub(a, b, w);
+            let lt = g.bv_ult(a, b, w);
             let mut memo = vec![None; g.len()];
-            assert_eq!(g.eval_bv(&add, &model, &mut memo), (x + y) & 0xff);
-            assert_eq!(g.eval_bv(&sub, &model, &mut memo), x.wrapping_sub(y) & 0xff);
+            assert_eq!(g.eval_bv(add, &model, &mut memo), (x + y) & 0xff);
+            assert_eq!(g.eval_bv(sub, &model, &mut memo), x.wrapping_sub(y) & 0xff);
             assert_eq!(g.eval_lit(lt, &model, &mut memo), x < y);
         }
     }
@@ -484,13 +610,13 @@ mod tests {
         let mut g = Aig::new(1 << 20);
         let entries: Vec<Bv> = (0..8u128).map(|v| g.bv_const(v * 3, 8)).collect();
         let addr = g.bv_var(3);
-        let base = node_of(addr.0[0]);
+        let base = node_of(g.bit(addr, 0));
         for want in 0..8u128 {
-            let sel = g.bv_select(&entries, &addr.0, 8);
+            let sel = g.bv_select(&entries, addr, 8);
             // addr bits are inputs; recover their index by node id order.
             let model = move |n: u32| (want >> (n - base)) & 1 == 1;
             let mut memo = vec![None; g.len()];
-            assert_eq!(g.eval_bv(&sel, &model, &mut memo), want * 3);
+            assert_eq!(g.eval_bv(sel, &model, &mut memo), want * 3);
         }
     }
 
@@ -518,9 +644,9 @@ mod tests {
                 })
                 .collect();
             let addr = g.bv_var(bits);
-            let addr_nodes: Vec<u32> = addr.0.iter().map(|&l| node_of(l)).collect();
+            let addr_nodes: Vec<u32> = g.bits(addr).iter().map(|&l| node_of(l)).collect();
             for width in [2, 3, 5] {
-                let sel = g.bv_select(&entries, &addr.0, width);
+                let sel = g.bv_select(&entries, addr, width);
                 assert_eq!(sel.width(), width);
                 for seed in 0..3u64 {
                     for (a, entry) in entries.iter().enumerate() {
@@ -529,8 +655,8 @@ mod tests {
                             None => coin(seed, n),
                         };
                         let mut memo = vec![None; g.len()];
-                        let want = g.eval_bv(entry, &model, &mut memo) & ((1 << width) - 1);
-                        let got = g.eval_bv(&sel, &model, &mut memo);
+                        let want = g.eval_bv(*entry, &model, &mut memo) & ((1 << width) - 1);
+                        let got = g.eval_bv(sel, &model, &mut memo);
                         assert_eq!(got, want, "bits {bits} width {width} addr {a}");
                     }
                 }
@@ -543,12 +669,12 @@ mod tests {
         let mut g = Aig::new(1 << 20);
         let entries: Vec<Bv> = (0..5u128).map(|v| g.bv_const(v + 10, 8)).collect();
         let addr = g.bv_var(3);
-        let base = node_of(addr.0[0]);
-        let sel = g.bv_select(&entries, &addr.0, 8);
+        let base = node_of(g.bit(addr, 0));
+        let sel = g.bv_select(&entries, addr, 8);
         for a in 0..8u128 {
             let model = move |n: u32| (a >> (n - base)) & 1 == 1;
             let mut memo = vec![None; g.len()];
-            assert_eq!(g.eval_bv(&sel, &model, &mut memo), a % 5 + 10);
+            assert_eq!(g.eval_bv(sel, &model, &mut memo), a % 5 + 10);
         }
     }
 
@@ -557,11 +683,33 @@ mod tests {
         let mut g = Aig::new(1 << 20);
         let entries: Vec<Bv> = (0..16).map(|_| g.bv_var(8)).collect();
         let addr = g.bv_var(4);
-        let first = g.bv_select(&entries, &addr.0, 8);
+        let first = g.bv_select(&entries, addr, 8);
         let len = g.len();
-        let again = g.bv_select(&entries, &addr.0, 8);
+        let again = g.bv_select(&entries, addr, 8);
         assert_eq!(g.len(), len, "a repeated select only hits the hash");
-        assert_eq!(again, first);
+        assert_eq!(g.bits(again), g.bits(first));
+    }
+
+    #[test]
+    fn narrowing_views_copy_no_literal() {
+        let mut g = Aig::new(1 << 20);
+        let a = g.bv_var(8);
+        let lits = g.lits.len();
+        assert_eq!(g.bv_resize(a, 8), a, "same width is the same handle");
+        let low = g.bv_resize(a, 3);
+        assert_eq!(g.bits(low), &g.bits(a)[..3]);
+        let mid = g.bv_extract(a, 2, 4);
+        assert_eq!(g.bits(mid), &g.bits(a)[2..6]);
+        assert_eq!(
+            g.lits.len(),
+            lits,
+            "truncation and in-range extracts are views"
+        );
+        let wide = g.bv_resize(a, 10);
+        assert_eq!(&g.bits(wide)[..8], g.bits(a));
+        assert_eq!(&g.bits(wide)[8..], &[FALSE, FALSE]);
+        let past = g.bv_extract(a, 6, 4);
+        assert_eq!(g.bits(past), &[g.bit(a, 6), g.bit(a, 7), FALSE, FALSE]);
     }
 
     #[test]

@@ -24,9 +24,18 @@
 //!   and memoised per `(cycle, copy, node)`; logic outside an
 //!   observable's cone is never touched, and constants (register resets,
 //!   ROM contents) fold through the whole pipeline.
+//!
+//! Values are [`Bv`] handles into the AIG's one literal arena, so
+//! passing, memoising or narrowing a value copies no literal: only a
+//! vector with new bits appends to the arena. The memo is dense, one
+//! row per `(cycle, copy)` indexed by node and allocated when that cycle
+//! and rail are first reached, so a hit is two array reads. Memory states
+//! are likewise ranges of one cell arena. None of this changes what is
+//! built: every AIG node is created in the same order as by an encoder
+//! that copies its vectors, so variable numbering, clauses and the
+//! solver's trajectory do not depend on the representation.
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use hdl::hash::FixedMap;
 use hdl::{BinOp, LabelExpr, MemId, Netlist, Node, NodeId, UnOp, Value};
@@ -255,63 +264,97 @@ pub const COPY_B: u8 = 1;
 /// Widest address decoder the encoder will enumerate (2^12 entries).
 const MAX_ADDR_BITS: usize = 12;
 
+/// One memory's contents at one cycle: `len` cell vectors back to back
+/// in the encoder's cell arena. Rails and cycles that share a state
+/// share the handle, and a new state never reuses an old one's cells, so
+/// `start` identifies the state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Cells {
+    start: u32,
+    len: u32,
+}
+
+impl Cells {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
 /// The lazy two-rail unroller.
+///
+/// Every bit-vector is a [`Bv`] handle into the AIG's literal arena, and
+/// every memo hit returns a handle, so no lookup copies a literal.
 pub struct Encoder<'n> {
     net: &'n Netlist,
-    widths: Vec<u16>,
-    env: ProveEnv,
+    widths: &'n [u16],
+    env: &'n ProveEnv,
     /// The shared AIG both rails are built into.
     pub aig: Aig,
     /// Havoc the cycle-0 architectural state (for the inductive step)
     /// instead of using reset values.
     havoc_init: bool,
-    comb: FixedMap<(u32, u8, u32), Bv>,
-    regs: FixedMap<(u32, u8, u32), Bv>,
-    mems: FixedMap<(u32, u8, u32), Rc<Vec<Bv>>>,
+    /// The value of every encoded node: one row per `(cycle, copy)` at
+    /// `cycle * 2 + copy`, allocated on first use, holding per node one
+    /// more than the arena start of its `width_of(node)`-bit value, or 0
+    /// when it has none. Zero for "none" lets a row come from zeroed
+    /// memory, whose pages a small cone never touches. A register's row
+    /// entry is its state at the start of the cycle.
+    memo: Vec<Vec<u32>>,
+    /// Memory states, per `(cycle, copy, mem)`.
+    mems: FixedMap<(u32, u8, u32), Cells>,
+    /// The cell vectors of every memory state, back to back.
+    cells: Vec<Bv>,
     /// Variables shared by both rails: public inputs, declassify havoc,
     /// keyed by `(cycle, node)`.
     shared: FixedMap<(u32, u32), Bv>,
     /// Per-rail free variables: secret inputs and the free half of a
     /// `CondTag` input, keyed by `(cycle, copy, node)`.
     free: FixedMap<(u32, u8, u32), Bv>,
-    /// Shared havoc initial state, keyed by node / `(mem, cell)`.
+    /// Shared havoc initial state, keyed by node / mem.
     init_regs: FixedMap<u32, Bv>,
-    init_mems: FixedMap<u32, Rc<Vec<Bv>>>,
-    /// Memoised memory reads, keyed by cell-vector identity, address
-    /// literals and width (see [`Encoder::mem_select`]).
-    selects: FixedMap<(usize, Vec<Lit>, usize), Bv>,
+    init_mems: FixedMap<u32, Cells>,
+    /// Memoised memory reads, keyed by `[cell state, width, address
+    /// literals…]` (see [`Encoder::mem_select`]).
+    selects: FixedMap<Vec<u32>, Bv>,
+    /// The lookup key of [`Encoder::mem_select`], reused across reads.
+    select_key: Vec<u32>,
 }
 
 impl<'n> Encoder<'n> {
-    /// A fresh encoder over one netlist and environment.
+    /// A fresh encoder over one netlist and environment. `widths` is
+    /// `net.node_widths()`, computed once by the caller and shared by
+    /// every encoder over `net`.
     #[must_use]
     pub fn new(
         net: &'n Netlist,
-        env: ProveEnv,
+        widths: &'n [u16],
+        env: &'n ProveEnv,
         node_limit: usize,
         havoc_init: bool,
     ) -> Encoder<'n> {
+        assert_eq!(widths.len(), net.node_count(), "one width per node");
         Encoder {
             net,
-            widths: net.node_widths(),
+            widths,
             env,
             aig: Aig::new(node_limit),
             havoc_init,
-            comb: FixedMap::default(),
-            regs: FixedMap::default(),
+            memo: Vec::new(),
             mems: FixedMap::default(),
+            cells: Vec::new(),
             shared: FixedMap::default(),
             free: FixedMap::default(),
             init_regs: FixedMap::default(),
             init_mems: FixedMap::default(),
             selects: FixedMap::default(),
+            select_key: Vec::new(),
         }
     }
 
     /// The environment contract this encoder unrolls under.
     #[must_use]
     pub fn env(&self) -> &ProveEnv {
-        &self.env
+        self.env
     }
 
     /// The width the simulator would store for a node.
@@ -320,31 +363,53 @@ impl<'n> Encoder<'n> {
         usize::from(self.widths[id.index()].max(1))
     }
 
+    /// The memoised value of `id` on `copy` at `cycle`, if encoded.
+    fn memoised(&self, cycle: u32, copy: u8, id: NodeId) -> Option<Bv> {
+        let row = self.memo.get(cycle as usize * 2 + usize::from(copy))?;
+        let entry = *row.get(id.index())?;
+        (entry != 0).then(|| Bv::at(entry - 1, self.width_of(id)))
+    }
+
+    /// Memoises `bv`, which is `width_of(id)` bits wide.
+    fn remember(&mut self, cycle: u32, copy: u8, id: NodeId, bv: Bv) {
+        debug_assert_eq!(bv.width(), self.width_of(id));
+        let r = cycle as usize * 2 + usize::from(copy);
+        if self.memo.len() <= r {
+            self.memo.resize_with(r + 1, Vec::new);
+        }
+        let row = &mut self.memo[r];
+        if row.is_empty() {
+            *row = vec![0; self.widths.len()];
+        }
+        row[id.index()] = bv.start() + 1;
+    }
+
     fn shared_vars(&mut self, cycle: u32, node: NodeId, width: usize) -> Bv {
-        if let Some(bv) = self.shared.get(&(cycle, node.index() as u32)) {
-            return bv.clone();
+        let key = (cycle, node.index() as u32);
+        if let Some(&bv) = self.shared.get(&key) {
+            return bv;
         }
         let bv = self.aig.bv_var(width);
-        self.shared.insert((cycle, node.index() as u32), bv.clone());
+        self.shared.insert(key, bv);
         bv
     }
 
     fn free_vars(&mut self, cycle: u32, copy: u8, node: NodeId, width: usize) -> Bv {
-        if let Some(bv) = self.free.get(&(cycle, copy, node.index() as u32)) {
-            return bv.clone();
+        let key = (cycle, copy, node.index() as u32);
+        if let Some(&bv) = self.free.get(&key) {
+            return bv;
         }
         let bv = self.aig.bv_var(width);
-        self.free
-            .insert((cycle, copy, node.index() as u32), bv.clone());
+        self.free.insert(key, bv);
         bv
     }
 
-    /// Whether the low conf nibble (bits 7:4 of the packed tag) is zero —
-    /// the attacker-observability test the accelerator's release gates
-    /// implement in hardware.
-    fn conf_is_public(&mut self, tag: &Bv) -> Lit {
-        let hi = self.aig.or(tag.bit(6), tag.bit(7));
-        let lo = self.aig.or(tag.bit(4), tag.bit(5));
+    /// Whether the low conf nibble (bits 7:4 of the packed tag, zero past
+    /// the tag's width) is zero — the attacker-observability test the
+    /// accelerator's release gates implement in hardware.
+    fn conf_is_public(&mut self, tag: Bv) -> Lit {
+        let hi = self.aig.or(self.aig.bit(tag, 6), self.aig.bit(tag, 7));
+        let lo = self.aig.or(self.aig.bit(tag, 4), self.aig.bit(tag, 5));
         let any = self.aig.or(hi, lo);
         aig::not(any)
     }
@@ -363,28 +428,26 @@ impl<'n> Encoder<'n> {
                     return a;
                 }
                 let tag_v = self.value(cycle, COPY_A, tag);
-                let tag8 = self.aig.bv_resize(&tag_v, 8);
-                let cond = self.conf_is_public(&tag8);
+                let cond = self.conf_is_public(tag_v);
                 let b = self.free_vars(cycle, COPY_B, node, w);
-                self.aig.bv_mux(cond, &a, &b, w)
+                self.aig.bv_mux(cond, a, b, w)
             }
         }
     }
 
     /// The architectural register value at the *start* of `cycle`.
     fn reg_state(&mut self, cycle: u32, copy: u8, id: NodeId) -> Bv {
-        let key = (cycle, copy, id.index() as u32);
-        if let Some(bv) = self.regs.get(&key) {
-            return bv.clone();
+        if let Some(bv) = self.memoised(cycle, copy, id) {
+            return bv;
         }
         let w = self.width_of(id);
         let bv = if cycle == 0 {
             if self.havoc_init {
-                if let Some(bv) = self.init_regs.get(&(id.index() as u32)) {
-                    bv.clone()
+                if let Some(&bv) = self.init_regs.get(&(id.index() as u32)) {
+                    bv
                 } else {
                     let bv = self.aig.bv_var(w);
-                    self.init_regs.insert(id.index() as u32, bv.clone());
+                    self.init_regs.insert(id.index() as u32, bv);
                     bv
                 }
             } else {
@@ -397,55 +460,54 @@ impl<'n> Encoder<'n> {
             match self.net.reg_next[id.index()] {
                 Some(next) => {
                     let v = self.value(cycle - 1, copy, next);
-                    self.aig.bv_resize(&v, w)
+                    self.aig.bv_resize(v, w)
                 }
                 None => self.reg_state(cycle - 1, copy, id),
             }
         };
-        self.regs.insert(key, bv.clone());
+        self.remember(cycle, copy, id, bv);
         bv
     }
 
-    fn init_mem_cells(&mut self, mem: MemId) -> Rc<Vec<Bv>> {
-        if let Some(cells) = self.init_mems.get(&(mem.index() as u32)) {
-            return Rc::clone(cells);
+    fn init_mem_cells(&mut self, mem: MemId) -> Cells {
+        if let Some(&cells) = self.init_mems.get(&(mem.index() as u32)) {
+            return cells;
         }
-        let mi = &self.net.mems[mem.index()];
+        let net = self.net;
+        let mi = &net.mems[mem.index()];
         let width = usize::from(mi.width.max(1));
-        let cells: Vec<Bv> = if self.havoc_init {
-            let mut v = Vec::with_capacity(mi.depth);
-            for _ in 0..mi.depth {
-                v.push(self.aig.bv_var(width));
-            }
-            v
-        } else {
-            (0..mi.depth)
-                .map(|c| {
-                    self.aig
-                        .bv_const(mi.init.get(c).copied().unwrap_or(0), width)
-                })
-                .collect()
+        let start = self.cells.len() as u32;
+        for c in 0..mi.depth {
+            let cell = if self.havoc_init {
+                self.aig.bv_var(width)
+            } else {
+                let init = mi.init.get(c).copied().unwrap_or(0);
+                self.aig.bv_const(init, width)
+            };
+            self.cells.push(cell);
+        }
+        let cells = Cells {
+            start,
+            len: mi.depth as u32,
         };
-        let cells = Rc::new(cells);
-        self.init_mems.insert(mem.index() as u32, Rc::clone(&cells));
+        self.init_mems.insert(mem.index() as u32, cells);
         cells
     }
 
     /// `addr % depth == cell`, with the simulator's modulo semantics.
-    fn addr_matches(&mut self, addr: &Bv, cell: usize, depth: usize) -> Lit {
+    fn addr_matches(&mut self, addr: Bv, cell: usize, depth: usize) -> Lit {
         let w = addr.width();
         if depth.is_power_of_two() {
             let lb = depth.trailing_zeros() as usize;
             if w >= lb {
                 // addr % depth is the low bits.
-                let low = Bv(addr.0[..lb].to_vec());
                 let want = self.aig.bv_const(cell as Value, lb);
-                return self.aig.bv_eq(&low, &want, lb);
+                return self.aig.bv_eq(addr, want, lb);
             }
             // Every representable address is already < depth.
             if cell < (1usize << w) {
                 let want = self.aig.bv_const(cell as Value, w);
-                return self.aig.bv_eq(addr, &want, w);
+                return self.aig.bv_eq(addr, want, w);
             }
             return aig::FALSE;
         }
@@ -457,7 +519,7 @@ impl<'n> Encoder<'n> {
         for a in 0..(1usize << w) {
             if a % depth == cell {
                 let want = self.aig.bv_const(a as Value, w);
-                let eq = self.aig.bv_eq(addr, &want, w);
+                let eq = self.aig.bv_eq(addr, want, w);
                 acc = self.aig.or(acc, eq);
             }
         }
@@ -466,68 +528,74 @@ impl<'n> Encoder<'n> {
 
     /// Reads `cells[addr % depth]` as a mux tree.
     ///
-    /// Memoised on the cell vector's identity, the address literals and
-    /// the width. A repeated select would only hit the AIG's structural
-    /// hash and add no node, so a hit returns exactly the literals a
-    /// rebuild would. Every cell vector stays alive in `mems` or
-    /// `init_mems` for the encoder's lifetime, so no address is reused.
-    fn mem_select(&mut self, cells: &Rc<Vec<Bv>>, addr: &Bv, width: usize) -> Bv {
-        let depth = cells.len();
+    /// Memoised on the cell state, the width and the address literals. A
+    /// repeated select would only hit the AIG's structural hash and add
+    /// no node, so a hit returns exactly the literals a rebuild would.
+    fn mem_select(&mut self, cells: Cells, addr: Bv, width: usize) -> Bv {
+        let depth = cells.len as usize;
         let w = addr.width();
         // A power-of-two depth reads the low address bits (all of them
         // when the port is narrower); any other depth enumerates every
         // address the port can form, each wrapped modulo depth.
         let used = if depth.is_power_of_two() {
-            &addr.0[..w.min(depth.trailing_zeros() as usize)]
+            addr.slice(0, w.min(depth.trailing_zeros() as usize))
         } else if w > MAX_ADDR_BITS {
             self.aig.mark_overflow();
             return self.aig.bv_const(0, width);
         } else {
-            &addr.0[..]
+            addr
         };
-        let key = (Rc::as_ptr(cells) as usize, used.to_vec(), width);
-        if let Some(bv) = self.selects.get(&key) {
-            return bv.clone();
+        self.select_key.clear();
+        self.select_key.extend([cells.start, width as u32]);
+        self.select_key.extend_from_slice(self.aig.bits(used));
+        if let Some(&bv) = self.selects.get(self.select_key.as_slice()) {
+            return bv;
         }
-        let bv = self.aig.bv_select(cells, used, width);
-        self.selects.insert(key, bv.clone());
+        let bv = self.aig.bv_select(&self.cells[cells.range()], used, width);
+        self.selects.insert(self.select_key.clone(), bv);
         bv
     }
 
     /// Memory contents at the *start* of `cycle`.
-    fn mem_state(&mut self, cycle: u32, copy: u8, mem: MemId) -> Rc<Vec<Bv>> {
+    fn mem_state(&mut self, cycle: u32, copy: u8, mem: MemId) -> Cells {
         let key = (cycle, copy, mem.index() as u32);
-        if let Some(cells) = self.mems.get(&key) {
-            return Rc::clone(cells);
+        if let Some(&cells) = self.mems.get(&key) {
+            return cells;
         }
+        let net = self.net;
         let cells = if cycle == 0 {
             self.init_mem_cells(mem)
-        } else if !self.net.write_ports.iter().any(|wp| wp.mem == mem) {
+        } else if !net.write_ports.iter().any(|wp| wp.mem == mem) {
             // Nothing writes it (a ROM): every cycle shares one state.
             self.mem_state(cycle - 1, copy, mem)
         } else {
             let prev = self.mem_state(cycle - 1, copy, mem);
-            let mut cells: Vec<Bv> = prev.as_ref().clone();
-            let mi = &self.net.mems[mem.index()];
+            self.cells.extend_from_within(prev.range());
+            let cells = Cells {
+                start: self.cells.len() as u32 - prev.len,
+                len: prev.len,
+            };
+            let mi = &net.mems[mem.index()];
             let width = usize::from(mi.width.max(1));
             let depth = mi.depth;
             // Write ports apply in statement order; a later port wins on
             // the same cell — exactly the simulator's clock edge.
-            for wp in self.net.write_ports.iter().filter(|wp| wp.mem == mem) {
+            for wp in net.write_ports.iter().filter(|wp| wp.mem == mem) {
                 let en_v = self.value(cycle - 1, copy, wp.en);
-                let en = en_v.bit(0);
+                let en = self.aig.bit(en_v, 0);
                 let addr = self.value(cycle - 1, copy, wp.addr);
                 let data_v = self.value(cycle - 1, copy, wp.data);
-                let data = self.aig.bv_resize(&data_v, width);
-                for (c, cell) in cells.iter_mut().enumerate() {
-                    let sel = self.addr_matches(&addr, c, depth);
+                let data = self.aig.bv_resize(data_v, width);
+                for c in 0..depth {
+                    let sel = self.addr_matches(addr, c, depth);
                     let wr = self.aig.and(en, sel);
-                    *cell = self.aig.bv_mux(wr, &data, cell, width);
+                    let at = cells.start as usize + c;
+                    self.cells[at] = self.aig.bv_mux(wr, data, self.cells[at], width);
                 }
             }
-            Rc::new(cells)
+            cells
         };
-        self.mems.insert(key, Rc::clone(&cells));
+        self.mems.insert(key, cells);
         cells
     }
 
@@ -535,9 +603,8 @@ impl<'n> Encoder<'n> {
     /// bit-exact to [`sim::Simulator`]'s interpreter semantics.
     #[allow(clippy::too_many_lines)]
     pub fn value(&mut self, cycle: u32, copy: u8, id: NodeId) -> Bv {
-        let key = (cycle, copy, id.index() as u32);
-        if let Some(bv) = self.comb.get(&key) {
-            return bv.clone();
+        if let Some(bv) = self.memoised(cycle, copy, id) {
+            return bv;
         }
         let w = self.width_of(id);
         let bv = match *self.net.node(id) {
@@ -545,23 +612,31 @@ impl<'n> Encoder<'n> {
             Node::Const { value, .. } => self.aig.bv_const(value, w),
             Node::Wire { .. } => {
                 let driver = self.net.wire_driver[id.index()].expect("lowered wire has driver");
-                let v = self.value(cycle, copy, driver);
-                self.aig.bv_resize(&v, w)
+                self.value(cycle, copy, driver)
             }
             Node::Reg { .. } => self.reg_state(cycle, copy, id),
             Node::MemRead { mem, addr } => {
                 let addr_v = self.value(cycle, copy, addr);
                 let cells = self.mem_state(cycle, copy, mem);
-                self.mem_select(&cells, &addr_v, w)
+                self.mem_select(cells, addr_v, w)
             }
             Node::Unary { op, a } => {
                 let av = self.value(cycle, copy, a);
                 let aw = self.width_of(a);
                 match op {
-                    UnOp::Not => self.aig.bv_not(&av, w),
-                    UnOp::ReduceOr => Bv(vec![self.aig.bv_reduce_or(&av, aw)]),
-                    UnOp::ReduceAnd => Bv(vec![self.aig.bv_reduce_and(&av, aw)]),
-                    UnOp::ReduceXor => Bv(vec![self.aig.bv_reduce_xor(&av, aw)]),
+                    UnOp::Not => self.aig.bv_not(av, w),
+                    UnOp::ReduceOr => {
+                        let lit = self.aig.bv_reduce_or(av, aw);
+                        self.aig.bv_bit(lit)
+                    }
+                    UnOp::ReduceAnd => {
+                        let lit = self.aig.bv_reduce_and(av, aw);
+                        self.aig.bv_bit(lit)
+                    }
+                    UnOp::ReduceXor => {
+                        let lit = self.aig.bv_reduce_xor(av, aw);
+                        self.aig.bv_bit(lit)
+                    }
                 }
             }
             Node::Binary { op, a, b } => {
@@ -569,23 +644,22 @@ impl<'n> Encoder<'n> {
                 let bv = self.value(cycle, copy, b);
                 let cmp_w = av.width().max(bv.width());
                 match op {
-                    BinOp::And => self.aig.bv_and(&av, &bv, w),
-                    BinOp::Or => self.aig.bv_or(&av, &bv, w),
-                    BinOp::Xor => self.aig.bv_xor(&av, &bv, w),
-                    BinOp::Add => self.aig.bv_add(&av, &bv, w),
-                    BinOp::Sub => self.aig.bv_sub(&av, &bv, w),
-                    BinOp::Eq => Bv(vec![self.aig.bv_eq(&av, &bv, cmp_w)]),
-                    BinOp::Ne => Bv(vec![aig::not(self.aig.bv_eq(&av, &bv, cmp_w))]),
-                    BinOp::Lt => Bv(vec![self.aig.bv_ult(&av, &bv, cmp_w)]),
-                    BinOp::Ge => Bv(vec![aig::not(self.aig.bv_ult(&av, &bv, cmp_w))]),
-                    BinOp::TagLeq => Bv(vec![self.tag_leq(&av, &bv)]),
-                    BinOp::TagJoin => {
-                        let t = self.tag_lattice(&av, &bv, true);
-                        self.aig.bv_resize(&t, w)
-                    }
-                    BinOp::TagMeet => {
-                        let t = self.tag_lattice(&av, &bv, false);
-                        self.aig.bv_resize(&t, w)
+                    BinOp::And => self.aig.bv_and(av, bv, w),
+                    BinOp::Or => self.aig.bv_or(av, bv, w),
+                    BinOp::Xor => self.aig.bv_xor(av, bv, w),
+                    BinOp::Add => self.aig.bv_add(av, bv, w),
+                    BinOp::Sub => self.aig.bv_sub(av, bv, w),
+                    BinOp::TagJoin => self.tag_lattice(av, bv, true),
+                    BinOp::TagMeet => self.tag_lattice(av, bv, false),
+                    BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Ge | BinOp::TagLeq => {
+                        let lit = match op {
+                            BinOp::Eq => self.aig.bv_eq(av, bv, cmp_w),
+                            BinOp::Ne => aig::not(self.aig.bv_eq(av, bv, cmp_w)),
+                            BinOp::Lt => self.aig.bv_ult(av, bv, cmp_w),
+                            BinOp::Ge => aig::not(self.aig.bv_ult(av, bv, cmp_w)),
+                            _ => self.tag_leq(av, bv),
+                        };
+                        self.aig.bv_bit(lit)
                     }
                 }
             }
@@ -593,78 +667,64 @@ impl<'n> Encoder<'n> {
                 let sv = self.value(cycle, copy, sel);
                 let tv = self.value(cycle, copy, t);
                 let fv = self.value(cycle, copy, f);
-                self.aig.bv_mux(sv.bit(0), &tv, &fv, w)
+                let s = self.aig.bit(sv, 0);
+                self.aig.bv_mux(s, tv, fv, w)
             }
             Node::Slice { a, hi, lo } => {
                 let av = self.value(cycle, copy, a);
-                Bv((lo..=hi).map(|i| av.bit(usize::from(i))).collect())
+                let (lo, hi) = (usize::from(lo), usize::from(hi));
+                self.aig.bv_extract(av, lo, hi + 1 - lo)
             }
             Node::Cat { hi, lo } => {
                 let hv = self.value(cycle, copy, hi);
                 let lv = self.value(cycle, copy, lo);
-                let lw = self.width_of(lo);
-                let mut bits = Vec::with_capacity(w);
-                for i in 0..lw.min(w) {
-                    bits.push(lv.bit(i));
-                }
-                let mut i = 0;
-                while bits.len() < w {
-                    bits.push(hv.bit(i));
-                    i += 1;
-                }
-                Bv(bits)
+                self.aig.bv_concat(hv, lv, w)
             }
             // Delimited release: the declassified value is havoc shared
             // by both rails (see the module docs).
             Node::Declassify { .. } => self.shared_vars(cycle, id, w),
             // Endorsement changes integrity, not the value and not
             // confidentiality: plain passthrough.
-            Node::Endorse { data, .. } => {
-                let v = self.value(cycle, copy, data);
-                self.aig.bv_resize(&v, w)
-            }
+            Node::Endorse { data, .. } => self.value(cycle, copy, data),
         };
-        let bv = self.aig.bv_resize(&bv, w);
-        self.comb.insert(key, bv.clone());
+        let bv = self.aig.bv_resize(bv, w);
+        self.remember(cycle, copy, id, bv);
         bv
     }
-
     /// Packed-tag `a ⊑ b` (conf nibble ≤, integ nibble ≥), over the low
     /// eight bits like the interpreter's `as u8` truncation.
-    fn tag_leq(&mut self, a: &Bv, b: &Bv) -> Lit {
-        let (ca, ia) = Self::tag_nibbles(a);
-        let (cb, ib) = Self::tag_nibbles(b);
-        let conf_gt = self.aig.bv_ult(&cb, &ca, 4);
-        let integ_lt = self.aig.bv_ult(&ia, &ib, 4);
+    fn tag_leq(&mut self, a: Bv, b: Bv) -> Lit {
+        let (ca, ia) = self.tag_nibbles(a);
+        let (cb, ib) = self.tag_nibbles(b);
+        let conf_gt = self.aig.bv_ult(cb, ca, 4);
+        let integ_lt = self.aig.bv_ult(ia, ib, 4);
         let bad = self.aig.or(conf_gt, integ_lt);
         aig::not(bad)
     }
 
     /// Packed-tag join (`max` conf, `min` integ) or meet (dual).
-    fn tag_lattice(&mut self, a: &Bv, b: &Bv, join: bool) -> Bv {
-        let (ca, ia) = Self::tag_nibbles(a);
-        let (cb, ib) = Self::tag_nibbles(b);
-        let conf_lt = self.aig.bv_ult(&ca, &cb, 4);
-        let integ_lt = self.aig.bv_ult(&ia, &ib, 4);
+    fn tag_lattice(&mut self, a: Bv, b: Bv, join: bool) -> Bv {
+        let (ca, ia) = self.tag_nibbles(a);
+        let (cb, ib) = self.tag_nibbles(b);
+        let conf_lt = self.aig.bv_ult(ca, cb, 4);
+        let integ_lt = self.aig.bv_ult(ia, ib, 4);
         let (conf, integ) = if join {
             // max conf, min integ.
-            let c = self.aig.bv_mux(conf_lt, &cb, &ca, 4);
-            let i = self.aig.bv_mux(integ_lt, &ia, &ib, 4);
+            let c = self.aig.bv_mux(conf_lt, cb, ca, 4);
+            let i = self.aig.bv_mux(integ_lt, ia, ib, 4);
             (c, i)
         } else {
-            let c = self.aig.bv_mux(conf_lt, &ca, &cb, 4);
-            let i = self.aig.bv_mux(integ_lt, &ib, &ia, 4);
+            let c = self.aig.bv_mux(conf_lt, ca, cb, 4);
+            let i = self.aig.bv_mux(integ_lt, ib, ia, 4);
             (c, i)
         };
-        let mut bits = integ.0;
-        bits.extend(conf.0);
-        Bv(bits)
+        self.aig.bv_concat(conf, integ, 8)
     }
 
-    fn tag_nibbles(tag: &Bv) -> (Bv, Bv) {
-        let conf = Bv((4..8).map(|i| tag.bit(i)).collect());
-        let integ = Bv((0..4).map(|i| tag.bit(i)).collect());
-        (conf, integ)
+    /// The conf (bits 7:4) and integ (bits 3:0) nibbles of a packed tag.
+    fn tag_nibbles(&mut self, tag: Bv) -> (Bv, Bv) {
+        let tag8 = self.aig.bv_resize(tag, 8);
+        (tag8.slice(4, 4), tag8.slice(0, 4))
     }
 
     /// The "observable right now" literal for a labelled release point:
@@ -681,18 +741,17 @@ impl<'n> Encoder<'n> {
             }
             LabelExpr::FromTag(n) => {
                 let v = self.value(cycle, copy, *n);
-                let tag8 = self.aig.bv_resize(&v, 8);
-                self.conf_is_public(&tag8)
+                self.conf_is_public(v)
             }
             LabelExpr::Table { sel, entries } => {
                 let sv = self.value(cycle, copy, *sel);
+                // Compared at 16 bits or more, zero-extended.
                 let w = sv.width().max(16);
-                let sv = self.aig.bv_resize(&sv, w);
                 let mut acc = aig::FALSE;
                 for (i, entry) in entries.iter().enumerate() {
                     if entry.conf == Conf::PUBLIC {
                         let want = self.aig.bv_const(i as Value, w);
-                        let eq = self.aig.bv_eq(&sv, &want, w);
+                        let eq = self.aig.bv_eq(sv, want, w);
                         acc = self.aig.or(acc, eq);
                     }
                 }
@@ -700,7 +759,7 @@ impl<'n> Encoder<'n> {
                 // entry (public only if all entries are public).
                 if entries.iter().all(|e| e.conf == Conf::PUBLIC) {
                     let len = self.aig.bv_const(entries.len() as Value, w);
-                    let oob = aig::not(self.aig.bv_ult(&sv, &len, w));
+                    let oob = aig::not(self.aig.bv_ult(sv, len, w));
                     acc = self.aig.or(acc, oob);
                 }
                 acc
@@ -724,7 +783,7 @@ impl<'n> Encoder<'n> {
         let va = self.value(cycle, COPY_A, obs.node);
         let vb = self.value(cycle, COPY_B, obs.node);
         let w = va.width().max(vb.width());
-        let mut diff = aig::not(self.aig.bv_eq(&va, &vb, w));
+        let mut diff = aig::not(self.aig.bv_eq(va, vb, w));
         if let Some(expr) = &obs.cond {
             let ca = self.cond_public(cycle, COPY_A, expr);
             let cb = self.cond_public(cycle, COPY_B, expr);
@@ -737,36 +796,36 @@ impl<'n> Encoder<'n> {
     /// The encoded input-port vector for `(cycle, copy)`, if that port
     /// entered any cone (`None` means it is unconstrained — drive zero).
     #[must_use]
-    pub fn input_bv(&self, cycle: u32, copy: u8, node: NodeId) -> Option<&Bv> {
-        self.comb.get(&(cycle, copy, node.index() as u32))
+    pub fn input_bv(&self, cycle: u32, copy: u8, node: NodeId) -> Option<Bv> {
+        self.memoised(cycle, copy, node)
     }
 
     /// Every register (with its next-state function) and memory differing
     /// across the rails after one step — the inductive-step consequent.
     pub fn next_state_diff(&mut self) -> Lit {
+        let net = self.net;
         let mut acc = aig::FALSE;
-        let reg_ids: Vec<NodeId> = self
-            .net
-            .node_ids()
-            .filter(|&id| matches!(self.net.node(id), Node::Reg { .. }))
-            .collect();
-        for id in reg_ids {
+        for id in net.node_ids() {
+            if !matches!(net.node(id), Node::Reg { .. }) {
+                continue;
+            }
             let a = self.reg_state(1, COPY_A, id);
             let b = self.reg_state(1, COPY_B, id);
             let w = self.width_of(id);
-            let d = aig::not(self.aig.bv_eq(&a, &b, w));
+            let d = aig::not(self.aig.bv_eq(a, b, w));
             acc = self.aig.or(acc, d);
         }
         // Only written memories can diverge (an unwritten memory holds the
         // same shared initial state on both rails forever).
-        let mut written: Vec<MemId> = self.net.write_ports.iter().map(|wp| wp.mem).collect();
+        let mut written: Vec<MemId> = net.write_ports.iter().map(|wp| wp.mem).collect();
         written.sort();
         written.dedup();
         for mem in written {
             let a = self.mem_state(1, COPY_A, mem);
             let b = self.mem_state(1, COPY_B, mem);
-            let width = usize::from(self.net.mems[mem.index()].width.max(1));
-            for (ca, cb) in a.as_ref().iter().zip(b.as_ref().iter()) {
+            let width = usize::from(net.mems[mem.index()].width.max(1));
+            for (ca, cb) in a.range().zip(b.range()) {
+                let (ca, cb) = (self.cells[ca], self.cells[cb]);
                 let d = aig::not(self.aig.bv_eq(ca, cb, width));
                 acc = self.aig.or(acc, d);
             }
@@ -802,13 +861,14 @@ mod tests {
                 .expect("memory is read")
         };
         let (rom, ram) = (mem_id("rom"), mem_id("ram"));
-        let mut enc = Encoder::new(&net, ProveEnv::new(), 1 << 20, false);
+        let (widths, env) = (net.node_widths(), ProveEnv::new());
+        let mut enc = Encoder::new(&net, &widths, &env, 1 << 20, false);
         for copy in [COPY_A, COPY_B] {
             let rom0 = enc.mem_state(0, copy, rom);
             let ram0 = enc.mem_state(0, copy, ram);
             for cycle in 1..6 {
-                assert!(Rc::ptr_eq(&enc.mem_state(cycle, copy, rom), &rom0));
-                assert!(!Rc::ptr_eq(&enc.mem_state(cycle, copy, ram), &ram0));
+                assert_eq!(enc.mem_state(cycle, copy, rom), rom0);
+                assert_ne!(enc.mem_state(cycle, copy, ram), ram0);
             }
         }
     }

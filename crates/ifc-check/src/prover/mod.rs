@@ -381,12 +381,13 @@ fn decode_programs(
 /// bounded proof to an unbounded one.
 fn induction_closes(
     net: &Netlist,
+    widths: &[u16],
     env: &ProveEnv,
     obs: &Observable,
     opts: &ProveOptions,
     stats: &mut SolverStats,
 ) -> bool {
-    let mut enc = Encoder::new(net, env.clone(), opts.max_nodes, true);
+    let mut enc = Encoder::new(net, widths, env, opts.max_nodes, true);
     let d0 = enc.obs_diff(0, obs);
     let dn = enc.next_state_diff();
     let miter = enc.aig.or(d0, dn);
@@ -416,6 +417,8 @@ pub fn prove(net: &Netlist, env: &ProveEnv, opts: &ProveOptions) -> ProveReport 
         obs_list.retain(|o| targets.iter().any(|t| t == &o.name));
     }
     let (node_taint, _mem_taint) = taint_fixpoint(net, env);
+    // Computed once, for the first observable that needs the encoder.
+    let mut widths = None;
     let mut results = Vec::with_capacity(obs_list.len());
     let mut stats = SolverStats::default();
     for obs in &obs_list {
@@ -423,7 +426,8 @@ pub fn prove(net: &Netlist, env: &ProveEnv, opts: &ProveOptions) -> ProveReport 
         let (verdict, depth) = if !node_taint[obs.node.index()] {
             (Verdict::ProvedStructural, 0)
         } else {
-            prove_one(net, env, obs, opts, &mut own)
+            let widths = widths.get_or_insert_with(|| net.node_widths());
+            prove_one(net, widths, env, obs, opts, &mut own)
         };
         stats.absorb(&own);
         results.push(ObsResult {
@@ -462,12 +466,13 @@ pub fn prove_annotated(net: &Netlist, opts: &ProveOptions) -> ProveReport {
 /// together.
 fn prove_one(
     net: &Netlist,
+    widths: &[u16],
     env: &ProveEnv,
     obs: &Observable,
     opts: &ProveOptions,
     stats: &mut SolverStats,
 ) -> (Verdict, u32) {
-    let mut enc = Encoder::new(net, env.clone(), opts.max_nodes, false);
+    let mut enc = Encoder::new(net, widths, env, opts.max_nodes, false);
     let mut cnf = Cnf::default();
     let mut unconfirmed: Option<Box<Counterexample>> = None;
     // The budget that ran out, and at which depth.
@@ -516,7 +521,7 @@ fn prove_one(
         ),
         (None, Some((reason, depth))) => (Verdict::Unknown { reason }, depth),
         (None, None) => {
-            let inductive = opts.induction && induction_closes(net, env, obs, opts, stats);
+            let inductive = opts.induction && induction_closes(net, widths, env, obs, opts, stats);
             (
                 Verdict::Proved {
                     k: opts.k,

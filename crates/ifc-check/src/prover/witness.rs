@@ -7,6 +7,11 @@
 //! the (intended) spurious models the declassification havoc can admit:
 //! the encoder treats every declassified value as an unconstrained
 //! release, so a model may pick released values no real run produces.
+//!
+//! Both runs execute on the caller's netlist through
+//! [`Simulator::borrowing`]: a replay copies no netlist, and the oracle
+//! is the same interpreter, under the same conservative tracking, that
+//! an owning simulator runs.
 
 use hdl::{Netlist, Value};
 use ifc_lattice::Conf;
@@ -26,16 +31,17 @@ pub struct ReplayOutcome {
     pub observed: [Value; 2],
 }
 
-/// Replays the two port programs against fresh interpreters with
-/// conservative label tracking and compares the observable each cycle.
+/// Replays the two port programs against fresh interpreters over `net`
+/// with conservative label tracking and compares the observable each
+/// cycle.
 ///
 /// An output guarded by a label condition only counts as differing on
 /// cycles where *both* runs evaluate the condition to a publicly
 /// confidential label — mirroring the miter's observability guard.
 #[must_use]
 pub fn replay(net: &Netlist, obs: &Observable, programs: &[PortProgram; 2]) -> ReplayOutcome {
-    let mut sim_a = Simulator::with_tracking(net.clone(), TrackMode::Conservative);
-    let mut sim_b = Simulator::with_tracking(net.clone(), TrackMode::Conservative);
+    let mut sim_a = Simulator::borrowing(net, TrackMode::Conservative);
+    let mut sim_b = Simulator::borrowing(net, TrackMode::Conservative);
     let cycles = programs[0].cycles.len().max(programs[1].cycles.len());
     for cycle in 0..cycles {
         for (sim, program) in [(&mut sim_a, &programs[0]), (&mut sim_b, &programs[1])] {
@@ -63,8 +69,10 @@ pub fn replay(net: &Netlist, obs: &Observable, programs: &[PortProgram; 2]) -> R
                 observed: [va, vb],
             };
         }
-        sim_a.tick();
-        sim_b.tick();
+        if cycle + 1 < cycles {
+            sim_a.tick();
+            sim_b.tick();
+        }
     }
     ReplayOutcome {
         confirmed: false,

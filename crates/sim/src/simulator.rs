@@ -1,5 +1,6 @@
 //! The cycle-accurate simulator core.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use hdl::{mask, BinOp, LabelExpr, Netlist, Node, NodeId, UnOp, Value};
@@ -66,9 +67,17 @@ pub enum TrackMode {
 /// Cycle-accurate simulator with shadow security labels.
 ///
 /// See the crate docs for the drive/eval/tick protocol.
+///
+/// The simulator owns its netlist by default ([`Simulator::new`],
+/// [`Simulator::with_tracking`]). [`Simulator::borrowing`] builds the
+/// same simulator over a borrowed `&Netlist` instead, for a caller that
+/// keeps the netlist and needs a short run on it (the prover's
+/// counterexample replay, the fuzzer's oracle pass) without copying it.
+/// Both forms run the one interpreter below; only who holds the netlist
+/// differs.
 #[derive(Debug, Clone)]
-pub struct Simulator {
-    net: Netlist,
+pub struct Simulator<N: Borrow<Netlist> = Netlist> {
+    net: N,
     widths: Vec<u16>,
     /// Combinational values (valid when `clean`).
     values: Vec<Value>,
@@ -98,9 +107,9 @@ pub struct Simulator {
 /// its violation scan — so `is_clean` always reports dirty and the shared
 /// loop degenerates to propagate-then-edge each cycle. The per-push cap
 /// check makes `refresh_room` a no-op.
-struct InterpEngine<'a>(&'a mut Simulator);
+struct InterpEngine<'a, N: Borrow<Netlist>>(&'a mut Simulator<N>);
 
-impl RunEngine for InterpEngine<'_> {
+impl<N: Borrow<Netlist>> RunEngine for InterpEngine<'_, N> {
     fn is_clean(&self) -> bool {
         false
     }
@@ -134,15 +143,34 @@ impl Simulator {
     /// Creates a simulator with an explicit tracking mode.
     #[must_use]
     pub fn with_tracking(net: Netlist, mode: TrackMode) -> Simulator {
-        let n = net.nodes.len();
-        let widths = compute_widths(&net);
+        Simulator::build(net, mode)
+    }
+}
+
+impl<'a> Simulator<&'a Netlist> {
+    /// Creates a simulator over a borrowed netlist, with an explicit
+    /// tracking mode: the same simulator as
+    /// [`with_tracking`](Simulator::with_tracking) without taking (or
+    /// copying) the netlist.
+    #[must_use]
+    pub fn borrowing(net: &'a Netlist, mode: TrackMode) -> Simulator<&'a Netlist> {
+        Simulator::build(net, mode)
+    }
+}
+
+impl<N: Borrow<Netlist>> Simulator<N> {
+    /// The one constructor behind both netlist forms.
+    fn build(net: N, mode: TrackMode) -> Simulator<N> {
+        let nl: &Netlist = net.borrow();
+        let n = nl.nodes.len();
+        let widths = compute_widths(nl);
         let mut reg_state = vec![0; n];
-        for (i, node) in net.nodes.iter().enumerate() {
+        for (i, node) in nl.nodes.iter().enumerate() {
             if let Node::Reg { init, .. } = node {
                 reg_state[i] = *init;
             }
         }
-        let mem_state = net
+        let mem_state = nl
             .mems
             .iter()
             .map(|m| {
@@ -151,12 +179,12 @@ impl Simulator {
                 cells
             })
             .collect();
-        let mem_labels = net
+        let mem_labels = nl
             .mems
             .iter()
             .map(|m| vec![Label::PUBLIC_TRUSTED; m.depth])
             .collect();
-        let output_checks = build_output_checks(&net);
+        let output_checks = build_output_checks(nl);
         Simulator {
             widths,
             values: vec![0; n],
@@ -181,7 +209,7 @@ impl Simulator {
     /// The wrapped netlist.
     #[must_use]
     pub fn netlist(&self) -> &Netlist {
-        &self.net
+        self.net.borrow()
     }
 
     /// The tracking mode this simulator runs.
@@ -228,7 +256,7 @@ impl Simulator {
     }
 
     fn resolve_input(&self, name: &str) -> NodeId {
-        self.net
+        self.netlist()
             .input(name)
             .unwrap_or_else(|| panic!("no input port named {name:?}"))
     }
@@ -308,7 +336,7 @@ impl Simulator {
     /// Finds a memory's index by its declared name.
     #[must_use]
     pub fn mem_index(&self, name: &str) -> Option<usize> {
-        self.net.mems.iter().position(|m| m.name == name)
+        self.netlist().mems.iter().position(|m| m.name == name)
     }
 
     /// Sets a memory cell's runtime label directly — used to model
@@ -361,14 +389,10 @@ impl Simulator {
     }
 
     fn lookup(&self, name: &str) -> NodeId {
-        self.net
-            .output(name)
-            .or_else(|| self.net.input(name))
-            .or_else(|| {
-                self.net
-                    .node_ids()
-                    .find(|&id| self.net.name_of(id) == Some(name))
-            })
+        let net = self.netlist();
+        net.output(name)
+            .or_else(|| net.input(name))
+            .or_else(|| net.node_ids().find(|&id| net.name_of(id) == Some(name)))
             .unwrap_or_else(|| panic!("no port or node named {name:?}"))
     }
 
@@ -397,8 +421,9 @@ impl Simulator {
     /// order, then the cycle counter.
     fn clock_edge(&mut self) {
         // Clock edge: registers.
-        for idx in 0..self.net.nodes.len() {
-            if let Some(next) = self.net.reg_next[idx] {
+        let net: &Netlist = self.net.borrow();
+        for (idx, next) in net.reg_next.iter().enumerate() {
+            if let Some(next) = *next {
                 self.reg_state[idx] = self.values[next.index()];
                 if self.mode != TrackMode::Off {
                     self.reg_labels[idx] = self.labels[next.index()];
@@ -406,7 +431,7 @@ impl Simulator {
             }
         }
         // Clock edge: memory write ports, in statement order.
-        for wp in &self.net.write_ports {
+        for wp in &net.write_ports {
             if self.values[wp.en.index()] & 1 == 1 {
                 let mem = wp.mem.index();
                 let depth = self.mem_state[mem].len();
@@ -426,8 +451,8 @@ impl Simulator {
     /// One combinational settle pass over the topological order.
     fn propagate(&mut self, record: bool) {
         let track = self.mode != TrackMode::Off;
-        for i in 0..self.net.topo.len() {
-            let id = self.net.topo[i];
+        for i in 0..self.netlist().topo.len() {
+            let id = self.netlist().topo[i];
             let idx = id.index();
             let (value, label) = self.eval_node(id, record);
             self.values[idx] = mask(value, self.widths[idx].max(1));
@@ -443,9 +468,10 @@ impl Simulator {
     #[allow(clippy::too_many_lines)]
     fn eval_node(&mut self, id: NodeId, record: bool) -> (Value, Label) {
         let idx = id.index();
-        let v = |s: &Simulator, n: NodeId| s.values[n.index()];
-        let l = |s: &Simulator, n: NodeId| s.labels[n.index()];
-        match *self.net.node(id) {
+        let v = |s: &Self, n: NodeId| s.values[n.index()];
+        let l = |s: &Self, n: NodeId| s.labels[n.index()];
+        let net: &Netlist = self.net.borrow();
+        match *net.node(id) {
             Node::Input { .. } => (
                 self.input_values.get(&id).copied().unwrap_or(0),
                 self.input_labels
@@ -455,7 +481,7 @@ impl Simulator {
             ),
             Node::Const { value, .. } => (value, Label::PUBLIC_TRUSTED),
             Node::Wire { .. } => {
-                let driver = self.net.wire_driver[idx].expect("lowered wire has driver");
+                let driver = net.wire_driver[idx].expect("lowered wire has driver");
                 (v(self, driver), l(self, driver))
             }
             Node::Reg { .. } => (self.reg_state[idx], self.reg_labels[idx]),

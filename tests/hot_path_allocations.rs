@@ -9,11 +9,15 @@
 //! (Recording a violation does allocate; the workload here is
 //! violation-free, which the test asserts.) One `ifc_check::check` of
 //! the same design must allocate fewer than [`CHECK_ALLOCATION_BOUND`]
-//! times, one lint run fewer than [`LINT_ALLOCATION_BOUND`], and one
-//! topological sort at most [`TOPOSORT_ALLOCATION_BOUND`].
+//! times, one lint run fewer than [`LINT_ALLOCATION_BOUND`], one
+//! topological sort at most [`TOPOSORT_ALLOCATION_BOUND`], and one k=4
+//! proof of the annotated baseline fewer than
+//! [`PROVER_ALLOCATION_BOUND`]; replaying that proof's `dbg_out`
+//! counterexample may ask for no more bytes than its two simulators and
+//! [`REPLAY_SLACK_BYTES`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use secure_aes_ifc::accel::protected;
@@ -21,11 +25,35 @@ use secure_aes_ifc::sim::{BatchedSim, Simulator, TrackMode, SUPPORTED_LANES};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by this thread, and the bytes they asked for (a
+    /// reallocation counts as one allocation of its new size). The
+    /// counts are per thread because the test harness's own threads
+    /// allocate when they report a finished test, and a process-wide
+    /// count charges those to whichever test is measuring at the time.
+    /// Nothing measured here starts a thread.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation(size: usize) {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + size));
+}
+
+/// Allocations this thread has made so far.
+fn allocated_so_far() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Bytes this thread's allocations have asked for so far.
+fn bytes_so_far() -> usize {
+    BYTES.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation(layout.size());
         System.alloc(layout)
     }
 
@@ -34,7 +62,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -42,9 +70,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// The allocation counter is process-global, so concurrently running
-/// tests would bleed their setup allocations into each other's measured
-/// windows; every test serializes on this lock.
+/// Every test serializes on this lock, so each measured window runs with
+/// no other test's setup or work in the process.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -62,14 +89,14 @@ fn measure(sim: &mut Simulator) -> usize {
         sim.eval();
         sim.tick();
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocated_so_far();
     for i in 0..200u64 {
         sim.set("in_block", u128::from(i) * 0x0fed_cba9_8765_4321);
         sim.set("in_valid", u128::from(i % 2));
         sim.eval();
         sim.tick();
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocated_so_far();
     assert!(
         sim.violations().is_empty(),
         "workload must stay violation-free for this measurement"
@@ -93,7 +120,7 @@ fn measure_lanes(sim: &mut BatchedSim) -> usize {
         sim.eval();
         sim.tick();
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocated_so_far();
     for i in 0..200u64 {
         for lane in 0..lanes {
             sim.set(
@@ -106,7 +133,7 @@ fn measure_lanes(sim: &mut BatchedSim) -> usize {
         sim.eval();
         sim.tick();
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocated_so_far();
     for lane in 0..lanes {
         assert!(
             sim.violations(lane).is_empty(),
@@ -167,9 +194,9 @@ const CHECK_ALLOCATION_BOUND: usize = 1_000;
 fn static_check_allocates_within_its_bound() {
     let _guard = serial();
     let design = protected();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocated_so_far();
     let report = secure_aes_ifc::ifc_check::check(&design);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = allocated_so_far() - before;
     assert!(report.is_secure(), "{report}");
     assert!(
         allocations < CHECK_ALLOCATION_BOUND,
@@ -196,9 +223,9 @@ fn static_lint_allocates_within_its_bound() {
     let net = design.lower().expect("accelerator lowers");
     let cfg = LintConfig::new();
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocated_so_far();
     let report = run_static_passes(Some(&design), &net, &cfg);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = allocated_so_far() - before;
     assert_eq!(
         report.count_at(secure_aes_ifc::ifc_check::Severity::Error),
         0,
@@ -210,13 +237,81 @@ fn static_lint_allocates_within_its_bound() {
          (bound {LINT_ALLOCATION_BOUND})"
     );
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocated_so_far();
     let order = net.toposort().expect("lowered netlist is acyclic");
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = allocated_so_far() - before;
     assert_eq!(order, net.topo);
     assert!(
         allocations <= TOPOSORT_ALLOCATION_BOUND,
         "toposort(protected) made {allocations} allocations \
          (bound {TOPOSORT_ALLOCATION_BOUND})"
+    );
+}
+
+/// Heap allocations one `prove_annotated(&baseline_annotated, k = 4)`
+/// may make; it makes about 940, two thirds of them in its two solved
+/// queries' encoders and solvers. Bit-vectors copied per memo hit, or a
+/// netlist cloned per counterexample replay, would make tens of
+/// thousands (the `dbg_out` query alone builds 20,430 AIG nodes).
+const PROVER_ALLOCATION_BOUND: usize = 3_000;
+
+/// Bytes a counterexample replay may ask for beyond its two simulators'
+/// construction: the drive maps and recorded violations of one or two
+/// cycles. A copied netlist (≈ 1 MB for `baseline_annotated`) exceeds it.
+const REPLAY_SLACK_BYTES: usize = 64 * 1024;
+
+#[test]
+fn prover_allocates_within_its_bound() {
+    use secure_aes_ifc::ifc_check::prover::{
+        observables, prove_annotated, witness, ProveEnv, ProveOptions, Verdict,
+    };
+    let _guard = serial();
+    let net = secure_aes_ifc::accel::baseline_annotated()
+        .lower()
+        .expect("accelerator lowers");
+    let opts = ProveOptions {
+        k: 4,
+        ..ProveOptions::default()
+    };
+
+    let before = allocated_so_far();
+    let report = prove_annotated(&net, &opts);
+    let allocations = allocated_so_far() - before;
+    let confirmed: Vec<&str> = report
+        .results
+        .iter()
+        .filter(|r| matches!(&r.verdict, Verdict::Counterexample(cex) if cex.confirmed))
+        .map(|r| r.name.as_str())
+        .collect();
+    assert_eq!(confirmed, ["cfg_out", "dbg_out"], "the two known leaks");
+    assert!(
+        allocations < PROVER_ALLOCATION_BOUND,
+        "prove_annotated(baseline_annotated, k=4) made {allocations} allocations \
+         (bound {PROVER_ALLOCATION_BOUND})"
+    );
+
+    // The oracle replay runs its two simulators on the caller's netlist:
+    // it asks for about the bytes of two simulators, where one copy of
+    // the netlist would add about as much again.
+    let dbg_out = report.results.iter().find(|r| r.name == "dbg_out");
+    let Some(Verdict::Counterexample(cex)) = dbg_out.map(|r| &r.verdict) else {
+        panic!("dbg_out has a counterexample");
+    };
+    let env = ProveEnv::from_annotations(&net);
+    let obs = observables(&net, &env, opts.write_enables)
+        .into_iter()
+        .find(|o| o.name == "dbg_out")
+        .expect("dbg_out is observable");
+    let before = bytes_so_far();
+    drop(Simulator::borrowing(&net, TrackMode::Conservative));
+    let simulator = bytes_so_far() - before;
+    let before = bytes_so_far();
+    let outcome = witness::replay(&net, &obs, &cex.programs);
+    let replay = bytes_so_far() - before;
+    assert!(outcome.confirmed, "the replay confirms dbg_out's leak");
+    assert!(
+        replay < 2 * simulator + REPLAY_SLACK_BYTES,
+        "replaying dbg_out asked for {replay} bytes; two simulators take {}",
+        2 * simulator
     );
 }
