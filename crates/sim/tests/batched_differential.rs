@@ -17,10 +17,12 @@
 //! muxes and registers) meet the oracle at every lane width. The violation
 //! cap, including a cap raised mid-run, truncates every lane's stream
 //! exactly where the oracle's is truncated. A lane checkpointed from a
-//! mixed batch resumes bit-identically in a batch of its own mode.
+//! mixed batch resumes bit-identically in a batch of its own mode, and a
+//! lane moved between any two widths keeps every node and memory-cell
+//! label.
 
-use hdl::{Design, ModuleBuilder, Node, Sig, MAX_WIDTH};
-use ifc_lattice::Label;
+use hdl::{Design, ModuleBuilder, Node, NodeId, Sig, MAX_WIDTH};
+use ifc_lattice::{Conf, Integ, Label};
 use proptest::prelude::*;
 use sim::{BatchedSim, OptConfig, Simulator, TrackMode, SUPPORTED_LANES};
 
@@ -560,6 +562,65 @@ fn precise_lane_of_a_mixed_batch_resumes_in_a_precise_batch() {
         "the stimulus raises violations"
     );
     assert_eq!(mixed.violations(3), precise.violations(1));
+}
+
+/// A lane snapshotted at one width and restored at another reads back
+/// every node and memory-cell label it left with, for every pair of
+/// widths. Its labels carry integrity strictly between `UNTRUSTED` and
+/// `TRUSTED`, so an integrity inversion applied twice, or not at all, on
+/// either side of the round trip shows.
+#[test]
+fn lane_labels_survive_restore_across_every_pair_of_widths() {
+    let (design, _) = build(&representative());
+    let net = design.lower().expect("lowers");
+    let nodes = net.node_count();
+    let depth = net.mems[0].depth;
+    let mid = |k: usize| {
+        Label::new(
+            Conf::new((k * 5 % 16) as u8),
+            Integ::new(1 + (k * 7 % 14) as u8),
+        )
+    };
+    let base = BatchedSim::with_tracking(net, TrackMode::Conservative, 1);
+    // Every lane gets its own input values and labels and cell labels,
+    // varied by `seed` so a restore over an identical lane cannot pass.
+    let loaded = |lanes: usize, seed: usize| {
+        let mut sim = base.with_lanes(lanes);
+        for lane in 0..lanes {
+            for i in 0..4 {
+                let k = seed + 4 * lane + i;
+                sim.set(lane, &format!("in{i}"), (k * 0x35) as u128);
+                sim.set_label(lane, &format!("in{i}"), mid(k));
+            }
+            for addr in 0..depth {
+                sim.set_mem_cell_label(lane, 0, addr, mid(seed + lane + 3 * addr));
+            }
+        }
+        sim.run(3);
+        sim
+    };
+    for from in SUPPORTED_LANES {
+        for to in SUPPORTED_LANES {
+            let (mut src, mut dst) = (loaded(from, 0), loaded(to, 11));
+            let (src_lane, dst_lane) = (from - 1, to - 1);
+            dst.restore_lane(dst_lane, &src.lane_snapshot(src_lane));
+            for i in 0..nodes {
+                let id = NodeId::from_raw(i as u32);
+                assert_eq!(
+                    dst.peek_node_label(dst_lane, id),
+                    src.peek_node_label(src_lane, id),
+                    "node {i}, W={from} -> W={to}"
+                );
+            }
+            for addr in 0..depth {
+                assert_eq!(
+                    dst.mem_cell_label(dst_lane, 0, addr),
+                    src.mem_cell_label(src_lane, 0, addr),
+                    "cell {addr}, W={from} -> W={to}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
